@@ -7,7 +7,7 @@ probability tables through each representation independently and verifies
 that all of them agree.
 """
 
-from ._enum import config_matrix, config_to_index, index_to_config, worker_count
+from ._enum import config_matrix, config_to_index, index_to_config
 from .collider import (
     ColliderEffect,
     ColliderForm,
@@ -148,5 +148,4 @@ __all__ = [
     "truncate_spectral",
     "verify_representations",
     "weighted_configs",
-    "worker_count",
 ]

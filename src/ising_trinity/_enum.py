@@ -1,16 +1,20 @@
-"""Configuration indexing and log-space enumeration shared by the exact PMF builders.
+"""Configuration indexing and the doubling kernel shared by the exact PMF builders.
 
 Index convention: bit ``i`` of the configuration index encodes variable ``i``,
 with a set bit meaning ``x_i = +1``.  Index 0 is therefore the all ``-1``
 configuration and index ``2**n - 1`` the all ``+1`` one.
+
+Exact tables are built by doubling rather than by materializing the
+``(2**n, n)`` configuration matrix.  A table over the first ``k`` variables
+becomes one over the first ``k + 1`` by writing it twice: the lower half for
+``x_k = -1`` and the upper half, whose indices carry the new top bit ``k``,
+for ``x_k = +1``.  `linear_table` applies this to ``x . coef``; each builder
+composes it into its own log-weight formula and hands the result to
+`normalize`.  Every table costs O(2**n) work per linear term and no
+configuration matrix.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 import numpy as np
 
@@ -18,32 +22,13 @@ from .errors import EnumerationLimitError
 
 ENUMERATION_LIMIT = 20
 
-# Configurations materialized per block: 2**14 rows keeps a float64 block under
-# 3 MB even at the enumeration limit.
-_BLOCK = 1 << 14
 
-THREADS_ENV_VAR = "ISING_TRINITY_THREADS"
-
-# Parallel block fill only pays off once there are many blocks to go around.
-_PARALLEL_MIN_N = 16
-
-
-def worker_count() -> int:
-    """Worker cap from the ``ISING_TRINITY_THREADS`` environment variable.
-
-    Defaults to the machine's CPU count; malformed values fall back to 1 with
-    a warning rather than failing the computation.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring non-integer {THREADS_ENV_VAR}={raw!r}; running single-threaded"
-            )
-            return 1
-    return os.cpu_count() or 1
+def check_enumerable(n: int) -> None:
+    """Raise `EnumerationLimitError` unless ``2**n`` configurations may be enumerated."""
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"n = {n} is too large for exact enumeration (limit {ENUMERATION_LIMIT})"
+        )
 
 
 def config_block(n: int, start: int, stop: int) -> np.ndarray:
@@ -55,10 +40,7 @@ def config_block(n: int, start: int, stop: int) -> np.ndarray:
 
 def config_matrix(n: int) -> np.ndarray:
     """All ``2**n`` configurations, row ``k`` holding the configuration with index ``k``."""
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"n = {n} is too large for exact enumeration (limit {ENUMERATION_LIMIT})"
-        )
+    check_enumerable(n)
     return config_block(n, 0, 1 << n)
 
 
@@ -75,39 +57,28 @@ def config_to_index(x: np.ndarray) -> int:
     return int((bits << np.arange(len(bits), dtype=np.int64)).sum())
 
 
-def accumulate_pmf(
-    n: int,
-    block_log_weight: Callable[[np.ndarray], np.ndarray],
-    workers: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Enumerate all configurations of ``n`` variables and normalize in log space.
+def linear_table(coef: np.ndarray) -> np.ndarray:
+    """``x . coef`` at every configuration of ``len(coef)`` variables, in index order.
 
-    ``block_log_weight`` maps a ``(b, n)`` block of configurations to ``b`` log
-    weights.  Blocks are processed by index range, optionally across threads;
-    the normalization pass is serial, so the result does not depend on the
-    worker count.  Returns ``(probs, log_z)`` with ``probs`` summing to one.
+    Adding variable ``k`` doubles the table: ``v <- concat(v - coef_k, v + coef_k)``.
     """
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"n = {n} is too large for exact enumeration (limit {ENUMERATION_LIMIT})"
-        )
-    total = 1 << n
-    log_w = np.empty(total)
-    spans = [(s, min(s + _BLOCK, total)) for s in range(0, total, _BLOCK)]
+    coef = np.asarray(coef, dtype=np.float64)
+    check_enumerable(coef.shape[0])
+    out = np.zeros(1 << coef.shape[0])
+    for k, c in enumerate(coef):
+        half = 1 << k
+        np.add(out[:half], c, out=out[half : 2 * half])
+        out[:half] -= c
+    return out
 
-    def fill(span: tuple[int, int]) -> None:
-        lo, hi = span
-        log_w[lo:hi] = block_log_weight(config_block(n, lo, hi))
 
-    n_workers = worker_count() if workers is None else max(1, workers)
-    if n_workers > 1 and n >= _PARALLEL_MIN_N and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 
+    Works in place: ``log_w`` is overwritten and returned as ``probs``.
+    """
     peak = log_w.max()
-    scaled = np.exp(log_w - peak)
-    norm = scaled.sum()
-    return scaled / norm, float(peak + np.log(norm))
+    probs = np.exp(np.subtract(log_w, peak, out=log_w), out=log_w)
+    norm = probs.sum()
+    probs /= norm
+    return probs, float(peak + np.log(norm))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._enum import accumulate_pmf
+from ._enum import linear_table, normalize
 from .core import Pmf, as_binary_config
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
@@ -124,15 +124,9 @@ def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
     return ColliderForm(delta=delta, effects=effects)
 
 
-def cause_marginal_pmf(cf: ColliderForm, workers: int | None = None) -> Pmf:
+def cause_marginal_pmf(cf: ColliderForm) -> Pmf:
     """Joint table of the causes alone: independent ``logistic(2 delta_i)`` coins."""
-    delta = cf.delta
-
-    def block(configs: np.ndarray) -> np.ndarray:
-        return configs @ delta
-
-    probs, log_z = accumulate_pmf(cf.n, block, workers)
-    return Pmf(cf.n, probs, log_z)
+    return Pmf(cf.n, *normalize(linear_table(cf.delta)))
 
 
 def effect_acceptance(cf: ColliderForm, x) -> np.ndarray:
@@ -161,25 +155,18 @@ def collider_joint(cf: ColliderForm, x, e) -> float:
     return float(np.exp(log_cause) * np.prod(acc**e * (1.0 - acc) ** (1.0 - e)))
 
 
-def conditioned_pmf(cf: ColliderForm, workers: int | None = None) -> Pmf:
+def conditioned_pmf(cf: ColliderForm) -> Pmf:
     """Cause table conditioned on every effect being present.
 
     The table's ``log_z`` is the log probability of that conditioning event
     under the joint, i.e. the log of the expected acceptance rate.
     """
-    delta = cf.delta
-    base = _log_2cosh(delta).sum()
-    lams = np.array([eff.lam for eff in cf.effects])
-    sups = np.array([eff.log_sup for eff in cf.effects])
-    dirs = (
-        np.stack([eff.q for eff in cf.effects], axis=1)
-        if cf.effects
-        else np.zeros((cf.n, 0))
-    )
-
-    def block(configs: np.ndarray) -> np.ndarray:
-        scores = configs @ dirs
-        return configs @ delta - base + (0.5 * lams * scores**2 - sups).sum(axis=1)
-
-    probs, log_z = accumulate_pmf(cf.n, block, workers)
-    return Pmf(cf.n, probs, log_z)
+    log_w = linear_table(cf.delta)
+    log_w -= _log_2cosh(cf.delta).sum()
+    for eff in cf.effects:
+        score = linear_table(eff.q)
+        score *= score
+        score *= 0.5 * eff.lam
+        score -= eff.log_sup
+        log_w += score
+    return Pmf(cf.n, *normalize(log_w))

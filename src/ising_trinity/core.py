@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import accumulate_pmf, config_block
+from ._enum import check_enumerable, linear_table, normalize
 from .errors import DimensionMismatchError
 
 SYMMETRY_TOL = 1e-12
@@ -129,37 +129,34 @@ def ising_log_weight(spec: ModelSpec, x) -> float:
     return float(x @ spec.delta + pair)
 
 
-def _ising_block_weights(spec: ModelSpec):
-    sigma0 = spec.coupling_offdiag()
-    delta = spec.delta
+def ising_pmf(spec: ModelSpec) -> Pmf:
+    """Exact probability table of the pairwise model by full enumeration.
 
-    def block(configs: np.ndarray) -> np.ndarray:
-        # Row-wise 0.5 * x' sigma0 x reproduces the i<j pair sum because the
-        # diagonal is zero and each pair is counted twice.
-        return configs @ delta + 0.5 * np.einsum(
-            "bi,ij,bj->b", configs, sigma0, configs
-        )
+    Adding variable ``k`` doubles the log weights by
+    ``x_k (delta_k + sum_{j<k} sigma_kj x_j)``, so each pair enters once and
+    the diagonal never does.
+    """
+    n = spec.n
+    check_enumerable(n)
+    log_w = np.zeros(1 << n)
+    for k in range(n):
+        half = 1 << k
+        field = linear_table(spec.sigma[k, :k])
+        field += spec.delta[k]
+        np.add(log_w[:half], field, out=log_w[half : 2 * half])
+        log_w[:half] -= field
+    return Pmf(n, *normalize(log_w))
 
-    return block
 
-
-def ising_pmf(spec: ModelSpec, workers: int | None = None) -> Pmf:
-    """Exact probability table of the pairwise model by full enumeration."""
-    probs, log_z = accumulate_pmf(spec.n, _ising_block_weights(spec), workers)
-    return Pmf(spec.n, probs, log_z)
-
-
-def curie_weiss_pmf(n: int, delta, workers: int | None = None) -> Pmf:
+def curie_weiss_pmf(n: int, delta) -> Pmf:
     """Exact table of the exchangeable-coupling model ``exp(x.delta + (sum x)^2 / 2)``."""
     delta = _as_float_array(delta, "delta")
     if delta.shape != (n,):
         raise DimensionMismatchError(f"delta has shape {delta.shape}, expected ({n},)")
-
-    def block(configs: np.ndarray) -> np.ndarray:
-        return configs @ delta + 0.5 * configs.sum(axis=1) ** 2
-
-    probs, log_z = accumulate_pmf(n, block, workers)
-    return Pmf(n, probs, log_z)
+    total = linear_table(np.ones(n))
+    log_w = linear_table(delta)
+    log_w += 0.5 * total**2
+    return Pmf(n, *normalize(log_w))
 
 
 def pmf_distance(a: Pmf, b: Pmf) -> PmfDistance:
@@ -178,17 +175,38 @@ def pmf_distance(a: Pmf, b: Pmf) -> PmfDistance:
     return PmfDistance(tv=float(tv), max_abs=float(max_abs), kl=kl)
 
 
+def _first_moments(table: np.ndarray) -> tuple[np.ndarray, float]:
+    """``sum_x x_i table[x]`` for every variable ``i``, and ``sum_x table[x]``.
+
+    Folds the top variable away at each step: its sum is the upper half minus
+    the lower half, and the two halves then add into a table over one
+    variable fewer.
+    """
+    m = table.shape[0].bit_length() - 1
+    first = np.empty(m)
+    for j in reversed(range(m)):
+        half = 1 << j
+        lo, hi = table[:half], table[half:]
+        first[j] = hi.sum() - lo.sum()
+        table = lo + hi
+    return first, float(table[0])
+
+
 def pmf_moments(pmf: Pmf) -> tuple[np.ndarray, np.ndarray]:
-    """First moments ``E[x_i]`` and second moments ``E[x_i x_j]`` of a table."""
+    """First moments ``E[x_i]`` and second moments ``E[x_i x_j]`` of a table.
+
+    For each top variable ``j`` the signed half ``hi - lo`` is ``x_j`` times the
+    table, so its own first moments give ``E[x_i x_j]`` for ``i < j``.
+    """
     n = pmf.n
-    first = np.zeros(n)
+    first = np.empty(n)
     second = np.zeros((n, n))
-    total = 1 << n
-    step = 1 << 14
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        block = config_block(n, lo, hi)
-        w = pmf.probs[lo:hi]
-        first += w @ block
-        second += block.T @ (block * w[:, None])
+    table = pmf.probs
+    for j in reversed(range(n)):
+        half = 1 << j
+        lo, hi = table[:half], table[half:]
+        second[:j, j], first[j] = _first_moments(hi - lo)
+        table = lo + hi
+    second += second.T
+    np.fill_diagonal(second, table[0])
     return first, second

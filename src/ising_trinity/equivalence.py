@@ -151,7 +151,6 @@ def verify_representations(
     exact_tol: float = DEFAULT_EXACT_TOL,
     quad_tol: float = DEFAULT_QUAD_TOL,
     fault: BranchFault | None = None,
-    workers: int | None = None,
 ) -> EquivalenceReport:
     """Compute the PMF through every applicable representation and compare.
 
@@ -183,18 +182,16 @@ def verify_representations(
     faulted = ModelSpec(
         delta=_maybe_faulted(spec.delta, "conventional", fault), sigma=spec.sigma
     )
-    tables["conventional"] = ising_pmf(faulted, workers)
+    tables["conventional"] = ising_pmf(faulted)
     timings["conventional"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tables["spectral"] = spectral_pmf(
-        form, _maybe_faulted(spec.delta, "spectral", fault), workers
-    )
+    tables["spectral"] = spectral_pmf(form, _maybe_faulted(spec.delta, "spectral", fault))
     timings["spectral"] = time.perf_counter() - start
 
     start = time.perf_counter()
     collider = spectral_to_collider(form, _maybe_faulted(spec.delta, "collider", fault))
-    tables["collider"] = conditioned_pmf(collider, workers)
+    tables["collider"] = conditioned_pmf(collider)
     timings["collider"] = time.perf_counter() - start
 
     if latent_ok:

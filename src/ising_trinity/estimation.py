@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import accumulate_pmf, config_matrix
-from .core import ModelSpec, Pmf
+from ._enum import config_matrix
+from .core import ModelSpec, Pmf, ising_pmf
 from .errors import DimensionMismatchError, EnumerationLimitError, LineSearchError
 from .sampling import SampleSet
 
@@ -222,9 +222,7 @@ def full_loglik(spec: ModelSpec, data) -> float:
             f"data has {configs.shape[1]} columns, expected {spec.n}"
         )
     sigma0 = spec.coupling_offdiag()
-
-    def block(rows: np.ndarray) -> np.ndarray:
-        return rows @ spec.delta + 0.5 * np.einsum("bi,ij,bj->b", rows, sigma0, rows)
-
-    _, log_z = accumulate_pmf(spec.n, block, workers=1)
-    return float(weights @ block(configs)) - log_z
+    log_w = configs @ spec.delta + 0.5 * np.einsum(
+        "bi,ij,bj->b", configs, sigma0, configs
+    )
+    return float(weights @ log_w) - ising_pmf(spec).log_z

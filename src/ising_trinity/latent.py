@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import ENUMERATION_LIMIT, config_block, config_matrix
+from ._enum import check_enumerable, config_block, config_matrix
 from .core import Pmf, as_binary_config
 from .errors import (
     DimensionMismatchError,
@@ -186,10 +186,7 @@ def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     if delta.ndim != 1:
         raise ValueError(f"delta must be a vector, got shape {delta.shape}")
     n = delta.shape[0]
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"n = {n} is too large for exact enumeration (limit {ENUMERATION_LIMIT})"
-        )
+    check_enumerable(n)
     rule = _default_rule(rule)
     log_norm = _log_latent_norm(delta, np.ones((n, 1)), rule.refined())
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import accumulate_pmf
+from ._enum import linear_table, normalize
 from .core import ModelSpec, Pmf, as_binary_config
 from .errors import DimensionMismatchError, EigendecompositionError
 
@@ -129,19 +129,22 @@ def spectral_log_weight(form: SpectralForm, delta, x) -> float:
     return float(x @ delta + 0.5 * np.sum(form.lambdas * scores**2))
 
 
-def spectral_pmf(form: SpectralForm, delta, workers: int | None = None) -> Pmf:
-    """Exact probability table computed through the eigenvalue representation."""
+def spectral_pmf(form: SpectralForm, delta) -> Pmf:
+    """Exact probability table computed through the eigenvalue representation.
+
+    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` one eigen-score at a
+    time; zero eigenvalues contribute nothing and are skipped.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (form.n,):
         raise DimensionMismatchError(
             f"delta has shape {delta.shape}, expected ({form.n},)"
         )
-    q = form.q
-    lambdas = form.lambdas
-
-    def block(configs: np.ndarray) -> np.ndarray:
-        scores = configs @ q
-        return configs @ delta + 0.5 * (scores**2 * lambdas).sum(axis=1)
-
-    probs, log_z = accumulate_pmf(form.n, block, workers)
-    return Pmf(form.n, probs, log_z)
+    log_w = linear_table(delta)
+    for lam, q in zip(form.lambdas, form.q.T):
+        if lam > 0.0:
+            score = linear_table(q)
+            score *= score
+            score *= 0.5 * lam
+            log_w += score
+    return Pmf(form.n, *normalize(log_w))

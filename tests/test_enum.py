@@ -1,0 +1,168 @@
+"""The doubling kernel and every table built on it, against the plain-Python oracles."""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ising_trinity as it
+from conftest import random_spec
+from ising_trinity._enum import ENUMERATION_LIMIT, linear_table, normalize
+from ising_trinity.cli import main
+from oracles import (
+    all_configs,
+    cause_table,
+    conditioned_collider_table,
+    curie_weiss_table,
+    ising_table,
+    spectral_table,
+    table_moments,
+)
+
+ORACLE_TOL = 1e-12
+coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def specs(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    delta = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    sigma = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            sigma[i, j] = sigma[j, i] = draw(coords) / 2.0
+    return it.ModelSpec(delta=delta, sigma=sigma)
+
+
+@st.composite
+def collider_forms(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    delta = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    effects = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        q = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+        norm = np.linalg.norm(q)
+        assume(norm > 0.1)
+        lam = draw(st.floats(min_value=0.0, max_value=3.0))
+        effects.append(it.ColliderEffect(lam=lam, q=q / norm))
+    return it.ColliderForm(delta=delta, effects=tuple(effects))
+
+
+class TestKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(coef=st.lists(coords, max_size=8))
+    def test_linear_table_is_the_dot_product(self, coef):
+        expected = [sum(c * x for c, x in zip(coef, cfg)) for cfg in all_configs(len(coef))]
+        npt.assert_allclose(linear_table(np.array(coef)), expected, rtol=0, atol=1e-14)
+
+    def test_normalize_is_shift_invariant_and_safe_at_large_weights(self):
+        probs, log_z = normalize(np.array([1000.0, 1001.0]))
+        e = math.e
+        npt.assert_allclose(probs, [1.0 / (1.0 + e), e / (1.0 + e)], rtol=0, atol=1e-15)
+        assert log_z == pytest.approx(1000.0 + math.log1p(e), abs=1e-12)
+
+
+class TestBuildersAgainstOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs())
+    def test_ising_pmf(self, spec):
+        pmf = it.ising_pmf(spec)
+        oracle = ising_table(spec.delta.tolist(), spec.sigma.tolist())
+        npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(delta=st.lists(coords, min_size=1, max_size=8))
+    def test_curie_weiss_pmf(self, delta):
+        pmf = it.curie_weiss_pmf(len(delta), np.array(delta))
+        npt.assert_allclose(pmf.probs, curie_weiss_table(delta), rtol=0, atol=ORACLE_TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs(), max_rank=st.integers(min_value=0, max_value=8))
+    def test_spectral_pmf(self, spec, max_rank):
+        form = it.truncate_spectral(it.to_spectral(spec), max_rank)
+        pmf = it.spectral_pmf(form, spec.delta)
+        oracle = spectral_table(spec.delta.tolist(), form.lambdas.tolist(), form.q.T.tolist())
+        npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cf=collider_forms())
+    def test_cause_marginal_pmf(self, cf):
+        pmf = it.cause_marginal_pmf(cf)
+        npt.assert_allclose(pmf.probs, cause_table(cf.delta.tolist()), rtol=0, atol=ORACLE_TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cf=collider_forms())
+    def test_conditioned_pmf(self, cf):
+        pmf = it.conditioned_pmf(cf)
+        effects = [(eff.lam, eff.q.tolist()) for eff in cf.effects]
+        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effects)
+        npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
+        assert pmf.log_z == pytest.approx(math.log(acceptance), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs())
+    def test_pmf_moments(self, spec):
+        pmf = it.ising_pmf(spec)
+        first, second = it.pmf_moments(pmf)
+        o_first, o_second = table_moments(pmf.probs.tolist(), spec.n)
+        npt.assert_allclose(first, o_first, rtol=0, atol=ORACLE_TOL)
+        npt.assert_allclose(second, o_second, rtol=0, atol=ORACLE_TOL)
+
+
+def test_enumeration_limit_entries_match_the_log_weight(rng):
+    n = ENUMERATION_LIMIT
+    spec = random_spec(rng, n, coupling_scale=0.3)
+    pmf = it.ising_pmf(spec)
+    picks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 30).tolist()]
+    log_w = [it.ising_log_weight(spec, it.index_to_config(k, n)) for k in picks]
+    for k, lw in zip(picks, log_w):
+        assert math.log(pmf.probs[k]) - math.log(pmf.probs[picks[0]]) == pytest.approx(
+            lw - log_w[0], abs=1e-10
+        )
+        assert pmf.probs[k] == pytest.approx(math.exp(lw - pmf.log_z), rel=1e-10)
+
+
+OVER = ENUMERATION_LIMIT + 1
+OVER_SPEC = it.ModelSpec(delta=np.zeros(OVER), sigma=np.zeros((OVER, OVER)))
+OVER_COLLIDER = it.simple_collider(np.zeros(OVER))
+OVER_LIMIT_CALLS = {
+    "ising_pmf": lambda: it.ising_pmf(OVER_SPEC),
+    "curie_weiss_pmf": lambda: it.curie_weiss_pmf(OVER, np.zeros(OVER)),
+    "spectral_pmf": lambda: it.spectral_pmf(it.to_spectral(OVER_SPEC), OVER_SPEC.delta),
+    "cause_marginal_pmf": lambda: it.cause_marginal_pmf(OVER_COLLIDER),
+    "conditioned_pmf": lambda: it.conditioned_pmf(OVER_COLLIDER),
+    "rasch_marginal_pmf": lambda: it.rasch_marginal_pmf(np.zeros(OVER)),
+    "mirt_marginal_pmf": lambda: it.mirt_marginal_pmf(
+        it.LatentForm(delta=np.zeros(OVER), loadings=np.ones((OVER, 1)))
+    ),
+    "verify_representations": lambda: it.verify_representations(OVER_SPEC),
+    "config_matrix": lambda: it.config_matrix(OVER),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(OVER_LIMIT_CALLS))
+def test_every_table_builder_refuses_n21_before_allocating(builder):
+    tracemalloc.start()
+    try:
+        with pytest.raises(it.EnumerationLimitError):
+            OVER_LIMIT_CALLS[builder]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A single table at n = 21 would take 16 MB.
+    assert peak < 1 << 20
+
+
+# The conventional representation is covered by test_cli's
+# test_too_many_items_exit_code.
+@pytest.mark.parametrize("representation", ["spectral", "collider", "latent"])
+def test_pmf_command_at_n21_exits_3(tmp_path, capsys, representation):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": OVER, "delta": [0.1] * OVER, "sigma": [[0.0] * OVER] * OVER}))
+    assert main(["pmf", str(path), "-r", representation]) == 3
+    assert "error:" in capsys.readouterr().err
