@@ -72,6 +72,12 @@ def linear_table(coef: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_2cosh(t: np.ndarray) -> np.ndarray:
+    """``log(2 cosh t)`` elementwise, without overflow."""
+    a = np.abs(t)
+    return a + np.log1p(np.exp(-2.0 * a))
+
+
 def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 

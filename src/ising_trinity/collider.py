@@ -13,17 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._enum import linear_table, normalize
+from ._enum import linear_table, log_2cosh, normalize
 from .core import Pmf, as_binary_config
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
 
 UNIT_TOL = 1e-8
-
-
-def _log_2cosh(t: np.ndarray) -> np.ndarray:
-    a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a))
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ def collider_joint(cf: ColliderForm, x, e) -> float:
         )
     if not np.all((e == 0) | (e == 1)):
         raise ValueError("effect states must be 0 or 1")
-    log_cause = float(x @ cf.delta - _log_2cosh(cf.delta).sum())
+    log_cause = float(x @ cf.delta - log_2cosh(cf.delta).sum())
     acc = effect_acceptance(cf, x)
     e = e.astype(np.float64)
     return float(np.exp(log_cause) * np.prod(acc**e * (1.0 - acc) ** (1.0 - e)))
@@ -162,7 +157,7 @@ def conditioned_pmf(cf: ColliderForm) -> Pmf:
     under the joint, i.e. the log of the expected acceptance rate.
     """
     log_w = linear_table(cf.delta)
-    log_w -= _log_2cosh(cf.delta).sum()
+    log_w -= log_2cosh(cf.delta).sum()
     for eff in cf.effects:
         score = linear_table(eff.q)
         score *= score

@@ -6,6 +6,14 @@ row ``i`` of the loading matrix.  Integrating the conditional against the
 latent density recovers the pairwise model exactly; here the integral is
 evaluated with Gauss-Hermite quadrature against the standard normal, using the
 convention ``E[exp(s * theta)] = exp(s^2 / 2)`` for a standard-normal latent.
+
+The marginal sums ``c_k p(x | theta_k)`` over tensor-product nodes, where
+``c_k = w_k prod_i 2 cosh(eta_ik) / Z`` and ``eta_k = delta + A theta_k``.  The
+items are conditionally independent, so ``p(x | theta_k)`` is a product over
+the low-index half of the items times one over the rest: two half tables by
+doubling and one matrix product per chunk of nodes.  Cancelling the ``2 cosh``
+factors into ``exp(x . eta)`` or factoring the node sum across latent
+dimensions would reproduce the spectral branch's Gaussian identity instead.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import check_enumerable, config_block, config_matrix
+from ._enum import check_enumerable, log_2cosh
 from .core import Pmf, as_binary_config
 from .errors import (
     DimensionMismatchError,
@@ -25,6 +33,9 @@ from .errors import (
 from .spectral import RANK_TOL, SpectralForm
 
 DEFAULT_QUAD_NODES = 64
+
+# Largest Gauss-Hermite rule (numpy's weights turn non-finite near 380 nodes).
+MAX_QUAD_NODES = 256
 
 # Largest tilt the identity check accepts; far inside what 32+ nodes resolve.
 KAC_DOMAIN = 5.0
@@ -39,17 +50,12 @@ MIRT_ENUM_LIMIT = 12
 # Acceptable deviation of the quadrature marginal's total mass from one.
 MASS_TOL = 1e-6
 
-_NODE_CHUNK = 2048
-_CONFIG_CHUNK = 1 << 14
+# Tensor-product nodes evaluated together; bounds every working array.
+_NODE_CHUNK = 4096
 
 
 def _log_sigmoid(t: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -t)
-
-
-def _log_2cosh(t: np.ndarray) -> np.ndarray:
-    a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a))
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,12 @@ class QuadratureRule:
         """Gauss-Hermite rule rescaled to the standard normal weight function."""
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
+        if node_count > MAX_QUAD_NODES:
+            raise ValueError(
+                f"Gauss-Hermite rules are limited to {MAX_QUAD_NODES} nodes, got {node_count} "
+                f"(a latent marginal also builds the doubled rule, so use at most "
+                f"{MAX_QUAD_NODES // 2} there)"
+            )
         t, v = np.polynomial.hermite.hermgauss(node_count)
         return cls(nodes=t * np.sqrt(2.0), weights=v / np.sqrt(np.pi))
 
@@ -125,24 +137,85 @@ def rasch_conditional(delta, theta: float, x) -> float:
     return float(np.exp(np.sum(_log_sigmoid(2.0 * x * (theta + delta)))))
 
 
+def _node_chunks(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
+    """Fresh log weights ``(K,)`` and fields ``delta + A theta`` ``(n, K)`` of the tensor nodes.
+
+    The latent dimensions after the first are summed once by broadcasting and
+    the first is cut into blocks.  A rank-0 grid is one node of weight one.
+    """
+    n, log_w = delta.shape[0], np.log(rule.weights)
+    steps = [np.outer(a, rule.nodes) for a in loadings.T]
+    if not steps:
+        yield np.zeros(1), delta[:, None].copy()
+        return
+    eta_rest, lw_rest = delta[:, None], np.zeros(1)
+    for step in steps[1:]:
+        lw_rest = (lw_rest[:, None] + log_w).ravel()
+        eta_rest = (eta_rest[:, :, None] + step[:, None, :]).reshape(n, lw_rest.shape[0])
+    block = max(1, _NODE_CHUNK // lw_rest.shape[0])
+    for lo in range(0, rule.node_count, block):
+        lw = (log_w[lo : lo + block, None] + lw_rest).ravel()
+        eta = steps[0][:, lo : lo + block, None] + eta_rest[:, None, :]
+        yield lw, eta.reshape(n, lw.shape[0])
+
+
 def _log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
-    """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``."""
-    r = loadings.shape[1]
-    log_w = np.log(rule.weights)
-    total = rule.node_count**r
-    shape = (rule.node_count,) * r
-    pieces: list[tuple[float, float]] = []
-    for lo in range(0, total, _NODE_CHUNK):
-        hi = min(lo + _NODE_CHUNK, total)
-        coords = np.unravel_index(np.arange(lo, hi), shape)
-        thetas = np.stack([rule.nodes[c] for c in coords], axis=1)
-        lw = sum(log_w[c] for c in coords)
-        s = thetas @ loadings.T + delta
-        tot = lw + _log_2cosh(s).sum(axis=1)
+    """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``.
+
+    Uses ``prod_i 2 cosh(eta_i) = exp(sum_i |eta_i|) prod_i (1 + exp(-2 |eta_i|))``:
+    one exponential per item, and the product stays below ``2**n``.
+    """
+    logs = []
+    for lw, eta in _node_chunks(delta, loadings, rule):
+        # In place: a fresh (n, K) temporary costs more than the exponentials.
+        mag = np.abs(eta, out=eta)
+        tot = lw + mag.sum(axis=0)
         peak = tot.max()
-        pieces.append((float(peak), float(np.exp(tot - peak).sum())))
-    top = max(p for p, _ in pieces)
-    return top + float(np.log(sum(s * np.exp(p - top) for p, s in pieces)))
+        np.exp(np.multiply(mag, -2.0, out=mag), out=mag)
+        mag += 1.0
+        logs.append(peak + np.log(np.exp(tot - peak) @ mag.prod(axis=0)))
+    return float(np.logaddexp.reduce(logs))
+
+
+def _item_products(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
+    """``prod_i p(x_i | theta_k)`` over these items, ``(2**items, K)``, by doubling."""
+    out = np.ones((1 << p_plus.shape[0], p_plus.shape[1]))
+    for i in range(p_plus.shape[0]):
+        half = 1 << i
+        np.multiply(out[:half], p_plus[i], out=out[half : 2 * half])
+        out[:half] *= p_minus[i]
+    return out
+
+
+def _quadrature_pmf(delta, loadings, rule: QuadratureRule, reference: QuadratureRule) -> Pmf:
+    """Marginal table under ``rule``, with the density normalized under ``reference``.
+
+    Each chunk of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
+    first ``n // 2`` items (low index bits) and of the rest.  A mass off one by
+    more than ``MASS_TOL`` raises `QuadratureResolutionError`; otherwise the
+    table is renormalized.
+    """
+    log_norm = _log_latent_norm(delta, loadings, reference)
+    n = delta.shape[0]
+    h = n // 2
+    raw = np.zeros((1 << (n - h), 1 << h))
+    for lw, eta in _node_chunks(delta, loadings, rule):
+        # With e = exp(-2|eta|), logistic(+-2 eta) is 1/(1+e) or e/(1+e) and
+        # log 2cosh(eta) = |eta| + log1p(e).
+        mag = np.abs(eta)
+        e = np.exp(-2.0 * mag)
+        big, up = 1.0 / (1.0 + e), eta >= 0.0
+        p_plus, p_minus = np.where(up, big, e * big), np.where(up, e * big, big)
+        g_lo = _item_products(p_minus[:h], p_plus[:h])
+        g_lo *= np.exp(lw + (mag + np.log1p(e)).sum(axis=0) - log_norm)
+        raw += _item_products(p_minus[h:], p_plus[h:]) @ g_lo.T
+    mass = raw.sum()
+    if abs(mass - 1.0) > MASS_TOL:
+        raise QuadratureResolutionError(
+            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
+            f"{MASS_TOL:g}; refine the rule (more nodes)"
+        )
+    return Pmf(n, raw.ravel() / mass, float(log_norm + np.log(mass)))
 
 
 def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
@@ -160,12 +233,10 @@ def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
     if not np.all(np.isfinite(theta_arr)):
         raise ValueError("theta must be finite")
     rule = _default_rule(rule)
-    log_norm = _log_latent_norm(
-        delta, np.ones((delta.shape[0], 1)), rule.refined()
-    )
+    log_norm = _log_latent_norm(delta, np.ones((delta.shape[0], 1)), rule.refined())
     pts = np.atleast_1d(theta_arr)
     log_f = (
-        _log_2cosh(pts[:, None] + delta).sum(axis=1)
+        log_2cosh(pts[:, None] + delta).sum(axis=1)
         - 0.5 * pts**2
         - 0.5 * np.log(2.0 * np.pi)
         - log_norm
@@ -177,41 +248,15 @@ def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
 def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
-    Integrates ``rasch_conditional`` against the latent density node by node.
-    If the total mass drifts from one by more than ``MASS_TOL`` the rule is too
-    coarse and a `QuadratureResolutionError` is raised; otherwise the table is
-    renormalized exactly.
+    The rank-one latent marginal with unit loadings; a rule too coarse for the
+    ``MASS_TOL`` check raises `QuadratureResolutionError`.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 1:
         raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-    n = delta.shape[0]
-    check_enumerable(n)
+    check_enumerable(delta.shape[0])
     rule = _default_rule(rule)
-    log_norm = _log_latent_norm(delta, np.ones((n, 1)), rule.refined())
-
-    s = rule.nodes[:, None] + delta  # (nodes, items)
-    log_p_plus = _log_sigmoid(2.0 * s)
-    log_p_minus = _log_sigmoid(-2.0 * s)
-    base = log_p_minus.sum(axis=1)
-    gap = log_p_plus - log_p_minus
-    coef = rule.weights * np.exp(_log_2cosh(s).sum(axis=1) - log_norm)
-
-    total = 1 << n
-    raw = np.empty(total)
-    for lo in range(0, total, _CONFIG_CHUNK):
-        hi = min(lo + _CONFIG_CHUNK, total)
-        picks = (config_block(n, lo, hi) + 1.0) / 2.0
-        log_cond = picks @ gap.T + base
-        raw[lo:hi] = np.exp(log_cond) @ coef
-
-    mass = raw.sum()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise QuadratureResolutionError(
-            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
-            f"{MASS_TOL:g}; refine the rule (more nodes)"
-        )
-    return Pmf(n, raw / mass, float(log_norm + np.log(mass)))
+    return _quadrature_pmf(delta, np.ones_like(delta)[:, None], rule, rule.refined())
 
 
 @dataclass(frozen=True)
@@ -293,38 +338,7 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
             f"n = {form.n} is too large for the tensor-quadrature marginal "
             f"(limit {MIRT_ENUM_LIMIT})"
         )
-    n = form.n
-    configs = config_matrix(n)
-
-    if form.r == 0:
-        log_p = _log_sigmoid(2.0 * configs * form.delta).sum(axis=1)
-        probs = np.exp(log_p)
-        return Pmf(n, probs / probs.sum(), float(_log_2cosh(form.delta).sum()))
-
     rule = _default_rule(rule)
-    log_norm = _log_latent_norm(form.delta, form.loadings, rule.refined())
-    log_w = np.log(rule.weights)
-    picks = (configs + 1.0) / 2.0
-
-    total = rule.node_count**form.r
-    shape = (rule.node_count,) * form.r
-    raw = np.zeros(1 << n)
-    for lo in range(0, total, _NODE_CHUNK):
-        hi = min(lo + _NODE_CHUNK, total)
-        coords = np.unravel_index(np.arange(lo, hi), shape)
-        thetas = np.stack([rule.nodes[c] for c in coords], axis=1)
-        lw = sum(log_w[c] for c in coords)
-        s = thetas @ form.loadings.T + form.delta  # (chunk, items)
-        log_p_plus = _log_sigmoid(2.0 * s)
-        log_p_minus = _log_sigmoid(-2.0 * s)
-        log_cond = picks @ (log_p_plus - log_p_minus).T + log_p_minus.sum(axis=1)
-        coef = np.exp(lw + _log_2cosh(s).sum(axis=1) - log_norm)
-        raw += np.exp(log_cond) @ coef
-
-    mass = raw.sum()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise QuadratureResolutionError(
-            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
-            f"{MASS_TOL:g}; refine the rule (more nodes)"
-        )
-    return Pmf(n, raw / mass, float(log_norm + np.log(mass)))
+    # A rank-0 grid is one node of weight one: the table is exact.
+    reference = rule if form.r == 0 else rule.refined()
+    return _quadrature_pmf(form.delta, form.loadings, rule, reference)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import config_block
+from ._enum import log_2cosh
 from .collider import ColliderForm
 from .core import ModelSpec, Pmf, as_binary_config
 from .errors import (
@@ -21,22 +21,12 @@ from .errors import (
     QuadratureResolutionError,
     RankLimitError,
 )
-from .latent import (
-    LatentForm,
-    QuadratureRule,
-    _log_2cosh,
-    _log_latent_norm,
-    _log_sigmoid,
-)
+from .latent import MASS_TOL, LatentForm, QuadratureRule, _log_latent_norm, _log_sigmoid
 
 # Rejection sampling gives up once at least this many proposals have produced
 # an acceptance rate below MIN_ACCEPT_RATE.
 PROBE_PROPOSALS = 1_000_000
 MIN_ACCEPT_RATE = 1e-6
-
-# Relative mass drift (coarse vs. doubled rule) tolerated by the latent-first
-# sampler's resolution guard; matches the quadrature marginalizer.
-_MASS_TOL = 1e-6
 
 _SWEEP_CHUNK = 4096
 
@@ -247,18 +237,12 @@ def sample_latent_first(
     delta = lf.delta
 
     def log_shape(t: np.ndarray) -> np.ndarray:
-        return _log_2cosh(t[:, None] * a + delta).sum(axis=1) - 0.5 * t**2
+        return log_2cosh(t[:, None] * a + delta).sum(axis=1) - 0.5 * t**2
 
     # Normalizer agreement between the rule and its doubled reference.
-    loadings = a[:, None]
-    drift = abs(
-        math.exp(
-            _log_latent_norm(delta, loadings, rule)
-            - _log_latent_norm(delta, loadings, rule.refined())
-        )
-        - 1.0
-    )
-    if drift > _MASS_TOL:
+    coarse, fine = (_log_latent_norm(delta, lf.loadings, q) for q in (rule, rule.refined()))
+    drift = abs(math.exp(coarse - fine) - 1.0)
+    if drift > MASS_TOL:
         raise QuadratureResolutionError(
             f"quadrature rule disagrees with its doubled reference on the "
             f"latent normalizer by {drift:.2e}; refine the rule (more nodes)"

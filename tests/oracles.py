@@ -6,6 +6,7 @@ Index order matches the package convention: bit ``i`` of the index gives the
 sign of ``x_i``.
 """
 
+import itertools
 import math
 
 
@@ -99,3 +100,34 @@ def table_moments(table, n):
             for j in range(n):
                 second[i][j] += p * x[i] * x[j]
     return first, second
+
+
+def mirt_quadrature_table(delta, loadings, nodes, weights):
+    """Tensor-product quadrature of the latent marginal, one node at a time.
+
+    ``loadings`` has one row of ``r`` entries per item, and every latent
+    dimension uses the one-dimensional rule ``(nodes, weights)``.  A node
+    ``theta`` weighs ``prod_d w_d * prod_i 2 cosh(eta_i)`` with
+    ``eta_i = delta_i + a_i . theta``; each configuration receives that weight
+    times ``prod_i logistic(2 x_i eta_i)``.  Returns the table divided by the
+    total node weight, and the log of that total.
+    """
+    n = len(delta)
+    r = len(loadings[0]) if n else 0
+    table = [0.0] * 2**n
+    total = 0.0
+    for ks in itertools.product(range(len(nodes)), repeat=r):
+        theta = [nodes[k] for k in ks]
+        eta = [
+            delta[i] + sum(loadings[i][d] * theta[d] for d in range(r)) for i in range(n)
+        ]
+        c = math.prod(weights[k] for k in ks)
+        for e in eta:
+            c *= 2.0 * math.cosh(e)
+        total += c
+        for idx, x in enumerate(all_configs(n)):
+            p = c
+            for i in range(n):
+                p *= 1.0 / (1.0 + math.exp(-2.0 * x[i] * eta[i]))
+            table[idx] += p
+    return [t / total for t in table], math.log(total)

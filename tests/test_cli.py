@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ class TestVerifyCommand:
     def test_too_coarse_quadrature(self, tmp_path, capsys):
         assert main(["verify", paired_spec(tmp_path), "--quad-nodes", "4"]) == 2
         assert "refine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes, got", [("256", "got 512"), ("300", "got 300")])
+    def test_quadrature_rule_above_the_limit(self, tmp_path, capsys, nodes, got):
+        # The latent branch also builds the doubled rule, so 256 working nodes
+        # ask for 512; either way the CLI stops before numpy builds a rule.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", paired_spec(tmp_path), "--quad-nodes", nodes]) == 2
+        err = capsys.readouterr().err
+        assert f"Gauss-Hermite rules are limited to 256 nodes, {got}" in err
+        assert "use at most 128" in err
 
 
 class TestSampleCommand:

@@ -1,12 +1,24 @@
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ising_trinity as it
 from conftest import low_rank_spec, random_spec
-from oracles import all_configs, curie_weiss_table, spectral_table
+from ising_trinity import latent
+from ising_trinity.latent import MAX_QUAD_NODES
+from oracles import (
+    all_configs,
+    curie_weiss_table,
+    mirt_quadrature_table,
+    spectral_table,
+)
 
 HALF_LOG3 = 0.5 * math.log(3.0)
 
@@ -26,6 +38,17 @@ class TestQuadratureRule:
 
     def test_refined_doubles_nodes(self):
         assert it.QuadratureRule.gauss_hermite(16).refined().node_count == 32
+
+    def test_rule_size_is_capped_before_numpy(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"limited to {MAX_QUAD_NODES} nodes"):
+                it.QuadratureRule.gauss_hermite(2 * MAX_QUAD_NODES)
+            with pytest.raises(ValueError, match=f"use at most {MAX_QUAD_NODES // 2}"):
+                it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES // 2 + 1).refined()
+            largest = it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES)
+        assert abs(largest.weights.sum() - 1.0) <= 1e-12
+        assert largest.weights @ largest.nodes**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -281,3 +304,83 @@ class TestMirtMarginal:
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
         with pytest.raises(it.QuadratureResolutionError):
             it.mirt_marginal_pmf(lf, it.QuadratureRule.gauss_hermite(2))
+
+
+ORACLE_TOL = 1e-12
+entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+
+
+@st.composite
+def quadrature_cases(draw):
+    """A latent form with n <= 7 and r <= 3, a small rule, and a node chunk size."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=0, max_value=min(3, n)))
+    delta = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    loadings = np.array(draw(st.lists(entries, min_size=n * r, max_size=n * r))).reshape(n, r)
+    rule = it.QuadratureRule.gauss_hermite(draw(st.integers(min_value=1, max_value=5)))
+    chunk = draw(st.sampled_from([1, 2, 3, 7, 64, 4096]))
+    return delta, loadings, rule, chunk
+
+
+def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
+    table, log_total = mirt_quadrature_table(
+        delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+    )
+    # Small chunks cut the node grid into blocks of the first latent dimension.
+    with mock.patch.object(latent, "_NODE_CHUNK", chunk):
+        log_norm = latent._log_latent_norm(delta, loadings, rule)
+        pmf = latent._quadrature_pmf(delta, loadings, rule, rule)
+    assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
+    assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
+    npt.assert_allclose(pmf.probs, table, rtol=0, atol=ORACLE_TOL)
+
+
+class TestQuadratureKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(case=quadrature_cases())
+    def test_split_item_table_matches_node_by_node_oracle(self, case):
+        assert_kernel_matches_oracle(*case)
+
+    # n = 1 leaves the low half empty; odd n splits the items unequally.
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in (1, 2, 5, 7) for r in range(4) if r <= n]
+    )
+    def test_every_split_and_rank(self, rng, n, r):
+        delta = rng.uniform(-1.0, 1.0, n)
+        loadings = rng.uniform(-1.0, 1.0, (n, r))
+        rule = it.QuadratureRule.gauss_hermite(4)
+        for chunk in (1, 5, 4096):
+            assert_kernel_matches_oracle(delta, loadings, rule, chunk)
+
+    def test_marginals_are_the_renormalized_oracle_table(self, rng):
+        rule = it.QuadratureRule.gauss_hermite(24)
+        delta = rng.uniform(-0.5, 0.5, 5)
+        loadings = rng.uniform(-0.4, 0.4, (5, 2))
+        table, log_total = mirt_quadrature_table(
+            delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+        )
+        pmf = it.mirt_marginal_pmf(it.LatentForm(delta=delta, loadings=loadings), rule)
+        npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)
+        # The doubled rule's normalizer and the mass correction give the
+        # working rule's own total.
+        assert pmf.log_z == pytest.approx(log_total, abs=1e-10)
+
+        table, log_total = mirt_quadrature_table(
+            delta.tolist(), [[1.0]] * 5, rule.nodes.tolist(), rule.weights.tolist()
+        )
+        pmf = it.rasch_marginal_pmf(delta, rule)
+        npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)
+        assert pmf.log_z == pytest.approx(log_total, abs=1e-10)
+
+    def test_rank_three_at_twelve_items_stays_chunked(self, rng):
+        spec = low_rank_spec(rng, 12, 3)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        tracemalloc.start()
+        try:
+            pmf = it.mirt_marginal_pmf(lf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pmf.probs.shape == (1 << 12,)
+        # One float per node of the 128**3 reference grid would take 16 MiB.
+        assert peak < 12 << 20
