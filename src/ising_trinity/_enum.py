@@ -72,6 +72,16 @@ def linear_table(coef: np.ndarray) -> np.ndarray:
     return out
 
 
+def config_text(n: int, sep: str) -> list[str]:
+    """Each configuration's ``-1``/``1`` cells joined by ``sep``, doubled like `linear_table`."""
+    check_enumerable(n)
+    cells, lead = [""], ""
+    for _ in range(n):
+        cells = [c + lead + "-1" for c in cells] + [c + lead + "1" for c in cells]
+        lead = sep
+    return cells
+
+
 def log_2cosh(t: np.ndarray) -> np.ndarray:
     """``log(2 cosh t)`` elementwise, without overflow."""
     a = np.abs(t)

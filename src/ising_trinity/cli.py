@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._enum import config_text
 from .collider import conditioned_pmf, spectral_to_collider
 from .core import ModelSpec, Pmf, ising_pmf
 from .equivalence import BranchFault, verify_representations
@@ -46,12 +47,6 @@ def _write_out(text: str, path: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _pmf_rows(pmf: Pmf):
-    n = pmf.n
-    for k in range(1 << n):
-        yield [1 if (k >> i) & 1 else -1 for i in range(n)], pmf.probs[k]
-
-
 def _representation_pmf(spec: ModelSpec, representation: str, extra_shift: float) -> Pmf:
     if representation == "conventional":
         return ising_pmf(spec)
@@ -63,24 +58,23 @@ def _representation_pmf(spec: ModelSpec, representation: str, extra_shift: float
     return mirt_marginal_pmf(LatentForm.from_spectral(form, spec.delta))
 
 
+def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
+    """The table as CSV, or as JSON rows (``repr`` is ``json``'s float) after a dumped head."""
+    header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
+    probs = pmf.probs.tolist()
+    if fmt == "csv":
+        rows = (f"{c},{p:.17g}" for c, p in zip(config_text(pmf.n, ","), probs))
+        return "\n".join([",".join(header), *rows]) + "\n"
+    head = {"n": pmf.n, "representation": representation, "log_z": pmf.log_z, "columns": header}
+    cells = config_text(pmf.n, ",\n      ")
+    rows = ",\n".join(f"    [\n      {c},\n      {p!r}\n    ]" for c, p in zip(cells, probs))
+    return f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
+
+
 def _cmd_pmf(args: argparse.Namespace) -> int:
     spec, extra_shift = load_model_spec(args.spec)
     pmf = _representation_pmf(spec, args.representation, extra_shift)
-    header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
-    if args.format == "csv":
-        lines = [",".join(header)]
-        for config, p in _pmf_rows(pmf):
-            lines.append(",".join(str(v) for v in config) + f",{p:.17g}")
-        _write_out("\n".join(lines) + "\n", args.output)
-    else:
-        doc = {
-            "n": pmf.n,
-            "representation": args.representation,
-            "log_z": pmf.log_z,
-            "columns": header,
-            "rows": [config + [float(p)] for config, p in _pmf_rows(pmf)],
-        }
-        _write_out(json.dumps(doc, indent=2) + "\n", args.output)
+    _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 
 

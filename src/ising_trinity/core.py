@@ -164,15 +164,14 @@ def pmf_distance(a: Pmf, b: Pmf) -> PmfDistance:
     if a.n != b.n:
         raise DimensionMismatchError(f"tables have different sizes: n = {a.n} vs {b.n}")
     diff = np.abs(a.probs - b.probs)
-    tv = 0.5 * diff.sum()
-    max_abs = diff.max() if diff.size else 0.0
-    support = a.probs > 0.0
-    if np.any(b.probs[support] == 0.0):
-        kl = np.inf
-    else:
-        ratio = a.probs[support] / b.probs[support]
-        kl = float(np.sum(a.probs[support] * np.log(ratio)))
-    return PmfDistance(tv=float(tv), max_abs=float(max_abs), kl=kl)
+    # Terms where a is zero count as zero; where only b is zero they are +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = a.probs / b.probs
+        np.log(terms, out=terms)
+        terms *= a.probs
+    np.copyto(terms, 0.0, where=a.probs == 0.0)
+    kl = float(terms.sum())
+    return PmfDistance(tv=float(0.5 * diff.sum()), max_abs=float(diff.max()), kl=kl)
 
 
 def _first_moments(table: np.ndarray) -> tuple[np.ndarray, float]:

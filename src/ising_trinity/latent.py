@@ -18,6 +18,7 @@ dimensions would reproduce the spectral branch's Gaussian identity instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,9 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
     @classmethod
+    @functools.cache
     def gauss_hermite(cls, node_count: int = DEFAULT_QUAD_NODES) -> "QuadratureRule":
-        """Gauss-Hermite rule rescaled to the standard normal weight function."""
+        """Gauss-Hermite rule rescaled to the standard normal weight function (cached)."""
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
         if node_count > MAX_QUAD_NODES:

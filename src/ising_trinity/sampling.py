@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import log_2cosh
+from ._enum import config_text, log_2cosh
 from .collider import ColliderForm
 from .core import ModelSpec, Pmf, as_binary_config
 from .errors import (
@@ -276,9 +276,14 @@ def save_sample_set(sample: SampleSet, csv_path) -> None:
     """Write draws as CSV (columns ``x_1..x_n``) plus a JSON metadata sidecar."""
     csv_path = Path(csv_path)
     header = ",".join(f"x_{i + 1}" for i in range(sample.n))
-    lines = [header]
-    lines.extend(",".join(str(int(v)) for v in row) for row in sample.draws)
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Each block of at most 10 columns indexes into the text of its configurations.
+    plus, rows, lead = sample.draws > 0, np.full(sample.m, "", dtype=object), ""
+    for start in range(0, sample.n, 10):
+        block = plus[:, start : start + 10]
+        text = np.array(config_text(block.shape[1], ","), dtype=object)
+        rows = rows + lead + text[block @ (1 << np.arange(block.shape[1]))]
+        lead = ","
+    csv_path.write_text("\n".join([header, *rows.tolist()]) + "\n", encoding="utf-8")
     side = {
         "method": sample.method,
         "seed": sample.seed,

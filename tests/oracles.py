@@ -7,6 +7,7 @@ sign of ``x_i``.
 """
 
 import itertools
+import json
 import math
 
 
@@ -131,3 +132,31 @@ def mirt_quadrature_table(delta, loadings, nodes, weights):
                 p *= 1.0 / (1.0 + math.exp(-2.0 * x[i] * eta[i]))
             table[idx] += p
     return [t / total for t in table], math.log(total)
+
+
+def pmf_csv_text(n, probs):
+    """A probability table as CSV, each cell formatted on its own."""
+    lines = [",".join([f"x_{i + 1}" for i in range(n)] + ["probability"])]
+    for x, p in zip(all_configs(n), probs):
+        lines.append(",".join(str(v) for v in x) + f",{p:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def pmf_json_text(n, representation, log_z, probs):
+    """A probability table as the whole document passed through ``json.dumps``."""
+    doc = {
+        "n": n,
+        "representation": representation,
+        "log_z": log_z,
+        "columns": [f"x_{i + 1}" for i in range(n)] + ["probability"],
+        "rows": [list(x) + [float(p)] for x, p in zip(all_configs(n), probs)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def sample_csv_text(draws):
+    """Draws as CSV under an ``x_1..x_n`` header, each cell formatted on its own."""
+    n = len(draws[0])
+    lines = [",".join(f"x_{i + 1}" for i in range(n))]
+    lines.extend(",".join(str(int(v)) for v in row) for row in draws)
+    return "\n".join(lines) + "\n"

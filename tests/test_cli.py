@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ising_trinity as it
-from ising_trinity.cli import main
+from ising_trinity.cli import REPRESENTATIONS, _pmf_text, _representation_pmf, main
+from oracles import pmf_csv_text, pmf_json_text
 
 AGREE = 0.4
 MIXED = 0.1
@@ -89,6 +92,61 @@ class TestPmfCommand:
         it.save_model_spec(spec, path)
         assert main(["pmf", str(path), "-r", "latent"]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+def expected_pmf_text(pmf, representation, fmt):
+    if fmt == "csv":
+        return pmf_csv_text(pmf.n, pmf.probs.tolist())
+    return pmf_json_text(pmf.n, representation, pmf.log_z, pmf.probs.tolist())
+
+
+@st.composite
+def tables(draw):
+    """Tables over 1..10 variables with entries from 1 down to 1e-300, some exactly 0."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    weights = rng.random(1 << n) * 10.0 ** rng.integers(-300, 1, 1 << n)
+    weights[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    weights[rng.integers(1 << n)] = 1.0
+    log_z = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return it.Pmf(n, weights / weights.sum(), log_z)
+
+
+class TestPmfBytes:
+    """The table writer against the same document formatted cell by cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pmf=tables(),
+        representation=st.sampled_from(REPRESENTATIONS),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_text_matches_the_per_cell_reference(self, pmf, representation, fmt):
+        assert _pmf_text(pmf, representation, fmt) == expected_pmf_text(pmf, representation, fmt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        representation=st.sampled_from(REPRESENTATIONS),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_command_output_matches_the_reference(
+        self, tmp_path_factory, n, seed, representation, fmt
+    ):
+        # Couplings 0.3 s_i s_j: shifted by 0.3, they have rank one for the latent form.
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], n)
+        sigma = 0.3 * np.outer(signs, signs)
+        np.fill_diagonal(sigma, 0.0)
+        spec = it.ModelSpec(delta=rng.uniform(-1.0, 1.0, n), sigma=sigma)
+        tmp_path = tmp_path_factory.mktemp("pmf")
+        it.save_model_spec(spec, tmp_path / "model.json")
+        out = tmp_path / f"table.{fmt}"
+        argv = ["pmf", str(tmp_path / "model.json"), "-r", representation, "--format", fmt]
+        assert main([*argv, "-o", str(out)]) == 0
+        pmf = _representation_pmf(spec, representation, 0.0)
+        assert out.read_text(encoding="utf-8") == expected_pmf_text(pmf, representation, fmt)
 
 
 class TestSpecErrors:

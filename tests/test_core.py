@@ -185,6 +185,19 @@ class TestPmfDistance:
         b = it.Pmf(1, np.array([1.0, 0.0]), 0.0)
         assert it.pmf_distance(a, b).kl == np.inf
 
+    def test_kl_with_zero_entries(self):
+        a = it.Pmf(2, np.array([0.0, 0.5, 0.5, 0.0]), 0.0)
+        b = it.Pmf(2, np.array([0.25, 0.25, 0.5, 0.0]), 0.0)
+        assert it.pmf_distance(a, b).kl == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
+        assert it.pmf_distance(b, a).kl == np.inf
+
+    @pytest.mark.parametrize("n", [1, 5, 11, 16])
+    def test_kl_on_full_support_is_the_plain_sum(self, rng, n):
+        a = it.ising_pmf(random_spec(rng, n))
+        b = it.ising_pmf(random_spec(rng, n))
+        expected = np.sum(a.probs * np.log(a.probs / b.probs))
+        assert it.pmf_distance(a, b).kl == expected
+
     def test_size_mismatch(self):
         a = it.Pmf(1, np.array([0.5, 0.5]), 0.0)
         b = it.Pmf(2, np.full(4, 0.25), 0.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ising_trinity as it
 from conftest import random_spec
-from ising_trinity._enum import ENUMERATION_LIMIT, linear_table, normalize
+from ising_trinity._enum import ENUMERATION_LIMIT, config_text, linear_table, normalize
 from ising_trinity.cli import main
 from oracles import (
     all_configs,
@@ -65,6 +65,12 @@ class TestKernel:
         e = math.e
         npt.assert_allclose(probs, [1.0 / (1.0 + e), e / (1.0 + e)], rtol=0, atol=1e-15)
         assert log_z == pytest.approx(1000.0 + math.log1p(e), abs=1e-12)
+
+    @pytest.mark.parametrize("sep", [",", ",\n      "])
+    def test_config_text_spells_out_the_config_matrix(self, sep):
+        for n in range(9):
+            expected = [sep.join(str(int(v)) for v in row) for row in it.config_matrix(n)]
+            assert config_text(n, sep) == expected
 
 
 class TestBuildersAgainstOracles:
@@ -142,6 +148,7 @@ OVER_LIMIT_CALLS = {
     ),
     "verify_representations": lambda: it.verify_representations(OVER_SPEC),
     "config_matrix": lambda: it.config_matrix(OVER),
+    "config_text": lambda: config_text(OVER, ","),
 }
 
 

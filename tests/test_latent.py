@@ -50,6 +50,15 @@ class TestQuadratureRule:
         assert abs(largest.weights.sum() - 1.0) <= 1e-12
         assert largest.weights @ largest.nodes**2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_repeated_rule_is_equal_and_read_only(self):
+        first = it.QuadratureRule.gauss_hermite(48)
+        again = it.QuadratureRule.gauss_hermite(48)
+        assert np.array_equal(first.nodes, again.nodes)
+        assert np.array_equal(first.weights, again.weights)
+        for arr in (again.nodes, again.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             it.QuadratureRule.gauss_hermite(0)

@@ -8,6 +8,7 @@ from scipy import stats
 
 import ising_trinity as it
 from conftest import random_spec
+from oracles import sample_csv_text
 
 
 def unit_coupling_spec(n: int) -> it.ModelSpec:
@@ -278,6 +279,17 @@ class TestSampleIo:
         side = json.loads(it.sidecar_path(path).read_text())
         assert side["method"] == "exact"
         assert side["m"] == 3 and side["n"] == 2 and side["seed"] == 0
+
+    # Widths around the 10-column text blocks, and a single draw.
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 20, 21, 25])
+    @pytest.mark.parametrize("m", [1, 333])
+    def test_csv_matches_the_per_cell_reference(self, tmp_path, rng, n, m):
+        draws = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+        sample = it.SampleSet(draws=draws, seed=5, method="exact")
+        path = tmp_path / "draws.csv"
+        it.save_sample_set(sample, path)
+        assert path.read_text(encoding="utf-8") == sample_csv_text(draws.tolist())
+        assert np.array_equal(it.load_sample_set(path).draws, draws)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "draws.csv"
