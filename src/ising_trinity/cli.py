@@ -27,6 +27,7 @@ from .estimation import fit_pseudo_likelihood
 from .graphs import VIEWS, graph_dot
 from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
 from .sampling import (
+    read_csv_table,
     sample_collider_rejection,
     sample_exact,
     sample_gibbs,
@@ -118,36 +119,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_config_table(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if not text:
-        raise ValueError(f"data file {path} is empty")
-    lines = text.split("\n")
-    header = [h.strip() for h in lines[0].split(",")]
-    has_weight = bool(header) and header[-1].lower() == "weight"
-    if len(lines) < 2:
-        raise ValueError(f"data file {path} contains no rows")
-    try:
-        table = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:]]
-        )
-    except ValueError as exc:
-        raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
-    if table.ndim != 2 or table.shape[1] != len(header):
+def _read_config_table(path: str) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The rows of a data file, or ``(configs, weights)`` when its last column is ``weight``."""
+    header, table = read_csv_table(path, np.float64)
+    if table.shape[1] != len(header):
         raise ValueError(
             f"data file {path} rows do not match its header of {len(header)} columns"
         )
-    if has_weight:
+    if header[-1].lower() == "weight":
         return table[:, :-1], table[:, -1]
-    return table, None
+    return table
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    configs, weights = _read_config_table(args.data)
-    init = None
-    if args.init is not None:
-        init, _ = load_model_spec(args.init)
-    data = (configs, weights) if weights is not None else configs
+    data = _read_config_table(args.data)
+    init = None if args.init is None else load_model_spec(args.init)[0]
     result = fit_pseudo_likelihood(
         data, init, grad_tol=args.grad_tol, max_iter=args.max_iter
     )

@@ -57,10 +57,13 @@ class ColliderEffect:
 
 @dataclass(frozen=True)
 class ColliderForm:
-    """Cause intercepts plus any number of effects over the same causes."""
+    """Cause intercepts and effects, also stacked as ``lams``, ``dirs`` (n, r), ``log_sups``."""
 
     delta: np.ndarray
     effects: tuple[ColliderEffect, ...]
+    lams: np.ndarray = field(init=False, repr=False, compare=False)
+    dirs: np.ndarray = field(init=False, repr=False, compare=False)
+    log_sups: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         delta = np.asarray(self.delta, dtype=np.float64)
@@ -75,8 +78,13 @@ class ColliderForm:
                     f"effect {k} direction has shape {eff.q.shape}, "
                     f"expected {delta.shape}"
                 )
-        delta.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
+        dirs = np.array([eff.q for eff in effects]).reshape(-1, delta.shape[0]).T.copy()
+        lams = np.array([eff.lam for eff in effects])
+        log_sups = np.array([eff.log_sup for eff in effects])
+        stacked = {"delta": delta, "lams": lams, "dirs": dirs, "log_sups": log_sups}
+        for name, arr in stacked.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "effects", effects)
 
     @property

@@ -22,13 +22,12 @@ import numpy as np
 from .collider import conditioned_pmf, spectral_to_collider
 from .core import ModelSpec, Pmf, PmfDistance, ising_pmf, pmf_distance
 from .errors import EnumerationLimitError
-from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
+from .latent import TENSOR_RANK_LIMIT, LatentForm, QuadratureRule, mirt_marginal_pmf
 from .spectral import spectral_pmf, to_spectral
 
 BRANCHES = ("conventional", "spectral", "collider", "latent")
 
 VERIFIER_LIMIT = 12
-LATENT_RANK_LIMIT = 3
 
 DEFAULT_EXACT_TOL = 1e-12
 DEFAULT_QUAD_TOL = 1e-7
@@ -155,7 +154,7 @@ def verify_representations(
     """Compute the PMF through every applicable representation and compare.
 
     The latent branch runs only when the canonical rank is at most
-    `LATENT_RANK_LIMIT`; otherwise it is reported as not evaluated and pairs
+    `TENSOR_RANK_LIMIT`; otherwise it is reported as not evaluated and pairs
     involving it are omitted.  Injecting a fault into a branch that is not
     evaluated is an error.
     """
@@ -167,11 +166,11 @@ def verify_representations(
 
     form = to_spectral(spec)
     rank = form.rank
-    latent_ok = rank <= LATENT_RANK_LIMIT
+    latent_ok = rank <= TENSOR_RANK_LIMIT
     if fault is not None and fault.branch == "latent" and not latent_ok:
         raise ValueError(
             f"cannot inject a fault into the latent branch: canonical rank "
-            f"{rank} exceeds {LATENT_RANK_LIMIT}, so that branch is not evaluated"
+            f"{rank} exceeds {TENSOR_RANK_LIMIT}, so that branch is not evaluated"
         )
 
     tables: dict[str, Pmf] = {}
@@ -202,7 +201,7 @@ def verify_representations(
     else:
         skipped["latent"] = (
             f"canonical rank {rank} exceeds the tensor-quadrature limit "
-            f"{LATENT_RANK_LIMIT}"
+            f"{TENSOR_RANK_LIMIT}"
         )
 
     evaluated = {name: name in tables for name in BRANCHES}

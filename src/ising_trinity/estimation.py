@@ -7,6 +7,8 @@ The pseudo-log-likelihood of a weighted configuration table is
 with weights summing to one (equal weights for raw samples, probabilities for
 a population table).  The objective is concave in ``(delta, sigma)``, so
 gradient ascent with a backtracking line search converges to the maximizer.
+Every objective runs over the distinct configurations of the data, each with
+the summed weight of its copies: the same objective on at most ``2**n`` rows.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import numpy as np
 
 from ._enum import config_matrix
 from .core import ModelSpec, Pmf, ising_pmf
-from .errors import DimensionMismatchError, EnumerationLimitError, LineSearchError
+from .errors import DimensionMismatchError, LineSearchError
 from .sampling import SampleSet
-
-FULL_LOGLIK_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,21 @@ def weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
     return configs, weights
 
 
+def _distinct_configs(data, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`weighted_configs` with repeated rows merged and their weights summed.
+
+    Rows are keyed by their packed sign bits, so any width works; ``n``, when
+    given, is the width the data must have.
+    """
+    configs, weights = weighted_configs(data)
+    if n is not None and configs.shape[1] != n:
+        raise DimensionMismatchError(f"data has {configs.shape[1]} columns, expected {n}")
+    packed = np.packbits(configs > 0.0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return configs[first], np.bincount(inverse, weights=weights)
+
+
 def _pack(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     n = delta.shape[0]
     iu = np.triu_indices(n, k=1)
@@ -116,15 +131,8 @@ def _objective_and_grad(
 
 def pseudo_loglik(spec: ModelSpec, data) -> float:
     """Weighted pseudo-log-likelihood of the data under ``spec``."""
-    configs, weights = weighted_configs(data)
-    if configs.shape[1] != spec.n:
-        raise DimensionMismatchError(
-            f"data has {configs.shape[1]} columns, expected {spec.n}"
-        )
-    value, _ = _objective_and_grad(
-        _pack(spec.delta, spec.coupling_offdiag()), configs, weights
-    )
-    return value
+    vec = _pack(spec.delta, spec.coupling_offdiag())
+    return _objective_and_grad(vec, *_distinct_configs(data, spec.n))[0]
 
 
 def pseudo_loglik_grad(spec: ModelSpec, data) -> np.ndarray:
@@ -133,15 +141,8 @@ def pseudo_loglik_grad(spec: ModelSpec, data) -> np.ndarray:
     Packed as ``delta`` first, then ``sigma[i][j]`` for ``i < j`` in row-major
     order.
     """
-    configs, weights = weighted_configs(data)
-    if configs.shape[1] != spec.n:
-        raise DimensionMismatchError(
-            f"data has {configs.shape[1]} columns, expected {spec.n}"
-        )
-    _, grad = _objective_and_grad(
-        _pack(spec.delta, spec.coupling_offdiag()), configs, weights
-    )
-    return grad
+    vec = _pack(spec.delta, spec.coupling_offdiag())
+    return _objective_and_grad(vec, *_distinct_configs(data, spec.n))[1]
 
 
 def fit_pseudo_likelihood(
@@ -162,16 +163,13 @@ def fit_pseudo_likelihood(
     gradient norm drops below ``grad_tol`` or after ``max_iter`` accepted
     steps, whichever comes first.
     """
-    configs, weights = weighted_configs(data)
+    configs, weights = _distinct_configs(data)
     n = configs.shape[1]
     if init is None:
-        vec = np.zeros(n + n * (n - 1) // 2)
-    else:
-        if init.n != n:
-            raise DimensionMismatchError(
-                f"initial spec has n = {init.n}, data has {n} columns"
-            )
-        vec = _pack(init.delta, init.coupling_offdiag())
+        init = ModelSpec(delta=np.zeros(n), sigma=np.zeros((n, n)))
+    elif init.n != n:
+        raise DimensionMismatchError(f"initial spec has n = {init.n}, data has {n} columns")
+    vec = _pack(init.delta, init.coupling_offdiag())
 
     value, grad = _objective_and_grad(vec, configs, weights)
     trace = [value]
@@ -208,19 +206,10 @@ def fit_pseudo_likelihood(
 def full_loglik(spec: ModelSpec, data) -> float:
     """Weighted full log-likelihood, via exact enumeration of the normalizer.
 
-    A cross-check for the pseudo-likelihood machinery; limited to
-    ``n <= 12``.
+    A cross-check for the pseudo-likelihood machinery, limited like every
+    exact table to ``n <= 20``.
     """
-    if spec.n > FULL_LOGLIK_LIMIT:
-        raise EnumerationLimitError(
-            f"full likelihood evaluation is limited to n <= {FULL_LOGLIK_LIMIT}, "
-            f"got n = {spec.n}"
-        )
-    configs, weights = weighted_configs(data)
-    if configs.shape[1] != spec.n:
-        raise DimensionMismatchError(
-            f"data has {configs.shape[1]} columns, expected {spec.n}"
-        )
+    configs, weights = _distinct_configs(data, spec.n)
     sigma0 = spec.coupling_offdiag()
     log_w = configs @ spec.delta + 0.5 * np.einsum(
         "bi,ij,bj->b", configs, sigma0, configs

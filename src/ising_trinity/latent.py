@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import check_enumerable, log_2cosh
+from ._enum import check_enumerable, log_2cosh, log_sigmoid
 from .core import Pmf, as_binary_config
 from .errors import (
     DimensionMismatchError,
@@ -53,10 +53,6 @@ MASS_TOL = 1e-6
 
 # Tensor-product nodes evaluated together; bounds every working array.
 _NODE_CHUNK = 4096
-
-
-def _log_sigmoid(t: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -t)
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def rasch_conditional(delta, theta: float, x) -> float:
     x = as_binary_config(x, delta.shape[0])
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    return float(np.exp(np.sum(_log_sigmoid(2.0 * x * (theta + delta)))))
+    return float(np.exp(np.sum(log_sigmoid(2.0 * x * (theta + delta)))))
 
 
 def _node_chunks(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
@@ -161,7 +157,7 @@ def _node_chunks(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
         yield lw, eta.reshape(n, lw.shape[0])
 
 
-def _log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
+def log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
     """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``.
 
     Uses ``prod_i 2 cosh(eta_i) = exp(sum_i |eta_i|) prod_i (1 + exp(-2 |eta_i|))``:
@@ -197,7 +193,7 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule, reference: Quadrature
     more than ``MASS_TOL`` raises `QuadratureResolutionError`; otherwise the
     table is renormalized.
     """
-    log_norm = _log_latent_norm(delta, loadings, reference)
+    log_norm = log_latent_norm(delta, loadings, reference)
     n = delta.shape[0]
     h = n // 2
     raw = np.zeros((1 << (n - h), 1 << h))
@@ -235,7 +231,7 @@ def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
     if not np.all(np.isfinite(theta_arr)):
         raise ValueError("theta must be finite")
     rule = _default_rule(rule)
-    log_norm = _log_latent_norm(delta, np.ones((delta.shape[0], 1)), rule.refined())
+    log_norm = log_latent_norm(delta, np.ones((delta.shape[0], 1)), rule.refined())
     pts = np.atleast_1d(theta_arr)
     log_f = (
         log_2cosh(pts[:, None] + delta).sum(axis=1)
@@ -320,7 +316,7 @@ def mirt_conditional(form: LatentForm, theta, x) -> float:
         raise ValueError("theta must be finite")
     x = as_binary_config(x, form.n)
     s = form.delta + form.loadings @ theta
-    return float(np.exp(np.sum(_log_sigmoid(2.0 * x * s))))
+    return float(np.exp(np.sum(log_sigmoid(2.0 * x * s))))
 
 
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import config_text, log_2cosh
+from ._enum import config_text, log_2cosh, log_sigmoid
 from .collider import ColliderForm
 from .core import ModelSpec, Pmf, as_binary_config
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     QuadratureResolutionError,
     RankLimitError,
 )
-from .latent import MASS_TOL, LatentForm, QuadratureRule, _log_latent_norm, _log_sigmoid
+from .latent import MASS_TOL, LatentForm, QuadratureRule, log_latent_norm
 
 # Rejection sampling gives up once at least this many proposals have produced
 # an acceptance rate below MIN_ACCEPT_RATE.
@@ -29,6 +29,9 @@ PROBE_PROPOSALS = 1_000_000
 MIN_ACCEPT_RATE = 1e-6
 
 _SWEEP_CHUNK = 4096
+
+# Rejection proposals drawn and scored together; bounds the float working arrays.
+_PROPOSAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def gibbs_conditional(spec: ModelSpec, x, i: int) -> float:
     if not 0 <= i < spec.n:
         raise ValueError(f"site index {i} out of range for n = {spec.n}")
     h = float(spec.delta[i] + spec.coupling_offdiag()[i] @ x)
-    return float(np.exp(_log_sigmoid(np.asarray(2.0 * h))))
+    return float(np.exp(log_sigmoid(np.asarray(2.0 * h))))
 
 
 def sample_gibbs(
@@ -164,14 +167,7 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     _require_positive_m(m)
     n = cf.n
     rng = np.random.default_rng(seed)
-    p_plus = np.exp(_log_sigmoid(2.0 * cf.delta))
-    lams = np.array([eff.lam for eff in cf.effects])
-    sups = np.array([eff.log_sup for eff in cf.effects])
-    dirs = (
-        np.stack([eff.q for eff in cf.effects], axis=1)
-        if cf.effects
-        else np.zeros((n, 0))
-    )
+    p_plus = np.exp(log_sigmoid(2.0 * cf.delta))
 
     kept: list[np.ndarray] = []
     n_acc = 0
@@ -180,11 +176,16 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
         rate = n_acc / n_prop if n_prop else 1.0
         need = m - n_acc
         batch = int(min(max(8192, 1.2 * need / max(rate, 1e-4)), 4_000_000))
-        proposals = np.where(rng.random((batch, n)) < p_plus, 1.0, -1.0)
-        scores = proposals @ dirs
-        log_acc = (0.5 * lams * scores**2 - sups).sum(axis=1)
-        keep = rng.random(batch) < np.exp(log_acc)
-        kept.append(proposals[keep].astype(np.int8))
+        # Chunks of rows draw the same stream as one (batch, n) call would.
+        proposals = np.empty((batch, n), dtype=np.int8)
+        log_acc = np.empty(batch)
+        for lo in range(0, batch, _PROPOSAL_CHUNK):
+            hi = min(lo + _PROPOSAL_CHUNK, batch)
+            block = np.where(rng.random((hi - lo, n)) < p_plus, 1.0, -1.0)
+            proposals[lo:hi] = block
+            log_acc[lo:hi] = (0.5 * cf.lams * (block @ cf.dirs) ** 2 - cf.log_sups).sum(axis=1)
+        keep = rng.random(batch) < np.exp(log_acc, out=log_acc)
+        kept.append(proposals[keep])
         n_acc += int(keep.sum())
         n_prop += batch
         if n_acc < m and n_prop >= PROBE_PROPOSALS and n_acc / n_prop < MIN_ACCEPT_RATE:
@@ -240,7 +241,7 @@ def sample_latent_first(
         return log_2cosh(t[:, None] * a + delta).sum(axis=1) - 0.5 * t**2
 
     # Normalizer agreement between the rule and its doubled reference.
-    coarse, fine = (_log_latent_norm(delta, lf.loadings, q) for q in (rule, rule.refined()))
+    coarse, fine = (log_latent_norm(delta, lf.loadings, q) for q in (rule, rule.refined()))
     drift = abs(math.exp(coarse - fine) - 1.0)
     if drift > MASS_TOL:
         raise QuadratureResolutionError(
@@ -257,7 +258,7 @@ def sample_latent_first(
 
     rng = np.random.default_rng(seed)
     thetas = np.interp(rng.random(m), cdf, grid)
-    p_plus = np.exp(_log_sigmoid(2.0 * (thetas[:, None] * a + delta)))
+    p_plus = np.exp(log_sigmoid(2.0 * (thetas[:, None] * a + delta)))
     draws = np.where(rng.random((m, lf.n)) < p_plus, 1, -1).astype(np.int8)
     return SampleSet(
         draws=draws,
@@ -296,21 +297,35 @@ def save_sample_set(sample: SampleSet, csv_path) -> None:
     )
 
 
+def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarray]:
+    """The stripped header cells and the cells, parsed as ``dtype``, of a CSV file.
+
+    Raises `ValueError` on an empty file, no ``rows`` after the header, or a
+    malformed row: blank, ragged, or with a cell that does not parse (``#`` too).
+    """
+    text = Path(path).read_text(encoding="utf-8").strip()
+    if not text:
+        raise ValueError(f"data file {path} is empty")
+    lines = text.split("\n")
+    if len(lines) < 2:
+        raise ValueError(f"data file {path} contains no {rows}")
+    try:
+        if "" in lines:
+            raise ValueError("blank line")
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
+    return [h.strip() for h in lines[0].split(",")], table
+
+
 def load_sample_set(csv_path) -> SampleSet:
     """Read a sample CSV and its sidecar back into a `SampleSet`."""
-    csv_path = Path(csv_path)
     side_path = sidecar_path(csv_path)
     if not side_path.exists():
         raise ValueError(f"missing sample metadata sidecar {side_path}")
     side = json.loads(side_path.read_text(encoding="utf-8"))
-    rows = csv_path.read_text(encoding="utf-8").strip().split("\n")
-    if len(rows) < 2:
-        raise ValueError(f"sample file {csv_path} contains no draws")
-    draws = np.array(
-        [[int(v) for v in row.split(",")] for row in rows[1:]], dtype=np.int8
-    )
     return SampleSet(
-        draws=draws,
+        draws=read_csv_table(csv_path, np.int8, rows="draws")[1],
         seed=int(side["seed"]),
         method=str(side["method"]),
         meta=dict(side.get("meta", {})),

@@ -3,12 +3,15 @@
 Everything here enumerates configurations with explicit loops and scalar math
 so that agreement with the package's vectorized, log-space code is meaningful.
 Index order matches the package convention: bit ``i`` of the index gives the
-sign of ``x_i``.
+sign of ``x_i``.  The one exception is `rejection_draws`, which must replay
+numpy's random stream and so uses numpy.
 """
 
 import itertools
 import json
 import math
+
+import numpy as np
 
 
 def all_configs(n):
@@ -160,3 +163,103 @@ def sample_csv_text(draws):
     lines = [",".join(f"x_{i + 1}" for i in range(n))]
     lines.extend(",".join(str(int(v)) for v in row) for row in draws)
     return "\n".join(lines) + "\n"
+
+
+def pseudo_loglik_and_grad(delta, sigma, rows, weights):
+    """Pseudo-log-likelihood and its gradient, one row and one site at a time.
+
+    ``weights`` are normalized to sum to one; the gradient is packed as
+    ``delta`` first, then ``sigma[i][j]`` for ``i < j`` in row-major order.
+    """
+    n = len(delta)
+    total = sum(weights)
+    value = 0.0
+    g_delta = [0.0] * n
+    g_sigma = [[0.0] * n for _ in range(n)]
+    for x, w in zip(rows, weights):
+        w /= total
+        for i in range(n):
+            h = delta[i] + sum(sigma[i][j] * x[j] for j in range(n) if j != i)
+            t = 2.0 * x[i] * h
+            # log logistic(t) without overflow
+            value += w * (min(t, 0.0) - math.log1p(math.exp(-abs(t))))
+            resid = w * (x[i] - math.tanh(h))
+            g_delta[i] += resid
+            for j in range(n):
+                if j != i:
+                    g_sigma[i][j] += resid * x[j]
+    grad = g_delta + [
+        g_sigma[i][j] + g_sigma[j][i] for i in range(n) for j in range(i + 1, n)
+    ]
+    return value, grad
+
+
+def read_config_table(path):
+    """``fit``'s per-cell reader: ``(rows, weights or None)``, or `ValueError`."""
+    with open(path, encoding="utf-8") as fh:  # universal newlines, like the package
+        text = fh.read().strip()
+    if not text:
+        raise ValueError(f"data file {path} is empty")
+    lines = text.split("\n")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(lines) < 2:
+        raise ValueError(f"data file {path} contains no rows")
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows of unequal length")
+    except ValueError as exc:
+        raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
+    if len(rows[0]) != len(header):
+        raise ValueError(
+            f"data file {path} rows do not match its header of {len(header)} columns"
+        )
+    if header[-1].lower() == "weight":
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
+    return rows, None
+
+
+def read_sample_draws(path):
+    """The sample loader's per-cell parse: integer rows, or `ValueError`."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().strip().split("\n")
+    if len(lines) < 2:
+        raise ValueError(f"sample file {path} contains no draws")
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows of unequal length")
+    return rows
+
+
+def rejection_draws(delta, effects, m, seed, probe=1_000_000, min_rate=1e-6):
+    """Collider rejection sampling with every batch drawn and scored in one piece.
+
+    ``effects`` is a list of ``(lam, q, log_sup)``.  Returns ``(draws, meta)``;
+    raises `RuntimeError` naming ``accepted/proposed`` where the sampler gives up.
+    """
+    n = len(delta)
+    rng = np.random.default_rng(seed)
+    p_plus = np.exp(-np.logaddexp(0.0, -2.0 * np.asarray(delta, dtype=np.float64)))
+    lams = np.array([lam for lam, _, _ in effects])
+    sups = np.array([sup for _, _, sup in effects])
+    dirs = np.stack([q for _, q, _ in effects], axis=1) if effects else np.zeros((n, 0))
+    kept = []
+    n_acc = n_prop = 0
+    while n_acc < m:
+        rate = n_acc / n_prop if n_prop else 1.0
+        batch = int(min(max(8192, 1.2 * (m - n_acc) / max(rate, 1e-4)), 4_000_000))
+        proposals = np.where(rng.random((batch, n)) < p_plus, 1.0, -1.0)
+        log_acc = (0.5 * lams * (proposals @ dirs) ** 2 - sups).sum(axis=1)
+        keep = rng.random(batch) < np.exp(log_acc)
+        kept.append(proposals[keep].astype(np.int8))
+        n_acc += int(keep.sum())
+        n_prop += batch
+        if n_acc < m and n_prop >= probe and n_acc / n_prop < min_rate:
+            raise RuntimeError(f"{n_acc}/{n_prop}")
+    meta = {
+        "proposals": n_prop,
+        "accepted": n_acc,
+        "rejected": n_prop - n_acc,
+        "acceptance_rate": n_acc / n_prop,
+    }
+    return np.concatenate(kept, axis=0)[:m], meta

@@ -214,3 +214,20 @@ class TestSpectralToCollider:
         form = it.to_spectral(random_spec(rng, 3))
         with pytest.raises(it.DimensionMismatchError):
             it.spectral_to_collider(form, np.zeros(4))
+
+
+class TestStackedEffects:
+    def test_arrays_stack_the_effects(self, rng):
+        spec = low_rank_spec(rng, 7, 3)
+        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
+        npt.assert_array_equal(cf.dirs, np.stack([eff.q for eff in cf.effects], axis=1))
+        npt.assert_array_equal(cf.lams, [eff.lam for eff in cf.effects])
+        npt.assert_array_equal(cf.log_sups, [eff.log_sup for eff in cf.effects])
+        assert cf.dirs.flags.c_contiguous
+        for arr in (cf.delta, cf.dirs, cf.lams, cf.log_sups):
+            assert not arr.flags.writeable
+
+    def test_no_effects(self):
+        cf = it.ColliderForm(delta=np.zeros(3), effects=())
+        assert cf.dirs.shape == (3, 0)
+        assert cf.lams.shape == cf.log_sups.shape == (0,)

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import ising_trinity as it
 from conftest import random_spec
-from ising_trinity._enum import ENUMERATION_LIMIT, config_text, linear_table, normalize
+from ising_trinity._enum import (
+    ENUMERATION_LIMIT,
+    config_text,
+    linear_table,
+    log_sigmoid,
+    normalize,
+)
 from ising_trinity.cli import main
 from oracles import (
     all_configs,
@@ -65,6 +71,12 @@ class TestKernel:
         e = math.e
         npt.assert_allclose(probs, [1.0 / (1.0 + e), e / (1.0 + e)], rtol=0, atol=1e-15)
         assert log_z == pytest.approx(1000.0 + math.log1p(e), abs=1e-12)
+
+    def test_log_sigmoid_is_finite_at_large_arguments(self):
+        t = np.array([-1000.0, -3.0, 0.0, 3.0, 1000.0])
+        expected = [-1000.0, -math.log1p(math.exp(3.0)), -math.log(2.0)]
+        expected += [-math.log1p(math.exp(-3.0)), 0.0]
+        npt.assert_allclose(log_sigmoid(t), expected, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("sep", [",", ",\n      "])
     def test_config_text_spells_out_the_config_matrix(self, sep):

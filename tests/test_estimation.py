@@ -3,9 +3,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ising_trinity as it
 from conftest import random_spec
+from ising_trinity.estimation import _distinct_configs
+from oracles import ising_table, pseudo_loglik_and_grad
+
+ORACLE_TOL = 1e-12
 
 
 def max_param_error(spec_hat: it.ModelSpec, spec: it.ModelSpec) -> float:
@@ -63,6 +69,85 @@ class TestWeightedConfigs:
             it.weighted_configs((configs, np.array([1.0, -1.0])))
         with pytest.raises(it.DimensionMismatchError):
             it.weighted_configs((configs, np.ones(3)))
+
+
+@st.composite
+def repeated_rows(draw):
+    """``(spec, rows, weights, data)``: a few distinct rows, repeated and shuffled.
+
+    ``weights`` is None for raw rows, else an explicit column that may hold zeros.
+    Widths above 64 need more than one machine word per packed row.
+    """
+    n = draw(st.sampled_from([1, 2, 10, 70]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pool = rng.choice([-1.0, 1.0], size=(draw(st.integers(min_value=1, max_value=6)), n))
+    if draw(st.booleans()):  # rows that differ only in their last three columns
+        pool[:, : max(n - 3, 0)] = pool[0, : max(n - 3, 0)]
+    rows = pool[rng.integers(0, pool.shape[0], draw(st.integers(min_value=1, max_value=24)))]
+    spec = random_spec(rng, n, coupling_scale=0.5)
+    kind = draw(st.sampled_from(["raw", "column", "zeros"]))
+    if kind == "raw":
+        return spec, rows, None, rows
+    weights = rng.uniform(0.1, 2.0, rows.shape[0])
+    if kind == "zeros":
+        weights[rng.random(rows.shape[0]) < 0.5] = 0.0
+        weights[rng.integers(rows.shape[0])] = 1.0
+    return spec, rows, weights, (rows, weights)
+
+
+class TestDistinctConfigurations:
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_rows())
+    def test_rows_merge_with_summed_weights(self, case):
+        _, rows, weights, data = case
+        configs, merged = _distinct_configs(data)
+        weights = np.ones(rows.shape[0]) if weights is None else weights
+        tally = {}
+        for row, w in zip(map(tuple, rows.tolist()), weights / weights.sum()):
+            tally[row] = tally.get(row, 0.0) + w
+        assert len({tuple(c) for c in configs.tolist()}) == configs.shape[0] == len(tally)
+        got = dict(zip(map(tuple, configs.tolist()), merged))
+        assert got.keys() == tally.keys()
+        for row, w in tally.items():
+            assert got[row] == pytest.approx(w, rel=ORACLE_TOL, abs=ORACLE_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_rows())
+    def test_objective_matches_the_row_wise_oracle(self, case):
+        spec, rows, weights, data = case
+        weights = [1.0] * rows.shape[0] if weights is None else weights.tolist()
+        value, grad = pseudo_loglik_and_grad(
+            spec.delta.tolist(), spec.sigma.tolist(), rows.tolist(), weights
+        )
+        assert it.pseudo_loglik(spec, data) == pytest.approx(
+            value, rel=ORACLE_TOL, abs=ORACLE_TOL
+        )
+        npt.assert_allclose(
+            it.pseudo_loglik_grad(spec, data), grad, rtol=ORACLE_TOL, atol=ORACLE_TOL
+        )
+
+    def test_full_loglik_on_repeated_rows_matches_the_oracle_table(self, rng):
+        for n in (1, 2, 5):
+            spec = random_spec(rng, n)
+            table = ising_table(spec.delta.tolist(), spec.sigma.tolist())
+            rows = rng.choice([-1, 1], size=(3, n))[rng.integers(0, 3, 40)]
+            weights = rng.uniform(0.0, 1.0, 40)
+            expected = sum(
+                w * math.log(table[it.config_to_index(x)]) for x, w in zip(rows, weights)
+            ) / weights.sum()
+            assert it.full_loglik(spec, (rows, weights)) == pytest.approx(expected, abs=1e-12)
+
+    def test_fit_ignores_row_order_and_copies(self, rng):
+        spec = random_spec(rng, 5, coupling_scale=0.5, field_scale=0.5)
+        sample = it.sample_exact(it.ising_pmf(spec), 3000, seed=3)
+        doubled = rng.permutation(np.concatenate([sample.draws, sample.draws]))
+        a = it.fit_pseudo_likelihood(sample)
+        b = it.fit_pseudo_likelihood(doubled)
+        assert a.converged and b.converged
+        assert a.iterations == b.iterations
+        npt.assert_allclose(b.spec_hat.delta, a.spec_hat.delta, rtol=0, atol=1e-12)
+        npt.assert_allclose(b.spec_hat.sigma, a.spec_hat.sigma, rtol=0, atol=1e-12)
+        npt.assert_allclose(b.objective_trace, a.objective_trace, rtol=0, atol=1e-12)
 
 
 class TestPseudoLoglik:
@@ -204,6 +289,10 @@ class TestFullLoglik:
         assert it.full_loglik(spec, pmf) > it.full_loglik(bumped, pmf)
 
     def test_enumeration_limit(self):
+        spec = it.ModelSpec(delta=np.zeros(21), sigma=np.zeros((21, 21)))
+        with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
+            it.full_loglik(spec, np.ones((2, 21)))
+
+    def test_enumerates_above_the_old_verifier_size(self):
         spec = it.ModelSpec(delta=np.zeros(13), sigma=np.zeros((13, 13)))
-        with pytest.raises(it.EnumerationLimitError, match="n <= 12"):
-            it.full_loglik(spec, np.ones((2, 13)))
+        assert it.full_loglik(spec, np.ones((2, 13))) == pytest.approx(-13 * math.log(2.0))

@@ -337,7 +337,7 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     )
     # Small chunks cut the node grid into blocks of the first latent dimension.
     with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-        log_norm = latent._log_latent_norm(delta, loadings, rule)
+        log_norm = latent.log_latent_norm(delta, loadings, rule)
         pmf = latent._quadrature_pmf(delta, loadings, rule, rule)
     assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)

@@ -1,19 +1,31 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import ising_trinity as it
-from conftest import random_spec
-from oracles import sample_csv_text
+from conftest import low_rank_spec, random_spec
+from ising_trinity import sampling
+from ising_trinity.cli import _read_config_table, main
+from oracles import read_config_table, read_sample_draws, rejection_draws, sample_csv_text
 
 
 def unit_coupling_spec(n: int) -> it.ModelSpec:
     sigma = np.ones((n, n)) - np.eye(n)
     return it.ModelSpec(delta=np.zeros(n), sigma=sigma)
+
+
+def weak_spec(rng, n: int = 10) -> it.ModelSpec:
+    """The simulate-fit benchmark's family: couplings 0.1, fields in +/-0.5."""
+    return it.ModelSpec(
+        delta=rng.uniform(-0.5, 0.5, n), sigma=0.1 * (np.ones((n, n)) - np.eye(n))
+    )
 
 
 def rank_one_form(n: int) -> it.LatentForm:
@@ -203,6 +215,56 @@ class TestRejectionSampler:
         with pytest.raises(ValueError, match="at least 1"):
             it.sample_collider_rejection(it.simple_collider(np.zeros(2)), 0, seed=0)
 
+    # Chunk sizes that split batches at odd rows, with draw counts that keep
+    # the smallest chunks cheap; the default chunk splits the n = 10 batches.
+    @pytest.mark.parametrize(
+        "chunk, m", [(7, 300), (1000, 3000), (sampling._PROPOSAL_CHUNK, 10_000)]
+    )
+    def test_chunks_replay_the_one_shot_stream(self, monkeypatch, chunk, m):
+        rng = np.random.default_rng(3)
+        # Acceptance rates about 0.25, 0.050 (two effects), 0.016 and 1.
+        rank_two = it.ModelSpec(np.zeros(6), 0.3 * low_rank_spec(rng, 6, 2).sigma)
+        weak = weak_spec(rng)
+        forms = [
+            it.simple_collider(np.array([0.3, -0.2, 0.1])),
+            it.spectral_to_collider(it.to_spectral(rank_two), rank_two.delta),
+            it.spectral_to_collider(it.to_spectral(weak), weak.delta),
+            it.ColliderForm(delta=np.array([0.4, -0.4]), effects=()),
+        ]
+        monkeypatch.setattr(sampling, "_PROPOSAL_CHUNK", chunk)
+        for cf in forms:
+            effects = [(eff.lam, eff.q, eff.log_sup) for eff in cf.effects]
+            for seed in range(3):
+                sample = it.sample_collider_rejection(cf, m, seed)
+                draws, meta = rejection_draws(cf.delta, effects, m, seed)
+                assert np.array_equal(sample.draws, draws)
+                assert sample.meta == meta
+
+    def test_gives_up_where_the_one_shot_sampler_does(self):
+        root_half = 1.0 / math.sqrt(2.0)
+        effects = [(400.0, np.array([root_half, sign * root_half])) for sign in (1.0, -1.0)]
+        cf = it.ColliderForm(
+            delta=np.zeros(2), effects=tuple(it.ColliderEffect(lam, q) for lam, q in effects)
+        )
+        with pytest.raises(RuntimeError) as ref:
+            rejection_draws(cf.delta, [(e.lam, e.q, e.log_sup) for e in cf.effects], 10, 0)
+        with pytest.raises(it.ConditioningTooSevereError, match=f"rate {ref.value} ~"):
+            it.sample_collider_rejection(cf, 10, seed=0)
+
+    def test_working_memory_is_bounded(self):
+        # Drawn and scored in one piece, the batches of this n = 10 model
+        # peaked at about 150 MiB; in chunks the peak is about 40 MiB.
+        spec = weak_spec(np.random.default_rng(5))
+        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
+        tracemalloc.start()
+        try:
+            sample = it.sample_collider_rejection(cf, 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.meta["proposals"] > 1_000_000
+        assert peak < 64 * 2**20
+
 
 class TestLatentFirstSampler:
     def test_matches_marginal_table(self):
@@ -303,3 +365,129 @@ class TestSampleIo:
         it.sidecar_path(path).write_text('{"method": "exact", "seed": 0}')
         with pytest.raises(ValueError, match="no draws"):
             it.load_sample_set(path)
+
+
+# CSV inputs at the edges of what the per-cell readers accepted.
+CSV_CASES = {
+    "plain": "x_1,x_2\n1,-1\n-1,1\n",
+    "single column": "x_1\n1\n-1\n",
+    "single row": "x_1,x_2,x_3\n1,-1,1\n",
+    "blank line": "x_1,x_2\n1,-1\n\n-1,1\n",
+    "blank line of spaces": "x_1,x_2\n1,-1\n  \n-1,1\n",
+    "blank lines around": "\n\nx_1,x_2\n1,-1\n\n\n",
+    "hash after a cell": "x_1,x_2\n1,-1 # note\n",
+    "hash line": "x_1,x_2\n# note\n1,-1\n",
+    "hash header": "#x_1,x_2\n1,-1\n",
+    "leading space": "x_1,x_2\n 1,-1\n",
+    "tab": "x_1,x_2\n\t1,-1 \n",
+    "plus sign": "x_1,x_2\n+1,-1\n",
+    "decimal": "x_1,x_2\n1.0,-1\n",
+    "exponent": "x_1,x_2\n1e0,-1\n",
+    "nan": "x_1,x_2\nnan,1\n",
+    "inf": "x_1,x_2\n-inf,1\n",
+    "two": "x_1,x_2\n2,1\n",
+    "out of int8": "x_1,x_2\n300,1\n",
+    "word": "x_1,x_2\n1,up\n",
+    "trailing comma": "x_1,x_2\n1,-1,\n",
+    "empty cell": "x_1,x_2\n1,,-1\n",
+    "ragged": "x_1,x_2\n1,-1\n1\n",
+    "header mismatch": "x_1,x_2,x_3\n1,-1\n-1,1\n",
+    "CRLF": "x_1,x_2\r\n1,-1\r\n-1,1\r\n",
+    "CR": "x_1,x_2\r1,-1\r-1,1\r",
+    "weight column": "x_1,x_2,weight\n1,-1,0.25\n-1,1,0.75\n",
+    "weight column, CRLF": "x_1,x_2,Weight \r\n1,-1,0.25\r\n-1,1,0.75\r\n",
+    "empty": "",
+    "spaces only": "  \n \n",
+    "header only": "x_1,x_2\n",
+}
+
+
+def outcome(read, path):
+    """The reader's arrays, or the part of its message before any colon."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc).split(":")[0]
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    if not isinstance(want, tuple):
+        return not isinstance(got, tuple) and np.array_equal(got, want, equal_nan=True)
+    return isinstance(got, tuple) and all(
+        np.array_equal(g, np.asarray(w, dtype=float), equal_nan=True) for g, w in zip(got, want)
+    )
+
+
+def fit_reference(path):
+    rows, weights = read_config_table(path)
+    return np.array(rows) if weights is None else (rows, weights)
+
+
+def load_reference(path):
+    return it.SampleSet(draws=np.array(read_sample_draws(path)), seed=0, method="exact").draws
+
+
+def load_draws(path):
+    it.sidecar_path(path).write_text('{"method": "exact", "seed": 0}', encoding="utf-8")
+    return it.load_sample_set(path).draws
+
+
+class TestCsvReaders:
+    """`fit`'s reader and `load_sample_set` against their per-cell references."""
+
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_fit_reader_agrees_with_the_per_cell_reader(self, tmp_path, name):
+        path = tmp_path / "data.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
+        want = outcome(fit_reference, path)
+        assert same_outcome(outcome(_read_config_table, path), want)
+
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_sample_loader_agrees_with_the_per_cell_loader(self, tmp_path, name):
+        path = tmp_path / "draws.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
+        want = outcome(load_reference, path)
+        got = outcome(load_draws, path)
+        # Both reject the same files; only the loader's messages changed wording.
+        assert isinstance(got, str) == isinstance(want, str)
+        if not isinstance(want, str):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, code, words",
+        [("empty", 2, "empty"), ("header only", 2, "no rows"), ("word", 2, "malformed row"),
+         ("blank line", 2, "malformed row"), ("hash line", 2, "malformed row"),
+         ("ragged", 2, "malformed row"), ("header mismatch", 2, "do not match its header"),
+         ("nan", 2, "exactly +1 or -1"), ("weight column, CRLF", 0, "after 5 iterations")],
+    )
+    def test_fit_command_exit_codes(self, tmp_path, capsys, name, code, words):
+        path = tmp_path / "data.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
+        out = str(tmp_path / "fit.json")
+        assert main(["fit", str(path), "--out", out, "--max-iter", "5"]) == code
+        assert words in capsys.readouterr()[1 if code else 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.lists(
+                st.sampled_from(["1", "-1", " 1", "+1", "1.0", "nan", "#", "", "x", "2", "-1 "]),
+                min_size=1, max_size=3,
+            ),
+            min_size=0, max_size=4,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        weight=st.booleans(),
+    )
+    def test_readers_agree_on_generated_files(self, tmp_path_factory, cells, newline, weight):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        header = "x_1,x_2" + (",weight" if weight else "")
+        lines = [header] + [",".join(row) for row in cells]
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        assert same_outcome(outcome(_read_config_table, path), outcome(fit_reference, path))
+        want, got = outcome(load_reference, path), outcome(load_draws, path)
+        assert isinstance(got, str) == isinstance(want, str)
+        if not isinstance(want, str):
+            assert np.array_equal(got, want)
