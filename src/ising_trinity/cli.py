@@ -15,17 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from ._enum import config_text
-from .collider import conditioned_pmf, spectral_to_collider
-from .core import ModelSpec, Pmf, ising_pmf
-from .equivalence import BranchFault, verify_representations
-from .errors import (
-    EnumerationLimitError,
-    IsingTrinityError,
-    RankLimitError,
-)
+from .collider import spectral_to_collider
+from .core import Pmf, ising_pmf
+from .equivalence import BRANCHES, BranchFault, verify_representations
+from .errors import EnumerationLimitError, IsingTrinityError, RankLimitError
 from .estimation import fit_pseudo_likelihood
 from .graphs import VIEWS, graph_dot
-from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
+from .latent import LatentForm, QuadratureRule
 from .sampling import (
     read_csv_table,
     sample_collider_rejection,
@@ -35,9 +31,8 @@ from .sampling import (
     save_sample_set,
 )
 from .specfile import load_model_spec
-from .spectral import spectral_pmf, to_spectral
+from .spectral import to_spectral
 
-REPRESENTATIONS = ("conventional", "spectral", "collider", "latent")
 METHODS = ("exact", "gibbs", "collider-rejection", "latent-first")
 
 
@@ -46,17 +41,6 @@ def _write_out(text: str, path: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _representation_pmf(spec: ModelSpec, representation: str, extra_shift: float) -> Pmf:
-    if representation == "conventional":
-        return ising_pmf(spec)
-    form = to_spectral(spec, extra_shift)
-    if representation == "spectral":
-        return spectral_pmf(form, spec.delta)
-    if representation == "collider":
-        return conditioned_pmf(spectral_to_collider(form, spec.delta))
-    return mirt_marginal_pmf(LatentForm.from_spectral(form, spec.delta))
 
 
 def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
@@ -74,7 +58,7 @@ def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     spec, extra_shift = load_model_spec(args.spec)
-    pmf = _representation_pmf(spec, args.representation, extra_shift)
+    pmf = BRANCHES[args.representation](spec, to_spectral(spec, extra_shift), None)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 
@@ -168,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pmf.add_argument(
         "--representation",
         "-r",
-        choices=REPRESENTATIONS,
+        choices=tuple(BRANCHES),
         default="conventional",
         help="code path used to compute the table",
     )
@@ -184,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json-report", help="also write the report as JSON")
     p_verify.add_argument(
         "--inject-fault",
-        choices=("conventional", "spectral", "collider", "latent"),
+        choices=tuple(BRANCHES),
         help="perturb one branch to demonstrate the verifier notices",
     )
     p_verify.add_argument("--fault-eps", type=float, default=1e-6)

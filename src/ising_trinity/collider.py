@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._enum import linear_table, log_2cosh, normalize
-from .core import Pmf, as_binary_config
+from .core import Pmf, as_binary_config, as_delta
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
 
@@ -114,11 +114,7 @@ def simple_collider(delta) -> ColliderForm:
 
 def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
     """One effect per strictly positive eigenvalue, along its eigenvector."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (form.n,):
-        raise DimensionMismatchError(
-            f"delta has shape {delta.shape}, expected ({form.n},)"
-        )
+    delta = as_delta(delta, form.n)
     effects = tuple(
         ColliderEffect(lam=float(lam), q=form.q[:, k])
         for k, lam in enumerate(form.lambdas)

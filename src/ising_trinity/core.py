@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import check_enumerable, linear_table, normalize
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SpecValidationError
 
 SYMMETRY_TOL = 1e-12
 
@@ -23,6 +23,14 @@ def _as_float_array(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_delta(delta, n: int) -> np.ndarray:
+    """Intercepts as a float vector, checked to hold one entry per variable."""
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != (n,):
+        raise DimensionMismatchError(f"delta has shape {delta.shape}, expected ({n},)")
+    return delta
 
 
 def as_binary_config(x, n: int) -> np.ndarray:
@@ -62,9 +70,10 @@ class ModelSpec:
         gap = np.abs(sigma - sigma.T)
         if gap.size and gap.max() > SYMMETRY_TOL:
             i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            raise ValueError(
-                f"sigma is not symmetric: sigma[{i}][{j}] and sigma[{j}][{i}] "
-                f"differ by {gap[i, j]:.3g} (tolerance {SYMMETRY_TOL:g})"
+            raise SpecValidationError(
+                f"sigma is not symmetric: sigma[{i}][{j}] = {float(sigma[i, j])!r} but "
+                f"sigma[{j}][{i}] = {float(sigma[j, i])!r} (difference {gap[i, j]:.3g} "
+                f"exceeds {SYMMETRY_TOL:g})"
             )
         sigma = (sigma + sigma.T) / 2.0
         delta.setflags(write=False)
@@ -150,9 +159,7 @@ def ising_pmf(spec: ModelSpec) -> Pmf:
 
 def curie_weiss_pmf(n: int, delta) -> Pmf:
     """Exact table of the exchangeable-coupling model ``exp(x.delta + (sum x)^2 / 2)``."""
-    delta = _as_float_array(delta, "delta")
-    if delta.shape != (n,):
-        raise DimensionMismatchError(f"delta has shape {delta.shape}, expected ({n},)")
+    delta = as_delta(_as_float_array(delta, "delta"), n)
     total = linear_table(np.ones(n))
     log_w = linear_table(delta)
     log_w += 0.5 * total**2

@@ -1,10 +1,13 @@
 """Cross-representation verifier: four code paths, one distribution.
 
-Given one parameter set, the same PMF is computed through four independent
-weight evaluations — the network pair sum, the eigenvalue form, the
-conditioned collider, and (when the rank allows tensor quadrature) the latent
-marginal.  Quadrature-free pairs must agree to near machine precision; pairs
-involving the latent branch are held to the quadrature tolerance.
+`BRANCHES` is the one table of those paths, shared with the CLI's ``pmf -r``
+and ``verify --inject-fault``.  Each branch builds the PMF through its own
+weight evaluation: the network pair sum, the eigenvalue form, the
+conditioned collider, and the latent marginal.  A branch that refuses the
+model with a rank or size limit is reported as not evaluated, with its own
+error message as the reason.  Quadrature-free pairs must agree to near
+machine precision; pairs involving the latent branch are held to the
+quadrature tolerance.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
@@ -15,19 +18,33 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._enum import check_enumerable
 from .collider import conditioned_pmf, spectral_to_collider
 from .core import ModelSpec, Pmf, PmfDistance, ising_pmf, pmf_distance
-from .errors import EnumerationLimitError
-from .latent import TENSOR_RANK_LIMIT, LatentForm, QuadratureRule, mirt_marginal_pmf
-from .spectral import spectral_pmf, to_spectral
+from .errors import EnumerationLimitError, RankLimitError
+from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
+from .spectral import SpectralForm, spectral_pmf, to_spectral
 
-BRANCHES = ("conventional", "spectral", "collider", "latent")
-
-VERIFIER_LIMIT = 12
+# Name -> builder ``(spec, form, rule) -> Pmf``, in report order.  ``form`` is
+# the spectral form of ``spec``'s couplings, which a fault leaves alone; a rule
+# of None is the latent marginal's default, built only if that branch runs.
+# Each builder looks its functions up when called, so rebinding a module
+# global (as a tracer does) reaches every caller of the table.
+BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm, QuadratureRule | None], Pmf]] = {
+    "conventional": lambda spec, form, rule: ising_pmf(spec),
+    "spectral": lambda spec, form, rule: spectral_pmf(form, spec.delta),
+    "collider": lambda spec, form, rule: conditioned_pmf(
+        spectral_to_collider(form, spec.delta)
+    ),
+    "latent": lambda spec, form, rule: mirt_marginal_pmf(
+        LatentForm.from_spectral(form, spec.delta), rule
+    ),
+}
 
 DEFAULT_EXACT_TOL = 1e-12
 DEFAULT_QUAD_TOL = 1e-7
@@ -43,7 +60,7 @@ class BranchFault:
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise ValueError(
-                f"unknown branch {self.branch!r}; expected one of {BRANCHES}"
+                f"unknown branch {self.branch!r}; expected one of {tuple(BRANCHES)}"
             )
         if not np.isfinite(self.eps):
             raise ValueError(f"fault epsilon must be finite, got {self.eps!r}")
@@ -59,10 +76,20 @@ class EquivalenceReport:
     quad_tol: float
     evaluated: dict[str, bool]
     distances: dict[tuple[str, str], PmfDistance]
-    passed: dict[tuple[str, str], bool]
     timings: dict[str, float]
     fault: BranchFault | None = None
     skipped_reason: dict[str, str] = field(default_factory=dict)
+    passed: dict[tuple[str, str], bool] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.passed = {}
+        for pair, dist in self.distances.items():
+            metric, tol = self.criterion(pair)
+            self.passed[pair] = getattr(dist, metric) <= tol
+
+    def criterion(self, pair: tuple[str, str]) -> tuple[str, float]:
+        """The metric a pair is judged by and its bound: TV if quadrature is involved."""
+        return ("tv", self.quad_tol) if "latent" in pair else ("max_abs", self.exact_tol)
 
     @property
     def all_pass(self) -> bool:
@@ -75,11 +102,7 @@ class EquivalenceReport:
             "exact_tol": self.exact_tol,
             "quad_tol": self.quad_tol,
             "all_pass": self.all_pass,
-            "fault": (
-                None
-                if self.fault is None
-                else {"branch": self.fault.branch, "eps": self.fault.eps}
-            ),
+            "fault": None if self.fault is None else asdict(self.fault),
             "branches": [
                 {
                     "name": name,
@@ -95,10 +118,8 @@ class EquivalenceReport:
                     "tv": dist.tv,
                     "max_abs": dist.max_abs,
                     "kl": dist.kl,
-                    "tolerance": (
-                        self.quad_tol if "latent" in pair else self.exact_tol
-                    ),
-                    "metric": "tv" if "latent" in pair else "max_abs",
+                    "tolerance": self.criterion(pair)[1],
+                    "metric": self.criterion(pair)[0],
                     "passed": self.passed[pair],
                 }
                 for pair, dist in self.distances.items()
@@ -115,7 +136,7 @@ class EquivalenceReport:
             + ", ".join(
                 f"{name} ({self.timings[name]:.3f}s)"
                 if self.evaluated[name]
-                else f"{name} (not evaluated: {self.skipped_reason.get(name, '')})"
+                else f"{name} (not evaluated: {self.skipped_reason[name]})"
                 for name in BRANCHES
             ),
         ]
@@ -124,8 +145,7 @@ class EquivalenceReport:
                 f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}"
             )
         for pair, dist in self.distances.items():
-            metric = "tv" if "latent" in pair else "max_abs"
-            tol = self.quad_tol if "latent" in pair else self.exact_tol
+            metric, tol = self.criterion(pair)
             verdict = "PASS" if self.passed[pair] else "FAIL"
             lines.append(
                 f"{pair[0]} vs {pair[1]}: tv={dist.tv:.3e} max_abs={dist.max_abs:.3e} "
@@ -133,14 +153,6 @@ class EquivalenceReport:
             )
         lines.append("overall: " + ("PASS" if self.all_pass else "FAIL"))
         return "\n".join(lines)
-
-
-def _maybe_faulted(delta: np.ndarray, branch: str, fault: BranchFault | None) -> np.ndarray:
-    if fault is not None and fault.branch == branch:
-        out = delta.copy()
-        out[0] += fault.eps
-        return out
-    return delta
 
 
 def verify_representations(
@@ -151,81 +163,53 @@ def verify_representations(
     quad_tol: float = DEFAULT_QUAD_TOL,
     fault: BranchFault | None = None,
 ) -> EquivalenceReport:
-    """Compute the PMF through every applicable representation and compare.
+    """Compute the PMF through every branch in `BRANCHES` and compare the tables.
 
-    The latent branch runs only when the canonical rank is at most
-    `TENSOR_RANK_LIMIT`; otherwise it is reported as not evaluated and pairs
-    involving it are omitted.  Injecting a fault into a branch that is not
-    evaluated is an error.
+    Runs for any enumerable ``n`` (at most 20).  A branch whose builder raises
+    `RankLimitError` or `EnumerationLimitError` (the latent marginal above
+    rank 3 or n = 12) is reported as not evaluated with that error's message,
+    and pairs involving it are omitted.  Injecting a fault into a branch that
+    is not evaluated is an error.
     """
-    if spec.n > VERIFIER_LIMIT:
-        raise EnumerationLimitError(
-            f"the verifier is limited to n <= {VERIFIER_LIMIT}, got n = {spec.n}"
-        )
+    check_enumerable(spec.n)
     rule = QuadratureRule.gauss_hermite() if rule is None else rule
-
     form = to_spectral(spec)
-    rank = form.rank
-    latent_ok = rank <= TENSOR_RANK_LIMIT
-    if fault is not None and fault.branch == "latent" and not latent_ok:
-        raise ValueError(
-            f"cannot inject a fault into the latent branch: canonical rank "
-            f"{rank} exceeds {TENSOR_RANK_LIMIT}, so that branch is not evaluated"
-        )
 
     tables: dict[str, Pmf] = {}
     timings: dict[str, float] = {}
     skipped: dict[str, str] = {}
-
-    start = time.perf_counter()
-    faulted = ModelSpec(
-        delta=_maybe_faulted(spec.delta, "conventional", fault), sigma=spec.sigma
-    )
-    tables["conventional"] = ising_pmf(faulted)
-    timings["conventional"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    tables["spectral"] = spectral_pmf(form, _maybe_faulted(spec.delta, "spectral", fault))
-    timings["spectral"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    collider = spectral_to_collider(form, _maybe_faulted(spec.delta, "collider", fault))
-    tables["collider"] = conditioned_pmf(collider)
-    timings["collider"] = time.perf_counter() - start
-
-    if latent_ok:
+    for name, build in BRANCHES.items():
+        branch_spec = spec
+        if fault is not None and fault.branch == name:
+            delta = spec.delta.copy()
+            delta[0] += fault.eps
+            branch_spec = ModelSpec(delta=delta, sigma=spec.sigma)
         start = time.perf_counter()
-        lf = LatentForm.from_spectral(form, _maybe_faulted(spec.delta, "latent", fault))
-        tables["latent"] = mirt_marginal_pmf(lf, rule)
-        timings["latent"] = time.perf_counter() - start
-    else:
-        skipped["latent"] = (
-            f"canonical rank {rank} exceeds the tensor-quadrature limit "
-            f"{TENSOR_RANK_LIMIT}"
-        )
+        try:
+            tables[name] = build(branch_spec, form, rule)
+        except (RankLimitError, EnumerationLimitError) as exc:
+            if branch_spec is not spec:
+                raise ValueError(
+                    f"cannot inject a fault into the {name} branch, which is "
+                    f"not evaluated: {exc}"
+                ) from exc
+            skipped[name] = str(exc)
+            continue
+        timings[name] = time.perf_counter() - start
 
-    evaluated = {name: name in tables for name in BRANCHES}
-    distances: dict[tuple[str, str], PmfDistance] = {}
-    passed: dict[tuple[str, str], bool] = {}
-    names = [name for name in BRANCHES if evaluated[name]]
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            pair = (names[a_idx], names[b_idx])
-            dist = pmf_distance(tables[pair[0]], tables[pair[1]])
-            distances[pair] = dist
-            if "latent" in pair:
-                passed[pair] = dist.tv <= quad_tol
-            else:
-                passed[pair] = dist.max_abs <= exact_tol
-
+    names = list(tables)
+    distances = {
+        (a, b): pmf_distance(tables[a], tables[b])
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
     return EquivalenceReport(
         n=spec.n,
-        rank=rank,
+        rank=form.rank,
         exact_tol=exact_tol,
         quad_tol=quad_tol,
-        evaluated=evaluated,
+        evaluated={name: name in tables for name in BRANCHES},
         distances=distances,
-        passed=passed,
         timings=timings,
         fault=fault,
         skipped_reason=skipped,

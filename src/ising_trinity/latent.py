@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import check_enumerable, log_2cosh, log_sigmoid
-from .core import Pmf, as_binary_config
+from .core import Pmf, as_binary_config, as_delta
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -296,11 +296,7 @@ class LatentForm:
     @classmethod
     def from_spectral(cls, form: SpectralForm, delta) -> "LatentForm":
         """Keep one latent dimension per strictly positive eigenvalue."""
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.shape != (form.n,):
-            raise DimensionMismatchError(
-                f"delta has shape {delta.shape}, expected ({form.n},)"
-            )
+        delta = as_delta(delta, form.n)
         keep = form.lambdas > RANK_TOL
         return cls(delta=delta, loadings=form.loadings[:, keep])
 
@@ -328,8 +324,8 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
     """
     if form.r > TENSOR_RANK_LIMIT:
         raise RankLimitError(
-            f"tensor quadrature supports at most {TENSOR_RANK_LIMIT} latent "
-            f"dimensions, got r = {form.r}"
+            f"tensor quadrature supports a latent rank of at most "
+            f"{TENSOR_RANK_LIMIT}, got rank {form.r}"
         )
     if form.n > MIRT_ENUM_LIMIT:
         raise EnumerationLimitError(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SYMMETRY_TOL, ModelSpec
+from .core import ModelSpec
 from .errors import SpecValidationError
 
 
@@ -60,15 +60,6 @@ def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
             raise SpecValidationError(f"sigma[{i}] must be a list of {n} numbers")
         rows.append([_require_number(v, f"sigma[{i}][{j}]") for j, v in enumerate(row)])
     sigma = np.array(rows)
-
-    gap = np.abs(sigma - sigma.T)
-    if gap.size and gap.max() > SYMMETRY_TOL:
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        raise SpecValidationError(
-            f"sigma is not symmetric: sigma[{i}][{j}] = {sigma[i, j]!r} but "
-            f"sigma[{j}][{i}] = {sigma[j, i]!r} (difference {gap[i, j]:.3g} "
-            f"exceeds {SYMMETRY_TOL:g})"
-        )
 
     if np.any(np.diag(sigma) != 0.0):
         warnings.warn(

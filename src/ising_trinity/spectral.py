@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import linear_table, normalize
-from .core import ModelSpec, Pmf, as_binary_config
+from .core import ModelSpec, Pmf, as_binary_config, as_delta
 from .errors import DimensionMismatchError, EigendecompositionError
 
 # Eigenvalues within this tolerance of zero are treated as exactly zero.
@@ -119,11 +119,7 @@ def spectral_log_weight(form: SpectralForm, delta, x) -> float:
     Exceeds the network-form log weight of the same model by exactly
     ``c * n / 2``, uniformly over configurations.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (form.n,):
-        raise DimensionMismatchError(
-            f"delta has shape {delta.shape}, expected ({form.n},)"
-        )
+    delta = as_delta(delta, form.n)
     x = as_binary_config(x, form.n)
     scores = form.q.T @ x
     return float(x @ delta + 0.5 * np.sum(form.lambdas * scores**2))
@@ -135,11 +131,7 @@ def spectral_pmf(form: SpectralForm, delta) -> Pmf:
     Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` one eigen-score at a
     time; zero eigenvalues contribute nothing and are skipped.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (form.n,):
-        raise DimensionMismatchError(
-            f"delta has shape {delta.shape}, expected ({form.n},)"
-        )
+    delta = as_delta(delta, form.n)
     log_w = linear_table(delta)
     for lam, q in zip(form.lambdas, form.q.T):
         if lam > 0.0:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ising_trinity as it
-from ising_trinity.cli import REPRESENTATIONS, _pmf_text, _representation_pmf, main
+from ising_trinity.cli import _pmf_text, main
+from ising_trinity.equivalence import BRANCHES
 from oracles import pmf_csv_text, pmf_json_text
 
 AGREE = 0.4
@@ -93,6 +94,14 @@ class TestPmfCommand:
         assert main(["pmf", str(path), "-r", "latent"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_latent_limited_to_twelve_items(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 13, 1), path)
+        assert main(["pmf", str(path), "-r", "latent"]) == 3
+        assert "n = 13 is too large for the tensor-quadrature marginal" in capsys.readouterr().err
+
 
 def expected_pmf_text(pmf, representation, fmt):
     if fmt == "csv":
@@ -118,7 +127,7 @@ class TestPmfBytes:
     @settings(max_examples=60, deadline=None)
     @given(
         pmf=tables(),
-        representation=st.sampled_from(REPRESENTATIONS),
+        representation=st.sampled_from(tuple(BRANCHES)),
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_text_matches_the_per_cell_reference(self, pmf, representation, fmt):
@@ -128,7 +137,7 @@ class TestPmfBytes:
     @given(
         n=st.integers(min_value=1, max_value=10),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        representation=st.sampled_from(REPRESENTATIONS),
+        representation=st.sampled_from(tuple(BRANCHES)),
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_command_output_matches_the_reference(
@@ -145,7 +154,7 @@ class TestPmfBytes:
         out = tmp_path / f"table.{fmt}"
         argv = ["pmf", str(tmp_path / "model.json"), "-r", representation, "--format", fmt]
         assert main([*argv, "-o", str(out)]) == 0
-        pmf = _representation_pmf(spec, representation, 0.0)
+        pmf = BRANCHES[representation](spec, it.to_spectral(spec), None)
         assert out.read_text(encoding="utf-8") == expected_pmf_text(pmf, representation, fmt)
 
 
@@ -216,6 +225,26 @@ class TestVerifyCommand:
 
         path = tmp_path / "model.json"
         it.save_model_spec(random_spec(rng, 6), path)
+        assert main(["verify", str(path), "--inject-fault", "latent"]) == 2
+        assert "not evaluated" in capsys.readouterr().err
+
+    def test_runs_to_the_enumeration_limit(self, rng, tmp_path, capsys):
+        from conftest import random_spec
+
+        for n, code in ((20, 0), (21, 3)):
+            path = tmp_path / f"model{n}.json"
+            it.save_model_spec(random_spec(rng, n), path)
+            assert main(["verify", str(path)]) == code
+        captured = capsys.readouterr()
+        assert "latent (not evaluated: tensor quadrature supports" in captured.out
+        assert "overall: PASS" in captured.out
+        assert "n = 21 is too large for exact enumeration" in captured.err
+
+    def test_fault_on_branch_skipped_for_size(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 13, 1), path)
         assert main(["verify", str(path), "--inject-fault", "latent"]) == 2
         assert "not evaluated" in capsys.readouterr().err
 

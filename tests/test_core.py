@@ -24,8 +24,12 @@ class TestModelSpec:
 
     def test_asymmetric_sigma_rejected_with_indices(self):
         sigma = np.array([[0.0, 0.3], [0.0, 0.0]])
-        with pytest.raises(ValueError, match=r"sigma\[0\]\[1\]"):
+        with pytest.raises(it.SpecValidationError) as err:
             it.ModelSpec(delta=np.zeros(2), sigma=sigma)
+        assert str(err.value) == (
+            "sigma is not symmetric: sigma[0][1] = 0.3 but sigma[1][0] = 0.0 "
+            "(difference 0.3 exceeds 1e-12)"
+        )
 
     def test_tiny_asymmetry_tolerated(self):
         sigma = np.array([[0.0, 0.5], [0.5 + 1e-13, 0.0]])
@@ -268,3 +272,23 @@ def test_pair_sum_matches_matrix_form(spec):
     for k, x in enumerate(all_configs(spec.n)):
         loop_weight = it.ising_log_weight(spec, x)
         assert abs(math.exp(loop_weight - pmf.log_z) - pmf.probs[k]) <= 1e-12
+
+
+class TestDeltaShape:
+    """Every builder that takes intercepts beside a form checks them the same way."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda form, d: it.spectral_pmf(form, d),
+            lambda form, d: it.spectral_log_weight(form, d, np.ones(2)),
+            lambda form, d: it.spectral_to_collider(form, d),
+            lambda form, d: it.LatentForm.from_spectral(form, d),
+            lambda form, d: it.curie_weiss_pmf(2, d),
+        ],
+    )
+    def test_length_mismatch_message(self, call):
+        form = it.to_spectral(spec_n2(0.5))
+        with pytest.raises(it.DimensionMismatchError) as err:
+            call(form, np.zeros(3))
+        assert str(err.value) == "delta has shape (3,), expected (2,)"

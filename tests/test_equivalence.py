@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,10 +76,29 @@ class TestVerifier:
             if done:
                 assert report.timings[name] >= 0.0
 
-    def test_size_guard(self):
-        spec = it.ModelSpec(delta=np.zeros(13), sigma=np.zeros((13, 13)))
-        with pytest.raises(it.EnumerationLimitError, match="n <= 12"):
+    def test_size_guard_is_the_enumeration_limit(self):
+        spec = it.ModelSpec(delta=np.zeros(21), sigma=np.zeros((21, 21)))
+        with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
             it.verify_representations(spec)
+
+    @pytest.mark.parametrize("n", [13, 20])
+    @pytest.mark.parametrize("rank", [2, None])
+    def test_beyond_the_latent_limits_the_exact_branches_still_run(self, rng, n, rank):
+        spec = random_spec(rng, n) if rank is None else low_rank_spec(rng, n, rank)
+        report = it.verify_representations(spec)
+        assert report.all_pass, report.to_text()
+        assert report.evaluated == {
+            "conventional": True, "spectral": True, "collider": True, "latent": False
+        }
+        assert sorted(report.distances) == sorted(
+            [p for p in ALL_PAIRS if "latent" not in p]
+        )
+        # The skip reason is the latent builder's own refusal, word for word.
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        with pytest.raises((it.RankLimitError, it.EnumerationLimitError)) as refused:
+            it.mirt_marginal_pmf(lf)
+        assert report.skipped_reason == {"latent": str(refused.value)}
+        assert f"latent (not evaluated: {refused.value})" in report.to_text()
 
 
 class TestFaultInjection:
@@ -109,8 +129,14 @@ class TestFaultInjection:
         with pytest.raises(ValueError, match="not evaluated"):
             it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
 
+    def test_fault_on_branch_skipped_for_size_rejected(self, rng):
+        spec = low_rank_spec(rng, 13, 1)
+        with pytest.raises(ValueError, match="not evaluated: n = 13 is too large"):
+            it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
+
     def test_unknown_branch_rejected(self):
-        with pytest.raises(ValueError, match="unknown branch"):
+        names = re.escape("('conventional', 'spectral', 'collider', 'latent')")
+        with pytest.raises(ValueError, match=f"unknown branch 'astral'; expected one of {names}$"):
             it.BranchFault(branch="astral")
 
     def test_non_finite_epsilon_rejected(self):
