@@ -31,30 +31,34 @@ def check_enumerable(n: int) -> None:
         )
 
 
-def config_block(n: int, start: int, stop: int) -> np.ndarray:
-    """The ``+/-1`` configurations with indices in ``[start, stop)`` as a float matrix."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    return (2.0 * bits - 1.0).astype(np.float64)
+def decode_configs(idx, n: int) -> np.ndarray:
+    """The ``+/-1`` int8 configuration of ``n`` variables for each index, on a new last axis."""
+    bits = (np.asarray(idx, dtype=np.int64)[..., None] >> np.arange(n, dtype=np.int64)) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def encode_configs(x) -> np.ndarray:
+    """The index of each ``+/-1`` configuration along the last axis of ``x``."""
+    x = np.asarray(x)
+    return (x > 0).astype(np.int64) @ (1 << np.arange(x.shape[-1], dtype=np.int64))
 
 
 def config_matrix(n: int) -> np.ndarray:
     """All ``2**n`` configurations, row ``k`` holding the configuration with index ``k``."""
     check_enumerable(n)
-    return config_block(n, 0, 1 << n)
+    return decode_configs(np.arange(1 << n), n).astype(np.float64)
 
 
 def index_to_config(k: int, n: int) -> np.ndarray:
     """The configuration with index ``k`` as a length-``n`` ``+/-1`` vector."""
     if not 0 <= k < (1 << n):
         raise ValueError(f"configuration index {k} out of range for n = {n}")
-    return config_block(n, k, k + 1)[0]
+    return decode_configs(k, n).astype(np.float64)
 
 
 def config_to_index(x: np.ndarray) -> int:
     """The index whose bit pattern encodes the ``+/-1`` configuration ``x``."""
-    bits = (np.asarray(x) > 0).astype(np.int64)
-    return int((bits << np.arange(len(bits), dtype=np.int64)).sum())
+    return int(encode_configs(x))
 
 
 def linear_table(coef: np.ndarray) -> np.ndarray:

@@ -81,20 +81,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.method == "exact":
         sample = sample_exact(ising_pmf(spec), args.m, args.seed)
     elif args.method == "gibbs":
-        sample = sample_gibbs(
-            spec, args.m, args.seed, burn_in=args.burn_in, thin=args.thin
-        )
+        sample = sample_gibbs(spec, args.m, args.seed, burn_in=args.burn_in, thin=args.thin)
     elif args.method == "collider-rejection":
-        form = to_spectral(spec, extra_shift)
-        sample = sample_collider_rejection(
-            spectral_to_collider(form, spec.delta), args.m, args.seed
-        )
+        cf = spectral_to_collider(to_spectral(spec, extra_shift), spec.delta)
+        sample = sample_collider_rejection(cf, args.m, args.seed)
     else:
-        form = to_spectral(spec, extra_shift)
-        lf = LatentForm.from_spectral(form, spec.delta)
-        sample = sample_latent_first(
-            lf, None, args.m, args.seed, grid_points=args.grid_points
-        )
+        lf = LatentForm.from_spectral(to_spectral(spec, extra_shift), spec.delta)
+        sample = sample_latent_first(lf, None, args.m, args.seed)
     save_sample_set(sample, args.out)
     note = ""
     if "acceptance_rate" in sample.meta:
@@ -182,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", required=True, help="output CSV path")
     p_sample.add_argument("--burn-in", type=int, default=1000)
     p_sample.add_argument("--thin", type=int, default=1)
-    p_sample.add_argument("--grid-points", type=int, default=4097)
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_fit = sub.add_parser(

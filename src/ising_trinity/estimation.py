@@ -22,6 +22,9 @@ from .core import ModelSpec, Pmf, ising_pmf
 from .errors import DimensionMismatchError, LineSearchError
 from .sampling import SampleSet
 
+# Sufficient-increase constant ``c`` of the backtracking (Armijo) line search.
+ARMIJO_C = 1e-4
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -151,14 +154,13 @@ def fit_pseudo_likelihood(
     *,
     grad_tol: float = 1e-6,
     max_iter: int = 5000,
-    armijo_c: float = 1e-4,
     initial_step: float = 1.0,
     max_halvings: int = 60,
 ) -> FitResult:
     """Maximize the pseudo-log-likelihood by backtracking gradient ascent.
 
     Each iteration starts from ``initial_step`` and halves until the Armijo
-    condition ``f(new) >= f(old) + c * step * |g|^2`` holds; more than
+    condition ``f(new) >= f(old) + ARMIJO_C * step * |g|^2`` holds; more than
     ``max_halvings`` halvings raises `LineSearchError`.  Stops when the
     gradient norm drops below ``grad_tol`` or after ``max_iter`` accepted
     steps, whichever comes first.
@@ -180,7 +182,7 @@ def fit_pseudo_likelihood(
         for _ in range(max_halvings + 1):
             candidate = vec + step * grad
             cand_value, cand_grad = _objective_and_grad(candidate, configs, weights)
-            if np.isfinite(cand_value) and cand_value >= value + armijo_c * step * grad_norm**2:
+            if np.isfinite(cand_value) and cand_value >= value + ARMIJO_C * step * grad_norm**2:
                 break
             step *= 0.5
         else:

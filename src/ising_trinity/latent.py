@@ -14,6 +14,8 @@ the low-index half of the items times one over the rest: two half tables by
 doubling and one matrix product per chunk of nodes.  Cancelling the ``2 cosh``
 factors into ``exp(x . eta)`` or factoring the node sum across latent
 dimensions would reproduce the spectral branch's Gaussian identity instead.
+The latent-first sampler draws nodes from this mixture (`node_log_shares`),
+under the marginal's own rank limit, reference rule and ``MASS_TOL`` check.
 """
 
 from __future__ import annotations
@@ -175,6 +177,27 @@ def log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRul
     return float(np.logaddexp.reduce(logs))
 
 
+def _check_tensor_rank(r: int) -> None:
+    if r > TENSOR_RANK_LIMIT:
+        raise RankLimitError(
+            f"tensor quadrature supports a latent rank of at most "
+            f"{TENSOR_RANK_LIMIT}, got rank {r}"
+        )
+
+
+def _reference_log_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
+    """`log_latent_norm` under ``rule`` at rank 0 (one exact node), else under its refinement."""
+    return log_latent_norm(delta, loadings, rule if loadings.shape[1] == 0 else rule.refined())
+
+
+def _check_mass(mass: float) -> None:
+    if abs(mass - 1.0) > MASS_TOL:
+        raise QuadratureResolutionError(
+            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
+            f"{MASS_TOL:g}; refine the rule (more nodes)"
+        )
+
+
 def _item_products(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
     """``prod_i p(x_i | theta_k)`` over these items, ``(2**items, K)``, by doubling."""
     out = np.ones((1 << p_plus.shape[0], p_plus.shape[1]))
@@ -185,15 +208,15 @@ def _item_products(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_pmf(delta, loadings, rule: QuadratureRule, reference: QuadratureRule) -> Pmf:
-    """Marginal table under ``rule``, with the density normalized under ``reference``.
+def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
+    """Marginal table under ``rule``, with the density normalized under the reference rule.
 
     Each chunk of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
     first ``n // 2`` items (low index bits) and of the rest.  A mass off one by
     more than ``MASS_TOL`` raises `QuadratureResolutionError`; otherwise the
     table is renormalized.
     """
-    log_norm = log_latent_norm(delta, loadings, reference)
+    log_norm = _reference_log_norm(delta, loadings, rule)
     n = delta.shape[0]
     h = n // 2
     raw = np.zeros((1 << (n - h), 1 << h))
@@ -208,11 +231,7 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule, reference: Quadrature
         g_lo *= np.exp(lw + (mag + np.log1p(e)).sum(axis=0) - log_norm)
         raw += _item_products(p_minus[h:], p_plus[h:]) @ g_lo.T
     mass = raw.sum()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise QuadratureResolutionError(
-            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
-            f"{MASS_TOL:g}; refine the rule (more nodes)"
-        )
+    _check_mass(mass)
     return Pmf(n, raw.ravel() / mass, float(log_norm + np.log(mass)))
 
 
@@ -231,7 +250,7 @@ def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
     if not np.all(np.isfinite(theta_arr)):
         raise ValueError("theta must be finite")
     rule = _default_rule(rule)
-    log_norm = log_latent_norm(delta, np.ones((delta.shape[0], 1)), rule.refined())
+    log_norm = _reference_log_norm(delta, np.ones((delta.shape[0], 1)), rule)
     pts = np.atleast_1d(theta_arr)
     log_f = (
         log_2cosh(pts[:, None] + delta).sum(axis=1)
@@ -253,8 +272,7 @@ def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     if delta.ndim != 1:
         raise ValueError(f"delta must be a vector, got shape {delta.shape}")
     check_enumerable(delta.shape[0])
-    rule = _default_rule(rule)
-    return _quadrature_pmf(delta, np.ones_like(delta)[:, None], rule, rule.refined())
+    return _quadrature_pmf(delta, np.ones_like(delta)[:, None], _default_rule(rule))
 
 
 @dataclass(frozen=True)
@@ -322,17 +340,24 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
     dimensions.  A rank-0 form has no latent variable at all: items are
     independent coins and the table is exact.
     """
-    if form.r > TENSOR_RANK_LIMIT:
-        raise RankLimitError(
-            f"tensor quadrature supports a latent rank of at most "
-            f"{TENSOR_RANK_LIMIT}, got rank {form.r}"
-        )
+    _check_tensor_rank(form.r)
     if form.n > MIRT_ENUM_LIMIT:
         raise EnumerationLimitError(
             f"n = {form.n} is too large for the tensor-quadrature marginal "
             f"(limit {MIRT_ENUM_LIMIT})"
         )
-    rule = _default_rule(rule)
-    # A rank-0 grid is one node of weight one: the table is exact.
-    reference = rule if form.r == 0 else rule.refined()
-    return _quadrature_pmf(form.delta, form.loadings, rule, reference)
+    return _quadrature_pmf(form.delta, form.loadings, _default_rule(rule))
+
+
+def node_log_shares(form: LatentForm, rule: QuadratureRule) -> np.ndarray:
+    """The marginal's node shares ``log c_k``, in `_node_chunks`' C order, for any ``n``.
+
+    Raises what `mirt_marginal_pmf` raises for the rank and for a rule whose
+    shares sum off one by more than ``MASS_TOL``.
+    """
+    _check_tensor_rank(form.r)
+    chunks = _node_chunks(form.delta, form.loadings, rule)
+    log_c = np.concatenate([lw + log_2cosh(eta).sum(axis=0) for lw, eta in chunks])
+    log_c -= _reference_log_norm(form.delta, form.loadings, rule)
+    _check_mass(np.exp(log_c).sum())
+    return log_c

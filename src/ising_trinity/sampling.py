@@ -13,15 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import config_text, log_2cosh, log_sigmoid
+from ._enum import check_enumerable, config_text, decode_configs, encode_configs, log_sigmoid
 from .collider import ColliderForm
 from .core import ModelSpec, Pmf, as_binary_config
-from .errors import (
-    ConditioningTooSevereError,
-    QuadratureResolutionError,
-    RankLimitError,
-)
-from .latent import MASS_TOL, LatentForm, QuadratureRule, log_latent_norm
+from .errors import ConditioningTooSevereError
+from .latent import LatentForm, QuadratureRule, node_log_shares
 
 # Rejection sampling gives up once at least this many proposals have produced
 # an acceptance rate below MIN_ACCEPT_RATE.
@@ -49,7 +45,7 @@ class SampleSet:
             raise ValueError(f"draws must be a matrix, got shape {draws.shape}")
         if draws.shape[0] < 1:
             raise ValueError("a sample set must contain at least one draw")
-        if not np.all(np.abs(draws.astype(np.int64)) == 1):
+        if not np.isin(draws, (-1, 1)).all():
             raise ValueError("draws must contain only +1 and -1")
         draws = draws.astype(np.int8)
         draws.setflags(write=False)
@@ -70,11 +66,9 @@ def _require_positive_m(m: int) -> None:
 
 
 def empirical_frequencies(sample: SampleSet) -> np.ndarray:
-    """Relative frequency of each configuration index in a sample."""
-    bits = (sample.draws > 0).astype(np.int64)
-    idx = bits @ (1 << np.arange(sample.n, dtype=np.int64))
-    counts = np.bincount(idx, minlength=1 << sample.n)
-    return counts / sample.m
+    """Relative frequency of each configuration index in a sample (``n <= 20``)."""
+    check_enumerable(sample.n)
+    return np.bincount(encode_configs(sample.draws), minlength=1 << sample.n) / sample.m
 
 
 def sample_exact(pmf: Pmf, m: int, seed: int) -> SampleSet:
@@ -82,10 +76,8 @@ def sample_exact(pmf: Pmf, m: int, seed: int) -> SampleSet:
     _require_positive_m(m)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(pmf.probs)
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
-    idx = np.minimum(idx, (1 << pmf.n) - 1).astype(np.int64)
-    signs = 2.0 * ((idx[:, None] >> np.arange(pmf.n, dtype=np.int64)) & 1) - 1.0
-    return SampleSet(draws=signs.astype(np.int8), seed=seed, method="exact")
+    idx = np.minimum(np.searchsorted(cdf, rng.random(m), side="right"), (1 << pmf.n) - 1)
+    return SampleSet(draws=decode_configs(idx, pmf.n), seed=seed, method="exact")
 
 
 def gibbs_conditional(spec: ModelSpec, x, i: int) -> float:
@@ -208,63 +200,28 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     )
 
 
-def sample_latent_first(
-    lf: LatentForm,
-    rule: QuadratureRule | None,
-    m: int,
-    seed: int,
-    *,
-    grid_points: int = 4097,
-) -> SampleSet:
-    """Draw the latent value first, then the items, for a rank-1 latent form.
+def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, seed: int) -> SampleSet:
+    """Draw the latent vector first, then the items, for a latent form of rank at most 3.
 
-    The latent value is drawn by inverse CDF on a dense uniform grid covering
-    the density's support; items are then independent logistic coins given the
-    draw.  The quadrature rule guards resolution: if it disagrees with its
-    doubled reference on the density's normalizer by more than the mass
-    tolerance, the model is outside the trustworthy regime and a
-    `QuadratureResolutionError` is raised.
+    Each draw picks a tensor node ``theta_k`` of ``rule`` (default: the
+    64-node Gauss-Hermite rule) with the share ``c_k`` that the latent marginal
+    gives it, then draws the items as independent coins
+    ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.  The draws thus
+    follow the node mixture that `mirt_marginal_pmf` tabulates, and the sampler
+    raises what the marginal raises: `RankLimitError` above rank 3 and
+    `QuadratureResolutionError` for a rule too coarse for the model.
     """
     _require_positive_m(m)
-    if lf.r != 1:
-        raise RankLimitError(
-            f"latent-first sampling supports exactly one latent dimension, "
-            f"got r = {lf.r}"
-        )
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
     rule = QuadratureRule.gauss_hermite() if rule is None else rule
-    a = lf.loadings[:, 0]
-    delta = lf.delta
-
-    def log_shape(t: np.ndarray) -> np.ndarray:
-        return log_2cosh(t[:, None] * a + delta).sum(axis=1) - 0.5 * t**2
-
-    # Normalizer agreement between the rule and its doubled reference.
-    coarse, fine = (log_latent_norm(delta, lf.loadings, q) for q in (rule, rule.refined()))
-    drift = abs(math.exp(coarse - fine) - 1.0)
-    if drift > MASS_TOL:
-        raise QuadratureResolutionError(
-            f"quadrature rule disagrees with its doubled reference on the "
-            f"latent normalizer by {drift:.2e}; refine the rule (more nodes)"
-        )
-
-    half_width = max(float(rule.nodes.max()), float(np.abs(a).sum()) + 8.0)
-    grid = np.linspace(-half_width, half_width, grid_points)
-    log_f = log_shape(grid)
-    f = np.exp(log_f - log_f.max())
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]))))
-    cdf /= cdf[-1]
-
+    cdf = np.cumsum(np.exp(node_log_shares(lf, rule)))
     rng = np.random.default_rng(seed)
-    thetas = np.interp(rng.random(m), cdf, grid)
-    p_plus = np.exp(log_sigmoid(2.0 * (thetas[:, None] * a + delta)))
+    k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
+    # Node k's digits in base node_count, first latent dimension most significant.
+    digits = k[:, None] // rule.node_count ** np.arange(lf.r - 1, -1, -1) % rule.node_count
+    p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + rule.nodes[digits] @ lf.loadings.T)))
     draws = np.where(rng.random((m, lf.n)) < p_plus, 1, -1).astype(np.int8)
     return SampleSet(
-        draws=draws,
-        seed=seed,
-        method="latent-first",
-        meta={"grid_points": grid_points, "grid_halfwidth": half_width},
+        draws=draws, seed=seed, method="latent-first", meta={"quad_nodes": rule.node_count}
     )
 
 

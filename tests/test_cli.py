@@ -312,17 +312,34 @@ class TestSampleCommand:
         sample = it.load_sample_set(out)
         assert sample.m == 30 and sample.method == "latent-first"
 
-    def test_latent_first_rejects_wide_models(self, rng, tmp_path, capsys):
+    def test_latent_first_works_on_rank_two(self, rng, tmp_path, capsys):
         from conftest import low_rank_spec
 
         path = tmp_path / "model.json"
         it.save_model_spec(low_rank_spec(rng, 5, 2), path)
+        out = str(tmp_path / "l.csv")
+        code = main(
+            ["sample", str(path), "--method", "latent-first", "--m", "30",
+             "--seed", "3", "--out", out]
+        )
+        assert code == 0
+        capsys.readouterr()
+        side = json.loads((tmp_path / "l.meta.json").read_text())
+        assert side["meta"] == {"quad_nodes": 64} and side["n"] == 5
+
+    def test_latent_first_rejects_wide_models(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 6, 4), path)
         code = main(
             ["sample", str(path), "--method", "latent-first", "--m", "5",
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 3
-        assert "exactly one" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: tensor quadrature supports a latent rank of at most 3, got rank 4\n"
+        )
 
     def test_zero_draws(self, tmp_path, capsys):
         code = main(

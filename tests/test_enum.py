@@ -15,6 +15,8 @@ from conftest import random_spec
 from ising_trinity._enum import (
     ENUMERATION_LIMIT,
     config_text,
+    decode_configs,
+    encode_configs,
     linear_table,
     log_sigmoid,
     normalize,
@@ -77,6 +79,17 @@ class TestKernel:
         expected = [-1000.0, -math.log1p(math.exp(3.0)), -math.log(2.0)]
         expected += [-math.log1p(math.exp(-3.0)), 0.0]
         npt.assert_allclose(log_sigmoid(t), expected, rtol=1e-15, atol=0)
+
+    def test_config_codec_spells_out_the_oracle_and_inverts(self):
+        for n in range(9):
+            configs = decode_configs(np.arange(1 << n), n)
+            assert configs.dtype == np.int8 and configs.tolist() == [list(c) for c in all_configs(n)]
+            assert encode_configs(configs).tolist() == list(range(1 << n))
+            npt.assert_array_equal(it.config_matrix(n), configs)
+        idx = np.array([[0, 5], [7, 2]])
+        assert decode_configs(idx, 3).shape == (2, 2, 3)
+        assert np.array_equal(encode_configs(decode_configs(idx, 3)), idx)
+        assert it.config_to_index(it.index_to_config(5, 3)) == 5
 
     @pytest.mark.parametrize("sep", [",", ",\n      "])
     def test_config_text_spells_out_the_config_matrix(self, sep):

@@ -335,10 +335,13 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     table, log_total = mirt_quadrature_table(
         delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
     )
-    # Small chunks cut the node grid into blocks of the first latent dimension.
-    with mock.patch.object(latent, "_NODE_CHUNK", chunk):
+    # Small chunks cut the node grid into blocks of the first latent dimension;
+    # the rule is made its own reference, as the oracle normalizes under it.
+    with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
+        it.QuadratureRule, "refined", lambda self: self
+    ):
         log_norm = latent.log_latent_norm(delta, loadings, rule)
-        pmf = latent._quadrature_pmf(delta, loadings, rule, rule)
+        pmf = latent._quadrature_pmf(delta, loadings, rule)
     assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     npt.assert_allclose(pmf.probs, table, rtol=0, atol=ORACLE_TOL)

@@ -13,7 +13,7 @@ import ising_trinity as it
 from conftest import low_rank_spec, random_spec
 from ising_trinity import sampling
 from ising_trinity.cli import _read_config_table, main
-from oracles import read_config_table, read_sample_draws, rejection_draws, sample_csv_text
+from oracles import all_configs, read_config_table, read_sample_draws, rejection_draws, sample_csv_text
 
 
 def unit_coupling_spec(n: int) -> it.ModelSpec:
@@ -37,6 +37,22 @@ class TestSampleSet:
     def test_rejects_non_binary_draws(self):
         with pytest.raises(ValueError, match=r"\+1 and -1"):
             it.SampleSet(draws=np.array([[1, 0]]), seed=0, method="exact")
+
+    def test_rejects_non_integer_draws_before_the_cast(self):
+        with pytest.raises(ValueError, match=r"\+1 and -1"):
+            it.SampleSet(draws=np.array([[1.5, -1.7]]), seed=0, method="exact")
+        with pytest.raises(ValueError, match=r"\+1 and -1"):
+            it.SampleSet(draws=np.array([["1", "-1"]]), seed=0, method="exact")
+        floats = it.SampleSet(draws=np.array([[1.0, -1.0]]), seed=0, method="exact")
+        assert floats.draws.dtype == np.int8 and floats.draws.tolist() == [[1, -1]]
+
+    def test_frequencies_refuse_more_than_twenty_items(self):
+        sample = it.SampleSet(draws=np.ones((2, 21), dtype=np.int8), seed=0, method="exact")
+        with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
+            it.empirical_frequencies(sample)
+        assert it.empirical_frequencies(
+            it.SampleSet(draws=np.ones((2, 20), dtype=np.int8), seed=0, method="exact")
+        )[-1] == 1.0
 
     def test_rejects_empty_and_flat(self):
         with pytest.raises(ValueError):
@@ -87,6 +103,14 @@ class TestExactSampler:
             if p_value < 0.001:
                 rejections += 1
         assert rejections <= 2
+
+    def test_draws_are_the_indexed_configurations(self, rng):
+        # Inverse-CDF indices replayed from the same stream, spelled out by the oracle.
+        pmf = it.ising_pmf(random_spec(rng, 5))
+        sample = it.sample_exact(pmf, 3000, seed=8)
+        u = np.random.default_rng(8).random(3000)
+        idx = np.searchsorted(np.cumsum(pmf.probs), u, side="right")
+        assert np.array_equal(sample.draws, np.array(all_configs(5), dtype=np.int8)[idx])
 
     def test_zero_draws_rejected(self):
         pmf = it.ising_pmf(unit_coupling_spec(2))
@@ -292,29 +316,50 @@ class TestLatentFirstSampler:
         a = it.sample_latent_first(lf, None, 400, seed=13)
         b = it.sample_latent_first(lf, None, 400, seed=13)
         assert np.array_equal(a.draws, b.draws)
-        assert a.meta["grid_points"] == 4097
+        assert a.meta == {"quad_nodes": 64}
+        rule = it.QuadratureRule.gauss_hermite(32)
+        assert it.sample_latent_first(lf, rule, 10, seed=0).meta == {"quad_nodes": 32}
 
-    def test_requires_single_latent_dimension(self, rng):
-        from conftest import low_rank_spec
-
-        spec = low_rank_spec(rng, 5, 2)
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_goodness_of_fit_to_the_network_table(self, rank):
+        rng = np.random.default_rng(700 + rank)
+        spec = low_rank_spec(rng, 8, rank, field_scale=0.5)
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
-        with pytest.raises(it.RankLimitError, match="exactly one"):
+        assert lf.r == rank
+        m = 40_000
+        counts = it.empirical_frequencies(it.sample_latent_first(lf, None, m, seed=rank)) * m
+        expected = m * it.ising_pmf(spec).probs
+        # Cells expecting fewer than five draws are pooled into one.
+        small = expected < 5.0
+        e = np.append(expected[~small], expected[small].sum())
+        o = np.append(counts[~small], counts[small].sum())
+        keep = e > 0.0
+        stat = (((o - e) ** 2)[keep] / e[keep]).sum()
+        assert stat < stats.chi2.isf(1e-6, keep.sum() - 1)
+
+    def test_rank_limit_is_the_marginals(self, rng):
+        spec = low_rank_spec(rng, 6, 4)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        with pytest.raises(it.RankLimitError) as marginal:
+            it.mirt_marginal_pmf(lf)
+        with pytest.raises(it.RankLimitError) as sampler:
             it.sample_latent_first(lf, None, 10, seed=0)
-        flat = it.LatentForm(delta=np.zeros(3), loadings=np.zeros((3, 0)))
-        with pytest.raises(it.RankLimitError):
-            it.sample_latent_first(flat, None, 10, seed=0)
+        assert str(sampler.value) == str(marginal.value)
+        assert str(sampler.value) == "tensor quadrature supports a latent rank of at most 3, got rank 4"
+
+    def test_needs_no_item_limit(self):
+        lf = it.LatentForm(delta=np.full(40, 0.3), loadings=np.full((40, 1), 0.1))
+        sample = it.sample_latent_first(lf, None, 50, seed=1)
+        assert sample.draws.shape == (50, 40)
 
     def test_coarse_rule_rejected(self):
         lf = rank_one_form(2)
         rule = it.QuadratureRule.gauss_hermite(4)
-        with pytest.raises(it.QuadratureResolutionError, match="refine"):
+        with pytest.raises(it.QuadratureResolutionError, match="refine") as sampler:
             it.sample_latent_first(lf, rule, 10, seed=0)
-
-    def test_grid_guard(self):
-        lf = rank_one_form(2)
-        with pytest.raises(ValueError, match="at least 16"):
-            it.sample_latent_first(lf, None, 10, seed=0, grid_points=8)
+        with pytest.raises(it.QuadratureResolutionError, match="refine"):
+            it.mirt_marginal_pmf(lf, rule)
+        assert "deviates from 1 by more than 1e-06" in str(sampler.value)
 
 
 class TestSampleIo:
