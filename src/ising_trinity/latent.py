@@ -193,7 +193,7 @@ def _reference_log_norm(delta: np.ndarray, loadings: np.ndarray, rule: Quadratur
 def _check_mass(mass: float) -> None:
     if abs(mass - 1.0) > MASS_TOL:
         raise QuadratureResolutionError(
-            f"quadrature marginal mass {mass!r} deviates from 1 by more than "
+            f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
             f"{MASS_TOL:g}; refine the rule (more nodes)"
         )
 

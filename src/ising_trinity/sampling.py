@@ -7,7 +7,6 @@ always yields the same draws, independent of machine parallelism.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,12 @@ from .latent import LatentForm, QuadratureRule, node_log_shares
 PROBE_PROPOSALS = 1_000_000
 MIN_ACCEPT_RATE = 1e-6
 
-_SWEEP_CHUNK = 4096
+# Independent Gibbs chains scanned together as the columns of one array.
+GIBBS_CHAINS = 64
+
+# Gibbs uniforms drawn and turned into thresholds together (sweeps x sites x
+# chains); bounds the float working block at 2 MiB whatever the model's width.
+_UNIFORM_BLOCK = 1 << 18
 
 # Rejection proposals drawn and scored together; bounds the float working arrays.
 _PROPOSAL_CHUNK = 1 << 16
@@ -97,54 +101,107 @@ def sample_gibbs(
     burn_in: int = 1000,
     thin: int = 1,
 ) -> SampleSet:
-    """Systematic-scan Gibbs sampling of the pairwise model.
+    """Systematic-scan Gibbs sampling of the pairwise model, many chains at once.
 
-    Each sweep resamples sites ``0..n-1`` in order from their exact
-    conditionals ``p(x_i = +1 | rest) = logistic(2 (delta_i + sigma_i . x))``.
-    The first ``burn_in`` sweeps are discarded, then every ``thin``-th sweep is
-    recorded until ``m`` draws are collected.
+    ``k = min(GIBBS_CHAINS, m)`` independent chains start from uniformly random
+    configurations.  Each sweep resamples sites ``0..n-1`` in order from their
+    exact conditionals ``p(x_i = +1 | rest) = logistic(2 (delta_i + sigma_i . x))``,
+    one update covering every chain.  Each chain discards its first ``burn_in``
+    sweeps, then records every ``thin``-th sweep until it holds
+    ``ceil(m / k)`` draws.  The draws are chain-major (chain 0's draws in
+    order, then chain 1's, ...) and truncated to ``m`` rows.
+
+    ``meta`` holds ``burn_in``, ``thin``, ``chains`` (``k``) and two
+    convergence diagnostics over every recorded draw: ``rhat_max``, the
+    largest split-R-hat over sites, and ``ess_min``, the smallest bulk
+    effective sample size over sites (see `_chain_diagnostics`).  Either is
+    ``None`` where no site has within-chain variation to measure, or where
+    the chains hold fewer than eight draws each.
     """
     _require_positive_m(m)
     if burn_in < 0:
         raise ValueError(f"burn_in must be non-negative, got {burn_in}")
     if thin < 1:
         raise ValueError(f"thin must be at least 1, got {thin}")
-    n = spec.n
+    n, k = spec.n, min(GIBBS_CHAINS, m)
+    per_chain = -(-m // k)
     rng = np.random.default_rng(seed)
-    sigma0 = spec.coupling_offdiag()
-    rows = [sigma0[i].copy() for i in range(n)]
-    delta = [float(d) for d in spec.delta]
-    x = (2.0 * rng.integers(0, 2, n) - 1.0).astype(np.float64)
-
-    draws = np.empty((m, n), dtype=np.int8)
-    total_sweeps = burn_in + m * thin
-    recorded = 0
-    done = 0
-    while done < total_sweeps:
-        chunk = min(_SWEEP_CHUNK, total_sweeps - done)
-        u = rng.random((chunk, n))
-        for s in range(chunk):
-            us = u[s]
-            for i in range(n):
-                h = delta[i] + float(rows[i] @ x)
-                if h > 30.0:
-                    p = 1.0
-                elif h < -30.0:
-                    p = 0.0
-                else:
-                    p = 1.0 / (1.0 + math.exp(-2.0 * h))
-                x[i] = 1.0 if us[i] < p else -1.0
-            post = done + s - burn_in + 1  # 1-based sweep count past burn-in
-            if post >= 1 and post % thin == 0:
-                draws[recorded] = x
-                recorded += 1
-        done += chunk
+    sigma = spec.coupling_offdiag()
+    # With b = (x + 1) / 2 in {0, 1}, the event u < logistic(2 (delta_i + sigma_i . x))
+    # is sigma_i . b > t = (atanh(2u - 1) + sum_j sigma_ij - delta_i) / 2.
+    offset = (sigma.sum(axis=1) - spec.delta)[:, None]
+    b = rng.integers(0, 2, (n, k)).astype(np.float64)
+    rows, b_rows = list(sigma), list(b)
+    recorded = np.empty((per_chain, n, k), dtype=np.int8)
+    total_sweeps = burn_in + per_chain * thin
+    # Blocks of whole sweeps draw the same stream as one (total_sweeps, n, k) call.
+    block = max(1, _UNIFORM_BLOCK // max(n * k, 1))
+    for lo in range(0, total_sweeps, block):
+        t = rng.random((min(block, total_sweeps - lo), n, k))
+        t *= 2.0
+        t -= 1.0
+        np.arctanh(t, out=t)
+        t += offset
+        t *= 0.5
+        for sweep, t_sweep in enumerate(t, lo + 1 - burn_in):
+            for row, b_i, t_i in zip(rows, b_rows, t_sweep):
+                b_i[...] = row @ b > t_i
+            if sweep >= 1 and sweep % thin == 0:
+                recorded[sweep // thin - 1] = b
+    chains = 2 * recorded.transpose(2, 0, 1) - 1  # (k, per_chain, n)
     return SampleSet(
-        draws=draws,
+        draws=chains.reshape(k * per_chain, n)[:m],
         seed=seed,
         method="gibbs",
-        meta={"burn_in": burn_in, "thin": thin},
+        meta={"burn_in": burn_in, "thin": thin, "chains": k, **_chain_diagnostics(chains)},
     )
+
+
+def _chain_diagnostics(chains: np.ndarray) -> dict:
+    """Largest split-R-hat and smallest bulk ESS over sites of ``(k, draws, n)`` chains.
+
+    Each chain is split into its first and last ``draws // 2`` draws, giving
+    ``M = 2k`` halves of ``N`` draws (Vehtari et al. 2021).  With ``W`` the mean
+    within-half variance and ``var+ = (N - 1) / N W + var(half means)``,
+    split-R-hat is ``sqrt(var+ / W)``.  The ESS is ``M N / tau`` with
+    ``tau = -1 + 2 sum_j P_j``, where ``P_j = rho_2j + rho_2j+1``,
+    ``rho_0 = 1``, ``rho_t = 1 - (W - mean autocovariance at lag t) / var+``,
+    and the sum runs over Geyer's (1992) initial monotone sequence: each
+    ``P_j`` lowered to the smallest before it, stopping at the first that is
+    not positive.  Rank-normalizing a two-valued site is an affine map, so
+    these are also the rank-normalized (bulk) values.  Sites with ``W = 0``
+    are skipped.  Both values are ``None`` when no site is left, or when the
+    halves hold fewer than four draws (two lag pairs).
+    """
+    half = chains.shape[1] // 2
+    if half < 4:
+        return {"rhat_max": None, "ess_min": None}
+    halves = np.concatenate([chains[:, :half], chains[:, -half:]])
+    means = halves.mean(axis=1)
+    # Draws are +/-1, so a half's squared deviations sum to N (1 - mean^2),
+    # which is exactly 0 for a constant half.
+    w = half / (half - 1) * (1.0 - means**2).mean(axis=0)
+    live = w > 0.0
+    if not live.any():
+        return {"rhat_max": None, "ess_min": None}
+    y = halves[:, :, live] - means[:, None, live]
+    w = w[live]
+    var_plus = (half - 1) / half * w + means[:, live].var(axis=0, ddof=1)
+
+    def rho(lag: int) -> np.ndarray:
+        acov = np.einsum("mtn,mtn->n", y[:, : half - lag], y[:, lag:]) / (len(y) * half)
+        return 1.0 - (w - acov) / var_plus
+
+    pair_sum = np.zeros_like(w)
+    pair = np.full_like(w, np.inf)
+    for lag in range(0, half - 1, 2):
+        pair = np.minimum(pair, (1.0 if lag == 0 else rho(lag)) + rho(lag + 1))
+        positive = pair > 0.0
+        if not positive.any():
+            break
+        pair_sum += np.where(positive, pair, 0.0)
+    ess = len(y) * half / (2.0 * pair_sum - 1.0)
+    return {"rhat_max": float(np.sqrt(var_plus / w).max()), "ess_min": float(ess.min())}
 
 
 def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:

@@ -3,8 +3,9 @@
 Everything here enumerates configurations with explicit loops and scalar math
 so that agreement with the package's vectorized, log-space code is meaningful.
 Index order matches the package convention: bit ``i`` of the index gives the
-sign of ``x_i``.  The one exception is `rejection_draws`, which must replay
-numpy's random stream and so uses numpy.
+sign of ``x_i``.  The exceptions are `rejection_draws`, which must replay
+numpy's random stream and so uses numpy, and `gibbs_draws`, which draws that
+stream with numpy and then updates in scalar loops.
 """
 
 import itertools
@@ -263,3 +264,92 @@ def rejection_draws(delta, effects, m, seed, probe=1_000_000, min_rate=1e-6):
         "acceptance_rate": n_acc / n_prop,
     }
     return np.concatenate(kept, axis=0)[:m], meta
+
+
+def gibbs_draws(delta, sigma, m, seed, burn_in, thin, chains):
+    """Multi-chain systematic-scan Gibbs, one chain and one site at a time.
+
+    Replays the package's stream: a random ``{0, 1}`` start of shape
+    ``(n, k)`` with ``k = min(chains, m)``, then one ``(sweeps, n, k)`` block of
+    uniforms.  Site ``i`` of chain ``c`` becomes ``+1`` exactly when
+    ``u < 1 / (1 + exp(-2 h))``, ``h = delta_i + sum_{j != i} sigma_ij x_j``.
+    Each chain discards ``burn_in`` sweeps, then keeps every ``thin``-th until
+    it holds ``ceil(m / k)`` draws.  Returns the ``k`` chains as lists of rows.
+    """
+    n = len(delta)
+    k = min(chains, m)
+    per_chain = -(-m // k)
+    sweeps = burn_in + per_chain * thin
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, 2, (n, k)).tolist()
+    u = rng.random((sweeps, n, k)).tolist()
+    out = []
+    for c in range(k):
+        x = [2 * start[i][c] - 1 for i in range(n)]
+        rows = []
+        for s in range(sweeps):
+            for i in range(n):
+                h = delta[i] + sum(sigma[i][j] * x[j] for j in range(n) if j != i)
+                x[i] = 1 if u[s][i][c] < 1.0 / (1.0 + math.exp(min(-2.0 * h, 700.0))) else -1
+            past = s + 1 - burn_in
+            if past >= 1 and past % thin == 0:
+                rows.append(list(x))
+        out.append(rows)
+    return out
+
+
+def _split_halves(chains):
+    """Each chain's first and last ``len // 2`` values, with their means."""
+    half = len(chains[0]) // 2
+    halves = [c[:half] for c in chains] + [c[len(c) - half :] for c in chains]
+    return halves, [sum(h) / half for h in halves]
+
+
+def _split_variances(halves, means):
+    """Mean within-half variance ``W`` and ``var+``, the pooled variance estimate."""
+    half = len(halves[0])
+    w = sum(
+        sum((v - mu) ** 2 for v in h) / (half - 1) for h, mu in zip(halves, means)
+    ) / len(halves)
+    grand = sum(means) / len(means)
+    between = sum((mu - grand) ** 2 for mu in means) / (len(means) - 1)
+    return w, (half - 1) / half * w + between
+
+
+def split_rhat(chains):
+    """Split-R-hat of one site's chains, given as equal-length lists of values.
+
+    ``None`` where every half is constant (``W = 0``).
+    """
+    halves, means = _split_halves(chains)
+    w, var_plus = _split_variances(halves, means)
+    return math.sqrt(var_plus / w) if w > 0.0 else None
+
+
+def bulk_ess(chains):
+    """Multi-chain ESS of one site by Geyer's initial monotone sequence.
+
+    Autocorrelations at every lag, ``rho_t = 1 - (W - mean_halves acov_t) / var+``
+    over the split halves, with ``rho_0 = 1``; pair sums ``rho_2j + rho_2j+1``
+    are lowered to their running minimum and summed while positive.  ``None``
+    where every half is constant (``W = 0``).
+    """
+    halves, means = _split_halves(chains)
+    w, var_plus = _split_variances(halves, means)
+    if w == 0.0:
+        return None
+    half = len(halves[0])
+    rhos = [1.0]
+    for lag in range(1, half):
+        acov = sum(
+            sum((h[i] - mu) * (h[i + lag] - mu) for i in range(half - lag)) / half
+            for h, mu in zip(halves, means)
+        ) / len(halves)
+        rhos.append(1.0 - (w - acov) / var_plus)
+    total, smallest = 0.0, math.inf
+    for j in range(half // 2):
+        smallest = min(smallest, rhos[2 * j] + rhos[2 * j + 1])
+        if smallest <= 0.0:
+            break
+        total += smallest
+    return len(halves) * half / (2.0 * total - 1.0)

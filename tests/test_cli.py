@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -250,7 +251,11 @@ class TestVerifyCommand:
 
     def test_too_coarse_quadrature(self, tmp_path, capsys):
         assert main(["verify", paired_spec(tmp_path), "--quad-nodes", "4"]) == 2
-        assert "refine" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "refine" in err
+        # The mass prints as a plain number, not as numpy's scalar repr.
+        assert re.search(r"quadrature marginal mass 0\.\d+ deviates", err)
+        assert "np.float64" not in err
 
     @pytest.mark.parametrize("nodes, got", [("256", "got 512"), ("300", "got 300")])
     def test_quadrature_rule_above_the_limit(self, tmp_path, capsys, nodes, got):
@@ -288,7 +293,10 @@ class TestSampleCommand:
         assert code == 0
         assert "wrote 20 draws via gibbs" in capsys.readouterr().out
         side = json.loads((tmp_path / "g.meta.json").read_text())
-        assert side["meta"] == {"burn_in": 50, "thin": 2}
+        # 20 chains of one draw each are too short for the diagnostics.
+        assert side["meta"] == {
+            "burn_in": 50, "thin": 2, "chains": 20, "rhat_max": None, "ess_min": None
+        }
 
     def test_rejection_reports_acceptance_rate(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")

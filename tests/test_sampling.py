@@ -13,7 +13,16 @@ import ising_trinity as it
 from conftest import low_rank_spec, random_spec
 from ising_trinity import sampling
 from ising_trinity.cli import _read_config_table, main
-from oracles import all_configs, read_config_table, read_sample_draws, rejection_draws, sample_csv_text
+from oracles import (
+    all_configs,
+    bulk_ess,
+    gibbs_draws,
+    read_config_table,
+    read_sample_draws,
+    rejection_draws,
+    sample_csv_text,
+    split_rhat,
+)
 
 
 def unit_coupling_spec(n: int) -> it.ModelSpec:
@@ -26,6 +35,17 @@ def weak_spec(rng, n: int = 10) -> it.ModelSpec:
     return it.ModelSpec(
         delta=rng.uniform(-0.5, 0.5, n), sigma=0.1 * (np.ones((n, n)) - np.eye(n))
     )
+
+
+def pooled_chi_square_passes(counts, expected) -> bool:
+    """Pearson chi-square at false-alarm rate 1e-6, with the cells expecting
+    fewer than five draws pooled into one."""
+    small = expected < 5.0
+    e = np.append(expected[~small], expected[small].sum())
+    o = np.append(counts[~small], counts[small].sum())
+    keep = e > 0.0
+    stat = (((o - e) ** 2)[keep] / e[keep]).sum()
+    return stat < stats.chi2.isf(1e-6, keep.sum() - 1)
 
 
 def rank_one_form(n: int) -> it.LatentForm:
@@ -163,7 +183,10 @@ class TestGibbsSampler:
         a = it.sample_gibbs(spec, 50, seed=9, burn_in=10, thin=2)
         b = it.sample_gibbs(spec, 50, seed=9, burn_in=10, thin=2)
         assert np.array_equal(a.draws, b.draws)
-        assert a.meta == {"burn_in": 10, "thin": 2}
+        # 50 chains of one draw each: too short to split, so no diagnostics.
+        assert a.meta == {
+            "burn_in": 10, "thin": 2, "chains": 50, "rhat_max": None, "ess_min": None
+        }
 
     def test_thinning_changes_the_stream(self):
         spec = unit_coupling_spec(3)
@@ -171,6 +194,103 @@ class TestGibbsSampler:
         thin4 = it.sample_gibbs(spec, 50, seed=9, burn_in=10, thin=4)
         assert thin1.m == thin4.m == 50
         assert not np.array_equal(thin1.draws, thin4.draws)
+
+    # m = 1, 63 and 65 give one chain, 63 chains of one draw, and 64 chains
+    # of two draws truncated to 65 rows.
+    @pytest.mark.parametrize(
+        "m, burn_in, thin",
+        [(200, 20, 1), (130, 5, 3), (192, 0, 1), (1, 10, 1), (63, 10, 2), (65, 10, 1)],
+    )
+    def test_replays_the_scalar_oracle(self, m, burn_in, thin):
+        rng = np.random.default_rng(31)
+        specs = [
+            it.ModelSpec(delta=np.array([0.3]), sigma=np.zeros((1, 1))),
+            random_spec(rng, 4, coupling_scale=0.5, field_scale=0.5),
+            unit_coupling_spec(6),
+        ]
+        for spec in specs:
+            for seed in range(3):
+                sample = it.sample_gibbs(spec, m, seed, burn_in=burn_in, thin=thin)
+                chains = gibbs_draws(
+                    spec.delta.tolist(), spec.sigma.tolist(), m, seed, burn_in, thin,
+                    sampling.GIBBS_CHAINS,
+                )
+                expected = np.array([row for chain in chains for row in chain], dtype=np.int8)
+                assert np.array_equal(sample.draws, expected[:m])
+                assert sample.meta["chains"] == len(chains) == min(m, sampling.GIBBS_CHAINS)
+
+    def test_diagnostics_match_the_reference(self, rng):
+        specs = [
+            random_spec(rng, 4, coupling_scale=0.3, field_scale=0.5),
+            unit_coupling_spec(5),
+            # A site pinned at +1 has no variation and is skipped.
+            it.ModelSpec(
+                delta=np.array([0.2, 30.0, -0.1]), sigma=0.4 * (np.ones((3, 3)) - np.eye(3))
+            ),
+        ]
+        k = sampling.GIBBS_CHAINS
+        for draws_per_chain in (8, 41):
+            for spec in specs:
+                sample = it.sample_gibbs(spec, k * draws_per_chain, seed=3, burn_in=5)
+                chains = sample.draws.reshape(k, draws_per_chain, spec.n).astype(float)
+                per_site = [chains[:, :, i].tolist() for i in range(spec.n)]
+                rhats = [v for v in map(split_rhat, per_site) if v is not None]
+                esses = [v for v in map(bulk_ess, per_site) if v is not None]
+                assert len(rhats) == len(esses)
+                if not rhats:
+                    assert sample.meta["rhat_max"] is sample.meta["ess_min"] is None
+                    continue
+                assert sample.meta["rhat_max"] == pytest.approx(max(rhats), rel=1e-9)
+                assert sample.meta["ess_min"] == pytest.approx(min(esses), rel=1e-9)
+
+    def test_diagnostics_are_null_without_variation(self):
+        # Two sites that never flip; chains of seven draws, too short to split.
+        frozen = it.ModelSpec(delta=np.array([30.0, -30.0]), sigma=np.zeros((2, 2)))
+        for spec, m in ((frozen, 5000), (unit_coupling_spec(3), 64 * 7)):
+            meta = it.sample_gibbs(spec, m, seed=1, burn_in=5).meta
+            assert meta["rhat_max"] is None and meta["ess_min"] is None
+            json.dumps(meta, allow_nan=False)
+
+    def test_diagnostics_flag_chains_that_do_not_mix(self, rng):
+        # At unit coupling on eight sites each chain stays in the mode it
+        # entered; the weak model's chains mix within a few sweeps.
+        stuck = it.sample_gibbs(unit_coupling_spec(8), 20_000, seed=2).meta
+        mixing = it.sample_gibbs(weak_spec(rng), 20_000, seed=2).meta
+        assert stuck["rhat_max"] > 2.0 and stuck["ess_min"] < 1000
+        assert mixing["rhat_max"] < 1.05 and mixing["ess_min"] > 5000
+
+    @pytest.mark.parametrize("n", [2, 6, 8])
+    def test_goodness_of_fit_to_the_exact_table(self, n):
+        rng = np.random.default_rng(900 + n)
+        spec = unit_coupling_spec(2) if n == 2 else random_spec(rng, n, 0.3, 0.5)
+        per_chain = 3000
+        sample = it.sample_gibbs(spec, sampling.GIBBS_CHAINS * per_chain, seed=n)
+        # Every tenth draw of each chain, which is close to independent here.
+        draws = sample.draws.reshape(sampling.GIBBS_CHAINS, per_chain, n)[:, ::10]
+        thinned = it.SampleSet(draws.reshape(-1, n), seed=n, method="gibbs")
+        counts = it.empirical_frequencies(thinned) * thinned.m
+        expected = thinned.m * it.ising_pmf(spec).probs
+        assert pooled_chi_square_passes(counts, expected)
+
+    def test_uniform_block_bounds_memory(self):
+        # One (sweeps, n, chains) block of uniforms for the whole run would be
+        # 132 x 300 x 64 doubles, 20 MB, and peaks near 29 MiB; in blocks of
+        # 2 MiB the peak is about 10 MiB.
+        spec = it.ModelSpec(delta=np.zeros(300), sigma=np.zeros((300, 300)))
+        tracemalloc.start()
+        try:
+            sample = it.sample_gibbs(spec, 2000, seed=4, burn_in=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.m == 2000
+        assert peak < 16 * 2**20
+
+    def test_model_without_sites(self):
+        spec = it.ModelSpec(delta=np.zeros(0), sigma=np.zeros((0, 0)))
+        sample = it.sample_gibbs(spec, 500, seed=0, burn_in=3)
+        assert sample.draws.shape == (500, 0)
+        assert sample.meta["rhat_max"] is sample.meta["ess_min"] is None
 
     def test_parameter_guards(self):
         spec = unit_coupling_spec(2)
@@ -329,13 +449,7 @@ class TestLatentFirstSampler:
         m = 40_000
         counts = it.empirical_frequencies(it.sample_latent_first(lf, None, m, seed=rank)) * m
         expected = m * it.ising_pmf(spec).probs
-        # Cells expecting fewer than five draws are pooled into one.
-        small = expected < 5.0
-        e = np.append(expected[~small], expected[small].sum())
-        o = np.append(counts[~small], counts[small].sum())
-        keep = e > 0.0
-        stat = (((o - e) ** 2)[keep] / e[keep]).sum()
-        assert stat < stats.chi2.isf(1e-6, keep.sum() - 1)
+        assert pooled_chi_square_passes(counts, expected)
 
     def test_rank_limit_is_the_marginals(self, rng):
         spec = low_rank_spec(rng, 6, 4)
