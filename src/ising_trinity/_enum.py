@@ -8,10 +8,28 @@ Exact tables are built by doubling rather than by materializing the
 ``(2**n, n)`` configuration matrix.  A table over the first ``k`` variables
 becomes one over the first ``k + 1`` by writing it twice: the lower half for
 ``x_k = -1`` and the upper half, whose indices carry the new top bit ``k``,
-for ``x_k = +1``.  `linear_table` applies this to ``x . coef``; each builder
-composes it into its own log-weight formula and hands the result to
-`normalize`.  Every table costs O(2**n) work per linear term and no
-configuration matrix.
+for ``x_k = +1``.  `linear_table` applies this to ``x . coef``, or to several
+such scores at once; each builder composes it into its own log-weight
+formula and hands the result to `normalize`.  Every table costs O(2**n) work
+per linear term and no configuration matrix.
+
+Split halves: a table whose terms are products of scores is cheaper to build
+from two half tables.  The low ``h = n // 2`` bits of an index pick a
+configuration of the first ``h`` variables and the high bits one of the
+rest, so the table is a ``(2**(n - h), 2**h)`` matrix in index order.
+`split_half_table` fills it from half-width weights and score tables as
+``hi_w[:, None] + lo_w + hi_s @ lo_s.T``: the score doubling runs over
+``2**h`` and ``2**(n - h)`` rows instead of ``2**n``, and the cross terms are
+one matrix product.  The product runs in row blocks of at most
+``_BLOCK_MADDS`` multiply-adds each, half the 2**18 below which OpenBLAS (as
+built by default) keeps a product on the calling thread.  On a 2-CPU
+machine, threaded products of this shape stalled on waking their second
+thread: 128-row blocks of the n = 20 table, each ``(128, 19) @ (19, 1024)``,
+took 8-12 ms a table when run back to back but about 140 ms a table in a
+fresh process, against 12-16 ms either way for single-threaded blocks.  The
+blocks also bound the product's working set, and a product on one thread
+cannot depend on the BLAS thread count; CI compares n = 16 tables written
+on one and on two threads.
 """
 
 from __future__ import annotations
@@ -21,6 +39,9 @@ import numpy as np
 from .errors import EnumerationLimitError
 
 ENUMERATION_LIMIT = 20
+
+# Multiply-adds per block of a split-half product; see the module docstring.
+_BLOCK_MADDS = 1 << 17
 
 
 def check_enumerable(n: int) -> None:
@@ -65,15 +86,40 @@ def linear_table(coef: np.ndarray) -> np.ndarray:
     """``x . coef`` at every configuration of ``len(coef)`` variables, in index order.
 
     Adding variable ``k`` doubles the table: ``v <- concat(v - coef_k, v + coef_k)``.
+    An ``(n, r)`` coefficient matrix gives the ``(2**n, r)`` table of its ``r``
+    column scores.
     """
     coef = np.asarray(coef, dtype=np.float64)
     check_enumerable(coef.shape[0])
-    out = np.zeros(1 << coef.shape[0])
+    out = np.zeros((1 << coef.shape[0], *coef.shape[1:]))
     for k, c in enumerate(coef):
         half = 1 << k
         np.add(out[:half], c, out=out[half : 2 * half])
         out[:half] -= c
     return out
+
+
+def split_halves(n: int) -> tuple[slice, slice]:
+    """The variables of the high and of the low index half, as slices of ``range(n)``."""
+    check_enumerable(n)
+    return slice(n // 2, n), slice(0, n // 2)
+
+
+def split_half_table(hi_w, hi_s, lo_w, lo_s) -> np.ndarray:
+    """``hi_w[:, None] + lo_w + hi_s @ lo_s.T`` as one table in index order.
+
+    ``hi_w``/``hi_s`` are the weights and ``r`` scores of the high half's
+    ``2**(n - h)`` configurations, ``lo_w``/``lo_s`` those of the low half's
+    ``2**h``; see `split_halves`.
+    """
+    out = np.empty((hi_w.shape[0], lo_w.shape[0]))
+    rows = max(1, _BLOCK_MADDS // (lo_s.shape[0] * max(1, lo_s.shape[1])))
+    for top in range(0, out.shape[0], rows):
+        block = out[top : top + rows]
+        np.matmul(hi_s[top : top + rows], lo_s.T, out=block)
+        block += lo_w
+        block += hi_w[top : top + rows, None]
+    return out.reshape(-1)
 
 
 def config_text(n: int, sep: str) -> list[str]:

@@ -35,6 +35,13 @@ from .spectral import to_spectral
 
 METHODS = ("exact", "gibbs", "collider-rejection", "latent-first")
 
+# Table format -> (separator after each configuration cell, row template of
+# the low-half cells, the high-half cells and the probability).
+ROW_TEMPLATES = {
+    "csv": (",", "%s%s%.17g\n"),
+    "json": (",\n      ", "    [\n      %s%s%r\n    ]"),
+}
+
 
 def _write_out(text: str, path: str) -> None:
     if path == "-":
@@ -43,22 +50,41 @@ def _write_out(text: str, path: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _row_cells(n: int, sep: str) -> tuple[list[str], list[str]]:
+    """Each configuration's cells, each cell followed by ``sep``, in index order.
+
+    Returned as the parts for the low ``h = n // 2`` index bits and for the
+    high ones, the split of `spectral_pmf`'s table: only ``2**h`` and
+    ``2**(n - h)`` distinct strings are built, and the lists repeat them.
+    """
+    lo, hi = (
+        [c + sep for c in config_text(k, sep)] if k else [""]
+        for k in (n // 2, n - n // 2)
+    )
+    return lo * len(hi), [c for c in hi for _ in lo]
+
+
 def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
-    """The table as CSV, or as JSON rows (``repr`` is ``json``'s float) after a dumped head."""
+    """The table as CSV, or as JSON rows (``repr`` is ``json``'s float) after a dumped head.
+
+    Every row is one ``%`` template, so the whole table is one format call.
+    """
     header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
-    probs = pmf.probs.tolist()
+    sep, row = ROW_TEMPLATES[fmt]
+    cells = [None] * (3 << pmf.n)
+    cells[0::3], cells[1::3] = _row_cells(pmf.n, sep)
+    cells[2::3] = pmf.probs.tolist()
     if fmt == "csv":
-        rows = (f"{c},{p:.17g}" for c, p in zip(config_text(pmf.n, ","), probs))
-        return "\n".join([",".join(header), *rows]) + "\n"
+        return ",".join(header) + "\n" + row * pmf.probs.size % tuple(cells)
     head = {"n": pmf.n, "representation": representation, "log_z": pmf.log_z, "columns": header}
-    cells = config_text(pmf.n, ",\n      ")
-    rows = ",\n".join(f"    [\n      {c},\n      {p!r}\n    ]" for c, p in zip(cells, probs))
+    rows = ",\n".join([row] * pmf.probs.size) % tuple(cells)
     return f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     spec, extra_shift = load_model_spec(args.spec)
-    pmf = BRANCHES[args.representation](spec, to_spectral(spec, extra_shift), None)
+    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+    pmf = BRANCHES[args.representation](spec, to_spectral(spec, extra_shift), rule)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 
@@ -87,7 +113,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         sample = sample_collider_rejection(cf, args.m, args.seed)
     else:
         lf = LatentForm.from_spectral(to_spectral(spec, extra_shift), spec.delta)
-        sample = sample_latent_first(lf, None, args.m, args.seed)
+        rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+        sample = sample_latent_first(lf, rule, args.m, args.seed)
     save_sample_set(sample, args.out)
     note = ""
     if "acceptance_rate" in sample.meta:
@@ -149,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="conventional",
         help="code path used to compute the table",
     )
-    p_pmf.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_pmf.add_argument("--format", choices=tuple(ROW_TEMPLATES), default="csv")
+    p_pmf.add_argument(
+        "--quad-nodes", type=int, default=64, help="Gauss-Hermite nodes for -r latent"
+    )
     p_pmf.add_argument("--output", "-o", default="-", help="output path or - for stdout")
     p_pmf.set_defaults(handler=_cmd_pmf)
 
@@ -175,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", required=True, help="output CSV path")
     p_sample.add_argument("--burn-in", type=int, default=1000)
     p_sample.add_argument("--thin", type=int, default=1)
+    p_sample.add_argument(
+        "--quad-nodes", type=int, default=64, help="Gauss-Hermite nodes for latent-first"
+    )
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_fit = sub.add_parser(

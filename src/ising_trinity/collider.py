@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._enum import linear_table, log_2cosh, normalize
+from ._enum import linear_table, log_2cosh, normalize, split_half_table, split_halves
 from .core import Pmf, as_binary_config, as_delta
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
@@ -157,15 +157,22 @@ def collider_joint(cf: ColliderForm, x, e) -> float:
 def conditioned_pmf(cf: ColliderForm) -> Pmf:
     """Cause table conditioned on every effect being present.
 
+    The log weight is the cause marginal ``x.delta - sum_i log 2cosh delta_i``
+    plus each effect's log acceptance ``lam (q . x)^2 / 2 - log_sup``.  With
+    ``x`` split into its high and low index halves (`split_halves`), each
+    score is ``s_hi + s_lo``: the half tables carry ``x.delta`` and
+    ``lam s^2 / 2`` of their own half, the high one also the constants, and
+    `split_half_table` adds the cross terms ``(lam s_hi) . s_lo``.
+
     The table's ``log_z`` is the log probability of that conditioning event
     under the joint, i.e. the log of the expected acceptance rate.
     """
-    log_w = linear_table(cf.delta)
-    log_w -= log_2cosh(cf.delta).sum()
-    for eff in cf.effects:
-        score = linear_table(eff.q)
-        score *= score
-        score *= 0.5 * eff.lam
-        score -= eff.log_sup
-        log_w += score
-    return Pmf(cf.n, *normalize(log_w))
+    halves = []
+    for part in split_halves(cf.n):
+        scores = linear_table(cf.dirs[part])
+        log_w = linear_table(cf.delta[part])
+        log_w += (0.5 * cf.lams * scores * scores).sum(axis=1)
+        halves.append((log_w, scores))
+    (hi_w, hi_s), (lo_w, lo_s) = halves
+    hi_w -= cf.log_sups.sum() + log_2cosh(cf.delta).sum()
+    return Pmf(cf.n, *normalize(split_half_table(hi_w, hi_s * cf.lams, lo_w, lo_s)))

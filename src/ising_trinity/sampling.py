@@ -12,14 +12,22 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import check_enumerable, config_text, decode_configs, encode_configs, log_sigmoid
-from .collider import ColliderForm
+from ._enum import (
+    ENUMERATION_LIMIT,
+    check_enumerable,
+    config_text,
+    decode_configs,
+    encode_configs,
+    log_sigmoid,
+)
+from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, as_binary_config
 from .errors import ConditioningTooSevereError
 from .latent import LatentForm, QuadratureRule, node_log_shares
 
-# Rejection sampling gives up once at least this many proposals have produced
-# an acceptance rate below MIN_ACCEPT_RATE.
+# Rejection sampling refuses a model whose acceptance rate is below
+# MIN_ACCEPT_RATE: up front where the rate can be enumerated, otherwise once
+# at least PROBE_PROPOSALS proposals have shown it.
 PROBE_PROPOSALS = 1_000_000
 MIN_ACCEPT_RATE = 1e-6
 
@@ -209,12 +217,24 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
 
     Causes are proposed from their independent marginals and kept with
     probability equal to the product of effect acceptances, which is exactly
-    the conditioning event's likelihood.  Aborts with
-    `ConditioningTooSevereError` once ``PROBE_PROPOSALS`` proposals have shown
-    an acceptance rate below ``MIN_ACCEPT_RATE``.
+    the conditioning event's likelihood.  Up to the enumeration limit that
+    rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``: ``meta``
+    records it as ``predicted_acceptance``, and a rate below
+    ``MIN_ACCEPT_RATE`` raises `ConditioningTooSevereError` before any
+    proposal.  Above the limit ``predicted_acceptance`` is None, and the
+    sampler gives up once ``PROBE_PROPOSALS`` proposals have shown an
+    acceptance rate below ``MIN_ACCEPT_RATE``.
     """
     _require_positive_m(m)
     n = cf.n
+    predicted = None
+    if n <= ENUMERATION_LIMIT:
+        predicted = float(np.exp(conditioned_pmf(cf).log_z))
+        if predicted < MIN_ACCEPT_RATE:
+            raise ConditioningTooSevereError(
+                f"predicted acceptance rate {predicted:.2e} is below {MIN_ACCEPT_RATE:g}; "
+                f"conditioning is too severe for rejection sampling"
+            )
     rng = np.random.default_rng(seed)
     p_plus = np.exp(log_sigmoid(2.0 * cf.delta))
 
@@ -253,6 +273,7 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
             "accepted": n_acc,
             "rejected": n_prop - n_acc,
             "acceptance_rate": n_acc / n_prop,
+            "predicted_acceptance": predicted,
         },
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import linear_table, normalize
+from ._enum import linear_table, normalize, split_half_table, split_halves
 from .core import ModelSpec, Pmf, as_binary_config, as_delta
 from .errors import DimensionMismatchError, EigendecompositionError
 
@@ -128,15 +128,21 @@ def spectral_log_weight(form: SpectralForm, delta, x) -> float:
 def spectral_pmf(form: SpectralForm, delta) -> Pmf:
     """Exact probability table computed through the eigenvalue representation.
 
-    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` one eigen-score at a
-    time; zero eigenvalues contribute nothing and are skipped.
+    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` over the positive
+    eigenvalues; zero ones contribute nothing and are skipped.  With ``x``
+    split into its high and low index halves (`split_halves`), each score is
+    ``s_hi + s_lo``, so the log weight is ``x_hi.delta_hi + lambda s_hi^2 / 2``
+    plus the same for the low half plus the cross term ``(lambda s_hi) . s_lo``,
+    written out by `split_half_table`.
     """
     delta = as_delta(delta, form.n)
-    log_w = linear_table(delta)
-    for lam, q in zip(form.lambdas, form.q.T):
-        if lam > 0.0:
-            score = linear_table(q)
-            score *= score
-            score *= 0.5 * lam
-            log_w += score
-    return Pmf(form.n, *normalize(log_w))
+    keep = form.lambdas > 0.0
+    lams = form.lambdas[keep]
+    halves = []
+    for part in split_halves(form.n):
+        scores = linear_table(form.q[part, keep])
+        log_w = linear_table(delta[part])
+        log_w += (0.5 * lams * scores * scores).sum(axis=1)
+        halves.append((log_w, scores))
+    (hi_w, hi_s), (lo_w, lo_s) = halves
+    return Pmf(form.n, *normalize(split_half_table(hi_w, hi_s * lams, lo_w, lo_s)))

@@ -142,7 +142,7 @@ def pmf_csv_text(n, probs):
     """A probability table as CSV, each cell formatted on its own."""
     lines = [",".join([f"x_{i + 1}" for i in range(n)] + ["probability"])]
     for x, p in zip(all_configs(n), probs):
-        lines.append(",".join(str(v) for v in x) + f",{p:.17g}")
+        lines.append(",".join([*(str(v) for v in x), f"{p:.17g}"]))
     return "\n".join(lines) + "\n"
 
 

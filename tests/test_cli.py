@@ -103,6 +103,22 @@ class TestPmfCommand:
         assert main(["pmf", str(path), "-r", "latent"]) == 3
         assert "n = 13 is too large for the tensor-quadrature marginal" in capsys.readouterr().err
 
+    def test_quad_nodes_refine_the_latent_rule(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 12, 1), path)
+        out = tmp_path / "table.csv"
+        argv = ["pmf", str(path), "-r", "latent", "-o", str(out)]
+        assert main(argv) == 2
+        assert "refine the rule" in capsys.readouterr().err
+        assert main([*argv, "--quad-nodes", "64"]) == 2
+        assert main([*argv, "--quad-nodes", "128"]) == 0
+        capsys.readouterr()
+        _, probs = read_pmf_csv(out.read_text())
+        spec, _ = it.load_model_spec(path)
+        np.testing.assert_allclose(probs, it.ising_pmf(spec).probs, rtol=0, atol=1e-12)
+
 
 def expected_pmf_text(pmf, representation, fmt):
     if fmt == "csv":
@@ -133,6 +149,21 @@ class TestPmfBytes:
     )
     def test_text_matches_the_per_cell_reference(self, pmf, representation, fmt):
         assert _pmf_text(pmf, representation, fmt) == expected_pmf_text(pmf, representation, fmt)
+
+    # n = 0 has no configuration cells, so each row is the probability alone;
+    # n = 16 is the size of the benchmark's tables, split 8 + 8.
+    @pytest.mark.parametrize("n", [0, 16])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_sizes_match_the_per_cell_reference(self, n, fmt):
+        rng = np.random.default_rng(n)
+        weights = rng.random(1 << n) * 10.0 ** rng.integers(-300, 1, 1 << n)
+        weights[rng.random(1 << n) < 0.1] = 0.0
+        weights[0] = 1.0
+        pmf = it.Pmf(n, weights / weights.sum(), -1.5)
+        text = _pmf_text(pmf, "collider", fmt)
+        assert text == expected_pmf_text(pmf, "collider", fmt)
+        if fmt == "json":
+            assert json.loads(text)["rows"][0] == [*[-1] * n, pmf.probs[0]]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -308,6 +339,9 @@ class TestSampleCommand:
         assert "acceptance rate" in capsys.readouterr().out
         side = json.loads((tmp_path / "r.meta.json").read_text())
         assert 0.0 < side["meta"]["acceptance_rate"] <= 1.0
+        # Coupling log 2 is the single effect lam = 2 log 2 along (1, 1)/sqrt(2),
+        # which accepts agreeing fair coins surely and the others with 1/4.
+        assert side["meta"]["predicted_acceptance"] == pytest.approx(0.625, rel=1e-14)
 
     def test_latent_first_works_on_rank_one(self, tmp_path, capsys):
         out = str(tmp_path / "l.csv")
@@ -334,6 +368,25 @@ class TestSampleCommand:
         capsys.readouterr()
         side = json.loads((tmp_path / "l.meta.json").read_text())
         assert side["meta"] == {"quad_nodes": 64} and side["n"] == 5
+
+    def test_latent_first_quad_nodes(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 12, 1), path)
+        out = tmp_path / "l.csv"
+        argv = ["sample", str(path), "--method", "latent-first", "--m", "40", "--out", str(out)]
+        assert main(argv) == 2
+        assert "refine the rule" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--quad-nodes", "128"]) == 0
+        capsys.readouterr()
+        side = json.loads((tmp_path / "l.meta.json").read_text())
+        assert side["meta"] == {"quad_nodes": 128} and side["n"] == 12
+        spec, _ = it.load_model_spec(path)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        ref = it.sample_latent_first(lf, it.QuadratureRule.gauss_hermite(128), 40, 0)
+        assert np.array_equal(it.load_sample_set(out).draws, ref.draws)
 
     def test_latent_first_rejects_wide_models(self, rng, tmp_path, capsys):
         from conftest import low_rank_spec

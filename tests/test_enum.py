@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ising_trinity as it
@@ -20,6 +20,8 @@ from ising_trinity._enum import (
     linear_table,
     log_sigmoid,
     normalize,
+    split_half_table,
+    split_halves,
 )
 from ising_trinity.cli import main
 from oracles import (
@@ -48,8 +50,8 @@ def specs(draw, max_n=8):
 
 
 @st.composite
-def collider_forms(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
+def collider_forms(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     delta = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
     effects = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
@@ -67,6 +69,15 @@ class TestKernel:
     def test_linear_table_is_the_dot_product(self, coef):
         expected = [sum(c * x for c, x in zip(coef, cfg)) for cfg in all_configs(len(coef))]
         npt.assert_allclose(linear_table(np.array(coef)), expected, rtol=0, atol=1e-14)
+
+    def test_linear_table_of_a_matrix_holds_each_column_table(self):
+        rng = np.random.default_rng(7)
+        for n, r in ((0, 2), (1, 0), (5, 3)):
+            coef = rng.normal(size=(n, r))
+            table = linear_table(coef)
+            assert table.shape == (1 << n, r)
+            for k in range(r):
+                assert np.array_equal(table[:, k], linear_table(coef[:, k]))
 
     def test_normalize_is_shift_invariant_and_safe_at_large_weights(self):
         probs, log_z = normalize(np.array([1000.0, 1001.0]))
@@ -143,6 +154,111 @@ class TestBuildersAgainstOracles:
         o_first, o_second = table_moments(pmf.probs.tolist(), spec.n)
         npt.assert_allclose(first, o_first, rtol=0, atol=ORACLE_TOL)
         npt.assert_allclose(second, o_second, rtol=0, atol=ORACLE_TOL)
+
+
+ONE_CAUSE = it.ModelSpec(delta=np.array([0.7]), sigma=np.zeros((1, 1)))
+
+
+class TestSplitHalfBuilders:
+    """`spectral_pmf` and `conditioned_pmf` join a high-half and a low-half table.
+
+    Odd ``n`` splits unevenly, and ``n = 1`` leaves the low half empty.
+    """
+
+    def test_halves_cover_the_index_bits(self):
+        for n in range(ENUMERATION_LIMIT + 1):
+            hi, lo = split_halves(n)
+            assert (lo.start, lo.stop, hi.start, hi.stop) == (0, n // 2, n // 2, n)
+
+    # Budgets of one row per block; of 3 rows at n = 6 (8 rows, so the last
+    # block is partial) and one block at n <= 3; and the default, one block.
+    @pytest.mark.parametrize("block", [1, 24, 1 << 17])
+    def test_table_is_written_in_index_order(self, monkeypatch, block):
+        from ising_trinity import _enum
+
+        monkeypatch.setattr(_enum, "_BLOCK_MADDS", block)
+        rng = np.random.default_rng(block)
+        for n, r in ((1, 0), (3, 2), (6, 1), (7, 3)):
+            hi, lo = split_halves(n)
+            coef, weights = rng.normal(size=(n, r)), rng.normal(size=n)
+            table = split_half_table(
+                linear_table(weights[hi]), linear_table(coef[hi]),
+                linear_table(weights[lo]), linear_table(coef[lo]),
+            )
+            h, coef, weights = n // 2, coef.tolist(), weights.tolist()
+            expected = []
+            for cfg in all_configs(n):
+                value = sum(w * x for w, x in zip(weights, cfg))
+                for k in range(r):
+                    s_hi = sum(coef[i][k] * cfg[i] for i in range(h, n))
+                    value += s_hi * sum(coef[i][k] * cfg[i] for i in range(h))
+                expected.append(value)
+            npt.assert_allclose(table, expected, rtol=0, atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=specs(max_n=13), max_rank=st.integers(min_value=0, max_value=3))
+    @example(spec=ONE_CAUSE, max_rank=1)
+    @example(spec=ONE_CAUSE, max_rank=0)
+    def test_spectral_pmf(self, spec, max_rank):
+        form = it.truncate_spectral(it.to_spectral(spec), max_rank)
+        pmf = it.spectral_pmf(form, spec.delta)
+        oracle = spectral_table(spec.delta.tolist(), form.lambdas.tolist(), form.q.T.tolist())
+        npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cf=collider_forms(max_n=13))
+    @example(cf=it.simple_collider(np.array([0.7])))
+    @example(cf=it.ColliderForm(delta=np.array([0.3, -0.2, 0.9]), effects=()))
+    def test_conditioned_pmf(self, cf):
+        pmf = it.conditioned_pmf(cf)
+        effects = [(eff.lam, eff.q.tolist()) for eff in cf.effects]
+        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effects)
+        npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
+        assert pmf.log_z == pytest.approx(math.log(acceptance), abs=1e-12)
+
+    def test_enumeration_limit_entries_at_strong_coupling(self, rng):
+        n = ENUMERATION_LIMIT
+        spec = random_spec(rng, n, coupling_scale=3.0)
+        form = it.to_spectral(spec)
+        cf = it.spectral_to_collider(form, spec.delta)
+        assert form.rank == n - 1
+        picks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 30).tolist()]
+        configs = [it.index_to_config(k, n) for k in picks]
+        cause_norm = float(np.sum(np.logaddexp(cf.delta, -cf.delta)))
+        own_log_weight = {
+            "spectral": lambda x: it.spectral_log_weight(form, spec.delta, x),
+            "collider": lambda x: float(
+                x @ cf.delta - cause_norm + np.log(it.effect_acceptance(cf, x)).sum()
+            ),
+        }
+        tables = {"spectral": it.spectral_pmf(form, spec.delta), "collider": it.conditioned_pmf(cf)}
+        for name, pmf in tables.items():
+            log_w = [own_log_weight[name](x) for x in configs]
+            for k, lw in zip(picks, log_w):
+                assert math.log(pmf.probs[k]) == pytest.approx(lw - pmf.log_z, abs=1e-10)
+        report = it.verify_representations(spec)
+        exact = [pair for pair in report.distances if "latent" not in pair]
+        assert len(exact) == 3 and report.all_pass
+        assert max(report.distances[pair].max_abs for pair in exact) <= 1e-12
+
+    @pytest.mark.parametrize("builder", ["spectral_pmf", "conditioned_pmf"])
+    def test_enumeration_limit_memory(self, rng, builder):
+        spec = random_spec(rng, ENUMERATION_LIMIT)
+        form = it.to_spectral(spec)
+        cf = it.spectral_to_collider(form, spec.delta)
+        build = {
+            "spectral_pmf": lambda: it.spectral_pmf(form, spec.delta),
+            "conditioned_pmf": lambda: it.conditioned_pmf(cf),
+        }[builder]
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The 8 MiB table, the 1 MiB sign check of `Pmf` and the half tables;
+        # doubling each eigen-score over the whole table peaked at 24 MiB.
+        assert peak < 12 * 2**20
 
 
 def test_enumeration_limit_entries_match_the_log_weight(rng):

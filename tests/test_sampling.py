@@ -16,6 +16,7 @@ from ising_trinity.cli import _read_config_table, main
 from oracles import (
     all_configs,
     bulk_ess,
+    conditioned_collider_table,
     gibbs_draws,
     read_config_table,
     read_sample_draws,
@@ -34,6 +35,16 @@ def weak_spec(rng, n: int = 10) -> it.ModelSpec:
     """The simulate-fit benchmark's family: couplings 0.1, fields in +/-0.5."""
     return it.ModelSpec(
         delta=rng.uniform(-0.5, 0.5, n), sigma=0.1 * (np.ones((n, n)) - np.eye(n))
+    )
+
+
+def opposed_effects() -> it.ColliderForm:
+    """Two fair causes and two strong effects, one rewarding agreement and one
+    disagreement: every configuration is accepted with probability exp(-400)."""
+    root_half = 1.0 / math.sqrt(2.0)
+    effects = [(400.0, np.array([root_half, sign * root_half])) for sign in (1.0, -1.0)]
+    return it.ColliderForm(
+        delta=np.zeros(2), effects=tuple(it.ColliderEffect(lam, q) for lam, q in effects)
     )
 
 
@@ -378,22 +389,62 @@ class TestRejectionSampler:
         monkeypatch.setattr(sampling, "_PROPOSAL_CHUNK", chunk)
         for cf in forms:
             effects = [(eff.lam, eff.q, eff.log_sup) for eff in cf.effects]
+            _, acceptance = conditioned_collider_table(
+                cf.delta.tolist(), [(eff.lam, eff.q.tolist()) for eff in cf.effects]
+            )
             for seed in range(3):
                 sample = it.sample_collider_rejection(cf, m, seed)
                 draws, meta = rejection_draws(cf.delta, effects, m, seed)
                 assert np.array_equal(sample.draws, draws)
-                assert sample.meta == meta
+                observed = dict(sample.meta)
+                predicted = observed.pop("predicted_acceptance")
+                assert observed == meta
+                assert predicted == pytest.approx(acceptance, rel=1e-12)
 
-    def test_gives_up_where_the_one_shot_sampler_does(self):
-        root_half = 1.0 / math.sqrt(2.0)
-        effects = [(400.0, np.array([root_half, sign * root_half])) for sign in (1.0, -1.0)]
-        cf = it.ColliderForm(
-            delta=np.zeros(2), effects=tuple(it.ColliderEffect(lam, q) for lam, q in effects)
-        )
+    def test_gives_up_where_the_one_shot_sampler_does(self, monkeypatch):
+        # Above the enumeration limit the acceptance rate is not predicted, and
+        # the probe of PROBE_PROPOSALS proposals decides; a limit of 1 sends
+        # this two-cause model down that path.
+        cf = opposed_effects()
         with pytest.raises(RuntimeError) as ref:
             rejection_draws(cf.delta, [(e.lam, e.q, e.log_sup) for e in cf.effects], 10, 0)
+        monkeypatch.setattr(sampling, "ENUMERATION_LIMIT", 1)
         with pytest.raises(it.ConditioningTooSevereError, match=f"rate {ref.value} ~"):
             it.sample_collider_rejection(cf, 10, seed=0)
+
+    def test_refuses_before_drawing_when_the_predicted_rate_is_too_low(self, monkeypatch):
+        cf = opposed_effects()
+        _, acceptance = conditioned_collider_table(
+            [0.0, 0.0], [(eff.lam, eff.q.tolist()) for eff in cf.effects]
+        )
+        assert acceptance == pytest.approx(math.exp(-400.0), rel=1e-9)
+
+        def no_generator(seed):
+            raise AssertionError("the sampler drew before refusing")
+
+        monkeypatch.setattr(sampling.np.random, "default_rng", no_generator)
+        with pytest.raises(
+            it.ConditioningTooSevereError,
+            match=r"predicted acceptance rate 1\.92e-174 is below 1e-06; conditioning is too severe",
+        ):
+            it.sample_collider_rejection(cf, 10, seed=0)
+
+    def test_predicted_rate_at_the_threshold(self, monkeypatch):
+        cf = it.simple_collider(np.zeros(2))
+        rate = 0.5 * (1.0 + math.exp(-2.0))
+        sample = it.sample_collider_rejection(cf, 10, seed=0)
+        assert sample.meta["predicted_acceptance"] == pytest.approx(rate, rel=1e-14)
+        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 - 1e-9))
+        assert it.sample_collider_rejection(cf, 10, seed=0).meta == sample.meta
+        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 + 1e-9))
+        with pytest.raises(it.ConditioningTooSevereError, match="predicted acceptance rate"):
+            it.sample_collider_rejection(cf, 10, seed=0)
+
+    def test_no_prediction_above_the_enumeration_limit(self):
+        n = sampling.ENUMERATION_LIMIT + 1
+        sample = it.sample_collider_rejection(it.ColliderForm(np.zeros(n), ()), 5, seed=1)
+        assert sample.meta["predicted_acceptance"] is None
+        assert sample.meta["acceptance_rate"] == 1.0
 
     def test_working_memory_is_bounded(self):
         # Drawn and scored in one piece, the batches of this n = 10 model
