@@ -21,7 +21,7 @@ from .equivalence import BRANCHES, BranchFault, verify_representations
 from .errors import EnumerationLimitError, IsingTrinityError, RankLimitError
 from .estimation import fit_pseudo_likelihood
 from .graphs import VIEWS, graph_dot
-from .latent import LatentForm, QuadratureRule
+from .latent import DEFAULT_QUAD_NODES, LatentForm, QuadratureRule
 from .sampling import (
     read_csv_table,
     sample_collider_rejection,
@@ -83,7 +83,8 @@ def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     spec, extra_shift = load_model_spec(args.spec)
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+    latent = args.representation == "latent"
+    rule = QuadratureRule.gauss_hermite(args.quad_nodes) if latent else None
     pmf = BRANCHES[args.representation](spec, to_spectral(spec, extra_shift), rule)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
@@ -166,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    quad_nodes = {"type": int, "default": DEFAULT_QUAD_NODES}
 
     p_pmf = sub.add_parser("pmf", help="write the exact probability table")
     p_pmf.add_argument("spec", help="model-spec JSON file")
@@ -177,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="code path used to compute the table",
     )
     p_pmf.add_argument("--format", choices=tuple(ROW_TEMPLATES), default="csv")
-    p_pmf.add_argument(
-        "--quad-nodes", type=int, default=64, help="Gauss-Hermite nodes for -r latent"
-    )
+    p_pmf.add_argument("--quad-nodes", **quad_nodes, help="Gauss-Hermite nodes for -r latent")
     p_pmf.add_argument("--output", "-o", default="-", help="output path or - for stdout")
     p_pmf.set_defaults(handler=_cmd_pmf)
 
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="compare the PMF across all applicable representations"
     )
     p_verify.add_argument("spec", help="model-spec JSON file")
-    p_verify.add_argument("--quad-nodes", type=int, default=64)
+    p_verify.add_argument("--quad-nodes", **quad_nodes)
     p_verify.add_argument("--json-report", help="also write the report as JSON")
     p_verify.add_argument(
         "--inject-fault",
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--burn-in", type=int, default=1000)
     p_sample.add_argument("--thin", type=int, default=1)
     p_sample.add_argument(
-        "--quad-nodes", type=int, default=64, help="Gauss-Hermite nodes for latent-first"
+        "--quad-nodes", **quad_nodes, help="Gauss-Hermite nodes for latent-first"
     )
     p_sample.set_defaults(handler=_cmd_sample)
 

@@ -34,12 +34,10 @@ MIN_ACCEPT_RATE = 1e-6
 # Independent Gibbs chains scanned together as the columns of one array.
 GIBBS_CHAINS = 64
 
-# Gibbs uniforms drawn and turned into thresholds together (sweeps x sites x
-# chains); bounds the float working block at 2 MiB whatever the model's width.
+# Uniforms each sampler draws and works on together: Gibbs's sweeps x sites x
+# chains, rejection's proposals x causes.  Bounds either's float working block
+# at 2 MiB whatever the model's width, the draw count or the acceptance rate.
 _UNIFORM_BLOCK = 1 << 18
-
-# Rejection proposals drawn and scored together; bounds the float working arrays.
-_PROPOSAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def sample_exact(pmf: Pmf, m: int, seed: int) -> SampleSet:
 
 
 def gibbs_conditional(spec: ModelSpec, x, i: int) -> float:
-    """Exact single-site conditional ``p(x_i = +1 | rest)`` used by the sweep."""
+    """Exact single-site conditional ``p(x_i = +1 | rest)`` that `sample_gibbs` draws from."""
     x = as_binary_config(x, spec.n)
     if not 0 <= i < spec.n:
         raise ValueError(f"site index {i} out of range for n = {spec.n}")
@@ -217,13 +215,14 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
 
     Causes are proposed from their independent marginals and kept with
     probability equal to the product of effect acceptances, which is exactly
-    the conditioning event's likelihood.  Up to the enumeration limit that
-    rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``: ``meta``
-    records it as ``predicted_acceptance``, and a rate below
-    ``MIN_ACCEPT_RATE`` raises `ConditioningTooSevereError` before any
-    proposal.  Above the limit ``predicted_acceptance`` is None, and the
-    sampler gives up once ``PROBE_PROPOSALS`` proposals have shown an
-    acceptance rate below ``MIN_ACCEPT_RATE``.
+    the conditioning event's likelihood.  Proposals come in fixed blocks of
+    ``max(1, _UNIFORM_BLOCK // n)`` rows, so the draws for ``m`` are the first
+    ``m`` draws for any larger count and the same seed.  Up to the enumeration limit
+    the acceptance rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``:
+    ``meta`` records it as ``predicted_acceptance``, and a rate below
+    ``MIN_ACCEPT_RATE`` raises `ConditioningTooSevereError` before any proposal.
+    Above it (n > 20) ``predicted_acceptance`` is None, and the sampler gives up
+    once ``PROBE_PROPOSALS`` proposals have shown a rate below ``MIN_ACCEPT_RATE``.
     """
     _require_positive_m(m)
     n = cf.n
@@ -237,35 +236,24 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
             )
     rng = np.random.default_rng(seed)
     p_plus = np.exp(log_sigmoid(2.0 * cf.delta))
-
+    rows = max(1, _UNIFORM_BLOCK // max(n, 1))
     kept: list[np.ndarray] = []
-    n_acc = 0
-    n_prop = 0
+    n_acc = n_prop = 0
     while n_acc < m:
-        rate = n_acc / n_prop if n_prop else 1.0
-        need = m - n_acc
-        batch = int(min(max(8192, 1.2 * need / max(rate, 1e-4)), 4_000_000))
-        # Chunks of rows draw the same stream as one (batch, n) call would.
-        proposals = np.empty((batch, n), dtype=np.int8)
-        log_acc = np.empty(batch)
-        for lo in range(0, batch, _PROPOSAL_CHUNK):
-            hi = min(lo + _PROPOSAL_CHUNK, batch)
-            block = np.where(rng.random((hi - lo, n)) < p_plus, 1.0, -1.0)
-            proposals[lo:hi] = block
-            log_acc[lo:hi] = (0.5 * cf.lams * (block @ cf.dirs) ** 2 - cf.log_sups).sum(axis=1)
-        keep = rng.random(batch) < np.exp(log_acc, out=log_acc)
-        kept.append(proposals[keep])
-        n_acc += int(keep.sum())
-        n_prop += batch
-        if n_acc < m and n_prop >= PROBE_PROPOSALS and n_acc / n_prop < MIN_ACCEPT_RATE:
+        block = np.where(rng.random((rows, n)) < p_plus, 1.0, -1.0)
+        acc = np.exp((0.5 * cf.lams * (block @ cf.dirs) ** 2 - cf.log_sups).sum(axis=1))
+        kept.append(block[rng.random(rows) < acc].astype(np.int8))
+        n_acc += len(kept[-1])
+        n_prop += rows
+        probed = predicted is None and n_prop >= PROBE_PROPOSALS
+        if probed and n_acc < m and n_acc / n_prop < MIN_ACCEPT_RATE:
             raise ConditioningTooSevereError(
                 f"acceptance rate {n_acc}/{n_prop} ~ {n_acc / n_prop:.2e} is below "
                 f"{MIN_ACCEPT_RATE:g}; conditioning is too severe for rejection "
                 f"sampling"
             )
-    draws = np.concatenate(kept, axis=0)[:m]
     return SampleSet(
-        draws=draws,
+        draws=np.concatenate(kept, axis=0)[:m],
         seed=seed,
         method="collider-rejection",
         meta={

@@ -232,11 +232,15 @@ def read_sample_draws(path):
     return rows
 
 
-def rejection_draws(delta, effects, m, seed, probe=1_000_000, min_rate=1e-6):
-    """Collider rejection sampling with every batch drawn and scored in one piece.
+def rejection_draws(delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-6):
+    """Collider rejection sampling in blocks of ``rows`` proposals.
 
+    Each block draws one ``(rows, n)`` array of cause uniforms and one of
+    ``rows`` acceptance uniforms; blocks continue until ``m`` draws are kept.
     ``effects`` is a list of ``(lam, q, log_sup)``.  Returns ``(draws, meta)``;
-    raises `RuntimeError` naming ``accepted/proposed`` where the sampler gives up.
+    raises `RuntimeError` naming ``accepted/proposed`` where a probe of
+    ``probe`` proposals gives up (the package probes only where it cannot
+    predict the acceptance rate).
     """
     n = len(delta)
     rng = np.random.default_rng(seed)
@@ -247,14 +251,12 @@ def rejection_draws(delta, effects, m, seed, probe=1_000_000, min_rate=1e-6):
     kept = []
     n_acc = n_prop = 0
     while n_acc < m:
-        rate = n_acc / n_prop if n_prop else 1.0
-        batch = int(min(max(8192, 1.2 * (m - n_acc) / max(rate, 1e-4)), 4_000_000))
-        proposals = np.where(rng.random((batch, n)) < p_plus, 1.0, -1.0)
+        proposals = np.where(rng.random((rows, n)) < p_plus, 1.0, -1.0)
         log_acc = (0.5 * lams * (proposals @ dirs) ** 2 - sups).sum(axis=1)
-        keep = rng.random(batch) < np.exp(log_acc)
+        keep = rng.random(rows) < np.exp(log_acc)
         kept.append(proposals[keep].astype(np.int8))
         n_acc += int(keep.sum())
-        n_prop += batch
+        n_prop += rows
         if n_acc < m and n_prop >= probe and n_acc / n_prop < min_rate:
             raise RuntimeError(f"{n_acc}/{n_prop}")
     meta = {

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,29 @@ class TestPmfCommand:
         it.save_model_spec(low_rank_spec(rng, 13, 1), path)
         assert main(["pmf", str(path), "-r", "latent"]) == 3
         assert "n = 13 is too large for the tensor-quadrature marginal" in capsys.readouterr().err
+
+    def test_only_the_latent_table_builds_a_quadrature_rule(self, tmp_path):
+        # Building a Gauss-Hermite rule imports numpy.polynomial (about 1.8 MB
+        # of memory per process), which the exact tables never need.
+        argv = ["pmf", paired_spec(tmp_path), "-o", str(tmp_path / "table.csv")]
+        code = (
+            "import sys\nfrom ising_trinity.cli import main\n"
+            f"for r in ('conventional', 'spectral', 'collider', 'latent'):\n"
+            f"    main({argv!r} + ['-r', r])\n"
+            "    print(r, 'numpy.polynomial' in sys.modules)\n"
+        )
+        src = str(Path(it.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.split("\n") == [
+            "conventional False", "spectral False", "collider False", "latent True", ""
+        ]
 
     def test_quad_nodes_refine_the_latent_rule(self, rng, tmp_path, capsys):
         from conftest import low_rank_spec

@@ -370,12 +370,13 @@ class TestRejectionSampler:
         with pytest.raises(ValueError, match="at least 1"):
             it.sample_collider_rejection(it.simple_collider(np.zeros(2)), 0, seed=0)
 
-    # Chunk sizes that split batches at odd rows, with draw counts that keep
-    # the smallest chunks cheap; the default chunk splits the n = 10 batches.
+    # Block budgets that make one-row blocks at n >= 4 (7 uniforms), odd
+    # splits (1000), and the default, with draw counts that keep one-row
+    # blocks cheap.
     @pytest.mark.parametrize(
-        "chunk, m", [(7, 300), (1000, 3000), (sampling._PROPOSAL_CHUNK, 10_000)]
+        "block, m", [(7, 30), (1000, 3000), (sampling._UNIFORM_BLOCK, 10_000)]
     )
-    def test_chunks_replay_the_one_shot_stream(self, monkeypatch, chunk, m):
+    def test_blocks_replay_the_oracle(self, monkeypatch, block, m):
         rng = np.random.default_rng(3)
         # Acceptance rates about 0.25, 0.050 (two effects), 0.016 and 1.
         rank_two = it.ModelSpec(np.zeros(6), 0.3 * low_rank_spec(rng, 6, 2).sigma)
@@ -386,28 +387,39 @@ class TestRejectionSampler:
             it.spectral_to_collider(it.to_spectral(weak), weak.delta),
             it.ColliderForm(delta=np.array([0.4, -0.4]), effects=()),
         ]
-        monkeypatch.setattr(sampling, "_PROPOSAL_CHUNK", chunk)
+        monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
         for cf in forms:
             effects = [(eff.lam, eff.q, eff.log_sup) for eff in cf.effects]
             _, acceptance = conditioned_collider_table(
                 cf.delta.tolist(), [(eff.lam, eff.q.tolist()) for eff in cf.effects]
             )
+            rows = max(1, block // cf.n)
             for seed in range(3):
                 sample = it.sample_collider_rejection(cf, m, seed)
-                draws, meta = rejection_draws(cf.delta, effects, m, seed)
+                draws, meta = rejection_draws(cf.delta, effects, m, seed, rows)
                 assert np.array_equal(sample.draws, draws)
                 observed = dict(sample.meta)
                 predicted = observed.pop("predicted_acceptance")
                 assert observed == meta
                 assert predicted == pytest.approx(acceptance, rel=1e-12)
 
+    @pytest.mark.parametrize("block", [1000, sampling._UNIFORM_BLOCK])
+    def test_draws_for_m_are_the_first_draws_for_twice_m(self, monkeypatch, block):
+        monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
+        cf = it.simple_collider(np.array([0.3, -0.2, 0.1]))
+        for seed in range(3):
+            short = it.sample_collider_rejection(cf, 10_000, seed)
+            long = it.sample_collider_rejection(cf, 20_000, seed)
+            assert np.array_equal(short.draws, long.draws[:10_000])
+
     def test_gives_up_where_the_one_shot_sampler_does(self, monkeypatch):
         # Above the enumeration limit the acceptance rate is not predicted, and
         # the probe of PROBE_PROPOSALS proposals decides; a limit of 1 sends
         # this two-cause model down that path.
         cf = opposed_effects()
+        effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
         with pytest.raises(RuntimeError) as ref:
-            rejection_draws(cf.delta, [(e.lam, e.q, e.log_sup) for e in cf.effects], 10, 0)
+            rejection_draws(cf.delta, effects, 10, 0, sampling._UNIFORM_BLOCK // 2)
         monkeypatch.setattr(sampling, "ENUMERATION_LIMIT", 1)
         with pytest.raises(it.ConditioningTooSevereError, match=f"rate {ref.value} ~"):
             it.sample_collider_rejection(cf, 10, seed=0)
@@ -440,6 +452,17 @@ class TestRejectionSampler:
         with pytest.raises(it.ConditioningTooSevereError, match="predicted acceptance rate"):
             it.sample_collider_rejection(cf, 10, seed=0)
 
+    def test_probe_never_overrides_the_prediction(self, monkeypatch):
+        # A one-proposal probe against a threshold just under the predicted
+        # rate would refuse every seed whose first block happens to accept a
+        # little less; where the rate is predicted, no probe runs.
+        cf = it.simple_collider(np.zeros(2))
+        rate = 0.5 * (1.0 + math.exp(-2.0))
+        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 - 1e-9))
+        monkeypatch.setattr(sampling, "PROBE_PROPOSALS", 1)
+        for seed in range(10):
+            assert it.sample_collider_rejection(cf, 100_000, seed).m == 100_000
+
     def test_no_prediction_above_the_enumeration_limit(self):
         n = sampling.ENUMERATION_LIMIT + 1
         sample = it.sample_collider_rejection(it.ColliderForm(np.zeros(n), ()), 5, seed=1)
@@ -447,8 +470,9 @@ class TestRejectionSampler:
         assert sample.meta["acceptance_rate"] == 1.0
 
     def test_working_memory_is_bounded(self):
-        # Drawn and scored in one piece, the batches of this n = 10 model
-        # peaked at about 150 MiB; in chunks the peak is about 40 MiB.
+        # This n = 10 model needs over a million proposals; blocks of
+        # _UNIFORM_BLOCK uniforms (2 MiB of floats) keep the traced peak near
+        # 5 MiB whatever m and the acceptance rate.
         spec = weak_spec(np.random.default_rng(5))
         cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
         tracemalloc.start()
@@ -458,7 +482,7 @@ class TestRejectionSampler:
         finally:
             tracemalloc.stop()
         assert sample.meta["proposals"] > 1_000_000
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestLatentFirstSampler:
