@@ -7,14 +7,11 @@ probability tables through each representation independently and verifies
 that all of them agree.
 """
 
-from ._enum import config_matrix, config_to_index, index_to_config
 from .collider import (
     ColliderEffect,
     ColliderForm,
     cause_marginal_pmf,
-    collider_joint,
     conditioned_pmf,
-    effect_acceptance,
     simple_collider,
     spectral_to_collider,
 )
@@ -23,7 +20,6 @@ from .core import (
     Pmf,
     PmfDistance,
     curie_weiss_pmf,
-    ising_log_weight,
     ising_pmf,
     pmf_distance,
     pmf_moments,
@@ -43,7 +39,6 @@ from .errors import (
 from .estimation import (
     FitResult,
     fit_pseudo_likelihood,
-    full_loglik,
     pseudo_loglik,
     pseudo_loglik_grad,
     weighted_configs,
@@ -53,16 +48,12 @@ from .latent import (
     LatentForm,
     QuadratureRule,
     kac_identity_check,
-    latent_density_cw,
-    mirt_conditional,
     mirt_marginal_pmf,
-    rasch_conditional,
     rasch_marginal_pmf,
 )
 from .sampling import (
     SampleSet,
     empirical_frequencies,
-    gibbs_conditional,
     load_sample_set,
     sample_collider_rejection,
     sample_exact,
@@ -74,7 +65,6 @@ from .sampling import (
 from .specfile import load_model_spec, model_spec_from_dict, model_spec_to_dict, save_model_spec
 from .spectral import (
     SpectralForm,
-    spectral_log_weight,
     spectral_pmf,
     to_spectral,
     truncate_spectral,
@@ -105,25 +95,15 @@ __all__ = [
     "SpecValidationError",
     "SpectralForm",
     "cause_marginal_pmf",
-    "collider_joint",
     "conditioned_pmf",
-    "config_matrix",
-    "config_to_index",
     "curie_weiss_pmf",
-    "effect_acceptance",
     "empirical_frequencies",
     "fit_pseudo_likelihood",
-    "full_loglik",
-    "gibbs_conditional",
     "graph_dot",
-    "index_to_config",
-    "ising_log_weight",
     "ising_pmf",
     "kac_identity_check",
-    "latent_density_cw",
     "load_model_spec",
     "load_sample_set",
-    "mirt_conditional",
     "mirt_marginal_pmf",
     "model_spec_from_dict",
     "model_spec_to_dict",
@@ -131,7 +111,6 @@ __all__ = [
     "pmf_moments",
     "pseudo_loglik",
     "pseudo_loglik_grad",
-    "rasch_conditional",
     "rasch_marginal_pmf",
     "sample_collider_rejection",
     "sample_exact",
@@ -141,7 +120,6 @@ __all__ = [
     "save_sample_set",
     "sidecar_path",
     "simple_collider",
-    "spectral_log_weight",
     "spectral_pmf",
     "spectral_to_collider",
     "to_spectral",

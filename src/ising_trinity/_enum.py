@@ -64,24 +64,6 @@ def encode_configs(x) -> np.ndarray:
     return (x > 0).astype(np.int64) @ (1 << np.arange(x.shape[-1], dtype=np.int64))
 
 
-def config_matrix(n: int) -> np.ndarray:
-    """All ``2**n`` configurations, row ``k`` holding the configuration with index ``k``."""
-    check_enumerable(n)
-    return decode_configs(np.arange(1 << n), n).astype(np.float64)
-
-
-def index_to_config(k: int, n: int) -> np.ndarray:
-    """The configuration with index ``k`` as a length-``n`` ``+/-1`` vector."""
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"configuration index {k} out of range for n = {n}")
-    return decode_configs(k, n).astype(np.float64)
-
-
-def config_to_index(x: np.ndarray) -> int:
-    """The index whose bit pattern encodes the ``+/-1`` configuration ``x``."""
-    return int(encode_configs(x))
-
-
 def linear_table(coef: np.ndarray) -> np.ndarray:
     """``x . coef`` at every configuration of ``len(coef)`` variables, in index order.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._enum import linear_table, log_2cosh, normalize, split_half_table, split_halves
-from .core import Pmf, as_binary_config, as_delta
+from .core import Pmf, as_delta
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
 
@@ -126,32 +126,6 @@ def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
 def cause_marginal_pmf(cf: ColliderForm) -> Pmf:
     """Joint table of the causes alone: independent ``logistic(2 delta_i)`` coins."""
     return Pmf(cf.n, *normalize(linear_table(cf.delta)))
-
-
-def effect_acceptance(cf: ColliderForm, x) -> np.ndarray:
-    """Per-effect on-probabilities for a cause configuration, each in ``(0, 1]``."""
-    x = as_binary_config(x, cf.n)
-    out = np.empty(cf.r)
-    for k, eff in enumerate(cf.effects):
-        score = float(eff.q @ x)
-        out[k] = np.exp(0.5 * eff.lam * score**2 - eff.log_sup)
-    return out
-
-
-def collider_joint(cf: ColliderForm, x, e) -> float:
-    """Joint probability of causes ``x`` (``+/-1``) and effect states ``e`` (0/1)."""
-    x = as_binary_config(x, cf.n)
-    e = np.asarray(e)
-    if e.shape != (cf.r,):
-        raise DimensionMismatchError(
-            f"effect pattern has shape {e.shape}, expected ({cf.r},)"
-        )
-    if not np.all((e == 0) | (e == 1)):
-        raise ValueError("effect states must be 0 or 1")
-    log_cause = float(x @ cf.delta - log_2cosh(cf.delta).sum())
-    acc = effect_acceptance(cf, x)
-    e = e.astype(np.float64)
-    return float(np.exp(log_cause) * np.prod(acc**e * (1.0 - acc) ** (1.0 - e)))
 
 
 def conditioned_pmf(cf: ColliderForm) -> Pmf:

@@ -33,18 +33,6 @@ def as_delta(delta, n: int) -> np.ndarray:
     return delta
 
 
-def as_binary_config(x, n: int) -> np.ndarray:
-    """Validate a single configuration: length ``n``, entries exactly ``+1`` or ``-1``."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DimensionMismatchError(
-            f"configuration has shape {arr.shape}, expected ({n},)"
-        )
-    if not np.all(np.abs(arr) == 1.0):
-        raise ValueError("configuration entries must be exactly +1 or -1")
-    return arr
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Main effects ``delta`` and symmetric pairwise couplings ``sigma``.
@@ -128,14 +116,6 @@ class PmfDistance:
     tv: float
     max_abs: float
     kl: float
-
-
-def ising_log_weight(spec: ModelSpec, x) -> float:
-    """Unnormalized log weight ``sum_i x_i delta_i + sum_{i<j} x_i x_j sigma_ij``."""
-    x = as_binary_config(x, spec.n)
-    iu = np.triu_indices(spec.n, k=1)
-    pair = (np.outer(x, x) * spec.sigma)[iu].sum()
-    return float(x @ spec.delta + pair)
 
 
 def ising_pmf(spec: ModelSpec) -> Pmf:

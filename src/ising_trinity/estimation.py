@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import config_matrix
-from .core import ModelSpec, Pmf, ising_pmf
+from ._enum import decode_configs
+from .core import ModelSpec, Pmf
 from .errors import DimensionMismatchError, LineSearchError
 from .sampling import SampleSet
 
@@ -58,7 +58,7 @@ def weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(data, SampleSet):
         configs = data.draws.astype(np.float64)
     elif isinstance(data, Pmf):
-        configs = config_matrix(data.n)
+        configs = decode_configs(np.arange(1 << data.n), data.n).astype(np.float64)
         weights = data.probs.astype(np.float64)
     elif isinstance(data, tuple) and len(data) == 2:
         configs = np.asarray(data[0], dtype=np.float64)
@@ -203,17 +203,3 @@ def fit_pseudo_likelihood(
         iterations=iterations,
         converged=bool(grad_norm < grad_tol),
     )
-
-
-def full_loglik(spec: ModelSpec, data) -> float:
-    """Weighted full log-likelihood, via exact enumeration of the normalizer.
-
-    A cross-check for the pseudo-likelihood machinery, limited like every
-    exact table to ``n <= 20``.
-    """
-    configs, weights = _distinct_configs(data, spec.n)
-    sigma0 = spec.coupling_offdiag()
-    log_w = configs @ spec.delta + 0.5 * np.einsum(
-        "bi,ij,bj->b", configs, sigma0, configs
-    )
-    return float(weights @ log_w) - ising_pmf(spec).log_z

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import check_enumerable, log_2cosh, log_sigmoid
-from .core import Pmf, as_binary_config, as_delta
+from ._enum import check_enumerable, log_2cosh
+from .core import Pmf, as_delta
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -122,19 +122,6 @@ def kac_identity_check(a: float, rule: QuadratureRule | None = None) -> float:
     t = rule.nodes
     vals = np.sqrt(2.0) * np.exp(2.0 * a * t - 0.5 * t**2)
     return float(rule.weights @ vals)
-
-
-def rasch_conditional(delta, theta: float, x) -> float:
-    """Probability of configuration ``x`` given a single latent value ``theta``.
-
-    Items are conditionally independent with per-item success probability
-    ``logistic(2 x_i (theta + delta_i))``.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    x = as_binary_config(x, delta.shape[0])
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    return float(np.exp(np.sum(log_sigmoid(2.0 * x * (theta + delta)))))
 
 
 def _node_chunks(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
@@ -235,33 +222,6 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     return Pmf(n, raw.ravel() / mass, float(log_norm + np.log(mass)))
 
 
-def latent_density_cw(delta, theta, rule: QuadratureRule | None = None):
-    """Normalized latent density of the exchangeable-coupling model.
-
-    Proportional to ``prod_i 2 cosh(theta + delta_i)`` times the standard
-    normal density; the normalizer is evaluated with a Gauss-Hermite reference
-    rule at twice the working rule's resolution.  Accepts scalar or array
-    ``theta``.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 1:
-        raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta_arr)):
-        raise ValueError("theta must be finite")
-    rule = _default_rule(rule)
-    log_norm = _reference_log_norm(delta, np.ones((delta.shape[0], 1)), rule)
-    pts = np.atleast_1d(theta_arr)
-    log_f = (
-        log_2cosh(pts[:, None] + delta).sum(axis=1)
-        - 0.5 * pts**2
-        - 0.5 * np.log(2.0 * np.pi)
-        - log_norm
-    )
-    out = np.exp(log_f)
-    return float(out[0]) if theta_arr.ndim == 0 else out
-
-
 def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
@@ -317,20 +277,6 @@ class LatentForm:
         delta = as_delta(delta, form.n)
         keep = form.lambdas > RANK_TOL
         return cls(delta=delta, loadings=form.loadings[:, keep])
-
-
-def mirt_conditional(form: LatentForm, theta, x) -> float:
-    """Probability of configuration ``x`` given the latent vector ``theta``."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (form.r,):
-        raise DimensionMismatchError(
-            f"theta has shape {theta.shape}, expected ({form.r},)"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    x = as_binary_config(x, form.n)
-    s = form.delta + form.loadings @ theta
-    return float(np.exp(np.sum(log_sigmoid(2.0 * x * s))))
 
 
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:

@@ -21,7 +21,7 @@ from ._enum import (
     log_sigmoid,
 )
 from .collider import ColliderForm, conditioned_pmf
-from .core import ModelSpec, Pmf, as_binary_config
+from .core import ModelSpec, Pmf
 from .errors import ConditioningTooSevereError
 from .latent import LatentForm, QuadratureRule, node_log_shares
 
@@ -30,6 +30,11 @@ from .latent import LatentForm, QuadratureRule, node_log_shares
 # at least PROBE_PROPOSALS proposals have shown it.
 PROBE_PROPOSALS = 1_000_000
 MIN_ACCEPT_RATE = 1e-6
+
+# Most proposals one rejection run may make: about 20 s at n = 10 on a 2-CPU
+# machine (6 M proposals/s).  Up to the enumeration limit a run expected to
+# need more is refused before drawing; above it, the run stops at the budget.
+MAX_PROPOSALS = 1 << 27
 
 # Independent Gibbs chains scanned together as the columns of one array.
 GIBBS_CHAINS = 64
@@ -88,15 +93,6 @@ def sample_exact(pmf: Pmf, m: int, seed: int) -> SampleSet:
     cdf = np.cumsum(pmf.probs)
     idx = np.minimum(np.searchsorted(cdf, rng.random(m), side="right"), (1 << pmf.n) - 1)
     return SampleSet(draws=decode_configs(idx, pmf.n), seed=seed, method="exact")
-
-
-def gibbs_conditional(spec: ModelSpec, x, i: int) -> float:
-    """Exact single-site conditional ``p(x_i = +1 | rest)`` that `sample_gibbs` draws from."""
-    x = as_binary_config(x, spec.n)
-    if not 0 <= i < spec.n:
-        raise ValueError(f"site index {i} out of range for n = {spec.n}")
-    h = float(spec.delta[i] + spec.coupling_offdiag()[i] @ x)
-    return float(np.exp(log_sigmoid(np.asarray(2.0 * h))))
 
 
 def sample_gibbs(
@@ -220,9 +216,11 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     ``m`` draws for any larger count and the same seed.  Up to the enumeration limit
     the acceptance rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``:
     ``meta`` records it as ``predicted_acceptance``, and a rate below
-    ``MIN_ACCEPT_RATE`` raises `ConditioningTooSevereError` before any proposal.
+    ``MIN_ACCEPT_RATE``, or an expected ``m / rate`` proposals above
+    ``MAX_PROPOSALS``, raises `ConditioningTooSevereError` before any proposal.
     Above it (n > 20) ``predicted_acceptance`` is None, and the sampler gives up
-    once ``PROBE_PROPOSALS`` proposals have shown a rate below ``MIN_ACCEPT_RATE``.
+    once ``PROBE_PROPOSALS`` proposals have shown a rate below ``MIN_ACCEPT_RATE``,
+    or once ``MAX_PROPOSALS`` proposals have kept fewer than ``m`` draws.
     """
     _require_positive_m(m)
     n = cf.n
@@ -232,6 +230,12 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
         if predicted < MIN_ACCEPT_RATE:
             raise ConditioningTooSevereError(
                 f"predicted acceptance rate {predicted:.2e} is below {MIN_ACCEPT_RATE:g}; "
+                f"conditioning is too severe for rejection sampling"
+            )
+        if m / predicted > MAX_PROPOSALS:
+            raise ConditioningTooSevereError(
+                f"{m} draws at the predicted acceptance rate {predicted:.2e} need about "
+                f"{m / predicted:.2e} proposals, more than the budget of {MAX_PROPOSALS}; "
                 f"conditioning is too severe for rejection sampling"
             )
     rng = np.random.default_rng(seed)
@@ -245,12 +249,19 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
         kept.append(block[rng.random(rows) < acc].astype(np.int8))
         n_acc += len(kept[-1])
         n_prop += rows
-        probed = predicted is None and n_prop >= PROBE_PROPOSALS
-        if probed and n_acc < m and n_acc / n_prop < MIN_ACCEPT_RATE:
+        # Without a prediction (n > 20) the probe and the budget decide.
+        if predicted is not None or n_acc >= m:
+            continue
+        if n_prop >= PROBE_PROPOSALS and n_acc / n_prop < MIN_ACCEPT_RATE:
             raise ConditioningTooSevereError(
                 f"acceptance rate {n_acc}/{n_prop} ~ {n_acc / n_prop:.2e} is below "
                 f"{MIN_ACCEPT_RATE:g}; conditioning is too severe for rejection "
                 f"sampling"
+            )
+        if n_prop >= MAX_PROPOSALS:
+            raise ConditioningTooSevereError(
+                f"{n_acc} of {m} draws kept after {n_prop} proposals, the budget of "
+                f"{MAX_PROPOSALS}; conditioning is too severe for rejection sampling"
             )
     return SampleSet(
         draws=np.concatenate(kept, axis=0)[:m],

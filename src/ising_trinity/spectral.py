@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import linear_table, normalize, split_half_table, split_halves
-from .core import ModelSpec, Pmf, as_binary_config, as_delta
+from .core import ModelSpec, Pmf, as_delta
 from .errors import DimensionMismatchError, EigendecompositionError
 
 # Eigenvalues within this tolerance of zero are treated as exactly zero.
@@ -111,18 +111,6 @@ def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
     return SpectralForm(
         c=form.c, lambdas=lambdas, q=form.q, loadings=form.q * np.sqrt(lambdas)
     )
-
-
-def spectral_log_weight(form: SpectralForm, delta, x) -> float:
-    """Log weight ``x.delta + sum_r lambda_r (q_r . x)^2 / 2``.
-
-    Exceeds the network-form log weight of the same model by exactly
-    ``c * n / 2``, uniformly over configurations.
-    """
-    delta = as_delta(delta, form.n)
-    x = as_binary_config(x, form.n)
-    scores = form.q.T @ x
-    return float(x @ delta + 0.5 * np.sum(form.lambdas * scores**2))
 
 
 def spectral_pmf(form: SpectralForm, delta) -> Pmf:

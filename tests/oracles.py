@@ -21,15 +21,18 @@ def all_configs(n):
     ]
 
 
-def ising_table(delta, sigma):
+def ising_log_weight(delta, sigma, x):
+    """Log weight x.delta + sum_{i<j} x_i x_j sigma_ij of one configuration."""
     n = len(delta)
-    weights = []
-    for x in all_configs(n):
-        w = sum(x[i] * delta[i] for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                w += x[i] * x[j] * sigma[i][j]
-        weights.append(math.exp(w))
+    w = sum(x[i] * delta[i] for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w += x[i] * x[j] * sigma[i][j]
+    return w
+
+
+def ising_table(delta, sigma):
+    weights = [math.exp(ising_log_weight(delta, sigma, x)) for x in all_configs(len(delta))]
     z = sum(weights)
     return [w / z for w in weights]
 
@@ -44,16 +47,22 @@ def curie_weiss_table(delta):
     return [w / z for w in weights]
 
 
+def spectral_log_weight(delta, lambdas, q_columns, x):
+    """Log weight x.delta + sum_r lambda_r (q_r . x)^2 / 2 of one configuration."""
+    n = len(delta)
+    w = sum(x[i] * delta[i] for i in range(n))
+    for lam, q in zip(lambdas, q_columns):
+        score = sum(q[i] * x[i] for i in range(n))
+        w += 0.5 * lam * score * score
+    return w
+
+
 def spectral_table(delta, lambdas, q_columns):
     """Table of the model with weight x.delta + sum_r lambda_r (q_r . x)^2 / 2."""
-    n = len(delta)
-    weights = []
-    for x in all_configs(n):
-        w = sum(x[i] * delta[i] for i in range(n))
-        for lam, q in zip(lambdas, q_columns):
-            score = sum(q[i] * x[i] for i in range(n))
-            w += 0.5 * lam * score * score
-        weights.append(math.exp(w))
+    weights = [
+        math.exp(spectral_log_weight(delta, lambdas, q_columns, x))
+        for x in all_configs(len(delta))
+    ]
     z = sum(weights)
     return [w / z for w in weights]
 
@@ -75,22 +84,31 @@ def effect_sup_by_scan(lam, q):
     )
 
 
+def collider_log_joint(delta, effects, sups, x):
+    """Log probability of causes ``x`` and every effect present.
+
+    The cause marginal x.delta - sum_i log 2cosh delta_i plus each effect's
+    log acceptance lam (q . x)^2 / 2 - sup; ``effects`` is a list of (lam, q)
+    and ``sups`` their largest exponents.
+    """
+    n = len(delta)
+    w = sum(x[i] * delta[i] - math.log(2.0 * math.cosh(delta[i])) for i in range(n))
+    for (lam, q), sup in zip(effects, sups):
+        score = sum(q[i] * x[i] for i in range(n))
+        w += 0.5 * lam * score * score - sup
+    return w
+
+
 def conditioned_collider_table(delta, effects):
     """Conditioned-on-all-effects table; ``effects`` is a list of (lam, q).
 
     Returns ``(table, acceptance_probability)``.  The sup in each acceptance
     factor is found by brute scan, not by any closed form.
     """
-    n = len(delta)
     sups = [effect_sup_by_scan(lam, q) for lam, q in effects]
-    cause_norm = math.prod(2.0 * math.cosh(d) for d in delta)
-    joint = []
-    for x in all_configs(n):
-        p = math.exp(sum(x[i] * delta[i] for i in range(n))) / cause_norm
-        for (lam, q), sup in zip(effects, sups):
-            score = sum(q[i] * x[i] for i in range(n))
-            p *= math.exp(0.5 * lam * score * score - sup)
-        joint.append(p)
+    joint = [
+        math.exp(collider_log_joint(delta, effects, sups, x)) for x in all_configs(len(delta))
+    ]
     z = sum(joint)
     return [p / z for p in joint], z
 
@@ -232,14 +250,17 @@ def read_sample_draws(path):
     return rows
 
 
-def rejection_draws(delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-6):
+def rejection_draws(
+    delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-6, budget=math.inf
+):
     """Collider rejection sampling in blocks of ``rows`` proposals.
 
     Each block draws one ``(rows, n)`` array of cause uniforms and one of
     ``rows`` acceptance uniforms; blocks continue until ``m`` draws are kept.
     ``effects`` is a list of ``(lam, q, log_sup)``.  Returns ``(draws, meta)``;
     raises `RuntimeError` naming ``accepted/proposed`` where a probe of
-    ``probe`` proposals gives up (the package probes only where it cannot
+    ``probe`` proposals gives up, or where ``budget`` proposals have kept
+    fewer than ``m`` draws (the package does both only where it cannot
     predict the acceptance rate).
     """
     n = len(delta)
@@ -258,6 +279,8 @@ def rejection_draws(delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-
         n_acc += int(keep.sum())
         n_prop += rows
         if n_acc < m and n_prop >= probe and n_acc / n_prop < min_rate:
+            raise RuntimeError(f"{n_acc}/{n_prop}")
+        if n_acc < m and n_prop >= budget:
             raise RuntimeError(f"{n_acc}/{n_prop}")
     meta = {
         "proposals": n_prop,

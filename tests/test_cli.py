@@ -370,6 +370,23 @@ class TestSampleCommand:
         # which accepts agreeing fair coins surely and the others with 1/4.
         assert side["meta"]["predicted_acceptance"] == pytest.approx(0.625, rel=1e-14)
 
+    def test_rejection_over_budget_exits_2_before_drawing(self, tmp_path, capsys):
+        # Coupling 2 between ten causes, fields +-1.25: acceptance rate 3.4e-6,
+        # so 3000 draws would take about 8.9e8 proposals.
+        n = 10
+        delta = [1.25] * 5 + [-1.25] * 5
+        sigma = (2.0 * (np.ones((n, n)) - np.eye(n))).tolist()
+        spec = write_spec(tmp_path, {"n": n, "delta": delta, "sigma": sigma})
+        out = tmp_path / "r.csv"
+        code = main(
+            ["sample", spec, "--method", "collider-rejection", "--m", "3000", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3000 draws at the predicted acceptance rate 3.39e-06")
+        assert "more than the budget of 134217728" in err
+        assert not out.exists()
+
     def test_latent_first_works_on_rank_one(self, tmp_path, capsys):
         out = str(tmp_path / "l.csv")
         code = main(

@@ -6,13 +6,17 @@ import pytest
 
 import ising_trinity as it
 from conftest import low_rank_spec, random_spec
-from oracles import (
-    all_configs,
-    cause_table,
-    conditioned_collider_table,
-    curie_weiss_table,
-    effect_sup_by_scan,
-)
+from oracles import cause_table, conditioned_collider_table, effect_sup_by_scan
+
+
+def acceptance(cf: it.ColliderForm) -> np.ndarray:
+    """Each cause configuration's chance that every effect is present, from the tables.
+
+    By Bayes, ``P(effects | x) = P(x | effects) P(effects) / P(x)``, and the
+    conditioned table's ``log_z`` is ``log P(effects)``.
+    """
+    cond = it.conditioned_pmf(cf)
+    return cond.probs * math.exp(cond.log_z) / it.cause_marginal_pmf(cf).probs
 
 
 class TestColliderEffect:
@@ -53,11 +57,10 @@ class TestSimpleCollider:
         assert eff.log_sup == pytest.approx(2.0, abs=1e-14)
 
     def test_acceptance_values(self):
-        cf = it.simple_collider(np.zeros(2))
-        assert it.effect_acceptance(cf, [1, -1])[0] == pytest.approx(
-            math.exp(-2.0), abs=1e-14
-        )
-        assert it.effect_acceptance(cf, [1, 1])[0] == pytest.approx(1.0, abs=1e-14)
+        # Index 1 is x = (1, -1), index 3 is x = (1, 1).
+        acc = acceptance(it.simple_collider(np.zeros(2)))
+        assert acc[1] == pytest.approx(math.exp(-2.0), abs=1e-14)
+        assert acc[3] == pytest.approx(1.0, abs=1e-14)
 
     def test_single_cause_conditioning_is_vacuous(self):
         cf = it.simple_collider(np.array([0.3]))
@@ -76,17 +79,14 @@ class TestEffectAcceptance:
         cf = it.ColliderForm(
             delta=np.zeros(2), effects=(it.ColliderEffect(lam=1.0, q=np.array([0.6, -0.8])),)
         )
-        assert it.effect_acceptance(cf, [1, -1])[0] == pytest.approx(1.0, abs=1e-14)
-        assert it.effect_acceptance(cf, [1, 1])[0] == pytest.approx(
-            math.exp(0.5 * 0.04 - 0.98), abs=1e-14
-        )
+        acc = acceptance(cf)
+        assert acc[1] == pytest.approx(1.0, abs=1e-14)
+        assert acc[3] == pytest.approx(math.exp(0.5 * 0.04 - 0.98), abs=1e-14)
 
     def test_always_in_unit_interval(self, rng):
         spec = low_rank_spec(rng, 5, 3)
-        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
-        for x in all_configs(5):
-            acc = it.effect_acceptance(cf, x)
-            assert np.all(acc > 0.0) and np.all(acc <= 1.0 + 1e-15)
+        acc = acceptance(it.spectral_to_collider(it.to_spectral(spec), spec.delta))
+        assert np.all(acc > 0.0) and np.all(acc <= 1.0 + 1e-15)
 
 
 class TestCauseMarginal:
@@ -117,33 +117,20 @@ class TestCauseMarginal:
 
 
 class TestColliderJoint:
+    """``P(x, effect)`` of causes ``x = (1, -1)``, index 1, from the tables."""
+
     def test_effect_absent_example(self):
         cf = it.simple_collider(np.zeros(2))
-        got = it.collider_joint(cf, [1, -1], [0])
+        cond = it.conditioned_pmf(cf)
+        got = it.cause_marginal_pmf(cf).probs[1] - cond.probs[1] * math.exp(cond.log_z)
         assert got == pytest.approx(0.25 * (1.0 - math.exp(-2.0)), abs=1e-14)
         assert got == pytest.approx(0.216166, abs=5e-7)
 
     def test_effect_present_example(self):
-        cf = it.simple_collider(np.zeros(2))
-        assert it.collider_joint(cf, [1, -1], [1]) == pytest.approx(
+        cond = it.conditioned_pmf(it.simple_collider(np.zeros(2)))
+        assert cond.probs[1] * math.exp(cond.log_z) == pytest.approx(
             0.25 * math.exp(-2.0), abs=1e-14
         )
-
-    def test_joint_sums_to_one(self, rng):
-        spec = low_rank_spec(rng, 4, 2)
-        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
-        total = 0.0
-        for x in all_configs(4):
-            for e in all_configs(cf.r):
-                total += it.collider_joint(cf, x, [(b + 1) // 2 for b in e])
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_effect_state_validation(self):
-        cf = it.simple_collider(np.zeros(2))
-        with pytest.raises(ValueError, match="0 or 1"):
-            it.collider_joint(cf, [1, 1], [2])
-        with pytest.raises(it.DimensionMismatchError):
-            it.collider_joint(cf, [1, 1], [1, 1])
 
 
 class TestConditionedPmf:

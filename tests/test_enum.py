@@ -27,9 +27,12 @@ from ising_trinity.cli import main
 from oracles import (
     all_configs,
     cause_table,
+    collider_log_joint,
     conditioned_collider_table,
     curie_weiss_table,
+    ising_log_weight,
     ising_table,
+    spectral_log_weight,
     spectral_table,
     table_moments,
 )
@@ -96,16 +99,15 @@ class TestKernel:
             configs = decode_configs(np.arange(1 << n), n)
             assert configs.dtype == np.int8 and configs.tolist() == [list(c) for c in all_configs(n)]
             assert encode_configs(configs).tolist() == list(range(1 << n))
-            npt.assert_array_equal(it.config_matrix(n), configs)
         idx = np.array([[0, 5], [7, 2]])
         assert decode_configs(idx, 3).shape == (2, 2, 3)
         assert np.array_equal(encode_configs(decode_configs(idx, 3)), idx)
-        assert it.config_to_index(it.index_to_config(5, 3)) == 5
+        assert decode_configs(5, 3).tolist() == [1, -1, 1] and encode_configs([1, -1, 1]) == 5
 
     @pytest.mark.parametrize("sep", [",", ",\n      "])
     def test_config_text_spells_out_the_config_matrix(self, sep):
         for n in range(9):
-            expected = [sep.join(str(int(v)) for v in row) for row in it.config_matrix(n)]
+            expected = [sep.join(str(v) for v in row) for row in all_configs(n)]
             assert config_text(n, sep) == expected
 
 
@@ -223,13 +225,13 @@ class TestSplitHalfBuilders:
         cf = it.spectral_to_collider(form, spec.delta)
         assert form.rank == n - 1
         picks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 30).tolist()]
-        configs = [it.index_to_config(k, n) for k in picks]
-        cause_norm = float(np.sum(np.logaddexp(cf.delta, -cf.delta)))
+        configs = decode_configs(picks, n).tolist()
+        delta, effects = spec.delta.tolist(), [(e.lam, e.q.tolist()) for e in cf.effects]
         own_log_weight = {
-            "spectral": lambda x: it.spectral_log_weight(form, spec.delta, x),
-            "collider": lambda x: float(
-                x @ cf.delta - cause_norm + np.log(it.effect_acceptance(cf, x)).sum()
+            "spectral": lambda x: spectral_log_weight(
+                delta, form.lambdas.tolist(), form.q.T.tolist(), x
             ),
+            "collider": lambda x: collider_log_joint(delta, effects, cf.log_sups.tolist(), x),
         }
         tables = {"spectral": it.spectral_pmf(form, spec.delta), "collider": it.conditioned_pmf(cf)}
         for name, pmf in tables.items():
@@ -266,7 +268,8 @@ def test_enumeration_limit_entries_match_the_log_weight(rng):
     spec = random_spec(rng, n, coupling_scale=0.3)
     pmf = it.ising_pmf(spec)
     picks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 30).tolist()]
-    log_w = [it.ising_log_weight(spec, it.index_to_config(k, n)) for k in picks]
+    delta, sigma = spec.delta.tolist(), spec.sigma.tolist()
+    log_w = [ising_log_weight(delta, sigma, x) for x in decode_configs(picks, n).tolist()]
     for k, lw in zip(picks, log_w):
         assert math.log(pmf.probs[k]) - math.log(pmf.probs[picks[0]]) == pytest.approx(
             lw - log_w[0], abs=1e-10
@@ -288,7 +291,6 @@ OVER_LIMIT_CALLS = {
         it.LatentForm(delta=np.zeros(OVER), loadings=np.ones((OVER, 1)))
     ),
     "verify_representations": lambda: it.verify_representations(OVER_SPEC),
-    "config_matrix": lambda: it.config_matrix(OVER),
     "config_text": lambda: config_text(OVER, ","),
 }
 

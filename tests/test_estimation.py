@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ising_trinity as it
 from conftest import random_spec
 from ising_trinity.estimation import _distinct_configs
-from oracles import ising_table, pseudo_loglik_and_grad
+from oracles import all_configs, pseudo_loglik_and_grad
 
 ORACLE_TOL = 1e-12
 
@@ -44,7 +44,8 @@ class TestWeightedConfigs:
     def test_table_weights_are_probabilities(self, rng):
         pmf = it.ising_pmf(random_spec(rng, 3))
         configs, weights = it.weighted_configs(pmf)
-        assert configs.shape == (8, 3)
+        assert configs.dtype == np.float64
+        assert configs.tolist() == [list(x) for x in all_configs(3)]
         npt.assert_allclose(weights, pmf.probs)
 
     def test_explicit_weights_are_normalized(self):
@@ -125,17 +126,6 @@ class TestDistinctConfigurations:
         npt.assert_allclose(
             it.pseudo_loglik_grad(spec, data), grad, rtol=ORACLE_TOL, atol=ORACLE_TOL
         )
-
-    def test_full_loglik_on_repeated_rows_matches_the_oracle_table(self, rng):
-        for n in (1, 2, 5):
-            spec = random_spec(rng, n)
-            table = ising_table(spec.delta.tolist(), spec.sigma.tolist())
-            rows = rng.choice([-1, 1], size=(3, n))[rng.integers(0, 3, 40)]
-            weights = rng.uniform(0.0, 1.0, 40)
-            expected = sum(
-                w * math.log(table[it.config_to_index(x)]) for x, w in zip(rows, weights)
-            ) / weights.sum()
-            assert it.full_loglik(spec, (rows, weights)) == pytest.approx(expected, abs=1e-12)
 
     def test_fit_ignores_row_order_and_copies(self, rng):
         spec = random_spec(rng, 5, coupling_scale=0.5, field_scale=0.5)
@@ -264,35 +254,3 @@ class TestFit:
         assert len(d["delta"]) == 2
         assert len(d["sigma"]) == 2
         assert d["iterations"] == len(d["objective_trace"]) - 1
-
-
-class TestFullLoglik:
-    def test_single_configuration_is_its_log_probability(self, rng):
-        spec = random_spec(rng, 3)
-        pmf = it.ising_pmf(spec)
-        x = np.array([[1, -1, 1]])
-        idx = it.config_to_index(x[0])
-        assert it.full_loglik(spec, x) == pytest.approx(
-            math.log(pmf.probs[idx]), abs=1e-12
-        )
-
-    def test_population_value_is_negative_entropy(self, rng):
-        spec = random_spec(rng, 4)
-        pmf = it.ising_pmf(spec)
-        expected = float(np.sum(pmf.probs * np.log(pmf.probs)))
-        assert it.full_loglik(spec, pmf) == pytest.approx(expected, abs=1e-10)
-
-    def test_truth_beats_perturbation_on_population(self, rng):
-        spec = random_spec(rng, 4)
-        pmf = it.ising_pmf(spec)
-        bumped = it.ModelSpec(delta=spec.delta + 0.2, sigma=spec.sigma)
-        assert it.full_loglik(spec, pmf) > it.full_loglik(bumped, pmf)
-
-    def test_enumeration_limit(self):
-        spec = it.ModelSpec(delta=np.zeros(21), sigma=np.zeros((21, 21)))
-        with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
-            it.full_loglik(spec, np.ones((2, 21)))
-
-    def test_enumerates_above_the_old_verifier_size(self):
-        spec = it.ModelSpec(delta=np.zeros(13), sigma=np.zeros((13, 13)))
-        assert it.full_loglik(spec, np.ones((2, 13))) == pytest.approx(-13 * math.log(2.0))

@@ -13,12 +13,7 @@ import ising_trinity as it
 from conftest import low_rank_spec, random_spec
 from ising_trinity import latent
 from ising_trinity.latent import MAX_QUAD_NODES
-from oracles import (
-    all_configs,
-    curie_weiss_table,
-    mirt_quadrature_table,
-    spectral_table,
-)
+from oracles import curie_weiss_table, mirt_quadrature_table, spectral_table
 
 HALF_LOG3 = 0.5 * math.log(3.0)
 
@@ -90,67 +85,6 @@ class TestMomentGeneratingIdentity:
             it.kac_identity_check(float("nan"))
 
 
-class TestRaschConditional:
-    def test_neutral_point_is_uniform(self):
-        for n in (1, 2, 4):
-            p = it.rasch_conditional(np.zeros(n), 0.0, [1] * n)
-            assert p == pytest.approx(0.5**n, abs=1e-15)
-
-    def test_three_quarters_factor(self):
-        assert it.rasch_conditional(np.zeros(1), HALF_LOG3, [1]) == pytest.approx(
-            0.75, abs=1e-14
-        )
-        assert it.rasch_conditional(np.zeros(3), HALF_LOG3, [1, 1, 1]) == pytest.approx(
-            0.75**3, abs=1e-14
-        )
-        assert it.rasch_conditional(np.zeros(1), HALF_LOG3, [-1]) == pytest.approx(
-            0.25, abs=1e-14
-        )
-
-    def test_saturation(self):
-        assert it.rasch_conditional(np.zeros(2), 40.0, [1, 1]) == pytest.approx(1.0, abs=1e-12)
-        assert it.rasch_conditional(np.zeros(2), 40.0, [-1, 1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosh_product_identity(self, rng):
-        # conditional(x | theta) * prod_i 2 cosh(theta + delta_i)
-        # equals exp(sum_i x_i (theta + delta_i)) identically.
-        delta = rng.uniform(-1.5, 1.5, 3)
-        for theta in (-2.0, -0.3, 0.0, 1.1, 2.5):
-            cosh_prod = np.prod(2.0 * np.cosh(theta + delta))
-            for x in all_configs(3):
-                lhs = it.rasch_conditional(delta, theta, x) * cosh_prod
-                rhs = math.exp(float(np.asarray(x) @ (theta + delta)))
-                assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            it.rasch_conditional(np.zeros(2), float("inf"), [1, 1])
-        with pytest.raises(it.DimensionMismatchError):
-            it.rasch_conditional(np.zeros(2), 0.0, [1, 1, 1])
-
-
-class TestLatentDensity:
-    def test_no_items_is_standard_normal(self):
-        grid = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
-        f = it.latent_density_cw(np.zeros(0), grid)
-        npt.assert_allclose(f, np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi), atol=1e-12)
-
-    def test_symmetric_when_deltas_vanish(self):
-        f = it.latent_density_cw(np.zeros(4), np.array([-1.3, 1.3]))
-        assert f[0] == pytest.approx(f[1], rel=1e-12)
-
-    def test_scalar_in_float_out(self):
-        out = it.latent_density_cw(np.zeros(2), 0.4)
-        assert isinstance(out, float) and out > 0.0
-
-    def test_integrates_to_one_under_the_rule(self, rng):
-        delta = rng.uniform(-1.0, 1.0, 6)
-        rule = it.QuadratureRule.gauss_hermite(64)
-        dens = it.latent_density_cw(delta, rule.nodes, rule)
-        phi = np.exp(-0.5 * rule.nodes**2) / math.sqrt(2 * math.pi)
-        assert rule.weights @ (dens / phi) == pytest.approx(1.0, abs=1e-8)
-
-
 class TestRaschMarginal:
     def test_two_item_closed_form(self):
         pmf = it.rasch_marginal_pmf(np.zeros(2))
@@ -210,52 +144,6 @@ class TestLatentForm:
     def test_shape_validation(self):
         with pytest.raises(it.DimensionMismatchError):
             it.LatentForm(delta=np.zeros(3), loadings=np.ones((2, 1)))
-
-
-class TestMirtConditional:
-    def test_reduces_to_single_latent_form(self, rng):
-        delta = rng.uniform(-1.0, 1.0, 3)
-        lf = it.LatentForm(delta=delta, loadings=np.ones((3, 1)))
-        for theta in (-1.5, 0.0, 0.7):
-            for x in all_configs(3):
-                a = it.mirt_conditional(lf, [theta], x)
-                b = it.rasch_conditional(delta, theta, x)
-                assert a == pytest.approx(b, rel=1e-13)
-
-    def test_zero_loadings_ignore_theta(self):
-        lf = it.LatentForm(delta=np.array([0.3, -0.2]), loadings=np.zeros((2, 1)))
-        base = it.mirt_conditional(lf, [0.0], [1, -1])
-        assert it.mirt_conditional(lf, [5.0], [1, -1]) == pytest.approx(base, rel=1e-14)
-
-    def test_three_quarters_factor(self):
-        lf = it.LatentForm(delta=np.zeros(1), loadings=np.ones((1, 1)))
-        assert it.mirt_conditional(lf, [HALF_LOG3], [1]) == pytest.approx(0.75, abs=1e-14)
-
-    def test_local_independence(self, rng):
-        spec = low_rank_spec(rng, 4, 2)
-        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
-        theta = rng.normal(size=2)
-        fields = lf.delta + lf.loadings @ theta
-        for x in all_configs(4):
-            per_item = np.prod(1.0 / (1.0 + np.exp(-2.0 * np.asarray(x) * fields)))
-            joint = it.mirt_conditional(lf, theta, x)
-            assert joint == pytest.approx(per_item, rel=1e-12)
-
-    def test_monotone_in_each_latent(self, rng):
-        spec = low_rank_spec(rng, 3, 2)
-        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
-        signs = np.sign(lf.loadings[:, 0])
-        signs[signs == 0] = 1
-        x = signs.astype(int).tolist()
-        probs = [
-            it.mirt_conditional(lf, [t, 0.0], x) for t in np.linspace(-2.0, 2.0, 9)
-        ]
-        assert all(b > a for a, b in zip(probs, probs[1:]))
-
-    def test_dimension_guard(self):
-        lf = it.LatentForm(delta=np.zeros(2), loadings=np.ones((2, 1)))
-        with pytest.raises(it.DimensionMismatchError):
-            it.mirt_conditional(lf, [0.0, 0.0], [1, 1])
 
 
 class TestMirtMarginal:

@@ -48,6 +48,15 @@ def opposed_effects() -> it.ColliderForm:
     )
 
 
+def severe_collider(n: int = 10) -> it.ColliderForm:
+    """Coupling 2 between every pair, fields +1.25 on half the causes and -1.25 on
+    the rest: the one effect accepts little but agreement, which the fields
+    make rare, so the acceptance rate is 3.4e-6 at n = 10."""
+    delta = np.where(np.arange(n) < n // 2, 1.25, -1.25)
+    spec = it.ModelSpec(delta, 2.0 * (np.ones((n, n)) - np.eye(n)))
+    return it.spectral_to_collider(it.to_spectral(spec), spec.delta)
+
+
 def pooled_chi_square_passes(counts, expected) -> bool:
     """Pearson chi-square at false-alarm rate 1e-6, with the cells expecting
     fewer than five draws pooled into one."""
@@ -147,30 +156,6 @@ class TestExactSampler:
         pmf = it.ising_pmf(unit_coupling_spec(2))
         with pytest.raises(ValueError, match="at least 1"):
             it.sample_exact(pmf, 0, seed=0)
-
-
-class TestGibbsConditional:
-    def test_neutral_site(self):
-        spec = it.ModelSpec(delta=np.zeros(2), sigma=np.zeros((2, 2)))
-        assert it.gibbs_conditional(spec, [1, 1], 0) == pytest.approx(0.5)
-
-    def test_field_only(self):
-        spec = it.ModelSpec(delta=np.array([0.5 * math.log(3.0)]), sigma=np.zeros((1, 1)))
-        assert it.gibbs_conditional(spec, [-1], 0) == pytest.approx(0.75, abs=1e-12)
-
-    def test_neighbor_pull(self):
-        spec = it.ModelSpec(
-            delta=np.zeros(2),
-            sigma=math.log(2.0) * (np.ones((2, 2)) - np.eye(2)),
-        )
-        # h = log 2 when the neighbor is +1, so p = 1 / (1 + 1/4).
-        assert it.gibbs_conditional(spec, [-1, 1], 0) == pytest.approx(0.8, abs=1e-12)
-        assert it.gibbs_conditional(spec, [-1, -1], 0) == pytest.approx(0.2, abs=1e-12)
-
-    def test_site_index_guard(self):
-        spec = it.ModelSpec(delta=np.zeros(2), sigma=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="out of range"):
-            it.gibbs_conditional(spec, [1, 1], 2)
 
 
 class TestGibbsSampler:
@@ -440,6 +425,74 @@ class TestRejectionSampler:
             match=r"predicted acceptance rate 1\.92e-174 is below 1e-06; conditioning is too severe",
         ):
             it.sample_collider_rejection(cf, 10, seed=0)
+
+    def test_refuses_before_drawing_when_the_budget_is_too_small(self, monkeypatch):
+        # 3000 draws at 3.4e-6 would take about 8.9e8 proposals.
+        cf = severe_collider()
+        rate = float(np.exp(it.conditioned_pmf(cf).log_z))
+        assert sampling.MIN_ACCEPT_RATE < rate < 3000 / sampling.MAX_PROPOSALS
+
+        def no_generator(seed):
+            raise AssertionError("the sampler drew before refusing")
+
+        monkeypatch.setattr(sampling.np.random, "default_rng", no_generator)
+        with pytest.raises(
+            it.ConditioningTooSevereError,
+            match=r"^3000 draws at the predicted acceptance rate 3\.39e-06 need about "
+            r"8\.86e\+08 proposals, more than the budget of 134217728; conditioning "
+            r"is too severe for rejection sampling$",
+        ):
+            it.sample_collider_rejection(cf, 3000, seed=0)
+
+    def test_budget_at_the_expected_proposal_count(self, monkeypatch):
+        # 1000 draws at the exact rate 0.5677 expect 1761.6 proposals.
+        cf = it.simple_collider(np.zeros(2))
+        expected = 1000 / (0.5 * (1.0 + math.exp(-2.0)))
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", math.ceil(expected))
+        sample = it.sample_collider_rejection(cf, 1000, seed=0)
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", math.floor(expected))
+        with pytest.raises(it.ConditioningTooSevereError, match="more than the budget of 1761;"):
+            it.sample_collider_rejection(cf, 1000, seed=0)
+        # Only the expected count is budgeted: the run proposes a whole block.
+        assert sample.meta["proposals"] == sampling._UNIFORM_BLOCK // 2
+
+    def test_stops_at_the_budget_above_the_enumeration_limit(self, monkeypatch):
+        # The severe model's two-cause twin: q = (1, 1)/sqrt 2 and (1, -1)/sqrt 2
+        # with strength 12.5 accept every proposal with probability exp(-12.5),
+        # about 3.7e-6, above MIN_ACCEPT_RATE, so only the budget stops the run.
+        n, root_half = sampling.ENUMERATION_LIMIT + 1, 1.0 / math.sqrt(2.0)
+
+        def opposed(lam):
+            effects = []
+            for sign in (1.0, -1.0):
+                q = np.zeros(n)
+                q[:2] = root_half, sign * root_half
+                effects.append(it.ColliderEffect(lam, q))
+            return it.ColliderForm(np.zeros(n), tuple(effects))
+
+        cf = opposed(12.5)
+        rows = sampling._UNIFORM_BLOCK // n
+        ref_effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2 * rows + 1)
+        for seed in range(3):
+            with pytest.raises(RuntimeError) as ref:
+                rejection_draws(cf.delta, ref_effects, 10, seed, rows, budget=2 * rows + 1)
+            kept, proposed = str(ref.value).split("/")
+            assert proposed == str(3 * rows)
+            with pytest.raises(
+                it.ConditioningTooSevereError,
+                match=rf"^{kept} of 10 draws kept after {proposed} proposals, the budget "
+                rf"of {2 * rows + 1}; conditioning is too severe for rejection sampling$",
+            ):
+                it.sample_collider_rejection(cf, 10, seed)
+        # At strength 1 (rate exp(-1)) the first block keeps every draw, and a
+        # budget of that one block changes nothing.
+        cf = opposed(1.0)
+        ref_effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", rows)
+        sample = it.sample_collider_rejection(cf, 1000, seed=11)
+        draws, meta = rejection_draws(cf.delta, ref_effects, 1000, 11, rows, budget=rows)
+        assert np.array_equal(sample.draws, draws) and sample.meta["proposals"] == rows
 
     def test_predicted_rate_at_the_threshold(self, monkeypatch):
         cf = it.simple_collider(np.zeros(2))

@@ -75,25 +75,23 @@ class TestToSpectral:
 
 
 class TestSpectralWeight:
-    def test_example_and_constant_gap(self):
+    def test_example_and_constant_gap(self, rng):
+        # The eigenvalue weight exceeds the pair-sum weight by c*n/2 at every
+        # configuration, so the two normalizers differ by exactly that.
         spec = spec_n2(1.0)
         form = it.to_spectral(spec)
-        w = it.spectral_log_weight(form, spec.delta, [1, 1])
-        assert w == pytest.approx(2.0, abs=1e-14)
-        assert it.ising_log_weight(spec, [1, 1]) == pytest.approx(1.0, abs=1e-14)
-        # The gap is c*n/2 for every configuration.
-        for x in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            gap = it.spectral_log_weight(form, spec.delta, x) - it.ising_log_weight(
-                spec, x
-            )
-            assert gap == pytest.approx(form.c * spec.n / 2.0, abs=1e-12)
-
-    def test_dimension_checks(self):
-        form = it.to_spectral(spec_n2(1.0))
-        with pytest.raises(it.DimensionMismatchError):
-            it.spectral_log_weight(form, np.zeros(3), [1, 1])
-        with pytest.raises(it.DimensionMismatchError):
-            it.spectral_log_weight(form, np.zeros(2), [1, 1, 1])
+        # log(2e^2 + 2) against log(2e + 2/e): a gap of 1 = c*n/2.
+        spe = it.spectral_pmf(form, spec.delta)
+        assert spe.log_z == pytest.approx(math.log(2.0 * math.e**2 + 2.0), abs=1e-14)
+        assert it.ising_pmf(spec).log_z == pytest.approx(
+            math.log(2.0 * math.e + 2.0 / math.e), abs=1e-14
+        )
+        for n in (2, 5, 9):
+            spec = random_spec(rng, n)
+            for shift in (0.0, 1.5):
+                form = it.to_spectral(spec, extra_shift=shift)
+                gap = it.spectral_pmf(form, spec.delta).log_z - it.ising_pmf(spec).log_z
+                assert gap == pytest.approx(form.c * n / 2.0, abs=1e-12)
 
 
 class TestSpectralPmf:
