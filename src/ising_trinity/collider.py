@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._enum import linear_table, log_2cosh, normalize, split_half_table, split_halves
-from .core import Pmf, as_delta
+from .core import Pmf, as_delta, freeze_array
 from .errors import DimensionMismatchError
 from .spectral import RANK_TOL, SpectralForm
 
@@ -23,36 +23,28 @@ UNIT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ColliderEffect:
-    """One effect: strength ``lam`` and a unit direction ``q`` over the causes.
-
-    ``log_sup`` is the log of the largest value ``exp(lam (q . x)^2 / 2)``
-    attains over ``+/-1`` configurations, reached by ``x_i = sign(q_i)``
-    (zero entries contribute nothing either way):
-    ``log_sup = lam (sum_i |q_i|)^2 / 2``.
-    """
+    """One effect: strength ``lam`` and a unit direction ``q`` over the causes."""
 
     lam: float
     q: np.ndarray
-    log_sup: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError(f"effect strength must be finite and >= 0, got {self.lam!r}")
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.ndim != 1:
-            raise ValueError(f"effect direction must be a vector, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("effect direction must be finite")
-        norm = np.linalg.norm(q)
+        norm = np.linalg.norm(freeze_array(self, "q", 1))
         if abs(norm - 1.0) > UNIT_TOL:
             raise ValueError(
                 f"effect direction must be a unit vector (norm {norm!r})"
             )
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(
-            self, "log_sup", float(0.5 * self.lam * np.abs(q).sum() ** 2)
-        )
+
+    @property
+    def log_sup(self) -> float:
+        """Log of the largest ``exp(lam (q . x)^2 / 2)`` over ``+/-1`` configurations.
+
+        It is reached by ``x_i = sign(q_i)`` (zero entries contribute nothing
+        either way): ``log_sup = lam (sum_i |q_i|)^2 / 2``.
+        """
+        return float(0.5 * self.lam * np.abs(self.q).sum() ** 2)
 
 
 @dataclass(frozen=True)
@@ -66,11 +58,7 @@ class ColliderForm:
     log_sups: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        delta = np.asarray(self.delta, dtype=np.float64)
-        if delta.ndim != 1:
-            raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-        if not np.all(np.isfinite(delta)):
-            raise ValueError("delta must be finite")
+        delta = freeze_array(self, "delta", 1)
         effects = tuple(self.effects)
         for k, eff in enumerate(effects):
             if eff.q.shape != delta.shape:
@@ -78,14 +66,11 @@ class ColliderForm:
                     f"effect {k} direction has shape {eff.q.shape}, "
                     f"expected {delta.shape}"
                 )
-        dirs = np.array([eff.q for eff in effects]).reshape(-1, delta.shape[0]).T.copy()
-        lams = np.array([eff.lam for eff in effects])
-        log_sups = np.array([eff.log_sup for eff in effects])
-        stacked = {"delta": delta, "lams": lams, "dirs": dirs, "log_sups": log_sups}
-        for name, arr in stacked.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "effects", effects)
+        dirs = np.array([eff.q for eff in effects]).reshape(-1, delta.shape[0]).T.copy()
+        freeze_array(self, "dirs", 2, dirs)
+        freeze_array(self, "lams", 1, [eff.lam for eff in effects])
+        freeze_array(self, "log_sups", 1, [eff.log_sup for eff in effects])
 
     @property
     def n(self) -> int:
@@ -104,8 +89,7 @@ def simple_collider(delta) -> ColliderForm:
     unnormalized all-ones direction with strength one.  Conditioned on the
     effect, this reproduces the exchangeable-coupling model.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    n = delta.shape[0]
+    n = np.size(delta)
     if n == 0:
         raise ValueError("simple_collider requires at least one cause")
     q = np.ones(n) / np.sqrt(n)

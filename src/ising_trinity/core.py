@@ -18,18 +18,31 @@ from .errors import DimensionMismatchError, SpecValidationError
 SYMMETRY_TOL = 1e-12
 
 
-def _as_float_array(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+def freeze_array(record, name: str, ndim: int, value=None, dtype=np.float64) -> np.ndarray:
+    """Store ``value`` (by default the field's own) on a frozen record as a read-only array.
+
+    The array is converted to ``dtype`` and must have ``ndim`` dimensions
+    (else `DimensionMismatchError`) and finite entries (else `ValueError`).
+    The record then checks its own conditions on the returned array.
+    """
+    arr = np.asarray(getattr(record, name) if value is None else value, dtype=dtype)
+    if arr.ndim != ndim:
+        kind = ("scalar", "vector", "matrix")[ndim]
+        raise DimensionMismatchError(f"{name} must be a {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
     return arr
 
 
 def as_delta(delta, n: int) -> np.ndarray:
-    """Intercepts as a float vector, checked to hold one entry per variable."""
+    """Intercepts as a float vector, checked to be finite with one entry per variable."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (n,):
         raise DimensionMismatchError(f"delta has shape {delta.shape}, expected ({n},)")
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("delta contains non-finite entries")
     return delta
 
 
@@ -46,11 +59,9 @@ class ModelSpec:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        delta = _as_float_array(self.delta, "delta")
-        if delta.ndim != 1:
-            raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-        n = delta.shape[0]
-        sigma = _as_float_array(self.sigma, "sigma")
+        n = freeze_array(self, "delta", 1).shape[0]
+        # Checked as a copy, so the caller's array stays writable.
+        sigma = freeze_array(self, "sigma", 2, np.array(self.sigma))
         if sigma.shape != (n, n):
             raise DimensionMismatchError(
                 f"sigma has shape {sigma.shape}, expected ({n}, {n})"
@@ -63,11 +74,8 @@ class ModelSpec:
                 f"sigma[{j}][{i}] = {float(sigma[j, i])!r} (difference {gap[i, j]:.3g} "
                 f"exceeds {SYMMETRY_TOL:g})"
             )
-        sigma = (sigma + sigma.T) / 2.0
-        delta.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "sigma", sigma)
+        # Halving first: the sum of two entries near the float limit overflows.
+        freeze_array(self, "sigma", 2, 0.5 * sigma + 0.5 * sigma.T)
 
     @property
     def n(self) -> int:
@@ -95,7 +103,7 @@ class Pmf:
     log_z: float
 
     def __post_init__(self) -> None:
-        probs = _as_float_array(self.probs, "probs")
+        probs = freeze_array(self, "probs", 1)
         if probs.shape != (1 << self.n,):
             raise DimensionMismatchError(
                 f"probability table has shape {probs.shape}, expected ({1 << self.n},)"
@@ -105,8 +113,6 @@ class Pmf:
         total = probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-12")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def ising_pmf(spec: ModelSpec) -> Pmf:
 
 def curie_weiss_pmf(n: int, delta) -> Pmf:
     """Exact table of the exchangeable-coupling model ``exp(x.delta + (sum x)^2 / 2)``."""
-    delta = as_delta(_as_float_array(delta, "delta"), n)
+    delta = as_delta(delta, n)
     total = linear_table(np.ones(n))
     log_w = linear_table(delta)
     log_w += 0.5 * total**2

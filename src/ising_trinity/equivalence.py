@@ -46,8 +46,10 @@ BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm, QuadratureRule | None], P
     ),
 }
 
-DEFAULT_EXACT_TOL = 1e-12
-DEFAULT_QUAD_TOL = 1e-7
+# Bounds on a pair's max_abs distance, and on its TV distance when the pair
+# involves the latent branch's quadrature.
+EXACT_TOL = 1e-12
+QUAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class BranchFault:
             raise ValueError(
                 f"unknown branch {self.branch!r}; expected one of {tuple(BRANCHES)}"
             )
-        if not np.isfinite(self.eps):
-            raise ValueError(f"fault epsilon must be finite, got {self.eps!r}")
+        if not np.isfinite(self.eps) or self.eps == 0.0:
+            raise ValueError(f"fault epsilon must be finite and nonzero, got {self.eps!r}")
 
 
 @dataclass
@@ -72,9 +74,6 @@ class EquivalenceReport:
 
     n: int
     rank: int
-    exact_tol: float
-    quad_tol: float
-    evaluated: dict[str, bool]
     distances: dict[tuple[str, str], PmfDistance]
     timings: dict[str, float]
     fault: BranchFault | None = None
@@ -89,7 +88,12 @@ class EquivalenceReport:
 
     def criterion(self, pair: tuple[str, str]) -> tuple[str, float]:
         """The metric a pair is judged by and its bound: TV if quadrature is involved."""
-        return ("tv", self.quad_tol) if "latent" in pair else ("max_abs", self.exact_tol)
+        return ("tv", QUAD_TOL) if "latent" in pair else ("max_abs", EXACT_TOL)
+
+    @property
+    def evaluated(self) -> dict[str, bool]:
+        """Whether each branch, in `BRANCHES` order, built its table."""
+        return {name: name not in self.skipped_reason for name in BRANCHES}
 
     @property
     def all_pass(self) -> bool:
@@ -99,18 +103,18 @@ class EquivalenceReport:
         return {
             "n": self.n,
             "rank": self.rank,
-            "exact_tol": self.exact_tol,
-            "quad_tol": self.quad_tol,
+            "exact_tol": EXACT_TOL,
+            "quad_tol": QUAD_TOL,
             "all_pass": self.all_pass,
             "fault": None if self.fault is None else asdict(self.fault),
             "branches": [
                 {
                     "name": name,
-                    "evaluated": self.evaluated[name],
+                    "evaluated": evaluated,
                     "seconds": self.timings.get(name),
                     "skipped_reason": self.skipped_reason.get(name),
                 }
-                for name in BRANCHES
+                for name, evaluated in self.evaluated.items()
             ],
             "pairs": [
                 {
@@ -135,9 +139,9 @@ class EquivalenceReport:
             "branches: "
             + ", ".join(
                 f"{name} ({self.timings[name]:.3f}s)"
-                if self.evaluated[name]
+                if evaluated
                 else f"{name} (not evaluated: {self.skipped_reason[name]})"
-                for name in BRANCHES
+                for name, evaluated in self.evaluated.items()
             ),
         ]
         if self.fault is not None:
@@ -159,8 +163,6 @@ def verify_representations(
     spec: ModelSpec,
     rule: QuadratureRule | None = None,
     *,
-    exact_tol: float = DEFAULT_EXACT_TOL,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     fault: BranchFault | None = None,
 ) -> EquivalenceReport:
     """Compute the PMF through every branch in `BRANCHES` and compare the tables.
@@ -172,7 +174,6 @@ def verify_representations(
     is not evaluated is an error.
     """
     check_enumerable(spec.n)
-    rule = QuadratureRule.gauss_hermite() if rule is None else rule
     form = to_spectral(spec)
 
     tables: dict[str, Pmf] = {}
@@ -206,9 +207,6 @@ def verify_representations(
     return EquivalenceReport(
         n=spec.n,
         rank=form.rank,
-        exact_tol=exact_tol,
-        quad_tol=quad_tol,
-        evaluated={name: name in tables for name in BRANCHES},
         distances=distances,
         timings=timings,
         fault=fault,

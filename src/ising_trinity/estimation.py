@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import decode_configs
-from .core import ModelSpec, Pmf
+from .core import ModelSpec, Pmf, freeze_array
 from .errors import DimensionMismatchError, LineSearchError
 from .sampling import SampleSet
 
-# Sufficient-increase constant ``c`` of the backtracking (Armijo) line search.
+# The backtracking (Armijo) line search: each iteration's first step, the
+# halvings it may take before giving up, and the sufficient-increase constant.
+INITIAL_STEP = 1.0
+MAX_HALVINGS = 60
 ARMIJO_C = 1e-4
 
 
@@ -35,6 +38,9 @@ class FitResult:
     grad_norm_final: float
     iterations: int
     converged: bool
+
+    def __post_init__(self) -> None:
+        freeze_array(self, "objective_trace", 1)
 
     def to_dict(self) -> dict:
         return {
@@ -154,17 +160,19 @@ def fit_pseudo_likelihood(
     *,
     grad_tol: float = 1e-6,
     max_iter: int = 5000,
-    initial_step: float = 1.0,
-    max_halvings: int = 60,
 ) -> FitResult:
     """Maximize the pseudo-log-likelihood by backtracking gradient ascent.
 
-    Each iteration starts from ``initial_step`` and halves until the Armijo
+    Each iteration starts from ``INITIAL_STEP`` and halves until the Armijo
     condition ``f(new) >= f(old) + ARMIJO_C * step * |g|^2`` holds; more than
-    ``max_halvings`` halvings raises `LineSearchError`.  Stops when the
-    gradient norm drops below ``grad_tol`` or after ``max_iter`` accepted
-    steps, whichever comes first.
+    ``MAX_HALVINGS`` halvings raises `LineSearchError`.  Stops when the
+    gradient norm drops below ``grad_tol`` (finite and positive) or after
+    ``max_iter`` (at least 0) accepted steps, whichever comes first.
     """
+    if not (np.isfinite(grad_tol) and grad_tol > 0.0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     configs, weights = _distinct_configs(data)
     n = configs.shape[1]
     if init is None:
@@ -178,8 +186,8 @@ def fit_pseudo_likelihood(
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     while grad_norm >= grad_tol and iterations < max_iter:
-        step = initial_step
-        for _ in range(max_halvings + 1):
+        step = INITIAL_STEP
+        for _ in range(MAX_HALVINGS + 1):
             candidate = vec + step * grad
             cand_value, cand_grad = _objective_and_grad(candidate, configs, weights)
             if np.isfinite(cand_value) and cand_value >= value + ARMIJO_C * step * grad_norm**2:
@@ -187,7 +195,7 @@ def fit_pseudo_likelihood(
             step *= 0.5
         else:
             raise LineSearchError(
-                f"no acceptable step after {max_halvings} halvings "
+                f"no acceptable step after {MAX_HALVINGS} halvings "
                 f"(gradient norm {grad_norm:.3e})"
             )
         vec, value, grad = candidate, cand_value, cand_grad

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import check_enumerable, log_2cosh
-from .core import Pmf, as_delta
+from .core import Pmf, as_delta, freeze_array
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -65,21 +65,15 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
+        nodes = freeze_array(self, "nodes", 1)
+        weights = freeze_array(self, "weights", 1)
+        if nodes.shape != weights.shape:
             raise DimensionMismatchError(
                 f"nodes and weights must be matching vectors, got shapes "
                 f"{nodes.shape} and {weights.shape}"
             )
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("quadrature nodes and weights must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def node_count(self) -> int:
@@ -228,11 +222,10 @@ def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     The rank-one latent marginal with unit loadings; a rule too coarse for the
     ``MASS_TOL`` check raises `QuadratureResolutionError`.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 1:
-        raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-    check_enumerable(delta.shape[0])
-    return _quadrature_pmf(delta, np.ones_like(delta)[:, None], _default_rule(rule))
+    # A copy, so the caller's array stays writable when the form freezes it.
+    form = LatentForm(delta=np.array(delta), loadings=np.ones((np.size(delta), 1)))
+    check_enumerable(form.n)
+    return _quadrature_pmf(form.delta, form.loadings, _default_rule(rule))
 
 
 @dataclass(frozen=True)
@@ -243,12 +236,9 @@ class LatentForm:
     loadings: np.ndarray
 
     def __post_init__(self) -> None:
-        delta = np.asarray(self.delta, dtype=np.float64)
-        loadings = np.asarray(self.loadings, dtype=np.float64)
-        if delta.ndim != 1:
-            raise ValueError(f"delta must be a vector, got shape {delta.shape}")
-        n = delta.shape[0]
-        if loadings.ndim != 2 or loadings.shape[0] != n:
+        n = freeze_array(self, "delta", 1).shape[0]
+        loadings = freeze_array(self, "loadings", 2)
+        if loadings.shape[0] != n:
             raise DimensionMismatchError(
                 f"loadings have shape {loadings.shape}, expected ({n}, r)"
             )
@@ -256,12 +246,6 @@ class LatentForm:
             raise ValueError(
                 f"latent dimension {loadings.shape[1]} exceeds item count {n}"
             )
-        if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(loadings))):
-            raise ValueError("delta and loadings must be finite")
-        delta.setflags(write=False)
-        loadings.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "loadings", loadings)
 
     @property
     def n(self) -> int:

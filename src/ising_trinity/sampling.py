@@ -21,9 +21,9 @@ from ._enum import (
     log_sigmoid,
 )
 from .collider import ColliderForm, conditioned_pmf
-from .core import ModelSpec, Pmf
+from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import LatentForm, QuadratureRule, node_log_shares
+from .latent import LatentForm, QuadratureRule, _default_rule, node_log_shares
 
 # Rejection sampling refuses a model whose acceptance rate is below
 # MIN_ACCEPT_RATE: up front where the rate can be enumerated, otherwise once
@@ -55,16 +55,11 @@ class SampleSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        draws = np.asarray(self.draws)
-        if draws.ndim != 2:
-            raise ValueError(f"draws must be a matrix, got shape {draws.shape}")
-        if draws.shape[0] < 1:
-            raise ValueError("a sample set must contain at least one draw")
-        if not np.isin(draws, (-1, 1)).all():
+        # Checked before the cast, which would truncate 1.5 to 1.
+        if not np.isin(self.draws, (-1, 1)).all():
             raise ValueError("draws must contain only +1 and -1")
-        draws = draws.astype(np.int8)
-        draws.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
+        if freeze_array(self, "draws", 2, dtype=np.int8).shape[0] < 1:
+            raise ValueError("a sample set must contain at least one draw")
 
     @property
     def m(self) -> int:
@@ -289,7 +284,7 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, see
     `QuadratureResolutionError` for a rule too coarse for the model.
     """
     _require_positive_m(m)
-    rule = QuadratureRule.gauss_hermite() if rule is None else rule
+    rule = _default_rule(rule)
     cdf = np.cumsum(np.exp(node_log_shares(lf, rule)))
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)

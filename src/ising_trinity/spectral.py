@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import linear_table, normalize, split_half_table, split_halves
-from .core import ModelSpec, Pmf, as_delta
+from .core import ModelSpec, Pmf, as_delta, freeze_array
 from .errors import DimensionMismatchError, EigendecompositionError
 
 # Eigenvalues within this tolerance of zero are treated as exactly zero.
@@ -23,39 +23,37 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """Shift ``c``, eigenvalues (descending), orthonormal eigenvectors, and loadings.
+    """Shift ``c``, eigenvalues (descending), and orthonormal eigenvectors.
 
-    ``loadings`` scales each eigenvector column by the square root of its
-    eigenvalue, so the shifted coupling matrix equals ``loadings @ loadings.T``
-    when no eigenvalue has been zeroed.  Zeroing trailing eigenvalues yields a
-    lower-rank form that defines a model in its own right rather than
-    reproducing the original couplings.
+    Zeroing trailing eigenvalues yields a lower-rank form that defines a model
+    in its own right rather than reproducing the original couplings.
     """
 
     c: float
     lambdas: np.ndarray
     q: np.ndarray
-    loadings: np.ndarray
 
     def __post_init__(self) -> None:
-        lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        q = np.asarray(self.q, dtype=np.float64)
-        loadings = np.asarray(self.loadings, dtype=np.float64)
+        lambdas = freeze_array(self, "lambdas", 1)
+        q = freeze_array(self, "q", 2)
         n = lambdas.shape[0]
-        if q.shape != (n, n) or loadings.shape != (n, n):
+        if q.shape != (n, n):
             raise DimensionMismatchError(
-                f"eigenvector/loading shapes {q.shape}/{loadings.shape} "
-                f"do not match {n} eigenvalues"
+                f"eigenvector shape {q.shape} does not match {n} eigenvalues"
             )
         if np.any(lambdas < 0.0):
             raise ValueError("eigenvalues must be non-negative after the shift")
         if np.any(np.diff(lambdas) > 0.0):
             raise ValueError("eigenvalues must be sorted in descending order")
-        for arr in (lambdas, q, loadings):
-            arr.setflags(write=False)
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "loadings", loadings)
+
+    @property
+    def loadings(self) -> np.ndarray:
+        """Each eigenvector column scaled by the square root of its eigenvalue.
+
+        The shifted coupling matrix equals ``loadings @ loadings.T`` when no
+        eigenvalue has been zeroed.
+        """
+        return self.q * np.sqrt(self.lambdas)
 
     @property
     def n(self) -> int:
@@ -85,7 +83,13 @@ def to_spectral(spec: ModelSpec, extra_shift: float = 0.0) -> SpectralForm:
             f"eigendecomposition of the coupling matrix failed: {exc}"
         ) from exc
     c = max(0.0, -float(evals.min())) + float(extra_shift)
-    lambdas = evals + c
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambdas = evals + c
+    if not np.all(np.isfinite(lambdas)):
+        raise EigendecompositionError(
+            f"eigendecomposition of the coupling matrix failed: the eigenvalues "
+            f"{evals.min():g} to {evals.max():g} or their shift by c = {c:g} are not finite"
+        )
     lambdas[np.abs(lambdas) < RANK_TOL] = 0.0
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
@@ -94,8 +98,7 @@ def to_spectral(spec: ModelSpec, extra_shift: float = 0.0) -> SpectralForm:
         lead = np.argmax(np.abs(vecs[:, col]))
         if vecs[lead, col] < 0.0:
             vecs[:, col] = -vecs[:, col]
-    loadings = vecs * np.sqrt(lambdas)
-    return SpectralForm(c=c, lambdas=lambdas, q=vecs, loadings=loadings)
+    return SpectralForm(c=c, lambdas=lambdas, q=vecs)
 
 
 def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
@@ -108,9 +111,7 @@ def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
         raise ValueError(f"max_rank must be non-negative, got {max_rank}")
     lambdas = form.lambdas.copy()
     lambdas[max_rank:] = 0.0
-    return SpectralForm(
-        c=form.c, lambdas=lambdas, q=form.q, loadings=form.q * np.sqrt(lambdas)
-    )
+    return SpectralForm(c=form.c, lambdas=lambdas, q=form.q)
 
 
 def spectral_pmf(form: SpectralForm, delta) -> Pmf:

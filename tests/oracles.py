@@ -125,20 +125,19 @@ def table_moments(table, n):
     return first, second
 
 
-def mirt_quadrature_table(delta, loadings, nodes, weights):
-    """Tensor-product quadrature of the latent marginal, one node at a time.
+def mirt_node_log_shares(delta, loadings, nodes, weights):
+    """Each tensor node of the latent marginal, one at a time, in C order.
 
     ``loadings`` has one row of ``r`` entries per item, and every latent
-    dimension uses the one-dimensional rule ``(nodes, weights)``.  A node
-    ``theta`` weighs ``prod_d w_d * prod_i 2 cosh(eta_i)`` with
-    ``eta_i = delta_i + a_i . theta``; each configuration receives that weight
-    times ``prod_i logistic(2 x_i eta_i)``.  Returns the table divided by the
-    total node weight, and the log of that total.
+    dimension uses the one-dimensional rule ``(nodes, weights)``; the first
+    dimension varies slowest.  A node ``theta`` has fields
+    ``eta_i = delta_i + a_i . theta`` and weighs
+    ``c = prod_d w_d * prod_i 2 cosh(eta_i)``.  Returns ``(log c, eta)`` per
+    node, unnormalized.
     """
     n = len(delta)
     r = len(loadings[0]) if n else 0
-    table = [0.0] * 2**n
-    total = 0.0
+    out = []
     for ks in itertools.product(range(len(nodes)), repeat=r):
         theta = [nodes[k] for k in ks]
         eta = [
@@ -147,6 +146,22 @@ def mirt_quadrature_table(delta, loadings, nodes, weights):
         c = math.prod(weights[k] for k in ks)
         for e in eta:
             c *= 2.0 * math.cosh(e)
+        out.append((math.log(c), eta))
+    return out
+
+
+def mirt_quadrature_table(delta, loadings, nodes, weights):
+    """Tensor-product quadrature of the latent marginal, one node at a time.
+
+    Each node of `mirt_node_log_shares` gives every configuration its weight
+    ``c`` times ``prod_i logistic(2 x_i eta_i)``.  Returns the table divided
+    by the total node weight, and the log of that total.
+    """
+    n = len(delta)
+    table = [0.0] * 2**n
+    total = 0.0
+    for log_c, eta in mirt_node_log_shares(delta, loadings, nodes, weights):
+        c = math.exp(log_c)
         total += c
         for idx, x in enumerate(all_configs(n)):
             p = c

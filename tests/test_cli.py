@@ -253,6 +253,35 @@ class TestSpecErrors:
         capsys.readouterr()
 
 
+# Couplings near the float limit: the eigenvalues of the n = 2 matrix shift to
+# 2e308, and the n = 3 one has an eigenvalue of -2e308.
+HUGE_COUPLINGS = {
+    "n2": {"n": 2, "delta": [0.0, 0.0], "sigma": [[0.0, 1e308], [1e308, 0.0]]},
+    "n3": {
+        "n": 3,
+        "delta": [0.1, -0.2, 0.3],
+        "sigma": [[0.0, 1e308, -1e308], [1e308, 0.0, 1e308], [-1e308, 1e308, 0.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", HUGE_COUPLINGS.values(), ids=HUGE_COUPLINGS)
+@pytest.mark.parametrize(
+    "command",
+    [["pmf", "-r", r] for r in BRANCHES] + [["verify"]],
+    ids=[*(f"pmf-{r}" for r in BRANCHES), "verify"],
+)
+def test_non_finite_eigenvalues_exit_2(tmp_path, capsys, doc, command):
+    # Neither a table (once uniform from NaN eigenvalues) nor a verdict is written.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], write_spec(tmp_path, doc), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "eigendecomposition of the coupling matrix failed" in captured.err
+    assert "are not finite" in captured.err
+    assert captured.out == ""
+
+
 class TestVerifyCommand:
     def test_clean_model_passes(self, tmp_path, capsys):
         assert main(["verify", paired_spec(tmp_path)]) == 0
@@ -314,6 +343,14 @@ class TestVerifyCommand:
         # The mass prints as a plain number, not as numpy's scalar repr.
         assert re.search(r"quadrature marginal mass 0\.\d+ deviates", err)
         assert "np.float64" not in err
+
+    def test_zero_fault_eps_exits_2(self, tmp_path, capsys):
+        # A zero fault perturbs nothing, so it could only report PASS.
+        argv = ["verify", paired_spec(tmp_path), "--inject-fault", "spectral", "--fault-eps", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "fault epsilon must be finite and nonzero, got 0.0" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("nodes, got", [("256", "got 512"), ("300", "got 300")])
     def test_quadrature_rule_above_the_limit(self, tmp_path, capsys, nodes, got):
@@ -503,6 +540,21 @@ class TestFitCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is False
         assert doc["iterations"] == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grad-tol", "inf"), ("--grad-tol", "nan"), ("--grad-tol", "0"), ("--max-iter", "-5")],
+    )
+    def test_invalid_stopping_rule_exits_2(self, tmp_path, capsys, flag, value):
+        table = tmp_path / "population.csv"
+        table.write_text(
+            "x_1,x_2,weight\n"
+            f"-1,-1,{AGREE}\n1,-1,{MIXED}\n-1,1,{MIXED}\n1,1,{AGREE}\n"
+        )
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(table), flag, value, "--out", str(out)]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_data_file(self, tmp_path, capsys):
         table = tmp_path / "empty.csv"

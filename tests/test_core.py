@@ -37,6 +37,10 @@ class TestModelSpec:
         spec = it.ModelSpec(delta=np.zeros(2), sigma=sigma)
         assert spec.sigma[0, 1] == spec.sigma[1, 0]
 
+    def test_symmetrizing_does_not_overflow(self):
+        spec = spec_n2(1e308)
+        assert spec.sigma[0, 1] == spec.sigma[1, 0] == 1e308
+
     def test_shape_mismatch(self):
         with pytest.raises(it.DimensionMismatchError):
             it.ModelSpec(delta=np.zeros(3), sigma=np.zeros((2, 2)))

@@ -114,12 +114,8 @@ class TestFaultInjection:
 
     def test_fault_magnitude_scales_distance(self):
         spec = unit_coupling_spec(2)
-        small = it.verify_representations(
-            spec, fault=it.BranchFault(branch="spectral", eps=1e-9), exact_tol=1e-15
-        )
-        large = it.verify_representations(
-            spec, fault=it.BranchFault(branch="spectral", eps=1e-3), exact_tol=1e-15
-        )
+        small = it.verify_representations(spec, fault=it.BranchFault(branch="spectral", eps=1e-9))
+        large = it.verify_representations(spec, fault=it.BranchFault(branch="spectral", eps=1e-3))
         pair = ("conventional", "spectral")
         assert small.distances[pair].max_abs < large.distances[pair].max_abs
 
@@ -142,6 +138,12 @@ class TestFaultInjection:
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             it.BranchFault(branch="latent", eps=math.nan)
+
+    def test_zero_epsilon_rejected(self):
+        # A zero fault perturbs nothing, so the verifier would report PASS.
+        for eps in (0.0, -0.0):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                it.BranchFault(branch="spectral", eps=eps)
 
 
 class TestReportSerialization:
@@ -181,13 +183,18 @@ class TestReportSerialization:
 
 
 class TestTolerances:
-    def test_custom_tolerances_are_applied(self):
+    def test_custom_tolerances_are_applied(self, monkeypatch):
         spec = unit_coupling_spec(2)
-        strict = it.verify_representations(spec, exact_tol=1e-18, quad_tol=1e-18)
+        monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-18)
+        monkeypatch.setattr(it.equivalence, "QUAD_TOL", 1e-18)
+        strict = it.verify_representations(spec)
         # Machine-precision agreement is not zero; absurdly strict bounds fail.
         assert not strict.all_pass
-        loose = it.verify_representations(spec, exact_tol=1e-6, quad_tol=1e-4)
+        monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
+        monkeypatch.setattr(it.equivalence, "QUAD_TOL", 1e-4)
+        loose = it.verify_representations(spec)
         assert loose.all_pass
+        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-4)
 
     def test_coarse_quadrature_is_caught_not_tolerated(self):
         # A rule too coarse for the model must abort rather than quietly pass.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ising_trinity as it
 from conftest import random_spec
+from ising_trinity import estimation
 from ising_trinity.estimation import _distinct_configs
 from oracles import all_configs, pseudo_loglik_and_grad
 
@@ -227,6 +228,7 @@ class TestFit:
         fit = it.fit_pseudo_likelihood(it.ising_pmf(spec))
         assert np.all(np.diff(fit.objective_trace) >= -1e-12)
         assert fit.objective_trace[-1] >= fit.objective_trace[0]
+        assert not fit.objective_trace.flags.writeable
 
     def test_iteration_budget(self, rng):
         spec = random_spec(rng, 4)
@@ -234,12 +236,26 @@ class TestFit:
         assert fit.iterations == 1
         assert not fit.converged
 
-    def test_hopeless_step_raises(self, rng):
+    def test_hopeless_step_raises(self, rng, monkeypatch):
         spec = random_spec(rng, 3)
+        monkeypatch.setattr(estimation, "INITIAL_STEP", 1e30)
+        monkeypatch.setattr(estimation, "MAX_HALVINGS", 5)
         with pytest.raises(it.LineSearchError, match="halvings"):
-            it.fit_pseudo_likelihood(
-                it.ising_pmf(spec), initial_step=1e30, max_halvings=5
-            )
+            it.fit_pseudo_likelihood(it.ising_pmf(spec))
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("grad_tol", math.inf),
+            ("grad_tol", math.nan),
+            ("grad_tol", 0.0),
+            ("grad_tol", -1e-6),
+            ("max_iter", -5),
+        ],
+    )
+    def test_invalid_stopping_rule_rejected(self, rng, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            it.fit_pseudo_likelihood(it.ising_pmf(random_spec(rng, 2)), **{knob: value})
 
     def test_init_size_guard(self, rng):
         wrong = it.ModelSpec(delta=np.zeros(3), sigma=np.zeros((3, 3)))

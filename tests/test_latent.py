@@ -13,7 +13,12 @@ import ising_trinity as it
 from conftest import low_rank_spec, random_spec
 from ising_trinity import latent
 from ising_trinity.latent import MAX_QUAD_NODES
-from oracles import curie_weiss_table, mirt_quadrature_table, spectral_table
+from oracles import (
+    curie_weiss_table,
+    mirt_node_log_shares,
+    mirt_quadrature_table,
+    spectral_table,
+)
 
 HALF_LOG3 = 0.5 * math.log(3.0)
 
@@ -240,6 +245,24 @@ class TestQuadratureKernel:
     @given(case=quadrature_cases())
     def test_split_item_table_matches_node_by_node_oracle(self, case):
         assert_kernel_matches_oracle(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=quadrature_cases())
+    def test_node_shares_match_node_by_node_oracle(self, case):
+        delta, loadings, rule, chunk = case
+        log_c = np.array([
+            lc for lc, _ in mirt_node_log_shares(
+                delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+            )
+        ])
+        # The rule is its own reference, so the shares are the oracle's node
+        # weights, in its C order, divided by their total.
+        with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
+            it.QuadratureRule, "refined", lambda self: self
+        ):
+            shares = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
+        npt.assert_allclose(shares, log_c - np.logaddexp.reduce(log_c), rtol=0, atol=ORACLE_TOL)
+        assert np.exp(shares).sum() == pytest.approx(1.0, rel=0, abs=ORACLE_TOL)
 
     # n = 1 leaves the low half empty; odd n splits the items unequally.
     @pytest.mark.parametrize(

@@ -73,6 +73,17 @@ class TestToSpectral:
         with pytest.raises(ValueError, match="extra_shift"):
             it.to_spectral(spec_n2(1.0), extra_shift=-0.1)
 
+    @pytest.mark.parametrize("spec", [spec_n2(1e308), spec_n2(-1e308)], ids=["pos", "neg"])
+    def test_eigenvalues_overflowing_the_shift_raise(self, spec):
+        # The eigenvalues are +-1e308; shifted by c = 1e308, one is 2e308.
+        with pytest.raises(it.EigendecompositionError, match="are not finite"):
+            it.to_spectral(spec)
+
+    def test_form_rejects_non_finite_eigenpairs(self):
+        for lambdas, q in (([np.nan, 0.0], np.eye(2)), ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                it.SpectralForm(c=0.0, lambdas=np.array(lambdas), q=np.array(q))
+
 
 class TestSpectralWeight:
     def test_example_and_constant_gap(self, rng):
