@@ -129,9 +129,15 @@ def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 
     Works in place: ``log_w`` is overwritten and returned as ``probs``.
+    Raises `ValueError` when the log weights are not finite.
     """
     peak = log_w.max()
-    probs = np.exp(np.subtract(log_w, peak, out=log_w), out=log_w)
+    if not np.isfinite(peak):
+        raise ValueError("log weights are not finite: the model overflows the float range")
+    # A weight more than the float range below the peak overflows to -inf,
+    # whose exp is its exact value at this precision, 0.
+    with np.errstate(over="ignore"):
+        probs = np.exp(np.subtract(log_w, peak, out=log_w), out=log_w)
     norm = probs.sum()
     probs /= norm
     return probs, float(peak + np.log(norm))

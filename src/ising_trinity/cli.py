@@ -85,7 +85,10 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     spec, extra_shift = load_model_spec(args.spec)
     latent = args.representation == "latent"
     rule = QuadratureRule.gauss_hermite(args.quad_nodes) if latent else None
-    pmf = BRANCHES[args.representation](spec, to_spectral(spec, extra_shift), rule)
+    # The network table needs no eigendecomposition, so a model whose
+    # eigenvalues overflow still gets it.
+    form = None if args.representation == "conventional" else to_spectral(spec, extra_shift)
+    pmf = BRANCHES[args.representation](spec, form, rule)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 

@@ -134,12 +134,14 @@ def ising_pmf(spec: ModelSpec) -> Pmf:
     n = spec.n
     check_enumerable(n)
     log_w = np.zeros(1 << n)
-    for k in range(n):
-        half = 1 << k
-        field = linear_table(spec.sigma[k, :k])
-        field += spec.delta[k]
-        np.add(log_w[:half], field, out=log_w[half : 2 * half])
-        log_w[:half] -= field
+    # Sums beyond the float range become infinite or NaN, which normalize refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            half = 1 << k
+            field = linear_table(spec.sigma[k, :k])
+            field += spec.delta[k]
+            np.add(log_w[:half], field, out=log_w[half : 2 * half])
+            log_w[:half] -= field
     return Pmf(n, *normalize(log_w))
 
 

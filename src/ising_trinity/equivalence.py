@@ -31,11 +31,12 @@ from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
 from .spectral import SpectralForm, spectral_pmf, to_spectral
 
 # Name -> builder ``(spec, form, rule) -> Pmf``, in report order.  ``form`` is
-# the spectral form of ``spec``'s couplings, which a fault leaves alone; a rule
-# of None is the latent marginal's default, built only if that branch runs.
+# the spectral form of ``spec``'s couplings, which a fault leaves alone and the
+# conventional branch never reads; a rule of None is the latent marginal's
+# default, built only if that branch runs.
 # Each builder looks its functions up when called, so rebinding a module
 # global (as a tracer does) reaches every caller of the table.
-BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm, QuadratureRule | None], Pmf]] = {
+BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm | None, QuadratureRule | None], Pmf]] = {
     "conventional": lambda spec, form, rule: ising_pmf(spec),
     "spectral": lambda spec, form, rule: spectral_pmf(form, spec.delta),
     "collider": lambda spec, form, rule: conditioned_pmf(

@@ -18,6 +18,7 @@ from ._enum import (
     config_text,
     decode_configs,
     encode_configs,
+    linear_table,
     log_sigmoid,
 )
 from .collider import ColliderForm, conditioned_pmf
@@ -39,10 +40,16 @@ MAX_PROPOSALS = 1 << 27
 # Independent Gibbs chains scanned together as the columns of one array.
 GIBBS_CHAINS = 64
 
-# Uniforms each sampler draws and works on together: Gibbs's sweeps x sites x
-# chains, rejection's proposals x causes.  Bounds either's float working block
-# at 2 MiB whatever the model's width, the draw count or the acceptance rate.
+# Random numbers each sampler draws and works on together: Gibbs's sweeps x
+# sites x chains, rejection's proposals x (two per cause block + one).  Bounds
+# either's working block at 2 MiB of floats whatever the model's width, the
+# draw count or the acceptance rate.
 _UNIFORM_BLOCK = 1 << 18
+
+# Variables handled as one block of 2**10 configurations: the causes that one
+# alias lookup of the rejection sampler draws, and the columns of a sample CSV
+# that `save_sample_set` formats by one lookup into their configurations' text.
+_BLOCK_WIDTH = 10
 
 
 @dataclass(frozen=True)
@@ -201,15 +208,49 @@ def _chain_diagnostics(chains: np.ndarray) -> dict:
     return {"rhat_max": float(np.sqrt(var_plus / w).max()), "ess_min": float(ess.min())}
 
 
+def _alias_table(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of the distribution proportional to ``exp(log_w)``.
+
+    An entry ``j`` drawn uniformly from the ``K`` is kept with probability
+    ``prob[j]`` and otherwise replaced by ``alias[j]``.  That draws ``k``
+    with probability ``(prob[k] + sum of 1 - prob[j] over alias[j] = k) / K``.
+    Built by Vose's (1991) construction on the weights scaled to mean 1: each
+    entry below 1 takes its remainder from one at least 1, which goes back to
+    a list with ``(p_l + p_s) - 1``.  Entries left once either list is empty
+    are 1 up to rounding and keep themselves.
+    """
+    w = np.exp(log_w - log_w.max())
+    scaled = (w * (w.size / w.sum())).tolist()
+    prob, alias = [1.0] * w.size, list(range(w.size))
+    small = [k for k, p in enumerate(scaled) if p < 1.0]
+    large = [k for k, p in enumerate(scaled) if p >= 1.0]
+    while small and large:
+        s, big = small.pop(), large.pop()
+        prob[s], alias[s] = scaled[s], big
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        (small if scaled[big] < 1.0 else large).append(big)
+    return np.array(prob), np.array(alias)
+
+
 def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     """Draws from the conditioned collider by rejection.
 
     Causes are proposed from their independent marginals and kept with
     probability equal to the product of effect acceptances, which is exactly
-    the conditioning event's likelihood.  Proposals come in fixed blocks of
-    ``max(1, _UNIFORM_BLOCK // n)`` rows, so the draws for ``m`` are the first
-    ``m`` draws for any larger count and the same seed.  Up to the enumeration limit
-    the acceptance rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``:
+    the conditioning event's likelihood.  A block of ``b <= _BLOCK_WIDTH``
+    causes is one categorical variable over its ``2**b`` configurations, with
+    probabilities ``exp(x . delta)`` normalized (the product of the causes'
+    marginals), and one alias lookup (`_alias_table`) draws it: an integer
+    below ``2**b``, then a uniform that keeps it or takes its alias.  Each
+    block tabulates its causes' part of the effect scores ``q_r . x`` for its
+    ``2**b`` configurations; a proposal's scores are the sum of its blocks'
+    entries, and only kept proposals are decoded to ``+/-1``.
+
+    Proposals come in fixed batches of ``_UNIFORM_BLOCK // (2 blocks + 1)``
+    rows: each block's integers and uniforms in turn, then one acceptance
+    uniform per row.  So the draws for ``m`` are the first ``m`` draws for
+    any larger count and the same seed.  Up to the enumeration limit the
+    acceptance rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``:
     ``meta`` records it as ``predicted_acceptance``, and a rate below
     ``MIN_ACCEPT_RATE``, or an expected ``m / rate`` proposals above
     ``MAX_PROPOSALS``, raises `ConditioningTooSevereError` before any proposal.
@@ -234,14 +275,37 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
                 f"conditioning is too severe for rejection sampling"
             )
     rng = np.random.default_rng(seed)
-    p_plus = np.exp(log_sigmoid(2.0 * cf.delta))
-    rows = max(1, _UNIFORM_BLOCK // max(n, 1))
+    blocks = []
+    for lo in range(0, n, _BLOCK_WIDTH):
+        part = slice(lo, lo + _BLOCK_WIDTH)
+        prob, alias = _alias_table(linear_table(cf.delta[part]))
+        jump = alias - np.arange(alias.size)
+        # Effect-major (r, 2**b) scores: summing r rows of a batch is fast,
+        # summing r columns is not.
+        scores_t = linear_table(cf.dirs[part]).T.copy()
+        blocks.append((cf.delta[part].size, prob, jump, scores_t))
+    rows = max(1, _UNIFORM_BLOCK // (2 * len(blocks) + 1))
+    half_lams, log_sup = 0.5 * cf.lams[:, None], cf.log_sups.sum()
     kept: list[np.ndarray] = []
     n_acc = n_prop = 0
     while n_acc < m:
-        block = np.where(rng.random((rows, n)) < p_plus, 1.0, -1.0)
-        acc = np.exp((0.5 * cf.lams * (block @ cf.dirs) ** 2 - cf.log_sups).sum(axis=1))
-        kept.append(block[rng.random(rows) < acc].astype(np.int8))
+        picks, scores = [], 0.0
+        for width, prob, jump, scores_t in blocks:
+            j = rng.integers(0, 1 << width, rows)
+            # j + jump[j] is alias[j]; adding the jump only where the uniform
+            # rejects j avoids a select on a random mask.
+            step = jump.take(j)
+            step *= rng.random(rows) >= prob.take(j)
+            j += step
+            scores = scores + scores_t.take(j, axis=1)
+            picks.append(j)
+        scores *= scores
+        scores *= half_lams
+        log_acc = scores.sum(axis=0)
+        log_acc -= log_sup
+        keep = rng.random(rows) < np.exp(log_acc)
+        configs = [decode_configs(j[keep], width) for j, (width, *_) in zip(picks, blocks)]
+        kept.append(np.concatenate(configs, axis=1))
         n_acc += len(kept[-1])
         n_prop += rows
         # Without a prediction (n > 20) the probe and the budget decide.
@@ -306,10 +370,10 @@ def save_sample_set(sample: SampleSet, csv_path) -> None:
     """Write draws as CSV (columns ``x_1..x_n``) plus a JSON metadata sidecar."""
     csv_path = Path(csv_path)
     header = ",".join(f"x_{i + 1}" for i in range(sample.n))
-    # Each block of at most 10 columns indexes into the text of its configurations.
+    # Each block of columns indexes into the text of its configurations.
     plus, rows, lead = sample.draws > 0, np.full(sample.m, "", dtype=object), ""
-    for start in range(0, sample.n, 10):
-        block = plus[:, start : start + 10]
+    for start in range(0, sample.n, _BLOCK_WIDTH):
+        block = plus[:, start : start + _BLOCK_WIDTH]
         text = np.array(config_text(block.shape[1], ","), dtype=object)
         rows = rows + lead + text[block @ (1 << np.arange(block.shape[1]))]
         lead = ","

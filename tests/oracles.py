@@ -3,9 +3,10 @@
 Everything here enumerates configurations with explicit loops and scalar math
 so that agreement with the package's vectorized, log-space code is meaningful.
 Index order matches the package convention: bit ``i`` of the index gives the
-sign of ``x_i``.  The exceptions are `rejection_draws`, which must replay
-numpy's random stream and so uses numpy, and `gibbs_draws`, which draws that
-stream with numpy and then updates in scalar loops.
+sign of ``x_i``.  The exceptions are `rejection_draws`, which builds its
+alias tables in scalar code (`cause_block_alias`) but must replay numpy's
+random stream and so draws and scores with numpy, and `gibbs_draws`, which
+draws that stream with numpy and then updates in scalar loops.
 """
 
 import itertools
@@ -265,29 +266,72 @@ def read_sample_draws(path):
     return rows
 
 
+def cause_block_alias(delta):
+    """One block of causes as a categorical variable, with its Walker alias table.
+
+    Returns ``(configs, marginals, prob, alias)``: the block's configurations
+    in index order, each one's product of the causes' marginals
+    ``exp(x_i delta_i) / (2 cosh delta_i)``, and the table Vose's construction
+    builds from them, entries scaled by the block's ``K`` configurations.
+    Entry ``j`` keeps itself with probability ``prob[j]`` and gives
+    ``alias[j]`` otherwise; entries left once either work list is empty keep
+    themselves.
+    """
+    # product() varies its last factor fastest; reversed, x_0 is the lowest bit.
+    configs = [c[::-1] for c in itertools.product((-1, 1), repeat=len(delta))]
+    marginals = [
+        math.prod(math.exp(x * d) / (2.0 * math.cosh(d)) for x, d in zip(c, delta))
+        for c in configs
+    ]
+    scaled = [p * len(configs) for p in marginals]
+    prob, alias = [1.0] * len(configs), list(range(len(configs)))
+    small = [k for k in range(len(configs)) if scaled[k] < 1.0]
+    large = [k for k in range(len(configs)) if scaled[k] >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        prob[lo], alias[lo] = scaled[lo], hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        if scaled[hi] < 1.0:
+            small.append(hi)
+        else:
+            large.append(hi)
+    return configs, marginals, prob, alias
+
+
 def rejection_draws(
     delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-6, budget=math.inf
 ):
-    """Collider rejection sampling in blocks of ``rows`` proposals.
+    """Collider rejection sampling in batches of ``rows`` proposals.
 
-    Each block draws one ``(rows, n)`` array of cause uniforms and one of
-    ``rows`` acceptance uniforms; blocks continue until ``m`` draws are kept.
-    ``effects`` is a list of ``(lam, q, log_sup)``.  Returns ``(draws, meta)``;
-    raises `RuntimeError` naming ``accepted/proposed`` where a probe of
-    ``probe`` proposals gives up, or where ``budget`` proposals have kept
-    fewer than ``m`` draws (the package does both only where it cannot
-    predict the acceptance rate).
+    The causes form blocks of ten (the last one shorter), each drawn by one
+    lookup in its `cause_block_alias` table.  A batch draws, block by block,
+    ``rows`` integers below the block's ``K`` configurations and ``rows``
+    uniforms (keep the integer where the uniform is below its ``prob``, else
+    take its alias), then ``rows`` acceptance uniforms; batches continue until
+    ``m`` draws are kept.  ``effects`` is a list of ``(lam, q, log_sup)``.
+    Returns ``(draws, meta)``; raises `RuntimeError` naming
+    ``accepted/proposed`` where a probe of ``probe`` proposals gives up, or
+    where ``budget`` proposals have kept fewer than ``m`` draws (the package
+    does both only where it cannot predict the acceptance rate).
     """
     n = len(delta)
     rng = np.random.default_rng(seed)
-    p_plus = np.exp(-np.logaddexp(0.0, -2.0 * np.asarray(delta, dtype=np.float64)))
+    blocks = []
+    for lo in range(0, n, 10):
+        configs, _, prob, alias = cause_block_alias([float(d) for d in delta[lo : lo + 10]])
+        blocks.append((np.array(configs, dtype=np.float64), np.array(prob), np.array(alias)))
     lams = np.array([lam for lam, _, _ in effects])
     sups = np.array([sup for _, _, sup in effects])
     dirs = np.stack([q for _, q, _ in effects], axis=1) if effects else np.zeros((n, 0))
     kept = []
     n_acc = n_prop = 0
     while n_acc < m:
-        proposals = np.where(rng.random((rows, n)) < p_plus, 1.0, -1.0)
+        parts = []
+        for configs, prob, alias in blocks:
+            j = rng.integers(0, len(configs), rows)
+            keep_j = rng.random(rows) < prob[j]
+            parts.append(configs[np.where(keep_j, j, alias[j])])
+        proposals = np.concatenate(parts, axis=1)
         log_acc = (0.5 * lams * (proposals @ dirs) ** 2 - sups).sum(axis=1)
         keep = rng.random(rows) < np.exp(log_acc)
         kept.append(proposals[keep].astype(np.int8))

@@ -88,6 +88,14 @@ class TestKernel:
         npt.assert_allclose(probs, [1.0 / (1.0 + e), e / (1.0 + e)], rtol=0, atol=1e-15)
         assert log_z == pytest.approx(1000.0 + math.log1p(e), abs=1e-12)
 
+    def test_normalize_refuses_non_finite_weights_and_keeps_exact_zeros(self):
+        with np.errstate(all="raise"):
+            probs, log_z = normalize(np.array([1e308, -1e308, 1e308]))
+        assert probs.tolist() == [0.5, 0.0, 0.5] and log_z == 1e308 + math.log(2.0)
+        for log_w in ([0.0, np.inf], [0.0, np.nan], [-np.inf, -np.inf]):
+            with pytest.raises(ValueError, match="log weights are not finite"):
+                normalize(np.array(log_w))
+
     def test_log_sigmoid_is_finite_at_large_arguments(self):
         t = np.array([-1000.0, -3.0, 0.0, 3.0, 1000.0])
         expected = [-1000.0, -math.log1p(math.exp(3.0)), -math.log(2.0)]

@@ -12,10 +12,12 @@ from scipy import stats
 import ising_trinity as it
 from conftest import low_rank_spec, random_spec
 from ising_trinity import sampling
+from ising_trinity._enum import linear_table
 from ising_trinity.cli import _read_config_table, main
 from oracles import (
     all_configs,
     bulk_ess,
+    cause_block_alias,
     conditioned_collider_table,
     gibbs_draws,
     read_config_table,
@@ -66,6 +68,11 @@ def pooled_chi_square_passes(counts, expected) -> bool:
     keep = e > 0.0
     stat = (((o - e) ** 2)[keep] / e[keep]).sum()
     return stat < stats.chi2.isf(1e-6, keep.sum() - 1)
+
+
+def batch_rows(block: int, n: int) -> int:
+    """Rejection proposals per batch: two numbers per block of ten causes, one to accept."""
+    return max(1, block // (2 * -(-n // 10) + 1))
 
 
 def rank_one_form(n: int) -> it.LatentForm:
@@ -378,7 +385,7 @@ class TestRejectionSampler:
             _, acceptance = conditioned_collider_table(
                 cf.delta.tolist(), [(eff.lam, eff.q.tolist()) for eff in cf.effects]
             )
-            rows = max(1, block // cf.n)
+            rows = batch_rows(block, cf.n)
             for seed in range(3):
                 sample = it.sample_collider_rejection(cf, m, seed)
                 draws, meta = rejection_draws(cf.delta, effects, m, seed, rows)
@@ -404,7 +411,7 @@ class TestRejectionSampler:
         cf = opposed_effects()
         effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
         with pytest.raises(RuntimeError) as ref:
-            rejection_draws(cf.delta, effects, 10, 0, sampling._UNIFORM_BLOCK // 2)
+            rejection_draws(cf.delta, effects, 10, 0, batch_rows(sampling._UNIFORM_BLOCK, 2))
         monkeypatch.setattr(sampling, "ENUMERATION_LIMIT", 1)
         with pytest.raises(it.ConditioningTooSevereError, match=f"rate {ref.value} ~"):
             it.sample_collider_rejection(cf, 10, seed=0)
@@ -454,7 +461,7 @@ class TestRejectionSampler:
         with pytest.raises(it.ConditioningTooSevereError, match="more than the budget of 1761;"):
             it.sample_collider_rejection(cf, 1000, seed=0)
         # Only the expected count is budgeted: the run proposes a whole block.
-        assert sample.meta["proposals"] == sampling._UNIFORM_BLOCK // 2
+        assert sample.meta["proposals"] == batch_rows(sampling._UNIFORM_BLOCK, 2)
 
     def test_stops_at_the_budget_above_the_enumeration_limit(self, monkeypatch):
         # The severe model's two-cause twin: q = (1, 1)/sqrt 2 and (1, -1)/sqrt 2
@@ -471,7 +478,7 @@ class TestRejectionSampler:
             return it.ColliderForm(np.zeros(n), tuple(effects))
 
         cf = opposed(12.5)
-        rows = sampling._UNIFORM_BLOCK // n
+        rows = batch_rows(sampling._UNIFORM_BLOCK, n)
         ref_effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
         monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2 * rows + 1)
         for seed in range(3):
@@ -521,6 +528,56 @@ class TestRejectionSampler:
         sample = it.sample_collider_rejection(it.ColliderForm(np.zeros(n), ()), 5, seed=1)
         assert sample.meta["predicted_acceptance"] is None
         assert sample.meta["acceptance_rate"] == 1.0
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_alias_tables_draw_the_cause_marginals(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(3):
+            delta = rng.uniform(-3.0, 3.0, width)
+            prob, alias = sampling._alias_table(linear_table(delta))
+            k = 1 << width
+            implied = (prob + np.bincount(alias, weights=1.0 - prob, minlength=k)) / k
+            _, marginals, _, _ = cause_block_alias(delta.tolist())
+            npt.assert_allclose(implied, marginals, rtol=1e-12, atol=0.0)
+
+    def test_partial_third_block_at_n_23(self, monkeypatch):
+        # Blocks of 10, 10 and 3 causes, at an acceptance rate near 7e-3.
+        rng = np.random.default_rng(23)
+        spec = it.ModelSpec(rng.uniform(-0.5, 0.5, 23), 0.02 * (np.ones((23, 23)) - np.eye(23)))
+        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
+        effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        for block in (1000, sampling._UNIFORM_BLOCK):
+            monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
+            rows = batch_rows(block, 23)
+            for seed in range(2):
+                long = it.sample_collider_rejection(cf, 300, seed)
+                draws, meta = rejection_draws(cf.delta, effects, 300, seed, rows)
+                assert np.array_equal(long.draws, draws)
+                assert long.meta == {**meta, "predicted_acceptance": None}
+                short = it.sample_collider_rejection(cf, 150, seed)
+                assert np.array_equal(short.draws, long.draws[:150])
+        # Two batches keep about 520 draws, short of 1000: the budget stops the run.
+        rows = batch_rows(sampling._UNIFORM_BLOCK, 23)
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", rows + 1)
+        with pytest.raises(RuntimeError) as ref:
+            rejection_draws(cf.delta, effects, 1000, 0, rows, budget=rows + 1)
+        kept, proposed = str(ref.value).split("/")
+        assert proposed == str(2 * rows)
+        with pytest.raises(
+            it.ConditioningTooSevereError, match=rf"^{kept} of 1000 draws kept after {proposed} "
+        ):
+            it.sample_collider_rejection(cf, 1000, seed=0)
+
+    def test_rank_zero_at_n_23_accepts_every_proposal(self):
+        delta = np.random.default_rng(7).uniform(-1.0, 1.0, 23)
+        rows = batch_rows(sampling._UNIFORM_BLOCK, 23)
+        sample = it.sample_collider_rejection(it.ColliderForm(delta, ()), rows, seed=3)
+        assert sample.meta["accepted"] == sample.meta["proposals"] == rows
+        draws, _ = rejection_draws(delta, [], rows, 3, rows)
+        assert np.array_equal(sample.draws, draws)
+        # Each cause keeps its own marginal, in the full blocks and the partial one.
+        plus_rate = (sample.draws > 0).mean(axis=0)
+        npt.assert_allclose(plus_rate, 1.0 / (1.0 + np.exp(-2.0 * delta)), atol=0.012)
 
     def test_working_memory_is_bounded(self):
         # This n = 10 model needs over a million proposals; blocks of
