@@ -147,10 +147,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     _write_out(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
     if args.out != "-":
+        decrement = result.newton_decrement
         print(
             f"fit {'converged' if result.converged else 'did not converge'} after "
-            f"{result.iterations} iterations "
-            f"(final gradient norm {result.grad_norm_final:.3e})"
+            f"{result.iterations} iterations (final gradient norm "
+            f"{result.grad_norm_final:.3e}, Newton decrement "
+            f"{'n/a' if decrement is None else format(decrement, '.3e')})"
         )
     return 0
 

@@ -229,6 +229,33 @@ def pseudo_loglik_and_grad(delta, sigma, rows, weights):
     return value, grad
 
 
+def pseudo_loglik_hessian(delta, sigma, rows, weights):
+    """Hessian of `pseudo_loglik_and_grad`'s objective, one row and one site at a time.
+
+    Site ``i`` of row ``x`` adds ``-w sech^2(h_i) phi phi^T``, where ``phi``
+    holds 1 at ``delta_i`` and ``x_j`` at each ``sigma_ij``; parameters are
+    packed as in the gradient.
+    """
+    n = len(delta)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slot = {pair: n + k for k, pair in enumerate(pairs)}
+    size = n + len(pairs)
+    total = sum(weights)
+    hess = [[0.0] * size for _ in range(size)]
+    for x, w in zip(rows, weights):
+        for i in range(n):
+            h = delta[i] + sum(sigma[i][j] * x[j] for j in range(n) if j != i)
+            curvature = w / total / math.cosh(h) ** 2
+            phi = {i: 1.0}
+            for j in range(n):
+                if j != i:
+                    phi[slot[min(i, j), max(i, j)]] = x[j]
+            for a, phi_a in phi.items():
+                for b, phi_b in phi.items():
+                    hess[a][b] -= curvature * phi_a * phi_b
+    return hess
+
+
 def read_config_table(path):
     """``fit``'s per-cell reader: ``(rows, weights or None)``, or `ValueError`."""
     with open(path, encoding="utf-8") as fh:  # universal newlines, like the package

@@ -541,6 +541,37 @@ class TestFitCommand:
         assert "converged" in capsys.readouterr().out
         assert json.loads(out.read_text())["converged"] is True
 
+    @pytest.mark.parametrize(
+        "rows, init, decrement",
+        [
+            ("x_1,x_2,weight\n1,-1,0.25\n-1,1,0.75\n", None, r"Newton decrement \d\.\d{3}e-\d\d\)"),
+            ("x_1,x_2\n1,1\n1,-1\n1,1\n", None, r"Newton decrement \d\.\d{3}e-\d\d\)"),
+            ("x_1,x_2\n1,1\n1,-1\n1,1\n", [400.0, 0.0], r"Newton decrement n/a\)"),
+        ],
+        ids=["separable", "constant column", "unusable hessian"],
+    )
+    def test_maximum_at_infinity_stops_at_the_cap(self, tmp_path, capsys, rows, init, decrement):
+        """Separable rows (maximum at sigma_12 = -infinity) and a constant column
+        (delta_1 = +infinity) take Newton steps, since every site's block has
+        full rank; from delta_1 = 400 site 1's weight underflows, the Hessian
+        has no Cholesky factor, and the fit takes gradient steps."""
+        table = tmp_path / "data.csv"
+        table.write_text(rows)
+        args = ["fit", str(table), "--max-iter", "5", "--out", str(tmp_path / "fit.json")]
+        if init is not None:
+            doc = {"n": 2, "delta": init, "sigma": [[0, 0], [0, 0]]}
+            args += ["--init", write_spec(tmp_path, doc)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        summary = capsys.readouterr().out
+        assert "did not converge after 5 iterations" in summary
+        assert re.search(decrement, summary)
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["converged"] is False
+        assert (doc["newton_decrement"] is None) == (init is not None)
+        assert np.all(np.diff(doc["objective_trace"]) >= 0.0)
+
     def test_iteration_cap_still_reports(self, tmp_path, capsys):
         table = tmp_path / "population.csv"
         table.write_text(

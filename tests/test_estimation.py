@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ import ising_trinity as it
 from conftest import random_spec
 from ising_trinity import estimation
 from ising_trinity.estimation import _distinct_configs
-from oracles import all_configs, pseudo_loglik_and_grad
+from oracles import all_configs, pseudo_loglik_and_grad, pseudo_loglik_hessian
 
 ORACLE_TOL = 1e-12
 
@@ -33,6 +34,19 @@ def spec_from_vec(vec: np.ndarray, n: int) -> it.ModelSpec:
     sigma[iu] = vec[n:]
     sigma += sigma.T
     return it.ModelSpec(delta=vec[:n], sigma=sigma)
+
+
+def package_hessian(spec: it.ModelSpec, data) -> np.ndarray:
+    return -estimation._neg_hessian(pack_params(spec), *_distinct_configs(data, spec.n))
+
+
+def random_weighted_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    m = int(rng.integers(1, 40))
+    return np.where(rng.random((m, n)) < 0.5, 1.0, -1.0), rng.uniform(0.1, 1.0, m)
+
+
+# Column 1 is constant, so delta_1 runs off to +infinity.
+CONSTANT_COLUMN = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
 
 class TestWeightedConfigs:
@@ -190,6 +204,49 @@ class TestPseudoLoglikGrad:
             npt.assert_allclose(fd, grad, rtol=1e-6, atol=1e-9)
 
 
+class TestPseudoLoglikHessian:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_row_wise_oracle(self, rng, n):
+        for _ in range(5):
+            spec = random_spec(rng, n)
+            rows, weights = random_weighted_rows(rng, n)
+            want = pseudo_loglik_hessian(
+                spec.delta.tolist(), spec.sigma.tolist(), rows.tolist(), weights.tolist()
+            )
+            npt.assert_allclose(
+                package_hessian(spec, (rows, weights)), want, rtol=ORACLE_TOL, atol=ORACLE_TOL
+            )
+
+    def test_matches_central_differences_of_the_gradient(self, rng):
+        h = 1e-5
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            spec = random_spec(rng, n)
+            data = random_weighted_rows(rng, n)
+            vec = pack_params(spec)
+            fd = np.empty((vec.shape[0], vec.shape[0]))
+            for k in range(vec.shape[0]):
+                bump = np.zeros_like(vec)
+                bump[k] = h
+                hi = it.pseudo_loglik_grad(spec_from_vec(vec + bump, n), data)
+                lo = it.pseudo_loglik_grad(spec_from_vec(vec - bump, n), data)
+                fd[:, k] = (hi - lo) / (2.0 * h)
+            npt.assert_allclose(fd, package_hessian(spec, data), rtol=1e-6, atol=1e-9)
+
+    def test_newton_decrement_matches_the_oracle_hessian(self, rng):
+        spec = random_spec(rng, 4, coupling_scale=0.5, field_scale=0.5)
+        sample = it.sample_exact(it.ising_pmf(spec), 500, seed=2)
+        fit = it.fit_pseudo_likelihood(sample, max_iter=1)
+        rows = sample.draws.astype(float).tolist()
+        hess = pseudo_loglik_hessian(
+            fit.spec_hat.delta.tolist(), fit.spec_hat.sigma.tolist(), rows, [1.0] * len(rows)
+        )
+        grad = it.pseudo_loglik_grad(fit.spec_hat, sample)
+        want = math.sqrt(-grad @ np.linalg.solve(np.array(hess), grad))
+        assert fit.newton_decrement > 1e-6
+        assert fit.newton_decrement == pytest.approx(want, rel=1e-9)
+
+
 class TestFit:
     def test_population_recovery(self, rng):
         spec = random_spec(rng, 4, coupling_scale=0.5, field_scale=0.5)
@@ -229,6 +286,51 @@ class TestFit:
         assert np.all(np.diff(fit.objective_trace) >= -1e-12)
         assert fit.objective_trace[-1] >= fit.objective_trace[0]
         assert not fit.objective_trace.flags.writeable
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_simulate_fit_family_converges_within_thirty_iterations(self, seed):
+        """n = 10, couplings 0.1, fields in +/-0.5, 20k Gibbs draws: the
+        benchmark's family, which its fit caps at 30 iterations."""
+        rng = np.random.default_rng(seed)
+        n = 10
+        spec = it.ModelSpec(
+            delta=rng.uniform(-0.5, 0.5, n), sigma=0.1 * (np.ones((n, n)) - np.eye(n))
+        )
+        fit = it.fit_pseudo_likelihood(it.sample_gibbs(spec, 20_000, seed=seed), max_iter=30)
+        assert fit.converged
+        assert fit.iterations <= 8
+        assert fit.newton_decrement < 1e-6
+        assert max_param_error(fit.spec_hat, spec) < 0.08
+
+    def test_failed_cholesky_takes_gradient_steps(self, monkeypatch):
+        # At delta_1 = 400 site 1's sech^2 weight underflows to exactly 0, so
+        # the Hessian's delta_1 row is zero and its Cholesky factorization fails.
+        init = it.ModelSpec(delta=np.array([400.0, 0.0]), sigma=np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = it.fit_pseudo_likelihood(CONSTANT_COLUMN, init, max_iter=5)
+        assert fit.iterations == 5
+        assert not fit.converged
+        assert fit.newton_decrement is None
+        assert np.all(np.diff(fit.objective_trace) >= 0.0)
+        monkeypatch.setattr(estimation, "NEWTON_MAX_PARAMS", 0)
+        ascent = it.fit_pseudo_likelihood(CONSTANT_COLUMN, init, max_iter=5)
+        npt.assert_array_equal(fit.objective_trace, ascent.objective_trace)
+        npt.assert_array_equal(fit.spec_hat.delta, ascent.spec_hat.delta)
+        npt.assert_array_equal(fit.spec_hat.sigma, ascent.spec_hat.sigma)
+
+    def test_width_guard_takes_gradient_steps(self, rng, monkeypatch):
+        spec = random_spec(rng, 4, coupling_scale=0.5, field_scale=0.5)
+        pmf = it.ising_pmf(spec)
+        newton = it.fit_pseudo_likelihood(pmf)
+        monkeypatch.setattr(estimation, "NEWTON_MAX_PARAMS", 9)  # n = 4 has 10
+        ascent = it.fit_pseudo_likelihood(pmf)
+        assert newton.converged and ascent.converged
+        assert newton.newton_decrement is not None
+        assert ascent.newton_decrement is None
+        assert ascent.iterations > 2 * newton.iterations
+        assert np.all(np.diff(ascent.objective_trace) >= -1e-12)
+        assert max_param_error(ascent.spec_hat, spec) < 1e-5
 
     def test_iteration_budget(self, rng):
         spec = random_spec(rng, 4)
@@ -270,3 +372,4 @@ class TestFit:
         assert len(d["delta"]) == 2
         assert len(d["sigma"]) == 2
         assert d["iterations"] == len(d["objective_trace"]) - 1
+        assert d["newton_decrement"] == fit.newton_decrement
