@@ -8,7 +8,6 @@ that all of them agree.
 """
 
 from .collider import (
-    ColliderEffect,
     ColliderForm,
     cause_marginal_pmf,
     conditioned_pmf,
@@ -41,7 +40,6 @@ from .estimation import (
     fit_pseudo_likelihood,
     pseudo_loglik,
     pseudo_loglik_grad,
-    weighted_configs,
 )
 from .graphs import graph_dot
 from .latent import (
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchFault",
-    "ColliderEffect",
     "ColliderForm",
     "ConditioningTooSevereError",
     "DimensionMismatchError",
@@ -125,5 +122,4 @@ __all__ = [
     "to_spectral",
     "truncate_spectral",
     "verify_representations",
-    "weighted_configs",
 ]

@@ -8,6 +8,7 @@ rank limit is exceeded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(BRANCHES),
         help="perturb one branch to demonstrate the verifier notices",
     )
-    p_verify.add_argument("--fault-eps", type=float, default=1e-6)
+    p_verify.add_argument("--fault-eps", type=float, default=BranchFault.eps)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_sample = sub.add_parser("sample", help="draw configurations from the model")
@@ -208,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--m", type=int, required=True, help="number of draws")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True, help="output CSV path")
-    p_sample.add_argument("--burn-in", type=int, default=1000)
-    p_sample.add_argument("--thin", type=int, default=1)
+    # The library signatures' defaults; `inspect` sees through `functools.wraps`.
+    gibbs = inspect.signature(sample_gibbs).parameters
+    p_sample.add_argument("--burn-in", type=int, default=gibbs["burn_in"].default)
+    p_sample.add_argument("--thin", type=int, default=gibbs["thin"].default)
     p_sample.add_argument(
         "--quad-nodes", **quad_nodes, help="Gauss-Hermite nodes for latent-first"
     )
@@ -221,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data", help="CSV of +/-1 draws (optional final weight column)")
     p_fit.add_argument("--init", help="model-spec JSON file to start from")
     p_fit.add_argument("--out", default="-", help="output JSON path or - for stdout")
-    p_fit.add_argument("--grad-tol", type=float, default=1e-6)
-    p_fit.add_argument("--max-iter", type=int, default=5000)
+    fit = inspect.signature(fit_pseudo_likelihood).parameters
+    p_fit.add_argument("--grad-tol", type=float, default=fit["grad_tol"].default)
+    p_fit.add_argument("--max-iter", type=int, default=fit["max_iter"].default)
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_graph = sub.add_parser("export-graph", help="write a DOT view of the model")

@@ -9,7 +9,7 @@ present recovers the pairwise model's PMF exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,55 +22,30 @@ UNIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ColliderEffect:
-    """One effect: strength ``lam`` and a unit direction ``q`` over the causes."""
-
-    lam: float
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError(f"effect strength must be finite and >= 0, got {self.lam!r}")
-        norm = np.linalg.norm(freeze_array(self, "q", 1))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise ValueError(
-                f"effect direction must be a unit vector (norm {norm!r})"
-            )
-
-    @property
-    def log_sup(self) -> float:
-        """Log of the largest ``exp(lam (q . x)^2 / 2)`` over ``+/-1`` configurations.
-
-        It is reached by ``x_i = sign(q_i)`` (zero entries contribute nothing
-        either way): ``log_sup = lam (sum_i |q_i|)^2 / 2``.
-        """
-        return float(0.5 * self.lam * np.abs(self.q).sum() ** 2)
-
-
-@dataclass(frozen=True)
 class ColliderForm:
-    """Cause intercepts and effects, also stacked as ``lams``, ``dirs`` (n, r), ``log_sups``."""
+    """Cause intercepts ``delta`` and effect ``k``'s strength ``lams[k]`` along ``dirs[:, k]``.
+
+    ``dirs`` is ``(n, r)`` with unit columns and ``lams`` is ``(r,)``, finite
+    and ``>= 0``: the positive part of a spectral form, as `LatentForm` is.
+    """
 
     delta: np.ndarray
-    effects: tuple[ColliderEffect, ...]
-    lams: np.ndarray = field(init=False, repr=False, compare=False)
-    dirs: np.ndarray = field(init=False, repr=False, compare=False)
-    log_sups: np.ndarray = field(init=False, repr=False, compare=False)
+    lams: np.ndarray
+    dirs: np.ndarray
 
     def __post_init__(self) -> None:
-        delta = freeze_array(self, "delta", 1)
-        effects = tuple(self.effects)
-        for k, eff in enumerate(effects):
-            if eff.q.shape != delta.shape:
-                raise DimensionMismatchError(
-                    f"effect {k} direction has shape {eff.q.shape}, "
-                    f"expected {delta.shape}"
-                )
-        object.__setattr__(self, "effects", effects)
-        dirs = np.array([eff.q for eff in effects]).reshape(-1, delta.shape[0]).T.copy()
-        freeze_array(self, "dirs", 2, dirs)
-        freeze_array(self, "lams", 1, [eff.lam for eff in effects])
-        freeze_array(self, "log_sups", 1, [eff.log_sup for eff in effects])
+        n = freeze_array(self, "delta", 1).shape[0]
+        lams = freeze_array(self, "lams", 1)
+        dirs = freeze_array(self, "dirs", 2)
+        if dirs.shape != (n, lams.shape[0]):
+            raise DimensionMismatchError(
+                f"dirs have shape {dirs.shape}, expected ({n}, {lams.shape[0]})"
+            )
+        if np.any(lams < 0.0):
+            raise ValueError(f"effect strengths must be >= 0, got {lams!r}")
+        norms = np.linalg.norm(dirs, axis=0)
+        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+            raise ValueError(f"effect directions must be unit vectors (norms {norms!r})")
 
     @property
     def n(self) -> int:
@@ -78,7 +53,18 @@ class ColliderForm:
 
     @property
     def r(self) -> int:
-        return len(self.effects)
+        return self.lams.shape[0]
+
+    @property
+    def log_sups(self) -> np.ndarray:
+        """Each effect's largest log ``exp(lam (q . x)^2 / 2)`` over ``+/-1`` configurations.
+
+        It is reached by ``x_i = sign(q_i)`` (zero entries contribute nothing
+        either way): ``lam (sum_i |q_i|)^2 / 2``, each column summed as its own
+        vector.
+        """
+        cols = np.ascontiguousarray(self.dirs.T)
+        return np.array([0.5 * lam * np.abs(q).sum() ** 2 for lam, q in zip(self.lams, cols)])
 
 
 def simple_collider(delta) -> ColliderForm:
@@ -92,24 +78,19 @@ def simple_collider(delta) -> ColliderForm:
     n = np.size(delta)
     if n == 0:
         raise ValueError("simple_collider requires at least one cause")
-    q = np.ones(n) / np.sqrt(n)
-    return ColliderForm(delta=delta, effects=(ColliderEffect(lam=float(n), q=q),))
+    return ColliderForm(delta=delta, lams=[n], dirs=np.full((n, 1), 1.0 / np.sqrt(n)))
 
 
 def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
     """One effect per strictly positive eigenvalue, along its eigenvector."""
     delta = as_delta(delta, form.n)
-    effects = tuple(
-        ColliderEffect(lam=float(lam), q=form.q[:, k])
-        for k, lam in enumerate(form.lambdas)
-        if lam > RANK_TOL
-    )
-    return ColliderForm(delta=delta, effects=effects)
+    keep = form.lambdas > RANK_TOL
+    return ColliderForm(delta=delta, lams=form.lambdas[keep], dirs=form.q[:, keep])
 
 
 def cause_marginal_pmf(cf: ColliderForm) -> Pmf:
     """Joint table of the causes alone: independent ``logistic(2 delta_i)`` coins."""
-    return Pmf(cf.n, *normalize(linear_table(cf.delta)))
+    return Pmf(*normalize(linear_table(cf.delta)))
 
 
 def conditioned_pmf(cf: ColliderForm) -> Pmf:
@@ -133,4 +114,4 @@ def conditioned_pmf(cf: ColliderForm) -> Pmf:
         halves.append((log_w, scores))
     (hi_w, hi_s), (lo_w, lo_s) = halves
     hi_w -= cf.log_sups.sum() + log_2cosh(cf.delta).sum()
-    return Pmf(cf.n, *normalize(split_half_table(hi_w, hi_s * cf.lams, lo_w, lo_s)))
+    return Pmf(*normalize(split_half_table(hi_w, hi_s * cf.lams, lo_w, lo_s)))

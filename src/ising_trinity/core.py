@@ -93,26 +93,29 @@ class Pmf:
     """An exhaustive probability table over all ``2**n`` configurations.
 
     ``probs[k]`` is the probability of the configuration whose index is ``k``
-    (bit ``i`` of ``k`` set means ``x_i = +1``).  ``log_z`` records the log
-    normalizer of the weights the table was built from, so that
-    ``probs[k] == exp(log_weight(k) - log_z)``.
+    (bit ``i`` of ``k`` set means ``x_i = +1``); its size, a power of two,
+    gives ``n``.  ``log_z`` records the log normalizer of the weights the
+    table was built from, so that ``probs[k] == exp(log_weight(k) - log_z)``.
     """
 
-    n: int
     probs: np.ndarray
     log_z: float
 
     def __post_init__(self) -> None:
-        probs = freeze_array(self, "probs", 1)
-        if probs.shape != (1 << self.n,):
+        size = freeze_array(self, "probs", 1).shape[0]
+        if size < 1 or size & (size - 1):
             raise DimensionMismatchError(
-                f"probability table has shape {probs.shape}, expected ({1 << self.n},)"
+                f"probability table has {size} entries, not a power of two"
             )
-        if np.any(probs < 0.0):
+        if np.any(self.probs < 0.0):
             raise ValueError("probabilities must be non-negative")
-        total = probs.sum()
+        total = self.probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-12")
+
+    @property
+    def n(self) -> int:
+        return self.probs.shape[0].bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def ising_pmf(spec: ModelSpec) -> Pmf:
             field += spec.delta[k]
             np.add(log_w[:half], field, out=log_w[half : 2 * half])
             log_w[:half] -= field
-    return Pmf(n, *normalize(log_w))
+    return Pmf(*normalize(log_w))
 
 
 def curie_weiss_pmf(n: int, delta) -> Pmf:
@@ -151,7 +154,7 @@ def curie_weiss_pmf(n: int, delta) -> Pmf:
     total = linear_table(np.ones(n))
     log_w = linear_table(delta)
     log_w += 0.5 * total**2
-    return Pmf(n, *normalize(log_w))
+    return Pmf(*normalize(log_w))
 
 
 def pmf_distance(a: Pmf, b: Pmf) -> PmfDistance:

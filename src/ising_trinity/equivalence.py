@@ -79,17 +79,6 @@ class EquivalenceReport:
     timings: dict[str, float]
     fault: BranchFault | None = None
     skipped_reason: dict[str, str] = field(default_factory=dict)
-    passed: dict[tuple[str, str], bool] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.passed = {}
-        for pair, dist in self.distances.items():
-            metric, tol = self.criterion(pair)
-            self.passed[pair] = getattr(dist, metric) <= tol
-
-    def criterion(self, pair: tuple[str, str]) -> tuple[str, float]:
-        """The metric a pair is judged by and its bound: TV if quadrature is involved."""
-        return ("tv", QUAD_TOL) if "latent" in pair else ("max_abs", EXACT_TOL)
 
     @property
     def evaluated(self) -> dict[str, bool]:
@@ -97,8 +86,20 @@ class EquivalenceReport:
         return {name: name not in self.skipped_reason for name in BRANCHES}
 
     @property
+    def pairs(self) -> list[dict]:
+        """Each pair's distances and verdict: judged by TV if quadrature is involved."""
+        rows = []
+        for pair, dist in self.distances.items():
+            metric, tol = ("tv", QUAD_TOL) if "latent" in pair else ("max_abs", EXACT_TOL)
+            rows.append(
+                {"pair": list(pair), **asdict(dist), "tolerance": tol, "metric": metric,
+                 "passed": getattr(dist, metric) <= tol}
+            )
+        return rows
+
+    @property
     def all_pass(self) -> bool:
-        return all(self.passed.values())
+        return all(row["passed"] for row in self.pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -117,18 +118,7 @@ class EquivalenceReport:
                 }
                 for name, evaluated in self.evaluated.items()
             ],
-            "pairs": [
-                {
-                    "pair": list(pair),
-                    "tv": dist.tv,
-                    "max_abs": dist.max_abs,
-                    "kl": dist.kl,
-                    "tolerance": self.criterion(pair)[1],
-                    "metric": self.criterion(pair)[0],
-                    "passed": self.passed[pair],
-                }
-                for pair, dist in self.distances.items()
-            ],
+            "pairs": self.pairs,
         }
 
     def to_json(self) -> str:
@@ -149,12 +139,11 @@ class EquivalenceReport:
             lines.append(
                 f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}"
             )
-        for pair, dist in self.distances.items():
-            metric, tol = self.criterion(pair)
-            verdict = "PASS" if self.passed[pair] else "FAIL"
+        for row in self.pairs:
+            (a, b), verdict = row["pair"], "PASS" if row["passed"] else "FAIL"
             lines.append(
-                f"{pair[0]} vs {pair[1]}: tv={dist.tv:.3e} max_abs={dist.max_abs:.3e} "
-                f"kl={dist.kl:.3e} [{verdict} {metric} <= {tol:g}]"
+                f"{a} vs {b}: tv={row['tv']:.3e} max_abs={row['max_abs']:.3e} "
+                f"kl={row['kl']:.3e} [{verdict} {row['metric']} <= {row['tolerance']:g}]"
             )
         lines.append("overall: " + ("PASS" if self.all_pass else "FAIL"))
         return "\n".join(lines)

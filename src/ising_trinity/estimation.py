@@ -33,17 +33,21 @@ NEWTON_MAX_PARAMS = 2080
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimate plus its step trajectory; ``newton_decrement`` is None without a Hessian."""
+    """Estimate plus its trajectory: the objective at the start and after each accepted
+    step, which count the ``iterations``; ``newton_decrement`` is None without a Hessian."""
 
     spec_hat: ModelSpec
     objective_trace: np.ndarray
     grad_norm_final: float
     newton_decrement: float | None
-    iterations: int
     converged: bool
 
     def __post_init__(self) -> None:
         freeze_array(self, "objective_trace", 1)
+
+    @property
+    def iterations(self) -> int:
+        return self.objective_trace.shape[0] - 1
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +62,7 @@ class FitResult:
         }
 
 
-def weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
     """Normalize any accepted data form to ``(configs, weights summing to 1)``.
 
     Accepts a `SampleSet`, an enumerated table (`Pmf`), a raw ``(m, n)``
@@ -97,12 +101,12 @@ def weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_configs(data, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`weighted_configs` with repeated rows merged and their weights summed.
+    """`_weighted_configs` with repeated rows merged and their weights summed.
 
     Rows are keyed by their packed sign bits, so any width works; ``n``, when
     given, is the width the data must have.
     """
-    configs, weights = weighted_configs(data)
+    configs, weights = _weighted_configs(data)
     if n is not None and configs.shape[1] != n:
         raise DimensionMismatchError(f"data has {configs.shape[1]} columns, expected {n}")
     packed = np.packbits(configs > 0.0, axis=1)
@@ -219,8 +223,7 @@ def fit_pseudo_likelihood(
     trace = [value]
     grad_norm = float(np.linalg.norm(grad))
     direction, decrement = _direction(vec, grad, configs, weights)
-    iterations = 0
-    while grad_norm >= grad_tol and iterations < max_iter:
+    while grad_norm >= grad_tol and len(trace) - 1 < max_iter:
         step = INITIAL_STEP
         slope = ARMIJO_C * float(grad @ direction)
         for _ in range(MAX_HALVINGS + 1):
@@ -237,7 +240,6 @@ def fit_pseudo_likelihood(
         vec, value, grad = candidate, cand_value, cand_grad
         grad_norm = float(np.linalg.norm(grad))
         direction, decrement = _direction(vec, grad, configs, weights)
-        iterations += 1
         trace.append(value)
 
     delta, sigma = _unpack(vec, n)
@@ -246,6 +248,5 @@ def fit_pseudo_likelihood(
         objective_trace=np.array(trace),
         grad_norm_final=grad_norm,
         newton_decrement=decrement,
-        iterations=iterations,
         converged=bool(grad_norm < grad_tol),
     )

@@ -213,7 +213,7 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
         raw += _item_products(p_minus[h:], p_plus[h:]) @ g_lo.T
     mass = raw.sum()
     _check_mass(mass)
-    return Pmf(n, raw.ravel() / mass, float(log_norm + np.log(mass)))
+    return Pmf(raw.ravel() / mass, float(log_norm + np.log(mass)))
 
 
 def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:

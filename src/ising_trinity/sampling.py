@@ -412,14 +412,22 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
 
 
 def load_sample_set(csv_path) -> SampleSet:
-    """Read a sample CSV and its sidecar back into a `SampleSet`."""
+    """Read a sample CSV and its sidecar back into a `SampleSet`: the sidecar must name
+    the ``seed`` and ``method``, and the draws must have any ``m`` and ``n`` it records."""
     side_path = sidecar_path(csv_path)
     if not side_path.exists():
         raise ValueError(f"missing sample metadata sidecar {side_path}")
     side = json.loads(side_path.read_text(encoding="utf-8"))
+    for key in ("seed", "method"):
+        if not isinstance(side, dict) or key not in side:
+            raise ValueError(f"sample metadata sidecar {side_path} has no {key!r} field")
+    draws = read_csv_table(csv_path, np.int8, rows="draws")[1]
+    if draws.shape != (side.get("m", draws.shape[0]), side.get("n", draws.shape[1])):
+        raise ValueError(
+            f"data file {csv_path} holds {draws.shape[0]} x {draws.shape[1]} draws, but "
+            f"its sidecar records {side.get('m')} x {side.get('n')}"
+        )
     return SampleSet(
-        draws=read_csv_table(csv_path, np.int8, rows="draws")[1],
-        seed=int(side["seed"]),
-        method=str(side["method"]),
+        draws=draws, seed=int(side["seed"]), method=str(side["method"]),
         meta=dict(side.get("meta", {})),
     )

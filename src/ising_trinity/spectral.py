@@ -134,4 +134,4 @@ def spectral_pmf(form: SpectralForm, delta) -> Pmf:
         log_w += (0.5 * lams * scores * scores).sum(axis=1)
         halves.append((log_w, scores))
     (hi_w, hi_s), (lo_w, lo_s) = halves
-    return Pmf(form.n, *normalize(split_half_table(hi_w, hi_s * lams, lo_w, lo_s)))
+    return Pmf(*normalize(split_half_table(hi_w, hi_s * lams, lo_w, lo_s)))

@@ -34,3 +34,15 @@ def low_rank_spec(rng, n, rank, field_scale=1.0):
     np.fill_diagonal(sigma, 0.0)
     delta = rng.uniform(-field_scale, field_scale, n)
     return it.ModelSpec(delta=delta, sigma=sigma)
+
+
+def effect_pairs(cf):
+    """A collider form's effects as the oracles take them: ``(lam, q)``, floats and lists."""
+    return list(zip(cf.lams.tolist(), cf.dirs.T.tolist()))
+
+
+def cause_only(delta):
+    """A collider form with no effects: the causes alone."""
+    import ising_trinity as it
+
+    return it.ColliderForm(delta=delta, lams=np.zeros(0), dirs=np.zeros((len(delta), 0)))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ising_trinity as it
-from ising_trinity.cli import _pmf_text, main
+from ising_trinity.cli import _pmf_text, build_parser, main
 from ising_trinity.equivalence import BRANCHES
 from oracles import pmf_csv_text, pmf_json_text
 
@@ -162,7 +162,7 @@ def tables(draw):
     weights[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     weights[rng.integers(1 << n)] = 1.0
     log_z = draw(st.floats(allow_nan=False, allow_infinity=False))
-    return it.Pmf(n, weights / weights.sum(), log_z)
+    return it.Pmf(weights / weights.sum(), log_z)
 
 
 class TestPmfBytes:
@@ -186,7 +186,7 @@ class TestPmfBytes:
         weights = rng.random(1 << n) * 10.0 ** rng.integers(-300, 1, 1 << n)
         weights[rng.random(1 << n) < 0.1] = 0.0
         weights[0] = 1.0
-        pmf = it.Pmf(n, weights / weights.sum(), -1.5)
+        pmf = it.Pmf(weights / weights.sum(), -1.5)
         text = _pmf_text(pmf, "collider", fmt)
         assert text == expected_pmf_text(pmf, "collider", fmt)
         if fmt == "json":
@@ -652,3 +652,12 @@ class TestExportGraphCommand:
         text = out_path.read_text()
         assert "e1 [shape=box];" in text
         assert "x1 -> e1;" in text
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    gibbs = parse(["sample", "s.json", "--method", "gibbs", "--m", "1", "--out", "o.csv"])
+    assert (gibbs.burn_in, gibbs.thin) == (1000, 1)
+    assert parse(["verify", "s.json"]).fault_eps == it.BranchFault("spectral").eps == 1e-6
+    fit = parse(["fit", "d.csv"])
+    assert (fit.grad_tol, fit.max_iter) == (1e-6, 5000)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ising_trinity as it
-from conftest import low_rank_spec, random_spec
+from conftest import cause_only, effect_pairs, low_rank_spec, random_spec
 from oracles import cause_table, conditioned_collider_table, effect_sup_by_scan
 
 
@@ -20,41 +20,65 @@ def acceptance(cf: it.ColliderForm) -> np.ndarray:
 
 
 class TestColliderEffect:
+    """Effect ``k`` of a `ColliderForm`: strength ``lams[k]``, unit direction ``dirs[:, k]``."""
+
     def test_sup_closed_form_matches_brute_scan(self, rng):
         for n in (2, 4, 6):
-            for _ in range(5):
-                q = rng.normal(size=n)
-                q /= np.linalg.norm(q)
-                lam = float(rng.uniform(0.1, 4.0))
-                eff = it.ColliderEffect(lam=lam, q=q)
-                assert eff.log_sup == pytest.approx(
-                    effect_sup_by_scan(lam, q.tolist()), rel=1e-12
-                )
+            for r in (1, 3):
+                dirs = rng.normal(size=(n, r))
+                dirs /= np.linalg.norm(dirs, axis=0)
+                lams = rng.uniform(0.1, 4.0, r)
+                cf = it.ColliderForm(delta=np.zeros(n), lams=lams, dirs=dirs)
+                for (lam, q), sup in zip(effect_pairs(cf), cf.log_sups):
+                    assert sup == pytest.approx(effect_sup_by_scan(lam, q), rel=1e-12)
+
+    def test_sups_sum_each_column_as_its_own_vector(self, rng):
+        # Rejection draws depend on these bits.  Summing the matrix down its
+        # rows instead adds them one after another, not in numpy's pairwise
+        # blocks, and moves the last bit of some columns from n = 9 on.
+        for n in range(9, 21):
+            dirs = rng.normal(size=(n, 3))
+            dirs /= np.linalg.norm(dirs, axis=0)
+            cf = it.ColliderForm(delta=np.zeros(n), lams=rng.uniform(0.1, 4.0, 3), dirs=dirs)
+            sups = [0.5 * lam * np.abs(np.array(q)).sum() ** 2 for lam, q in effect_pairs(cf)]
+            assert cf.log_sups.tolist() == sups
 
     def test_sup_with_zero_entries(self):
         # A zero entry contributes nothing in either direction.
-        q = np.array([0.6, 0.0, -0.8])
-        eff = it.ColliderEffect(lam=1.0, q=q)
-        assert eff.log_sup == pytest.approx(0.5 * 1.4**2, abs=1e-14)
-        assert eff.log_sup == pytest.approx(effect_sup_by_scan(1.0, q.tolist()), abs=1e-14)
+        q = [0.6, 0.0, -0.8]
+        cf = it.ColliderForm(delta=np.zeros(3), lams=[1.0], dirs=np.array([q]).T)
+        assert cf.log_sups[0] == pytest.approx(0.5 * 1.4**2, abs=1e-14)
+        assert cf.log_sups[0] == pytest.approx(effect_sup_by_scan(1.0, q), abs=1e-14)
 
     def test_non_unit_direction_rejected(self):
+        dirs = np.array([[1.0, 0.6], [0.0, -0.8], [0.0, 0.1]])
         with pytest.raises(ValueError, match="unit"):
-            it.ColliderEffect(lam=1.0, q=np.array([1.0, 1.0]))
+            it.ColliderForm(delta=np.zeros(3), lams=[1.0, 1.0], dirs=dirs)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            it.ColliderEffect(lam=-0.5, q=np.array([1.0]))
+            it.ColliderForm(delta=np.zeros(1), lams=[-0.5], dirs=[[1.0]])
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_strength_rejected(self, lam):
+        with pytest.raises(ValueError, match="lams contains non-finite"):
+            it.ColliderForm(delta=np.zeros(1), lams=[lam], dirs=[[1.0]])
+
+    @pytest.mark.parametrize(
+        "lams, dirs", [([1.0], np.eye(3)[:, :2]), ([1.0, 1.0], np.eye(2)), ([1.0], np.ones(3))]
+    )
+    def test_shape_mismatch_rejected(self, lams, dirs):
+        with pytest.raises(it.DimensionMismatchError):
+            it.ColliderForm(delta=np.zeros(3), lams=lams, dirs=dirs)
 
 
 class TestSimpleCollider:
     def test_two_cause_parts(self):
         cf = it.simple_collider(np.zeros(2))
         assert cf.r == 1
-        eff = cf.effects[0]
-        assert eff.lam == 2.0
-        npt.assert_allclose(eff.q, np.full(2, 1.0 / math.sqrt(2.0)), atol=1e-15)
-        assert eff.log_sup == pytest.approx(2.0, abs=1e-14)
+        assert cf.lams.tolist() == [2.0]
+        npt.assert_allclose(cf.dirs, np.full((2, 1), 1.0 / math.sqrt(2.0)), atol=1e-15)
+        assert cf.log_sups[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_acceptance_values(self):
         # Index 1 is x = (1, -1), index 3 is x = (1, 1).
@@ -76,9 +100,7 @@ class TestSimpleCollider:
 
 class TestEffectAcceptance:
     def test_tilted_direction_example(self):
-        cf = it.ColliderForm(
-            delta=np.zeros(2), effects=(it.ColliderEffect(lam=1.0, q=np.array([0.6, -0.8])),)
-        )
+        cf = it.ColliderForm(delta=np.zeros(2), lams=[1.0], dirs=[[0.6], [-0.8]])
         acc = acceptance(cf)
         assert acc[1] == pytest.approx(1.0, abs=1e-14)
         assert acc[3] == pytest.approx(math.exp(0.5 * 0.04 - 0.98), abs=1e-14)
@@ -100,7 +122,7 @@ class TestCauseMarginal:
 
     def test_matches_oracle_and_factorized_normalizer(self, rng):
         delta = rng.uniform(-1.0, 1.0, 5)
-        cf = it.ColliderForm(delta=delta, effects=())
+        cf = cause_only(delta)
         pmf = it.cause_marginal_pmf(cf)
         npt.assert_allclose(pmf.probs, cause_table(delta.tolist()), atol=1e-12)
         assert pmf.log_z == pytest.approx(
@@ -109,7 +131,7 @@ class TestCauseMarginal:
 
     def test_causes_are_uncorrelated(self, rng):
         delta = rng.uniform(-1.0, 1.0, 5)
-        cf = it.ColliderForm(delta=delta, effects=())
+        cf = cause_only(delta)
         first, second = it.pmf_moments(it.cause_marginal_pmf(cf))
         cov = second - np.outer(first, first)
         off = cov - np.diag(np.diag(cov))
@@ -151,7 +173,7 @@ class TestConditionedPmf:
         cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
         table, accept = conditioned_collider_table(
             cf.delta.tolist(),
-            [(eff.lam, eff.q.tolist()) for eff in cf.effects],
+            effect_pairs(cf),
         )
         cond = it.conditioned_pmf(cf)
         npt.assert_allclose(cond.probs, table, atol=1e-12)
@@ -159,7 +181,7 @@ class TestConditionedPmf:
 
     def test_no_effects_means_no_conditioning(self, rng):
         delta = rng.uniform(-1.0, 1.0, 4)
-        cf = it.ColliderForm(delta=delta, effects=())
+        cf = cause_only(delta)
         cond = it.conditioned_pmf(cf)
         marg = it.cause_marginal_pmf(cf)
         assert it.pmf_distance(cond, marg).max_abs <= 1e-15
@@ -187,10 +209,9 @@ class TestSpectralToCollider:
         spec = it.ModelSpec(delta=np.zeros(2), sigma=np.array([[0.0, 1.0], [1.0, 0.0]]))
         cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
         assert cf.r == 1
-        eff = cf.effects[0]
-        assert eff.lam == pytest.approx(2.0, abs=1e-14)
-        npt.assert_allclose(eff.q, np.full(2, 1.0 / math.sqrt(2.0)), atol=1e-14)
-        assert eff.log_sup == pytest.approx(2.0, abs=1e-13)
+        assert cf.lams[0] == pytest.approx(2.0, abs=1e-14)
+        npt.assert_allclose(cf.dirs, np.full((2, 1), 1.0 / math.sqrt(2.0)), atol=1e-14)
+        assert cf.log_sups[0] == pytest.approx(2.0, abs=1e-13)
 
     def test_effect_count_matches_rank(self, rng):
         spec = low_rank_spec(rng, 7, 3)
@@ -204,17 +225,7 @@ class TestSpectralToCollider:
 
 
 class TestStackedEffects:
-    def test_arrays_stack_the_effects(self, rng):
-        spec = low_rank_spec(rng, 7, 3)
-        cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
-        npt.assert_array_equal(cf.dirs, np.stack([eff.q for eff in cf.effects], axis=1))
-        npt.assert_array_equal(cf.lams, [eff.lam for eff in cf.effects])
-        npt.assert_array_equal(cf.log_sups, [eff.log_sup for eff in cf.effects])
-        assert cf.dirs.flags.c_contiguous
-        for arr in (cf.delta, cf.dirs, cf.lams, cf.log_sups):
-            assert not arr.flags.writeable
-
     def test_no_effects(self):
-        cf = it.ColliderForm(delta=np.zeros(3), effects=())
-        assert cf.dirs.shape == (3, 0)
+        cf = cause_only(np.zeros(3))
+        assert cf.r == 0
         assert cf.lams.shape == cf.log_sups.shape == (0,)

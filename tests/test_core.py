@@ -158,15 +158,21 @@ class TestCurieWeiss:
 class TestPmfType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
-            it.Pmf(1, np.array([1.5, -0.5]), 0.0)
+            it.Pmf(np.array([1.5, -0.5]), 0.0)
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
-            it.Pmf(1, np.array([0.6, 0.6]), 0.0)
+            it.Pmf(np.array([0.6, 0.6]), 0.0)
 
     def test_rejects_wrong_size(self):
-        with pytest.raises(it.DimensionMismatchError):
-            it.Pmf(2, np.array([0.5, 0.5]), 0.0)
+        with pytest.raises(it.DimensionMismatchError, match="3 entries, not a power of two"):
+            it.Pmf(np.full(3, 1.0 / 3.0), 0.0)
+        with pytest.raises(it.DimensionMismatchError, match="0 entries"):
+            it.Pmf(np.zeros(0), 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_n_follows_from_the_size(self, n):
+        assert it.Pmf(np.full(1 << n, 1.0 / (1 << n)), 0.0).n == n
 
 
 class TestPmfDistance:
@@ -176,7 +182,7 @@ class TestPmfDistance:
         assert (d.tv, d.max_abs, d.kl) == (0.0, 0.0, 0.0)
 
     def test_uniform_vs_log2_table(self):
-        uniform = it.Pmf(2, np.full(4, 0.25), math.log(4.0))
+        uniform = it.Pmf(np.full(4, 0.25), math.log(4.0))
         skewed = it.ising_pmf(spec_n2(math.log(2.0)))
         d = it.pmf_distance(uniform, skewed)
         assert d.tv == pytest.approx(0.3, abs=1e-12)
@@ -185,18 +191,18 @@ class TestPmfDistance:
         assert d.kl == pytest.approx(expected_kl, abs=1e-12)
 
     def test_single_variable_tv(self):
-        a = it.Pmf(1, np.array([0.5, 0.5]), math.log(2.0))
-        b = it.Pmf(1, np.array([0.25, 0.75]), 0.0)
+        a = it.Pmf(np.array([0.5, 0.5]), math.log(2.0))
+        b = it.Pmf(np.array([0.25, 0.75]), 0.0)
         assert it.pmf_distance(a, b).tv == pytest.approx(0.25, abs=1e-15)
 
     def test_kl_infinite_off_support(self):
-        a = it.Pmf(1, np.array([0.5, 0.5]), 0.0)
-        b = it.Pmf(1, np.array([1.0, 0.0]), 0.0)
+        a = it.Pmf(np.array([0.5, 0.5]), 0.0)
+        b = it.Pmf(np.array([1.0, 0.0]), 0.0)
         assert it.pmf_distance(a, b).kl == np.inf
 
     def test_kl_with_zero_entries(self):
-        a = it.Pmf(2, np.array([0.0, 0.5, 0.5, 0.0]), 0.0)
-        b = it.Pmf(2, np.array([0.25, 0.25, 0.5, 0.0]), 0.0)
+        a = it.Pmf(np.array([0.0, 0.5, 0.5, 0.0]), 0.0)
+        b = it.Pmf(np.array([0.25, 0.25, 0.5, 0.0]), 0.0)
         assert it.pmf_distance(a, b).kl == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
         assert it.pmf_distance(b, a).kl == np.inf
 
@@ -208,8 +214,8 @@ class TestPmfDistance:
         assert it.pmf_distance(a, b).kl == expected
 
     def test_size_mismatch(self):
-        a = it.Pmf(1, np.array([0.5, 0.5]), 0.0)
-        b = it.Pmf(2, np.full(4, 0.25), 0.0)
+        a = it.Pmf(np.array([0.5, 0.5]), 0.0)
+        b = it.Pmf(np.full(4, 0.25), 0.0)
         with pytest.raises(it.DimensionMismatchError):
             it.pmf_distance(a, b)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ising_trinity as it
-from conftest import random_spec
+from conftest import cause_only, effect_pairs, random_spec
 from ising_trinity._enum import (
     ENUMERATION_LIMIT,
     config_text,
@@ -56,14 +56,14 @@ def specs(draw, max_n=8):
 def collider_forms(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
     delta = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
-    effects = []
+    dirs, lams = np.zeros((n, 0)), []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         q = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
         norm = np.linalg.norm(q)
         assume(norm > 0.1)
-        lam = draw(st.floats(min_value=0.0, max_value=3.0))
-        effects.append(it.ColliderEffect(lam=lam, q=q / norm))
-    return it.ColliderForm(delta=delta, effects=tuple(effects))
+        lams.append(draw(st.floats(min_value=0.0, max_value=3.0)))
+        dirs = np.column_stack((dirs, q / norm))
+    return it.ColliderForm(delta=delta, lams=lams, dirs=dirs)
 
 
 class TestKernel:
@@ -151,8 +151,7 @@ class TestBuildersAgainstOracles:
     @given(cf=collider_forms())
     def test_conditioned_pmf(self, cf):
         pmf = it.conditioned_pmf(cf)
-        effects = [(eff.lam, eff.q.tolist()) for eff in cf.effects]
-        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effects)
+        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effect_pairs(cf))
         npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
         assert pmf.log_z == pytest.approx(math.log(acceptance), abs=1e-12)
 
@@ -218,11 +217,10 @@ class TestSplitHalfBuilders:
     @settings(max_examples=30, deadline=None)
     @given(cf=collider_forms(max_n=13))
     @example(cf=it.simple_collider(np.array([0.7])))
-    @example(cf=it.ColliderForm(delta=np.array([0.3, -0.2, 0.9]), effects=()))
+    @example(cf=cause_only(np.array([0.3, -0.2, 0.9])))
     def test_conditioned_pmf(self, cf):
         pmf = it.conditioned_pmf(cf)
-        effects = [(eff.lam, eff.q.tolist()) for eff in cf.effects]
-        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effects)
+        oracle, acceptance = conditioned_collider_table(cf.delta.tolist(), effect_pairs(cf))
         npt.assert_allclose(pmf.probs, oracle, rtol=0, atol=ORACLE_TOL)
         assert pmf.log_z == pytest.approx(math.log(acceptance), abs=1e-12)
 
@@ -234,7 +232,7 @@ class TestSplitHalfBuilders:
         assert form.rank == n - 1
         picks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 30).tolist()]
         configs = decode_configs(picks, n).tolist()
-        delta, effects = spec.delta.tolist(), [(e.lam, e.q.tolist()) for e in cf.effects]
+        delta, effects = spec.delta.tolist(), effect_pairs(cf)
         own_log_weight = {
             "spectral": lambda x: spectral_log_weight(
                 delta, form.lambdas.tolist(), form.q.T.tolist(), x

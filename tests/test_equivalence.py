@@ -109,8 +109,8 @@ class TestFaultInjection:
         assert clean.all_pass
         faulted = it.verify_representations(spec, fault=it.BranchFault(branch=branch))
         assert not faulted.all_pass
-        for pair, ok in faulted.passed.items():
-            assert ok == (branch not in pair), (pair, ok)
+        for row in faulted.pairs:
+            assert row["passed"] == (branch not in row["pair"]), row
 
     def test_fault_magnitude_scales_distance(self):
         spec = unit_coupling_spec(2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ising_trinity as it
 from conftest import random_spec
 from ising_trinity import estimation
-from ising_trinity.estimation import _distinct_configs
+from ising_trinity.estimation import _distinct_configs, _weighted_configs
 from oracles import all_configs, pseudo_loglik_and_grad, pseudo_loglik_hessian
 
 ORACLE_TOL = 1e-12
@@ -52,39 +52,39 @@ CONSTANT_COLUMN = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 class TestWeightedConfigs:
     def test_sample_set_gets_equal_weights(self, rng):
         sample = it.sample_exact(it.ising_pmf(random_spec(rng, 3)), 10, seed=0)
-        configs, weights = it.weighted_configs(sample)
+        configs, weights = _weighted_configs(sample)
         assert configs.shape == (10, 3)
         npt.assert_allclose(weights, 0.1)
 
     def test_table_weights_are_probabilities(self, rng):
         pmf = it.ising_pmf(random_spec(rng, 3))
-        configs, weights = it.weighted_configs(pmf)
+        configs, weights = _weighted_configs(pmf)
         assert configs.dtype == np.float64
         assert configs.tolist() == [list(x) for x in all_configs(3)]
         npt.assert_allclose(weights, pmf.probs)
 
     def test_explicit_weights_are_normalized(self):
         configs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        _, weights = it.weighted_configs((configs, np.array([2.0, 2.0])))
+        _, weights = _weighted_configs((configs, np.array([2.0, 2.0])))
         npt.assert_allclose(weights, 0.5)
 
     def test_raw_matrix(self):
-        configs, weights = it.weighted_configs(np.array([[1, -1], [-1, -1], [1, 1]]))
+        configs, weights = _weighted_configs(np.array([[1, -1], [-1, -1], [1, 1]]))
         assert configs.shape == (3, 2)
         npt.assert_allclose(weights, 1.0 / 3.0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
-            it.weighted_configs(np.array([[1, 0]]))
+            _weighted_configs(np.array([[1, 0]]))
         with pytest.raises(ValueError, match="non-empty"):
-            it.weighted_configs(np.empty((0, 3)))
+            _weighted_configs(np.empty((0, 3)))
         configs = np.ones((2, 2))
         with pytest.raises(ValueError, match="not all be zero"):
-            it.weighted_configs((configs, np.zeros(2)))
+            _weighted_configs((configs, np.zeros(2)))
         with pytest.raises(ValueError, match="non-negative"):
-            it.weighted_configs((configs, np.array([1.0, -1.0])))
+            _weighted_configs((configs, np.array([1.0, -1.0])))
         with pytest.raises(it.DimensionMismatchError):
-            it.weighted_configs((configs, np.ones(3)))
+            _weighted_configs((configs, np.ones(3)))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ising_trinity as it
-from conftest import low_rank_spec, random_spec
+from conftest import cause_only, effect_pairs, low_rank_spec, random_spec
 from ising_trinity import sampling
 from ising_trinity._enum import linear_table
 from ising_trinity.cli import _read_config_table, main
@@ -43,11 +43,13 @@ def weak_spec(rng, n: int = 10) -> it.ModelSpec:
 def opposed_effects() -> it.ColliderForm:
     """Two fair causes and two strong effects, one rewarding agreement and one
     disagreement: every configuration is accepted with probability exp(-400)."""
-    root_half = 1.0 / math.sqrt(2.0)
-    effects = [(400.0, np.array([root_half, sign * root_half])) for sign in (1.0, -1.0)]
-    return it.ColliderForm(
-        delta=np.zeros(2), effects=tuple(it.ColliderEffect(lam, q) for lam, q in effects)
-    )
+    dirs = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return it.ColliderForm(delta=np.zeros(2), lams=[400.0, 400.0], dirs=dirs)
+
+
+def rejection_effects(cf: it.ColliderForm) -> list:
+    """The effects as the rejection oracle takes them: ``(lam, q, log_sup)``."""
+    return [(lam, q, sup) for (lam, q), sup in zip(effect_pairs(cf), cf.log_sups)]
 
 
 def severe_collider(n: int = 10) -> it.ColliderForm:
@@ -117,7 +119,7 @@ class TestSampleSet:
 class TestExactSampler:
     def test_degenerate_table(self):
         probs = np.array([0.0, 0.0, 0.0, 1.0])
-        pmf = it.Pmf(n=2, probs=probs, log_z=0.0)
+        pmf = it.Pmf(probs=probs, log_z=0.0)
         sample = it.sample_exact(pmf, 100, seed=1)
         assert np.all(sample.draws == 1)
 
@@ -305,7 +307,7 @@ class TestGibbsSampler:
 
 class TestRejectionSampler:
     def test_no_effects_accepts_everything(self):
-        cf = it.ColliderForm(delta=np.zeros(3), effects=())
+        cf = cause_only(np.zeros(3))
         sample = it.sample_collider_rejection(cf, 1000, seed=2)
         assert sample.meta["acceptance_rate"] == 1.0
         assert sample.meta["rejected"] == sample.meta["proposals"] - sample.meta["accepted"]
@@ -347,16 +349,8 @@ class TestRejectionSampler:
         # Two strong effects whose preferred configurations are disjoint: one
         # rewards agreement, the other disagreement, so every proposal is
         # rejected for all practical purposes.
-        root_half = 1.0 / math.sqrt(2.0)
-        cf = it.ColliderForm(
-            delta=np.zeros(2),
-            effects=(
-                it.ColliderEffect(lam=400.0, q=np.array([root_half, root_half])),
-                it.ColliderEffect(lam=400.0, q=np.array([root_half, -root_half])),
-            ),
-        )
         with pytest.raises(it.ConditioningTooSevereError, match="too severe"):
-            it.sample_collider_rejection(cf, 10, seed=0)
+            it.sample_collider_rejection(opposed_effects(), 10, seed=0)
 
     def test_zero_draws_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -377,14 +371,12 @@ class TestRejectionSampler:
             it.simple_collider(np.array([0.3, -0.2, 0.1])),
             it.spectral_to_collider(it.to_spectral(rank_two), rank_two.delta),
             it.spectral_to_collider(it.to_spectral(weak), weak.delta),
-            it.ColliderForm(delta=np.array([0.4, -0.4]), effects=()),
+            cause_only(np.array([0.4, -0.4])),
         ]
         monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
         for cf in forms:
-            effects = [(eff.lam, eff.q, eff.log_sup) for eff in cf.effects]
-            _, acceptance = conditioned_collider_table(
-                cf.delta.tolist(), [(eff.lam, eff.q.tolist()) for eff in cf.effects]
-            )
+            effects = rejection_effects(cf)
+            _, acceptance = conditioned_collider_table(cf.delta.tolist(), effect_pairs(cf))
             rows = batch_rows(block, cf.n)
             for seed in range(3):
                 sample = it.sample_collider_rejection(cf, m, seed)
@@ -409,7 +401,7 @@ class TestRejectionSampler:
         # the probe of PROBE_PROPOSALS proposals decides; a limit of 1 sends
         # this two-cause model down that path.
         cf = opposed_effects()
-        effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        effects = rejection_effects(cf)
         with pytest.raises(RuntimeError) as ref:
             rejection_draws(cf.delta, effects, 10, 0, batch_rows(sampling._UNIFORM_BLOCK, 2))
         monkeypatch.setattr(sampling, "ENUMERATION_LIMIT", 1)
@@ -418,9 +410,7 @@ class TestRejectionSampler:
 
     def test_refuses_before_drawing_when_the_predicted_rate_is_too_low(self, monkeypatch):
         cf = opposed_effects()
-        _, acceptance = conditioned_collider_table(
-            [0.0, 0.0], [(eff.lam, eff.q.tolist()) for eff in cf.effects]
-        )
+        _, acceptance = conditioned_collider_table([0.0, 0.0], effect_pairs(cf))
         assert acceptance == pytest.approx(math.exp(-400.0), rel=1e-9)
 
         def no_generator(seed):
@@ -467,19 +457,16 @@ class TestRejectionSampler:
         # The severe model's two-cause twin: q = (1, 1)/sqrt 2 and (1, -1)/sqrt 2
         # with strength 12.5 accept every proposal with probability exp(-12.5),
         # about 3.7e-6, above MIN_ACCEPT_RATE, so only the budget stops the run.
-        n, root_half = sampling.ENUMERATION_LIMIT + 1, 1.0 / math.sqrt(2.0)
+        n = sampling.ENUMERATION_LIMIT + 1
 
         def opposed(lam):
-            effects = []
-            for sign in (1.0, -1.0):
-                q = np.zeros(n)
-                q[:2] = root_half, sign * root_half
-                effects.append(it.ColliderEffect(lam, q))
-            return it.ColliderForm(np.zeros(n), tuple(effects))
+            dirs = np.zeros((n, 2))
+            dirs[:2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+            return it.ColliderForm(np.zeros(n), [lam, lam], dirs)
 
         cf = opposed(12.5)
         rows = batch_rows(sampling._UNIFORM_BLOCK, n)
-        ref_effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        ref_effects = rejection_effects(cf)
         monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2 * rows + 1)
         for seed in range(3):
             with pytest.raises(RuntimeError) as ref:
@@ -495,7 +482,7 @@ class TestRejectionSampler:
         # At strength 1 (rate exp(-1)) the first block keeps every draw, and a
         # budget of that one block changes nothing.
         cf = opposed(1.0)
-        ref_effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        ref_effects = rejection_effects(cf)
         monkeypatch.setattr(sampling, "MAX_PROPOSALS", rows)
         sample = it.sample_collider_rejection(cf, 1000, seed=11)
         draws, meta = rejection_draws(cf.delta, ref_effects, 1000, 11, rows, budget=rows)
@@ -525,7 +512,7 @@ class TestRejectionSampler:
 
     def test_no_prediction_above_the_enumeration_limit(self):
         n = sampling.ENUMERATION_LIMIT + 1
-        sample = it.sample_collider_rejection(it.ColliderForm(np.zeros(n), ()), 5, seed=1)
+        sample = it.sample_collider_rejection(cause_only(np.zeros(n)), 5, seed=1)
         assert sample.meta["predicted_acceptance"] is None
         assert sample.meta["acceptance_rate"] == 1.0
 
@@ -545,7 +532,7 @@ class TestRejectionSampler:
         rng = np.random.default_rng(23)
         spec = it.ModelSpec(rng.uniform(-0.5, 0.5, 23), 0.02 * (np.ones((23, 23)) - np.eye(23)))
         cf = it.spectral_to_collider(it.to_spectral(spec), spec.delta)
-        effects = [(e.lam, e.q, e.log_sup) for e in cf.effects]
+        effects = rejection_effects(cf)
         for block in (1000, sampling._UNIFORM_BLOCK):
             monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
             rows = batch_rows(block, 23)
@@ -571,7 +558,7 @@ class TestRejectionSampler:
     def test_rank_zero_at_n_23_accepts_every_proposal(self):
         delta = np.random.default_rng(7).uniform(-1.0, 1.0, 23)
         rows = batch_rows(sampling._UNIFORM_BLOCK, 23)
-        sample = it.sample_collider_rejection(it.ColliderForm(delta, ()), rows, seed=3)
+        sample = it.sample_collider_rejection(cause_only(delta), rows, seed=3)
         assert sample.meta["accepted"] == sample.meta["proposals"] == rows
         draws, _ = rejection_draws(delta, [], rows, 3, rows)
         assert np.array_equal(sample.draws, draws)
@@ -701,6 +688,29 @@ class TestSampleIo:
         path = tmp_path / "draws.csv"
         path.write_text("x_1,x_2\n1,-1\n")
         with pytest.raises(ValueError, match="sidecar"):
+            it.load_sample_set(path)
+
+    def test_draws_must_have_the_sidecar_shape(self, tmp_path):
+        sample = it.sample_exact(it.ising_pmf(unit_coupling_spec(3)), 5, seed=0)
+        path = tmp_path / "draws.csv"
+        it.save_sample_set(sample, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ValueError, match="holds 2 x 3 draws, but its sidecar records 5 x 3"):
+            it.load_sample_set(path)
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        with pytest.raises(ValueError, match="holds 5 x 2 draws, but its sidecar records 5 x 3"):
+            it.load_sample_set(path)
+
+    # None writes a sidecar that is not a JSON object at all.
+    @pytest.mark.parametrize("field", ["seed", "method", None])
+    def test_sidecar_must_name_seed_and_method(self, tmp_path, field):
+        path = tmp_path / "draws.csv"
+        it.save_sample_set(it.sample_exact(it.ising_pmf(unit_coupling_spec(2)), 3, seed=0), path)
+        side = json.loads(it.sidecar_path(path).read_text())
+        side.pop(field, None)
+        it.sidecar_path(path).write_text(json.dumps(side if field else 3))
+        with pytest.raises(ValueError, match=f"has no '{field or 'seed'}' field"):
             it.load_sample_set(path)
 
     def test_headers_only_file(self, tmp_path):
