@@ -128,8 +128,9 @@ def log_sigmoid(t: np.ndarray) -> np.ndarray:
 def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 
-    Works in place: ``log_w`` is overwritten and returned as ``probs``.
-    Raises `ValueError` when the log weights are not finite.
+    Works in place: ``log_w`` is overwritten and returned, read-only, as
+    ``probs``, which `freeze_array` then keeps uncopied.  Raises `ValueError`
+    when the log weights are not finite.
     """
     peak = log_w.max()
     if not np.isfinite(peak):
@@ -140,4 +141,5 @@ def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
         probs = np.exp(np.subtract(log_w, peak, out=log_w), out=log_w)
     norm = probs.sum()
     probs /= norm
+    probs.setflags(write=False)
     return probs, float(peak + np.log(norm))

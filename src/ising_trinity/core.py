@@ -2,8 +2,8 @@
 
 The joint probability of a configuration ``x`` in ``{-1, +1}^n`` is
 proportional to ``exp(sum_i x_i delta_i + sum_{i<j} x_i x_j sigma_ij)``.
-Only the off-diagonal couplings matter: the diagonal of ``sigma`` is carried
-through untouched but never enters any probability.
+Only the off-diagonal couplings matter: `ModelSpec` stores ``sigma`` with its
+diagonal set to zero.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ def freeze_array(record, name: str, ndim: int, value=None, dtype=np.float64) -> 
 
     The array is converted to ``dtype`` and must have ``ndim`` dimensions
     (else `DimensionMismatchError`) and finite entries (else `ValueError`).
-    The record then checks its own conditions on the returned array.
+    A writable array is copied, so the caller's arrays stay its own; a
+    read-only one is kept.  The record then checks its own conditions on it.
     """
     arr = np.asarray(getattr(record, name) if value is None else value, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
     if arr.ndim != ndim:
         kind = ("scalar", "vector", "matrix")[ndim]
         raise DimensionMismatchError(f"{name} must be a {kind}, got shape {arr.shape}")
@@ -51,8 +54,7 @@ class ModelSpec:
     """Main effects ``delta`` and symmetric pairwise couplings ``sigma``.
 
     ``sigma`` must be symmetric to within 1e-12 and is stored exactly
-    symmetrized.  Its diagonal is preserved as given but ignored by every
-    probability computation.
+    symmetrized, with its diagonal set to zero: no probability reads it.
     """
 
     delta: np.ndarray
@@ -60,8 +62,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         n = freeze_array(self, "delta", 1).shape[0]
-        # Checked as a copy, so the caller's array stays writable.
-        sigma = freeze_array(self, "sigma", 2, np.array(self.sigma))
+        sigma = freeze_array(self, "sigma", 2)
         if sigma.shape != (n, n):
             raise DimensionMismatchError(
                 f"sigma has shape {sigma.shape}, expected ({n}, {n})"
@@ -75,17 +76,13 @@ class ModelSpec:
                 f"exceeds {SYMMETRY_TOL:g})"
             )
         # Halving first: the sum of two entries near the float limit overflows.
-        freeze_array(self, "sigma", 2, 0.5 * sigma + 0.5 * sigma.T)
+        sym = 0.5 * sigma + 0.5 * sigma.T
+        np.fill_diagonal(sym, 0.0)
+        freeze_array(self, "sigma", 2, sym)
 
     @property
     def n(self) -> int:
         return self.delta.shape[0]
-
-    def coupling_offdiag(self) -> np.ndarray:
-        """The coupling matrix with its (probability-irrelevant) diagonal zeroed."""
-        out = self.sigma.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
 
 
 @dataclass(frozen=True)

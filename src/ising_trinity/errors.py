@@ -32,7 +32,7 @@ class QuadratureResolutionError(IsingTrinityError, RuntimeError):
 
 
 class ConditioningTooSevereError(IsingTrinityError, RuntimeError):
-    """Rejection sampling aborted because the acceptance rate is negligible."""
+    """Rejection sampling would need, or has spent, more proposals than its budget."""
 
 
 class LineSearchError(IsingTrinityError, RuntimeError):

@@ -175,7 +175,7 @@ def _direction(
 
 def pseudo_loglik(spec: ModelSpec, data) -> float:
     """Weighted pseudo-log-likelihood of the data under ``spec``."""
-    vec = _pack(spec.delta, spec.coupling_offdiag())
+    vec = _pack(spec.delta, spec.sigma)
     return _objective_and_grad(vec, *_distinct_configs(data, spec.n))[0]
 
 
@@ -185,7 +185,7 @@ def pseudo_loglik_grad(spec: ModelSpec, data) -> np.ndarray:
     Packed as ``delta`` first, then ``sigma[i][j]`` for ``i < j`` in row-major
     order.
     """
-    vec = _pack(spec.delta, spec.coupling_offdiag())
+    vec = _pack(spec.delta, spec.sigma)
     return _objective_and_grad(vec, *_distinct_configs(data, spec.n))[1]
 
 
@@ -217,7 +217,7 @@ def fit_pseudo_likelihood(
         init = ModelSpec(delta=np.zeros(n), sigma=np.zeros((n, n)))
     elif init.n != n:
         raise DimensionMismatchError(f"initial spec has n = {init.n}, data has {n} columns")
-    vec = _pack(init.delta, init.coupling_offdiag())
+    vec = _pack(init.delta, init.sigma)
 
     value, grad = _objective_and_grad(vec, configs, weights)
     trace = [value]

@@ -25,12 +25,11 @@ def graph_dot(spec: ModelSpec, view: str, extra_shift: float = 0.0) -> str:
     if view == "network":
         lines = ["graph network {"]
         lines.extend(f"  {name};" for name in items)
-        sigma = spec.coupling_offdiag()
         for i in range(n):
             for j in range(i + 1, n):
-                if sigma[i, j] != 0.0:
+                if spec.sigma[i, j] != 0.0:
                     lines.append(
-                        f'  {items[i]} -- {items[j]} [label="{sigma[i, j]:g}"];'
+                        f'  {items[i]} -- {items[j]} [label="{spec.sigma[i, j]:g}"];'
                     )
         lines.append("}")
         return "\n".join(lines) + "\n"

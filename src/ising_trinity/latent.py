@@ -222,8 +222,7 @@ def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     The rank-one latent marginal with unit loadings; a rule too coarse for the
     ``MASS_TOL`` check raises `QuadratureResolutionError`.
     """
-    # A copy, so the caller's array stays writable when the form freezes it.
-    form = LatentForm(delta=np.array(delta), loadings=np.ones((np.size(delta), 1)))
+    form = LatentForm(delta=delta, loadings=np.ones((np.size(delta), 1)))
     check_enumerable(form.n)
     return _quadrature_pmf(form.delta, form.loadings, _default_rule(rule))
 

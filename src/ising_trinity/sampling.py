@@ -26,15 +26,10 @@ from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
 from .latent import LatentForm, QuadratureRule, _default_rule, node_log_shares
 
-# Rejection sampling refuses a model whose acceptance rate is below
-# MIN_ACCEPT_RATE: up front where the rate can be enumerated, otherwise once
-# at least PROBE_PROPOSALS proposals have shown it.
-PROBE_PROPOSALS = 1_000_000
-MIN_ACCEPT_RATE = 1e-6
-
-# Most proposals one rejection run may make: about 20 s at n = 10 on a 2-CPU
-# machine (6 M proposals/s).  Up to the enumeration limit a run expected to
-# need more is refused before drawing; above it, the run stops at the budget.
+# Most proposals one rejection run may make, plus the rest of its last batch.
+# Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
+# machine.  Up to the enumeration limit a run expected to need more is refused
+# before drawing; at any n, a run that has spent it short of its draws stops.
 MAX_PROPOSALS = 1 << 27
 
 # Independent Gibbs chains scanned together as the columns of one array.
@@ -130,7 +125,7 @@ def sample_gibbs(
     n, k = spec.n, min(GIBBS_CHAINS, m)
     per_chain = -(-m // k)
     rng = np.random.default_rng(seed)
-    sigma = spec.coupling_offdiag()
+    sigma = spec.sigma
     # With b = (x + 1) / 2 in {0, 1}, the event u < logistic(2 (delta_i + sigma_i . x))
     # is sigma_i . b > t = (atanh(2u - 1) + sum_j sigma_ij - delta_i) / 2.
     offset = (sigma.sum(axis=1) - spec.delta)[:, None]
@@ -249,29 +244,27 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     Proposals come in fixed batches of ``_UNIFORM_BLOCK // (2 blocks + 1)``
     rows: each block's integers and uniforms in turn, then one acceptance
     uniform per row.  So the draws for ``m`` are the first ``m`` draws for
-    any larger count and the same seed.  Up to the enumeration limit the
-    acceptance rate is known before drawing, ``exp(conditioned_pmf(cf).log_z)``:
-    ``meta`` records it as ``predicted_acceptance``, and a rate below
-    ``MIN_ACCEPT_RATE``, or an expected ``m / rate`` proposals above
-    ``MAX_PROPOSALS``, raises `ConditioningTooSevereError` before any proposal.
-    Above it (n > 20) ``predicted_acceptance`` is None, and the sampler gives up
-    once ``PROBE_PROPOSALS`` proposals have shown a rate below ``MIN_ACCEPT_RATE``,
-    or once ``MAX_PROPOSALS`` proposals have kept fewer than ``m`` draws.
+    any larger count and the same seed.
+
+    One budget bounds the work: a run makes at most ``MAX_PROPOSALS``
+    proposals, plus the rest of its last batch, and raises
+    `ConditioningTooSevereError` once it has spent them with fewer than ``m``
+    draws kept.  Up to the enumeration limit the acceptance rate is known
+    before drawing, ``exp(conditioned_pmf(cf).log_z)``: ``meta`` records it as
+    ``predicted_acceptance``, and a run expected to need more than the budget,
+    ``m / rate`` proposals, is refused before any proposal.  Above it (n > 20)
+    ``predicted_acceptance`` is None.
     """
     _require_positive_m(m)
     n = cf.n
     predicted = None
     if n <= ENUMERATION_LIMIT:
         predicted = float(np.exp(conditioned_pmf(cf).log_z))
-        if predicted < MIN_ACCEPT_RATE:
-            raise ConditioningTooSevereError(
-                f"predicted acceptance rate {predicted:.2e} is below {MIN_ACCEPT_RATE:g}; "
-                f"conditioning is too severe for rejection sampling"
-            )
-        if m / predicted > MAX_PROPOSALS:
+        expected = m / predicted if predicted > 0.0 else np.inf
+        if expected > MAX_PROPOSALS:
             raise ConditioningTooSevereError(
                 f"{m} draws at the predicted acceptance rate {predicted:.2e} need about "
-                f"{m / predicted:.2e} proposals, more than the budget of {MAX_PROPOSALS}; "
+                f"{expected:.2e} proposals, more than the budget of {MAX_PROPOSALS}; "
                 f"conditioning is too severe for rejection sampling"
             )
     rng = np.random.default_rng(seed)
@@ -308,16 +301,7 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
         kept.append(np.concatenate(configs, axis=1))
         n_acc += len(kept[-1])
         n_prop += rows
-        # Without a prediction (n > 20) the probe and the budget decide.
-        if predicted is not None or n_acc >= m:
-            continue
-        if n_prop >= PROBE_PROPOSALS and n_acc / n_prop < MIN_ACCEPT_RATE:
-            raise ConditioningTooSevereError(
-                f"acceptance rate {n_acc}/{n_prop} ~ {n_acc / n_prop:.2e} is below "
-                f"{MIN_ACCEPT_RATE:g}; conditioning is too severe for rejection "
-                f"sampling"
-            )
-        if n_prop >= MAX_PROPOSALS:
+        if n_acc < m and n_prop >= MAX_PROPOSALS:
             raise ConditioningTooSevereError(
                 f"{n_acc} of {m} draws kept after {n_prop} proposals, the budget of "
                 f"{MAX_PROPOSALS}; conditioning is too severe for rejection sampling"

@@ -67,7 +67,6 @@ def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
             "probabilities; zeroing it",
             stacklevel=2,
         )
-        np.fill_diagonal(sigma, 0.0)
 
     extra_shift = 0.0
     if "extra_shift" in data:
@@ -83,7 +82,7 @@ def model_spec_to_dict(spec: ModelSpec, extra_shift: float = 0.0) -> dict:
     out = {
         "n": spec.n,
         "delta": spec.delta.tolist(),
-        "sigma": spec.coupling_offdiag().tolist(),
+        "sigma": spec.sigma.tolist(),
     }
     if extra_shift != 0.0:
         out["extra_shift"] = float(extra_shift)

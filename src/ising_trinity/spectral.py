@@ -75,9 +75,8 @@ def to_spectral(spec: ModelSpec, extra_shift: float = 0.0) -> SpectralForm:
     """
     if extra_shift < 0.0:
         raise ValueError(f"extra_shift must be non-negative, got {extra_shift}")
-    sigma0 = spec.coupling_offdiag()
     try:
-        evals, vecs = np.linalg.eigh(sigma0)
+        evals, vecs = np.linalg.eigh(spec.sigma)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
             f"eigendecomposition of the coupling matrix failed: {exc}"
@@ -93,7 +92,7 @@ def to_spectral(spec: ModelSpec, extra_shift: float = 0.0) -> SpectralForm:
     lambdas[np.abs(lambdas) < RANK_TOL] = 0.0
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
-    vecs = vecs[:, order].copy()
+    vecs = vecs[:, order]
     for col in range(vecs.shape[1]):
         lead = np.argmax(np.abs(vecs[:, col]))
         if vecs[lead, col] < 0.0:

@@ -325,9 +325,7 @@ def cause_block_alias(delta):
     return configs, marginals, prob, alias
 
 
-def rejection_draws(
-    delta, effects, m, seed, rows, probe=1_000_000, min_rate=1e-6, budget=math.inf
-):
+def rejection_draws(delta, effects, m, seed, rows, budget=math.inf):
     """Collider rejection sampling in batches of ``rows`` proposals.
 
     The causes form blocks of ten (the last one shorter), each drawn by one
@@ -337,9 +335,8 @@ def rejection_draws(
     take its alias), then ``rows`` acceptance uniforms; batches continue until
     ``m`` draws are kept.  ``effects`` is a list of ``(lam, q, log_sup)``.
     Returns ``(draws, meta)``; raises `RuntimeError` naming
-    ``accepted/proposed`` where a probe of ``probe`` proposals gives up, or
-    where ``budget`` proposals have kept fewer than ``m`` draws (the package
-    does both only where it cannot predict the acceptance rate).
+    ``accepted/proposed`` once ``budget`` proposals have kept fewer than ``m``
+    draws.
     """
     n = len(delta)
     rng = np.random.default_rng(seed)
@@ -364,8 +361,6 @@ def rejection_draws(
         kept.append(proposals[keep].astype(np.int8))
         n_acc += int(keep.sum())
         n_prop += rows
-        if n_acc < m and n_prop >= probe and n_acc / n_prop < min_rate:
-            raise RuntimeError(f"{n_acc}/{n_prop}")
         if n_acc < m and n_prop >= budget:
             raise RuntimeError(f"{n_acc}/{n_prop}")
     meta = {

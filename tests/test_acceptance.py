@@ -186,7 +186,7 @@ def test_c9_estimation_recovers_known_parameters():
     def max_err(fit):
         return max(
             float(np.abs(fit.spec_hat.delta - spec.delta).max()),
-            float(np.abs(fit.spec_hat.coupling_offdiag() - spec.coupling_offdiag()).max()),
+            float(np.abs(fit.spec_hat.sigma - spec.sigma).max()),
         )
 
     population_err = max_err(it.fit_pseudo_likelihood(pmf))
@@ -202,7 +202,7 @@ def test_c9_estimation_recovers_known_parameters():
         weights = rng.uniform(0.1, 1.0, 30)
         grad = it.pseudo_loglik_grad(instance, (configs, weights))
         iu_n = np.triu_indices(n, k=1)
-        vec = np.concatenate((instance.delta, instance.coupling_offdiag()[iu_n]))
+        vec = np.concatenate((instance.delta, instance.sigma[iu_n]))
         fd = np.empty_like(vec)
         for j in range(vec.shape[0]):
             bump = np.zeros_like(vec)

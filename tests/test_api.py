@@ -1,5 +1,5 @@
 """Every public name is used by something other than the unit tests, and every
-public record's arrays are read-only."""
+public record's arrays are read-only copies of what its caller gave it."""
 
 import ast
 import dataclasses
@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import ising_trinity as it
@@ -67,5 +68,52 @@ def test_every_record_array_is_read_only(rng):
                 kinds.add(type(record).__name__)
                 assert not value.flags.writeable, (type(record).__name__, f.name)
     assert len(kinds) == 8
-    # The couplings are stored symmetrized, so the caller's array is left writable.
+    # The record holds its own copy, so the caller's array is left writable.
     assert sigma.flags.writeable
+
+
+DELTA = [0.3, -0.2, 0.1]
+CALLER_ARRAYS = {
+    "ModelSpec": (
+        lambda d, s: it.ModelSpec(delta=d, sigma=s), DELTA, 0.4 * (np.ones((3, 3)) - np.eye(3))
+    ),
+    "ColliderForm": (
+        lambda d, lams, dirs: it.ColliderForm(delta=d, lams=lams, dirs=dirs),
+        DELTA, [1.0, 0.5], [[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]],
+    ),
+    "simple_collider": (it.simple_collider, DELTA),
+    "LatentForm": (
+        lambda d, a: it.LatentForm(delta=d, loadings=a), DELTA, [[0.5], [0.4], [-0.3]]
+    ),
+    "rasch_marginal_pmf": (it.rasch_marginal_pmf, DELTA),
+    "SpectralForm": (
+        lambda lams, q: it.SpectralForm(c=0.0, lambdas=lams, q=q), [2.0, 1.0, 0.5], np.eye(3)
+    ),
+    "QuadratureRule": (
+        lambda x, w: it.QuadratureRule(nodes=x, weights=w), [-1.0, 1.0], [0.5, 0.5]
+    ),
+    "SampleSet": (
+        lambda x: it.SampleSet(draws=x, seed=0, method="exact"),
+        np.array([[1, -1], [-1, -1]], dtype=np.int8),
+    ),
+    "Pmf": (lambda p: it.Pmf(p, 0.0), [0.25, 0.75]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CALLER_ARRAYS))
+def test_records_copy_the_callers_arrays(kind):
+    build, *given = CALLER_ARRAYS[kind]
+    arrays = [np.array(a) for a in given]
+    record = build(*arrays)
+    stored = {
+        f.name: np.array(getattr(record, f.name))
+        for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)
+    }
+    assert stored
+    for a in arrays:
+        assert a.flags.writeable
+        a *= -1
+    for name, value in stored.items():
+        npt.assert_array_equal(getattr(record, name), value, err_msg=f"{kind}.{name}")
+        assert not getattr(record, name).flags.writeable

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ising_trinity as it
+from ising_trinity import sampling
 from ising_trinity.cli import _pmf_text, build_parser, main
 from ising_trinity.equivalence import BRANCHES
 from oracles import pmf_csv_text, pmf_json_text
@@ -434,6 +435,30 @@ class TestSampleCommand:
         assert err.startswith("error: 3000 draws at the predicted acceptance rate 3.39e-06")
         assert "more than the budget of 134217728" in err
         assert not out.exists()
+
+    def test_rejection_stops_at_the_budget_above_the_enumeration_limit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Coupling 4 between 23 causes, fields alternating +-3: the one effect
+        # accepts little but agreement, which the fields make rare (about
+        # 2e-29), and above n = 20 no rate is predicted, so the run spends the
+        # budget.
+        n = 23
+        delta = [3.0 if i % 2 == 0 else -3.0 for i in range(n)]
+        sigma = (4.0 * (np.ones((n, n)) - np.eye(n))).tolist()
+        spec = write_spec(tmp_path, {"n": n, "delta": delta, "sigma": sigma})
+        rows = sampling._UNIFORM_BLOCK // 7
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", rows + 1)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["sample", spec, "--method", "collider-rejection", "--m", "10", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: 0 of 10 draws kept after {2 * rows} proposals, the budget of "
+            f"{rows + 1}; conditioning is too severe for rejection sampling\n"
+        )
+        assert not out.exists() and not it.sidecar_path(out).exists()
 
     def test_latent_first_works_on_rank_one(self, tmp_path, capsys):
         out = str(tmp_path / "l.csv")

@@ -49,12 +49,13 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             it.ModelSpec(delta=np.array([np.nan]), sigma=np.zeros((1, 1)))
 
-    def test_diagonal_is_carried_but_ignored(self):
+    def test_diagonal_is_dropped(self):
         base = spec_n2(math.log(2.0))
         shifted = it.ModelSpec(
             delta=base.delta, sigma=base.sigma + np.diag([3.0, -1.5])
         )
-        assert shifted.sigma[0, 0] == 3.0
+        assert shifted.sigma[0, 0] == 0.0
+        npt.assert_array_equal(shifted.sigma, base.sigma)
         a, b = it.ising_pmf(base), it.ising_pmf(shifted)
         npt.assert_array_equal(a.probs, b.probs)
         assert a.log_z == b.log_z

@@ -19,13 +19,13 @@ ORACLE_TOL = 1e-12
 def max_param_error(spec_hat: it.ModelSpec, spec: it.ModelSpec) -> float:
     return max(
         float(np.abs(spec_hat.delta - spec.delta).max()),
-        float(np.abs(spec_hat.coupling_offdiag() - spec.coupling_offdiag()).max()),
+        float(np.abs(spec_hat.sigma - spec.sigma).max()),
     )
 
 
 def pack_params(spec: it.ModelSpec) -> np.ndarray:
     iu = np.triu_indices(spec.n, k=1)
-    return np.concatenate((spec.delta, spec.coupling_offdiag()[iu]))
+    return np.concatenate((spec.delta, spec.sigma[iu]))
 
 
 def spec_from_vec(vec: np.ndarray, n: int) -> it.ModelSpec:

@@ -40,11 +40,13 @@ def weak_spec(rng, n: int = 10) -> it.ModelSpec:
     )
 
 
-def opposed_effects() -> it.ColliderForm:
-    """Two fair causes and two strong effects, one rewarding agreement and one
-    disagreement: every configuration is accepted with probability exp(-400)."""
-    dirs = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return it.ColliderForm(delta=np.zeros(2), lams=[400.0, 400.0], dirs=dirs)
+def opposed_effects(lam: float = 400.0, n: int = 2) -> it.ColliderForm:
+    """``n`` fair causes and two effects of strength ``lam`` on the first two, one
+    rewarding agreement and one disagreement: every configuration is accepted
+    with probability exp(-lam)."""
+    dirs = np.zeros((n, 2))
+    dirs[:2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return it.ColliderForm(delta=np.zeros(n), lams=[lam, lam], dirs=dirs)
 
 
 def rejection_effects(cf: it.ColliderForm) -> list:
@@ -397,15 +399,21 @@ class TestRejectionSampler:
             assert np.array_equal(short.draws, long.draws[:10_000])
 
     def test_gives_up_where_the_one_shot_sampler_does(self, monkeypatch):
-        # Above the enumeration limit the acceptance rate is not predicted, and
-        # the probe of PROBE_PROPOSALS proposals decides; a limit of 1 sends
-        # this two-cause model down that path.
+        # Without a prediction (an enumeration limit of 1 sends this two-cause
+        # model down that path) a run that accepts with probability exp(-400)
+        # spends the budget and stops where the oracle does.
         cf = opposed_effects()
-        effects = rejection_effects(cf)
+        rows = batch_rows(sampling._UNIFORM_BLOCK, 2)
         with pytest.raises(RuntimeError) as ref:
-            rejection_draws(cf.delta, effects, 10, 0, batch_rows(sampling._UNIFORM_BLOCK, 2))
+            rejection_draws(cf.delta, rejection_effects(cf), 10, 0, rows, budget=2 * rows + 1)
+        assert str(ref.value) == f"0/{3 * rows}"
         monkeypatch.setattr(sampling, "ENUMERATION_LIMIT", 1)
-        with pytest.raises(it.ConditioningTooSevereError, match=f"rate {ref.value} ~"):
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2 * rows + 1)
+        with pytest.raises(
+            it.ConditioningTooSevereError,
+            match=rf"^0 of 10 draws kept after {3 * rows} proposals, the budget of "
+            rf"{2 * rows + 1}; conditioning is too severe for rejection sampling$",
+        ):
             it.sample_collider_rejection(cf, 10, seed=0)
 
     def test_refuses_before_drawing_when_the_predicted_rate_is_too_low(self, monkeypatch):
@@ -417,17 +425,26 @@ class TestRejectionSampler:
             raise AssertionError("the sampler drew before refusing")
 
         monkeypatch.setattr(sampling.np.random, "default_rng", no_generator)
+        # Even one draw would need about 5e173 proposals.
         with pytest.raises(
             it.ConditioningTooSevereError,
-            match=r"predicted acceptance rate 1\.92e-174 is below 1e-06; conditioning is too severe",
+            match=r"^1 draws at the predicted acceptance rate 1\.92e-174 need about "
+            r"5\.22e\+173 proposals, more than the budget of 134217728; conditioning "
+            r"is too severe for rejection sampling$",
         ):
-            it.sample_collider_rejection(cf, 10, seed=0)
+            it.sample_collider_rejection(cf, 1, seed=0)
+        # A rate that underflows to zero expects infinitely many.
+        with pytest.raises(
+            it.ConditioningTooSevereError,
+            match=r"^1 draws at the predicted acceptance rate 0\.00e\+00 need about inf ",
+        ):
+            it.sample_collider_rejection(opposed_effects(800.0), 1, seed=0)
 
     def test_refuses_before_drawing_when_the_budget_is_too_small(self, monkeypatch):
-        # 3000 draws at 3.4e-6 would take about 8.9e8 proposals.
+        # 3000 draws at 3.4e-6 would take about 8.9e8 proposals; one would fit.
         cf = severe_collider()
         rate = float(np.exp(it.conditioned_pmf(cf).log_z))
-        assert sampling.MIN_ACCEPT_RATE < rate < 3000 / sampling.MAX_PROPOSALS
+        assert 1 / sampling.MAX_PROPOSALS < rate < 3000 / sampling.MAX_PROPOSALS
 
         def no_generator(seed):
             raise AssertionError("the sampler drew before refusing")
@@ -440,6 +457,45 @@ class TestRejectionSampler:
             r"is too severe for rejection sampling$",
         ):
             it.sample_collider_rejection(cf, 3000, seed=0)
+
+    def test_rare_acceptance_within_the_budget_draws(self):
+        # The opposed pair at strength 14.5 accepts with probability
+        # exp(-14.5) ~ 5.0e-7: one draw expects about 2.0e6 proposals, inside
+        # the budget, so it draws as the oracle does.
+        cf = opposed_effects(14.5)
+        sample = it.sample_collider_rejection(cf, 1, seed=0)
+        predicted = sample.meta["predicted_acceptance"]
+        assert predicted == pytest.approx(math.exp(-14.5), rel=1e-9)
+        rows = batch_rows(sampling._UNIFORM_BLOCK, 2)
+        draws, meta = rejection_draws(cf.delta, rejection_effects(cf), 1, 0, rows)
+        assert np.array_equal(sample.draws, draws)
+        assert sample.meta == {**meta, "predicted_acceptance": predicted}
+
+    def test_stops_at_the_budget_below_the_enumeration_limit(self, monkeypatch):
+        # At strength 1 (rate exp(-1) ~ 0.37) ten draws expect 27.2 proposals,
+        # inside a budget of 28, yet two-row batches spend it short of ten
+        # draws on some seeds; those stop where the oracle does.
+        monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", 7)
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 28)
+        cf = opposed_effects(1.0)
+        effects, rows = rejection_effects(cf), batch_rows(7, 2)
+        outcomes = set()
+        for seed in range(20):
+            try:
+                draws, _ = rejection_draws(cf.delta, effects, 10, seed, rows, budget=28)
+            except RuntimeError as ref:
+                kept, proposed = str(ref).split("/")
+                with pytest.raises(
+                    it.ConditioningTooSevereError,
+                    match=rf"^{kept} of 10 draws kept after {proposed} proposals, the "
+                    rf"budget of 28; conditioning is too severe for rejection sampling$",
+                ):
+                    it.sample_collider_rejection(cf, 10, seed)
+                outcomes.add("stopped")
+            else:
+                assert np.array_equal(it.sample_collider_rejection(cf, 10, seed).draws, draws)
+                outcomes.add("drawn")
+        assert outcomes == {"stopped", "drawn"}
 
     def test_budget_at_the_expected_proposal_count(self, monkeypatch):
         # 1000 draws at the exact rate 0.5677 expect 1761.6 proposals.
@@ -456,15 +512,9 @@ class TestRejectionSampler:
     def test_stops_at_the_budget_above_the_enumeration_limit(self, monkeypatch):
         # The severe model's two-cause twin: q = (1, 1)/sqrt 2 and (1, -1)/sqrt 2
         # with strength 12.5 accept every proposal with probability exp(-12.5),
-        # about 3.7e-6, above MIN_ACCEPT_RATE, so only the budget stops the run.
+        # about 3.7e-6, so the budget stops the run.
         n = sampling.ENUMERATION_LIMIT + 1
-
-        def opposed(lam):
-            dirs = np.zeros((n, 2))
-            dirs[:2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-            return it.ColliderForm(np.zeros(n), [lam, lam], dirs)
-
-        cf = opposed(12.5)
+        cf = opposed_effects(12.5, n)
         rows = batch_rows(sampling._UNIFORM_BLOCK, n)
         ref_effects = rejection_effects(cf)
         monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2 * rows + 1)
@@ -481,7 +531,7 @@ class TestRejectionSampler:
                 it.sample_collider_rejection(cf, 10, seed)
         # At strength 1 (rate exp(-1)) the first block keeps every draw, and a
         # budget of that one block changes nothing.
-        cf = opposed(1.0)
+        cf = opposed_effects(1.0, n)
         ref_effects = rejection_effects(cf)
         monkeypatch.setattr(sampling, "MAX_PROPOSALS", rows)
         sample = it.sample_collider_rejection(cf, 1000, seed=11)
@@ -493,22 +543,24 @@ class TestRejectionSampler:
         rate = 0.5 * (1.0 + math.exp(-2.0))
         sample = it.sample_collider_rejection(cf, 10, seed=0)
         assert sample.meta["predicted_acceptance"] == pytest.approx(rate, rel=1e-14)
-        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 - 1e-9))
+        # Ten draws at this rate expect 17.6 proposals.
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", math.ceil(10 / rate))
         assert it.sample_collider_rejection(cf, 10, seed=0).meta == sample.meta
-        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 + 1e-9))
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", math.floor(10 / rate))
         with pytest.raises(it.ConditioningTooSevereError, match="predicted acceptance rate"):
             it.sample_collider_rejection(cf, 10, seed=0)
 
-    def test_probe_never_overrides_the_prediction(self, monkeypatch):
-        # A one-proposal probe against a threshold just under the predicted
-        # rate would refuse every seed whose first block happens to accept a
-        # little less; where the rate is predicted, no probe runs.
+    def test_last_batch_may_pass_the_budget(self, monkeypatch):
+        # 100,000 draws at rate 0.5677 expect 176,152 proposals.  Two batches
+        # keep about 99,200 draws; the third passes the budget, and its draws
+        # complete the run, which stops only when it is still short.
         cf = it.simple_collider(np.zeros(2))
         rate = 0.5 * (1.0 + math.exp(-2.0))
-        monkeypatch.setattr(sampling, "MIN_ACCEPT_RATE", rate * (1.0 - 1e-9))
-        monkeypatch.setattr(sampling, "PROBE_PROPOSALS", 1)
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", math.ceil(100_000 / rate))
+        rows = batch_rows(sampling._UNIFORM_BLOCK, 2)
         for seed in range(10):
-            assert it.sample_collider_rejection(cf, 100_000, seed).m == 100_000
+            sample = it.sample_collider_rejection(cf, 100_000, seed)
+            assert sample.m == 100_000 and sample.meta["proposals"] == 3 * rows
 
     def test_no_prediction_above_the_enumeration_limit(self):
         n = sampling.ENUMERATION_LIMIT + 1

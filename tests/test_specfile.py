@@ -30,7 +30,7 @@ class TestParsing:
         it.save_model_spec(spec, path, extra_shift=0.5)
         loaded, extra_shift = it.load_model_spec(path)
         npt.assert_array_equal(loaded.delta, spec.delta)
-        npt.assert_array_equal(loaded.coupling_offdiag(), spec.coupling_offdiag())
+        npt.assert_array_equal(loaded.sigma, spec.sigma)
         assert extra_shift == 0.5
 
     def test_extra_shift_defaults_to_zero_and_is_omitted(self, rng, tmp_path):

@@ -52,7 +52,7 @@ class TestToSpectral:
             spec = random_spec(rng, n)
             form = it.to_spectral(spec)
             npt.assert_allclose(form.q.T @ form.q, np.eye(n), atol=1e-12)
-            shifted = spec.coupling_offdiag() + form.c * np.eye(n)
+            shifted = spec.sigma + form.c * np.eye(n)
             npt.assert_allclose(
                 (form.q * form.lambdas) @ form.q.T, shifted, atol=1e-10
             )
