@@ -94,14 +94,15 @@ def split_half_table(hi_w, hi_s, lo_w, lo_s) -> np.ndarray:
     ``2**(n - h)`` configurations, ``lo_w``/``lo_s`` those of the low half's
     ``2**h``; see `split_halves`.
     """
-    out = np.empty((hi_w.shape[0], lo_w.shape[0]))
+    table = np.empty(hi_w.shape[0] * lo_w.shape[0])
+    out = table.reshape(hi_w.shape[0], lo_w.shape[0])
     rows = max(1, _BLOCK_MADDS // (lo_s.shape[0] * max(1, lo_s.shape[1])))
     for top in range(0, out.shape[0], rows):
         block = out[top : top + rows]
         np.matmul(hi_s[top : top + rows], lo_s.T, out=block)
         block += lo_w
         block += hi_w[top : top + rows, None]
-    return out.reshape(-1)
+    return table
 
 
 def config_text(n: int, sep: str) -> list[str]:
@@ -129,8 +130,8 @@ def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 
     Works in place: ``log_w`` is overwritten and returned, read-only, as
-    ``probs``, which `freeze_array` then keeps uncopied.  Raises `ValueError`
-    when the log weights are not finite.
+    ``probs``.  When ``log_w`` owns its memory, `freeze_array` then keeps it
+    uncopied.  Raises `ValueError` when the log weights are not finite.
     """
     peak = log_w.max()
     if not np.isfinite(peak):

@@ -8,9 +8,11 @@ rank limit is exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,12 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused by every `main` call."""
+    return build_parser()
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: one line, without the package's file and line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    library_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.handler(args)
     except (EnumerationLimitError, RankLimitError) as exc:
@@ -252,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     except (IsingTrinityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = library_format
 
 
 if __name__ == "__main__":

@@ -23,11 +23,16 @@ def freeze_array(record, name: str, ndim: int, value=None, dtype=np.float64) -> 
 
     The array is converted to ``dtype`` and must have ``ndim`` dimensions
     (else `DimensionMismatchError`) and finite entries (else `ValueError`).
-    A writable array is copied, so the caller's arrays stay its own; a
-    read-only one is kept.  The record then checks its own conditions on it.
+    An array is kept only when no array can write its memory: it and every
+    array in its base chain are read-only.  Any other is copied, so the
+    caller's arrays stay its own.  The record then checks its own conditions
+    on it.
     """
     arr = np.asarray(getattr(record, name) if value is None else value, dtype=dtype)
-    if arr.flags.writeable:
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
         arr = arr.copy()
     if arr.ndim != ndim:
         kind = ("scalar", "vector", "matrix")[ndim]

@@ -11,11 +11,25 @@ The marginal sums ``c_k p(x | theta_k)`` over tensor-product nodes, where
 ``c_k = w_k prod_i 2 cosh(eta_ik) / Z`` and ``eta_k = delta + A theta_k``.  The
 items are conditionally independent, so ``p(x | theta_k)`` is a product over
 the low-index half of the items times one over the rest: two half tables by
-doubling and one matrix product per chunk of nodes.  Cancelling the ``2 cosh``
+doubling and one matrix product per batch of nodes.  Cancelling the ``2 cosh``
 factors into ``exp(x . eta)`` or factoring the node sum across latent
 dimensions would reproduce the spectral branch's Gaussian identity instead.
 The latent-first sampler draws nodes from this mixture (`node_log_shares`),
 under the marginal's own rank limit, reference rule and ``MASS_TOL`` check.
+
+Most tensor nodes hold a negligible share of the mass, so the grid is cut into
+boxes of ``_BOX`` nodes per latent dimension (a ragged last box is padded with
+nodes of weight zero) and only the boxes that matter are evaluated.  A box
+with centre ``c`` and half-widths ``h`` holds at most
+``exp(sum_j max log w + sum_i log 2cosh(|delta_i + a_i . c| + sum_j |a_ij| h_j))``
+per node, since ``log 2cosh`` grows with ``|eta|``, times its ``_BOX**r`` nodes.
+Boxes are evaluated in descending order of that bound.  The exact terms of
+the first batch are a lower bound ``Z-`` on the total, and the boxes left once
+the rest of the bounds sum below ``2**-60 Z-`` are skipped: together they hold
+less than ``2**-60`` of the mass, below the rounding of a float64 sum.  The
+normalizer, the table and the node shares all read this one sweep
+(`_node_batches`); the table also drops each node whose own share is below
+``2**-60 / N`` of the ``N``-node grid.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import check_enumerable, log_2cosh
+from ._enum import _BLOCK_MADDS, check_enumerable, log_2cosh
 from .core import Pmf, as_delta, freeze_array
 from .errors import (
     DimensionMismatchError,
@@ -55,6 +69,16 @@ MASS_TOL = 1e-6
 
 # Tensor-product nodes evaluated together; bounds every working array.
 _NODE_CHUNK = 4096
+
+# Tensor nodes per latent dimension in one box of the pruned grid.
+_BOX = 4
+
+# Boxes whose bounds sum below this share of the total mass are skipped.
+_SKIP_SHARE = 2.0**-60
+
+# Node-block products per stacked matrix product of the latent table; their
+# results take _STACK * 2**n floats.
+_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -118,44 +142,100 @@ def kac_identity_check(a: float, rule: QuadratureRule | None = None) -> float:
     return float(rule.weights @ vals)
 
 
-def _node_chunks(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
-    """Fresh log weights ``(K,)`` and fields ``delta + A theta`` ``(n, K)`` of the tensor nodes.
+def _node_batches(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
+    """Batches ``(index, log_c, eta)`` of the tensor nodes holding all but ``2**-60`` of the mass.
 
-    The latent dimensions after the first are summed once by broadcasting and
-    the first is cut into blocks.  A rank-0 grid is one node of weight one.
+    ``index`` holds each node's position in the grid's C order, ``log_c`` its
+    unnormalized log weight ``sum_j log w_kj + sum_i log 2 cosh(eta_ik)``
+    (``-inf`` for the padding of a ragged last box, whose ``index`` is not a
+    node) and ``eta`` its fields ``delta + A theta_k``, ``(n, K)``, in a
+    buffer that the next batch overwrites.  Boxes are visited in descending
+    order of their bounds; see the module docstring.
     """
-    n, log_w = delta.shape[0], np.log(rule.weights)
-    steps = [np.outer(a, rule.nodes) for a in loadings.T]
-    if not steps:
-        yield np.zeros(1), delta[:, None].copy()
+    n, r = loadings.shape
+    m = rule.node_count
+    per_dim = -(-m // _BOX)
+    per_batch = max(1, _NODE_CHUNK // _BOX**r)
+    # Slots first, boxes innermost; padding repeats the last node at weight zero.
+    slot = np.arange(per_dim * _BOX).reshape(per_dim, _BOX).T
+    t = rule.nodes[np.minimum(slot, m - 1)]
+    log_w = np.where(slot < m, np.log(rule.weights)[np.minimum(slot, m - 1)], -np.inf)
+    steps = np.ascontiguousarray(loadings.T[:, :, None, None] * t)
+    # C-order index of a box's first node per box digit, and of each slot within it.
+    place = m ** np.arange(r - 1, -1, -1)
+    within = np.zeros(1, dtype=np.int64)
+    for stride in place:
+        within = (within[:, None] + stride * np.arange(_BOX)).ravel()
+
+    # Fields, magnitudes and log1p terms of a batch, kept across batches: fresh
+    # (n, K) arrays each batch cost a page fault per 4 KiB.
+    work = np.empty((3, n * min(per_batch, per_dim**r) * _BOX**r))
+
+    def batch(boxes):
+        digits = boxes // per_dim ** np.arange(r - 1, -1, -1)[:, None] % per_dim
+        size = n * boxes.size * _BOX**r
+        # Fields sum as (delta + a_1 t) + ... + a_0 t, weights as w_1 + ... + w_0.
+        eta, lw = delta.reshape(n, *[1] * r, 1), np.zeros([1] * (r + 1))
+        for j in [*range(1, r), 0][:r]:
+            shape = [1] * r + [boxes.size]
+            shape[j] = _BOX
+            out = work[0, :size].reshape(n, *[_BOX] * r, -1) if j == 0 else None
+            eta = np.add(eta, np.take(steps[j], digits[j], axis=2).reshape(n, *shape), out=out)
+            lw = lw + np.take(log_w, digits[j], axis=1).reshape(shape)
+        eta = eta.reshape(n, -1)
+        # log 2cosh(eta) = |eta| + log1p(exp(-2|eta|))
+        mag, tail = work[1, :size].reshape(n, -1), work[2, :size].reshape(n, -1)
+        np.multiply(np.abs(eta, out=mag), -2.0, out=tail)
+        mag += np.log1p(np.exp(tail, out=tail), out=tail)
+        log_c = lw.reshape(-1) + mag.sum(axis=0)
+        return (within[:, None] + _BOX * place @ digits).reshape(-1), log_c, eta
+
+    if per_dim**r <= per_batch:
+        yield batch(np.arange(per_dim**r))
         return
-    eta_rest, lw_rest = delta[:, None], np.zeros(1)
-    for step in steps[1:]:
-        lw_rest = (lw_rest[:, None] + log_w).ravel()
-        eta_rest = (eta_rest[:, :, None] + step[:, None, :]).reshape(n, lw_rest.shape[0])
-    block = max(1, _NODE_CHUNK // lw_rest.shape[0])
-    for lo in range(0, rule.node_count, block):
-        lw = (log_w[lo : lo + block, None] + lw_rest).ravel()
-        eta = steps[0][:, lo : lo + block, None] + eta_rest[:, None, :]
-        yield lw, eta.reshape(n, lw.shape[0])
+    # Each box's log mass is at most its largest log weights, plus log 2cosh of
+    # each field's largest magnitude over the box, plus log(_BOX) per dimension
+    # for its _BOX**r nodes.  Built in slabs of the first dimension's boxes,
+    # about _NODE_CHUNK boxes at a time.
+    lo, hi = t.min(axis=0), t.max(axis=0)
+    centre, half, top_w = (lo + hi) / 2.0, (hi - lo) / 2.0, log_w.max(axis=0)
+    field, spread, rest_w = delta[:, None, None], np.zeros((n, 1, 1)), np.zeros((1, 1))
+    for a in loadings.T[1:]:
+        field = (field[..., None] + np.outer(a, centre)[:, None, None]).reshape(n, 1, -1)
+        spread = (spread[..., None] + np.outer(np.abs(a), half)[:, None, None]).reshape(n, 1, -1)
+        rest_w = (rest_w[..., None] + top_w).reshape(1, -1)
+    bounds = np.empty((per_dim, rest_w.size))
+    step, a0 = max(1, _NODE_CHUNK // rest_w.size), loadings[:, :1, None]
+    for b in range(0, per_dim, step):
+        part = slice(b, b + step)
+        reach = np.abs(field + a0 * centre[part, None])
+        reach += spread + np.abs(a0) * half[part, None]
+        bounds[part] = rest_w + top_w[part, None] + log_2cosh(reach).sum(axis=0)
+    bounds = bounds.ravel() + r * np.log(_BOX)
+    order = np.argsort(-bounds, kind="stable")
+    first = batch(order[:per_batch])
+    yield first
+    # The first batch's exact terms bound the total from below; the boxes
+    # left once the rest of the bounds sum below _SKIP_SHARE of it are skipped.
+    # Clipping each term at one floor keeps it finite; a sum holding a clipped
+    # term is at least one floor either way.
+    log_floor = _log_sum_exp(first[1]) + np.log(_SKIP_SHARE)
+    left = np.cumsum(np.exp(np.minimum(bounds[order[::-1]] - log_floor, 0.0)))[::-1]
+    stop = int(np.count_nonzero(left >= 1.0))
+    for lo_box in range(per_batch, stop, per_batch):
+        yield batch(order[lo_box : min(lo_box + per_batch, stop)])
+
+
+def _log_sum_exp(log_c: np.ndarray) -> float:
+    peak = log_c.max()
+    return float(peak + np.log(np.exp(log_c - peak).sum()))
 
 
 def log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
-    """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``.
-
-    Uses ``prod_i 2 cosh(eta_i) = exp(sum_i |eta_i|) prod_i (1 + exp(-2 |eta_i|))``:
-    one exponential per item, and the product stays below ``2**n``.
-    """
-    logs = []
-    for lw, eta in _node_chunks(delta, loadings, rule):
-        # In place: a fresh (n, K) temporary costs more than the exponentials.
-        mag = np.abs(eta, out=eta)
-        tot = lw + mag.sum(axis=0)
-        peak = tot.max()
-        np.exp(np.multiply(mag, -2.0, out=mag), out=mag)
-        mag += 1.0
-        logs.append(peak + np.log(np.exp(tot - peak) @ mag.prod(axis=0)))
-    return float(np.logaddexp.reduce(logs))
+    """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``."""
+    return float(np.logaddexp.reduce(
+        [_log_sum_exp(log_c) for _, log_c, _ in _node_batches(delta, loadings, rule)]
+    ))
 
 
 def _check_tensor_rank(r: int) -> None:
@@ -179,10 +259,22 @@ def _check_mass(mass: float) -> None:
         )
 
 
-def _item_products(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
-    """``prod_i p(x_i | theta_k)`` over these items, ``(2**items, K)``, by doubling."""
-    out = np.ones((1 << p_plus.shape[0], p_plus.shape[1]))
-    for i in range(p_plus.shape[0]):
+def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``prod_i p(x_i | theta_k)`` over the items of these fields, ``(2**items, K)``, by doubling.
+
+    The table is written to the start of the flat buffer ``buf``.
+    ``p(x_i = +-1 | theta_k) = 1 / (1 + exp(-+2 eta_ik))``; an exponential
+    that overflows gives the probability's limit, zero.
+    """
+    with np.errstate(over="ignore"):
+        p_plus, p_minus = np.exp(-2.0 * eta), np.exp(2.0 * eta)
+    p_plus += 1.0
+    p_minus += 1.0
+    np.reciprocal(p_plus, out=p_plus)
+    np.reciprocal(p_minus, out=p_minus)
+    out = buf[: eta.shape[1] << eta.shape[0]].reshape(1 << eta.shape[0], eta.shape[1])
+    out[0] = 1.0
+    for i in range(eta.shape[0]):
         half = 1 << i
         np.multiply(out[:half], p_plus[i], out=out[half : 2 * half])
         out[:half] *= p_minus[i]
@@ -192,25 +284,42 @@ def _item_products(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
 def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     """Marginal table under ``rule``, with the density normalized under the reference rule.
 
-    Each chunk of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
-    first ``n // 2`` items (low index bits) and of the rest.  A mass off one by
-    more than ``MASS_TOL`` raises `QuadratureResolutionError`; otherwise the
-    table is renormalized.
+    Each batch of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
+    first ``n // 2`` items (low index bits) and of the rest, over the nodes
+    whose share ``c`` is at least ``2**-60 / N`` of the ``N``-node grid.  The
+    product runs as stacked products of node blocks, each of at most
+    ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see `_enum`).
+    A mass off one by more than ``MASS_TOL`` raises
+    `QuadratureResolutionError`; otherwise the table is renormalized.
     """
     log_norm = _reference_log_norm(delta, loadings, rule)
     n = delta.shape[0]
     h = n // 2
     raw = np.zeros((1 << (n - h), 1 << h))
-    for lw, eta in _node_chunks(delta, loadings, rule):
-        # With e = exp(-2|eta|), logistic(+-2 eta) is 1/(1+e) or e/(1+e) and
-        # log 2cosh(eta) = |eta| + log1p(e).
-        mag = np.abs(eta)
-        e = np.exp(-2.0 * mag)
-        big, up = 1.0 / (1.0 + e), eta >= 0.0
-        p_plus, p_minus = np.where(up, big, e * big), np.where(up, e * big, big)
-        g_lo = _item_products(p_minus[:h], p_plus[:h])
-        g_lo *= np.exp(lw + (mag + np.log1p(e)).sum(axis=0) - log_norm)
-        raw += _item_products(p_minus[h:], p_plus[h:]) @ g_lo.T
+    floor = _SKIP_SHARE / rule.node_count ** loadings.shape[1]
+    width, stack = max(1, _BLOCK_MADDS >> n), np.empty((_STACK, *raw.shape))
+    lo_buf = hi_buf = None
+    for _, log_c, eta in _node_batches(delta, loadings, rule):
+        if lo_buf is None:
+            # The tables of every batch, the first being the largest, reuse
+            # two buffers: fresh ones each batch would cost page faults.
+            lo_buf, hi_buf = np.empty(log_c.size << h), np.empty(log_c.size << (n - h))
+        c = np.exp(log_c - log_norm)
+        keep = np.flatnonzero(c >= floor)
+        c, eta, k = c[keep], eta[:, keep], keep.size
+        g_lo = _item_products(eta[:h], lo_buf)
+        g_lo *= c
+        g_hi = _item_products(eta[h:], hi_buf)
+        # Blocks of `width` nodes, _STACK blocks per product call; then the rest.
+        full = k - k % width
+        for lo in range(0, full, _STACK * width):
+            part = slice(lo, min(lo + _STACK * width, full))
+            raw += np.matmul(
+                g_hi[:, part].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
+                g_lo[:, part].reshape(g_lo.shape[0], -1, width).transpose(1, 2, 0),
+                out=stack[: (part.stop - lo) // width],
+            ).sum(axis=0)
+        raw += g_hi[:, full:] @ g_lo[:, full:].T
     mass = raw.sum()
     _check_mass(mass)
     return Pmf(raw.ravel() / mass, float(log_norm + np.log(mass)))
@@ -279,14 +388,17 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
 
 
 def node_log_shares(form: LatentForm, rule: QuadratureRule) -> np.ndarray:
-    """The marginal's node shares ``log c_k``, in `_node_chunks`' C order, for any ``n``.
+    """The marginal's node shares ``log c_k``, in the grid's C order, for any ``n``.
 
-    Raises what `mirt_marginal_pmf` raises for the rank and for a rule whose
-    shares sum off one by more than ``MASS_TOL``.
+    Nodes that `_node_batches` skips get share zero (``-inf``).  Raises what
+    `mirt_marginal_pmf` raises for the rank and for a rule whose shares sum
+    off one by more than ``MASS_TOL``.
     """
     _check_tensor_rank(form.r)
-    chunks = _node_chunks(form.delta, form.loadings, rule)
-    log_c = np.concatenate([lw + log_2cosh(eta).sum(axis=0) for lw, eta in chunks])
+    log_c = np.full(rule.node_count**form.r, -np.inf)
+    for index, lc, _ in _node_batches(form.delta, form.loadings, rule):
+        real = lc > -np.inf
+        log_c[index[real]] = lc[real]
     log_c -= _reference_log_norm(form.delta, form.loadings, rule)
     _check_mass(np.exp(log_c).sum())
     return log_c

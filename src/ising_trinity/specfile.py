@@ -24,9 +24,14 @@ def _require_number(value, where: str) -> float:
 def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
     """Validate a parsed spec document, returning the spec and ``extra_shift``.
 
-    Any nonzero coupling diagonal is zeroed with a warning: the diagonal never
-    affects probabilities.
+    Any nonzero coupling diagonal is zeroed with a `UserWarning` naming the
+    caller's line: the diagonal never affects probabilities.
     """
+    return _spec_from_dict(data)
+
+
+def _spec_from_dict(data) -> tuple[ModelSpec, float]:
+    """`model_spec_from_dict`, warning at the line that called its public caller."""
     if not isinstance(data, dict):
         raise SpecValidationError(
             f"spec document must be a JSON object, got {type(data).__name__}"
@@ -65,7 +70,7 @@ def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
         warnings.warn(
             "nonzero sigma diagonal ignored: the diagonal never affects "
             "probabilities; zeroing it",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     extra_shift = 0.0
@@ -96,7 +101,7 @@ def load_model_spec(path) -> tuple[ModelSpec, float]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return model_spec_from_dict(data)
+    return _spec_from_dict(data)
 
 
 def save_model_spec(spec: ModelSpec, path, extra_shift: float = 0.0) -> None:

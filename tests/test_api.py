@@ -73,7 +73,19 @@ def test_every_record_array_is_read_only(rng):
 
 
 DELTA = [0.3, -0.2, 0.1]
+
+
+def read_only_view(a):
+    """A read-only view of ``a``, which its owner can still write through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 CALLER_ARRAYS = {
+    "read-only view": (
+        lambda d, s: it.ModelSpec(delta=read_only_view(d), sigma=s), DELTA, np.zeros((3, 3))
+    ),
     "ModelSpec": (
         lambda d, s: it.ModelSpec(delta=d, sigma=s), DELTA, 0.4 * (np.ones((3, 3)) - np.eye(3))
     ),

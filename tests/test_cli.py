@@ -245,6 +245,23 @@ class TestSpecErrors:
         with pytest.warns(UserWarning, match="diagonal"):
             assert main(["pmf", write_spec(tmp_path, doc), "-o", "/dev/null"]) == 0
 
+    def test_diagonal_warning_is_one_line_without_package_paths(self, tmp_path):
+        doc = {"n": 2, "delta": [0, 0], "sigma": [[5.0, 0.1], [0.1, 5.0]]}
+        src = str(Path(it.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-m", "ising_trinity.cli", "pmf", write_spec(tmp_path, doc)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stderr == (
+            "warning: nonzero sigma diagonal ignored: the diagonal never affects "
+            "probabilities; zeroing it\n"
+        )
+        assert run.stdout.startswith("x_1,x_2,probability\n")
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -214,12 +214,16 @@ entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 
 @st.composite
 def quadrature_cases(draw):
-    """A latent form with n <= 7 and r <= 3, a small rule, and a node chunk size."""
+    """A latent form with n <= 7 and r <= 3, a small rule, and a node chunk size.
+
+    Rules of other than 4 or 8 nodes end in a ragged box; chunks below a box's
+    ``_BOX**r`` nodes make every box its own batch.
+    """
     n = draw(st.integers(min_value=1, max_value=7))
     r = draw(st.integers(min_value=0, max_value=min(3, n)))
     delta = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
     loadings = np.array(draw(st.lists(entries, min_size=n * r, max_size=n * r))).reshape(n, r)
-    rule = it.QuadratureRule.gauss_hermite(draw(st.integers(min_value=1, max_value=5)))
+    rule = it.QuadratureRule.gauss_hermite(draw(st.integers(min_value=1, max_value=9)))
     chunk = draw(st.sampled_from([1, 2, 3, 7, 64, 4096]))
     return delta, loadings, rule, chunk
 
@@ -228,8 +232,8 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     table, log_total = mirt_quadrature_table(
         delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
     )
-    # Small chunks cut the node grid into blocks of the first latent dimension;
-    # the rule is made its own reference, as the oracle normalizes under it.
+    # Small chunks evaluate the boxes of the node grid one batch at a time; the
+    # rule is made its own reference, as the oracle normalizes under it.
     with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
         it.QuadratureRule, "refined", lambda self: self
     ):
@@ -261,8 +265,37 @@ class TestQuadratureKernel:
             it.QuadratureRule, "refined", lambda self: self
         ):
             shares = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
-        npt.assert_allclose(shares, log_c - np.logaddexp.reduce(log_c), rtol=0, atol=ORACLE_TOL)
+        oracle = log_c - np.logaddexp.reduce(log_c)
+        kept = shares > -np.inf
+        npt.assert_allclose(shares[kept], oracle[kept], rtol=0, atol=ORACLE_TOL)
+        # Skipped nodes get share zero; together they hold under 2**-60.
+        assert np.exp(oracle[~kept]).sum() < 2.0**-60
         assert np.exp(shares).sum() == pytest.approx(1.0, rel=0, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize(
+        "delta, loadings, nodes, chunk",
+        [
+            # verify refuses this off-centre model: its mass sits at the rule's
+            # edge.  One box per batch, so the first batch does not hold them all.
+            (np.full(12, 0.5), np.ones((12, 1)), 64, 4),
+            # Without loadings only the weight term loosens a box's bound, so
+            # its count term r log _BOX is what keeps it a bound.
+            (np.array([0.3, -0.2, 0.1]), np.zeros((3, 3)), 32, latent._NODE_CHUNK),
+        ],
+    )
+    def test_skipped_nodes_hold_under_two_to_the_minus_sixty(self, delta, loadings, nodes, chunk):
+        rule = it.QuadratureRule.gauss_hermite(nodes)
+        with mock.patch.object(latent, "_NODE_CHUNK", chunk):
+            batches = list(latent._node_batches(delta, loadings, rule))
+        seen = np.concatenate([index[log_c > -np.inf] for index, log_c, _ in batches])
+        log_c = np.array([
+            lc for lc, _ in mirt_node_log_shares(
+                delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+            )
+        ])
+        skipped = np.setdiff1d(np.arange(log_c.size), seen)
+        assert seen.size == np.unique(seen).size and skipped.size > 0
+        assert np.exp(log_c[skipped] - np.logaddexp.reduce(log_c)).sum() < 2.0**-60
 
     # n = 1 leaves the low half empty; odd n splits the items unequally.
     @pytest.mark.parametrize(
@@ -271,9 +304,12 @@ class TestQuadratureKernel:
     def test_every_split_and_rank(self, rng, n, r):
         delta = rng.uniform(-1.0, 1.0, n)
         loadings = rng.uniform(-1.0, 1.0, (n, r))
-        rule = it.QuadratureRule.gauss_hermite(4)
-        for chunk in (1, 5, 4096):
-            assert_kernel_matches_oracle(delta, loadings, rule, chunk)
+        # 4 nodes make one box per dimension, 7 a whole box and a ragged one.
+        for nodes in (4, 7):
+            for chunk in (1, 5, 4096):
+                assert_kernel_matches_oracle(
+                    delta, loadings, it.QuadratureRule.gauss_hermite(nodes), chunk
+                )
 
     def test_marginals_are_the_renormalized_oracle_table(self, rng):
         rule = it.QuadratureRule.gauss_hermite(24)

@@ -54,6 +54,15 @@ class TestParsing:
             spec, _ = it.model_spec_from_dict(doc)
         assert spec.sigma[0, 0] == 0.0
 
+    def test_diagonal_warning_names_the_callers_line(self, tmp_path):
+        doc = valid_doc()
+        doc["sigma"][1][1] = -1.0
+        path = write_spec(tmp_path, doc)
+        for load in (lambda: it.model_spec_from_dict(doc), lambda: it.load_model_spec(path)):
+            with pytest.warns(UserWarning, match="diagonal") as caught:
+                load()
+            assert caught[0].filename == __file__
+
 
 class TestValidation:
     def test_asymmetric_sigma_names_the_entries(self):
