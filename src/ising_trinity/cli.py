@@ -85,19 +85,19 @@ def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
-    spec, extra_shift = load_model_spec(args.spec)
+    spec = load_model_spec(args.spec)
     latent = args.representation == "latent"
     rule = QuadratureRule.gauss_hermite(args.quad_nodes) if latent else None
     # The network table needs no eigendecomposition, so a model whose
     # eigenvalues overflow still gets it.
-    form = None if args.representation == "conventional" else to_spectral(spec, extra_shift)
+    form = None if args.representation == "conventional" else to_spectral(spec)
     pmf = BRANCHES[args.representation](spec, form, rule)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec, _ = load_model_spec(args.spec)
+    spec = load_model_spec(args.spec)
     fault = None
     if args.inject_fault is not None:
         fault = BranchFault(branch=args.inject_fault, eps=args.fault_eps)
@@ -110,16 +110,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    spec, extra_shift = load_model_spec(args.spec)
+    spec = load_model_spec(args.spec)
     if args.method == "exact":
         sample = sample_exact(ising_pmf(spec), args.m, args.seed)
     elif args.method == "gibbs":
         sample = sample_gibbs(spec, args.m, args.seed, burn_in=args.burn_in, thin=args.thin)
     elif args.method == "collider-rejection":
-        cf = spectral_to_collider(to_spectral(spec, extra_shift), spec.delta)
+        cf = spectral_to_collider(to_spectral(spec), spec.delta)
         sample = sample_collider_rejection(cf, args.m, args.seed)
     else:
-        lf = LatentForm.from_spectral(to_spectral(spec, extra_shift), spec.delta)
+        lf = LatentForm.from_spectral(to_spectral(spec), spec.delta)
         rule = QuadratureRule.gauss_hermite(args.quad_nodes)
         sample = sample_latent_first(lf, rule, args.m, args.seed)
     save_sample_set(sample, args.out)
@@ -144,7 +144,7 @@ def _read_config_table(path: str) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     data = _read_config_table(args.data)
-    init = None if args.init is None else load_model_spec(args.init)[0]
+    init = None if args.init is None else load_model_spec(args.init)
     result = fit_pseudo_likelihood(
         data, init, grad_tol=args.grad_tol, max_iter=args.max_iter
     )
@@ -161,8 +161,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    spec, extra_shift = load_model_spec(args.spec)
-    _write_out(graph_dot(spec, args.view, extra_shift), args.out)
+    _write_out(graph_dot(load_model_spec(args.spec), args.view), args.out)
     return 0
 
 

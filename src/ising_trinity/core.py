@@ -44,6 +44,19 @@ def freeze_array(record, name: str, ndim: int, value=None, dtype=np.float64) -> 
     return arr
 
 
+def require_number(value, where: str) -> float:
+    """``value`` as a finite float; any other value raises `SpecValidationError`.
+
+    Booleans are not numbers here, though Python counts them as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(f"{where} must be a number, got {value!r}")
+    out = float(value)
+    if not np.isfinite(out):
+        raise SpecValidationError(f"{where} must be finite, got {value!r}")
+    return out
+
+
 def as_delta(delta, n: int) -> np.ndarray:
     """Intercepts as a float vector, checked to be finite with one entry per variable."""
     delta = np.asarray(delta, dtype=np.float64)
@@ -56,14 +69,18 @@ def as_delta(delta, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Main effects ``delta`` and symmetric pairwise couplings ``sigma``.
+    """Main effects ``delta``, symmetric pairwise couplings ``sigma``, and ``extra_shift``.
 
     ``sigma`` must be symmetric to within 1e-12 and is stored exactly
     symmetrized, with its diagonal set to zero: no probability reads it.
+    ``extra_shift``, a finite number at least 0, is added to the canonical
+    PSD shift of the couplings wherever they are eigendecomposed
+    (`to_spectral`); it changes the eigenvalues and loadings, never a table.
     """
 
     delta: np.ndarray
     sigma: np.ndarray
+    extra_shift: float = 0.0
 
     def __post_init__(self) -> None:
         n = freeze_array(self, "delta", 1).shape[0]
@@ -72,6 +89,10 @@ class ModelSpec:
             raise DimensionMismatchError(
                 f"sigma has shape {sigma.shape}, expected ({n}, {n})"
             )
+        shift = require_number(self.extra_shift, "extra_shift")
+        if shift < 0.0:
+            raise SpecValidationError(f"extra_shift must be non-negative, got {shift!r}")
+        object.__setattr__(self, "extra_shift", shift)
         gap = np.abs(sigma - sigma.T)
         if gap.size and gap.max() > SYMMETRY_TOL:
             i, j = np.unravel_index(np.argmax(gap), gap.shape)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def verify_representations(
         if fault is not None and fault.branch == name:
             delta = spec.delta.copy()
             delta[0] += fault.eps
-            branch_spec = ModelSpec(delta=delta, sigma=spec.sigma)
+            branch_spec = replace(spec, delta=delta)
         start = time.perf_counter()
         try:
             tables[name] = build(branch_spec, form, rule)

@@ -15,8 +15,12 @@ from .spectral import to_spectral
 VIEWS = ("network", "common-cause", "collider")
 
 
-def graph_dot(spec: ModelSpec, view: str, extra_shift: float = 0.0) -> str:
-    """Render one of the three views as DOT text."""
+def graph_dot(spec: ModelSpec, view: str) -> str:
+    """Render one of the three views as DOT text.
+
+    The latent and effect nodes count the positive eigenvalues of the
+    couplings under the spec's own shift, ``extra_shift`` included.
+    """
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
     n = spec.n
@@ -34,7 +38,7 @@ def graph_dot(spec: ModelSpec, view: str, extra_shift: float = 0.0) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    rank = to_spectral(spec, extra_shift).rank
+    rank = to_spectral(spec).rank
     if view == "common-cause":
         lines = ["digraph common_cause {"]
         lines.extend(f"  theta{r + 1} [shape=circle];" for r in range(rank))

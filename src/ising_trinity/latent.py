@@ -289,6 +289,8 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     whose share ``c`` is at least ``2**-60 / N`` of the ``N``-node grid.  The
     product runs as stacked products of node blocks, each of at most
     ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see `_enum`).
+    Above n = 17 one node's product already exceeds that, so each batch is
+    one product and no stack of tables is allocated.
     A mass off one by more than ``MASS_TOL`` raises
     `QuadratureResolutionError`; otherwise the table is renormalized.
     """
@@ -297,7 +299,8 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     h = n // 2
     raw = np.zeros((1 << (n - h), 1 << h))
     floor = _SKIP_SHARE / rule.node_count ** loadings.shape[1]
-    width, stack = max(1, _BLOCK_MADDS >> n), np.empty((_STACK, *raw.shape))
+    width = _BLOCK_MADDS >> n
+    stack = np.empty((_STACK, *raw.shape)) if width else None
     lo_buf = hi_buf = None
     for _, log_c, eta in _node_batches(delta, loadings, rule):
         if lo_buf is None:
@@ -310,9 +313,10 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
         g_lo = _item_products(eta[:h], lo_buf)
         g_lo *= c
         g_hi = _item_products(eta[h:], hi_buf)
-        # Blocks of `width` nodes, _STACK blocks per product call; then the rest.
-        full = k - k % width
-        for lo in range(0, full, _STACK * width):
+        # Blocks of `width` nodes, _STACK blocks per product call; then the
+        # rest, which is every node when there are no blocks.
+        full = k - k % width if width else 0
+        for lo in range(0, full, _STACK * width or 1):
             part = slice(lo, min(lo + _STACK * width, full))
             raw += np.matmul(
                 g_hi[:, part].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),

@@ -1,4 +1,8 @@
-"""JSON model-spec files: validation-first parsing and faithful serialization."""
+"""JSON model-spec files: validation-first parsing and faithful serialization.
+
+A file holds one `ModelSpec`, ``extra_shift`` included: its ``n``, ``delta``,
+``sigma`` and optional ``extra_shift`` (0 when absent, and omitted when 0).
+"""
 
 from __future__ import annotations
 
@@ -8,21 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelSpec
+from .core import ModelSpec, require_number
 from .errors import SpecValidationError
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(f"{where} must be a number, got {value!r}")
-    out = float(value)
-    if not np.isfinite(out):
-        raise SpecValidationError(f"{where} must be finite, got {value!r}")
-    return out
-
-
-def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
-    """Validate a parsed spec document, returning the spec and ``extra_shift``.
+def model_spec_from_dict(data: dict) -> ModelSpec:
+    """Validate a parsed spec document and return its spec.
 
     Any nonzero coupling diagonal is zeroed with a `UserWarning` naming the
     caller's line: the diagonal never affects probabilities.
@@ -30,7 +25,7 @@ def model_spec_from_dict(data: dict) -> tuple[ModelSpec, float]:
     return _spec_from_dict(data)
 
 
-def _spec_from_dict(data) -> tuple[ModelSpec, float]:
+def _spec_from_dict(data) -> ModelSpec:
     """`model_spec_from_dict`, warning at the line that called its public caller."""
     if not isinstance(data, dict):
         raise SpecValidationError(
@@ -51,7 +46,7 @@ def _spec_from_dict(data) -> tuple[ModelSpec, float]:
     if not isinstance(delta_raw, list) or len(delta_raw) != n:
         raise SpecValidationError(f"'delta' must be a list of {n} numbers")
     delta = np.array(
-        [_require_number(v, f"delta[{i}]") for i, v in enumerate(delta_raw)]
+        [require_number(v, f"delta[{i}]") for i, v in enumerate(delta_raw)]
     )
 
     if "sigma" not in data:
@@ -63,7 +58,7 @@ def _spec_from_dict(data) -> tuple[ModelSpec, float]:
     for i, row in enumerate(sigma_raw):
         if not isinstance(row, list) or len(row) != n:
             raise SpecValidationError(f"sigma[{i}] must be a list of {n} numbers")
-        rows.append([_require_number(v, f"sigma[{i}][{j}]") for j, v in enumerate(row)])
+        rows.append([require_number(v, f"sigma[{i}][{j}]") for j, v in enumerate(row)])
     sigma = np.array(rows)
 
     if np.any(np.diag(sigma) != 0.0):
@@ -72,29 +67,21 @@ def _spec_from_dict(data) -> tuple[ModelSpec, float]:
             "probabilities; zeroing it",
             stacklevel=3,
         )
-
-    extra_shift = 0.0
-    if "extra_shift" in data:
-        extra_shift = _require_number(data["extra_shift"], "extra_shift")
-        if extra_shift < 0.0:
-            raise SpecValidationError(
-                f"extra_shift must be non-negative, got {extra_shift!r}"
-            )
-    return ModelSpec(delta=delta, sigma=sigma), extra_shift
+    return ModelSpec(delta=delta, sigma=sigma, extra_shift=data.get("extra_shift", 0.0))
 
 
-def model_spec_to_dict(spec: ModelSpec, extra_shift: float = 0.0) -> dict:
+def model_spec_to_dict(spec: ModelSpec) -> dict:
     out = {
         "n": spec.n,
         "delta": spec.delta.tolist(),
         "sigma": spec.sigma.tolist(),
     }
-    if extra_shift != 0.0:
-        out["extra_shift"] = float(extra_shift)
+    if spec.extra_shift != 0.0:
+        out["extra_shift"] = spec.extra_shift
     return out
 
 
-def load_model_spec(path) -> tuple[ModelSpec, float]:
+def load_model_spec(path) -> ModelSpec:
     """Read and validate a JSON model-spec file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -104,7 +91,7 @@ def load_model_spec(path) -> tuple[ModelSpec, float]:
     return _spec_from_dict(data)
 
 
-def save_model_spec(spec: ModelSpec, path, extra_shift: float = 0.0) -> None:
+def save_model_spec(spec: ModelSpec, path) -> None:
     """Write a spec as JSON; parsing the result reproduces the spec exactly."""
-    doc = model_spec_to_dict(spec, extra_shift)
+    doc = model_spec_to_dict(spec)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

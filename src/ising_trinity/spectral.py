@@ -65,23 +65,21 @@ class SpectralForm:
         return int(np.sum(self.lambdas > RANK_TOL))
 
 
-def to_spectral(spec: ModelSpec, extra_shift: float = 0.0) -> SpectralForm:
+def to_spectral(spec: ModelSpec) -> SpectralForm:
     """Eigendecompose the zero-diagonal couplings after the canonical PSD shift.
 
-    ``extra_shift`` adds on top of the minimal shift; it changes ``c``, the
-    eigenvalues, and the loadings but never the PMF.  Eigenvector columns get a
-    deterministic sign: the entry of largest magnitude (first such on ties) is
-    made positive.
+    The spec's ``extra_shift`` adds on top of the minimal shift; it changes
+    ``c``, the eigenvalues, and the loadings but never the PMF.  Eigenvector
+    columns get a deterministic sign: the entry of largest magnitude (first
+    such on ties) is made positive.
     """
-    if extra_shift < 0.0:
-        raise ValueError(f"extra_shift must be non-negative, got {extra_shift}")
     try:
         evals, vecs = np.linalg.eigh(spec.sigma)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
             f"eigendecomposition of the coupling matrix failed: {exc}"
         ) from exc
-    c = max(0.0, -float(evals.min())) + float(extra_shift)
+    c = max(0.0, -float(evals.min())) + spec.extra_shift
     with np.errstate(over="ignore", invalid="ignore"):
         lambdas = evals + c
     if not np.all(np.isfinite(lambdas)):

@@ -9,6 +9,7 @@ package's published guarantees; seeds are fixed so the suite is deterministic.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def test_c3_eigenvalue_weights_reproduce_network_weights():
         worst = max(worst, it.pmf_distance(table, it.ising_pmf(spec)).max_abs)
     for spec in specs[:10]:
         for shift in (0.5, 2.0):
-            table = it.spectral_pmf(it.to_spectral(spec, shift), spec.delta)
+            table = it.spectral_pmf(it.to_spectral(replace(spec, extra_shift=shift)), spec.delta)
             worst = max(worst, it.pmf_distance(table, it.ising_pmf(spec)).max_abs)
     ok = worst < 1e-12
     assert _report(3, "eigenvalue table matches network table", ok, started), (

@@ -56,7 +56,7 @@ class TestPmfCommand:
     def test_seventeen_digits_round_trip(self, tmp_path, capsys):
         assert main(["pmf", paired_spec(tmp_path)]) == 0
         _, probs = read_pmf_csv(capsys.readouterr().out)
-        pmf = it.ising_pmf(it.load_model_spec(paired_spec(tmp_path))[0])
+        pmf = it.ising_pmf(it.load_model_spec(paired_spec(tmp_path)))
         np.testing.assert_array_equal(probs, pmf.probs)
 
     @pytest.mark.parametrize("representation", ["spectral", "collider", "latent"])
@@ -144,7 +144,7 @@ class TestPmfCommand:
         assert main([*argv, "--quad-nodes", "128"]) == 0
         capsys.readouterr()
         _, probs = read_pmf_csv(out.read_text())
-        spec, _ = it.load_model_spec(path)
+        spec = it.load_model_spec(path)
         np.testing.assert_allclose(probs, it.ising_pmf(spec).probs, rtol=0, atol=1e-12)
 
 
@@ -326,6 +326,33 @@ class TestVerifyCommand:
         assert doc["all_pass"] is True
         assert len(doc["pairs"]) == 6
         assert doc["rank"] == 1
+
+    def test_extra_shift_reaches_every_branch(self, tmp_path, capsys, monkeypatch):
+        # Canonical rank 2; the file's shift makes every eigenvalue positive.
+        doc = {
+            "n": 3,
+            "delta": [0.2, -0.1, 0.3],
+            "sigma": [[0.0, 0.5, -0.3], [0.5, 0.0, 0.4], [-0.3, 0.4, 0.0]],
+            "extra_shift": 2.0,
+        }
+        path, report_path = write_spec(tmp_path, doc), tmp_path / "report.json"
+        tables = {}
+        with monkeypatch.context() as patch:
+            for name in ("spectral", "collider"):
+                def record(spec, form, rule, name=name, build=BRANCHES[name]):
+                    tables[name] = build(spec, form, rule)
+                    return tables[name]
+
+                patch.setitem(BRANCHES, name, record)
+            assert main(["verify", path, "--json-report", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("n = 3, canonical rank = 3\n")
+        assert "latent (" in out and "not evaluated" not in out
+        assert json.loads(report_path.read_text())["rank"] == 3
+        for name in ("spectral", "collider"):
+            assert main(["pmf", path, "-r", name]) == 0
+            _, probs = read_pmf_csv(capsys.readouterr().out)
+            np.testing.assert_array_equal(probs, tables[name].probs)
 
     @pytest.mark.parametrize(
         "branch", ["conventional", "spectral", "collider", "latent"]
@@ -517,7 +544,7 @@ class TestSampleCommand:
         capsys.readouterr()
         side = json.loads((tmp_path / "l.meta.json").read_text())
         assert side["meta"] == {"quad_nodes": 128} and side["n"] == 12
-        spec, _ = it.load_model_spec(path)
+        spec = it.load_model_spec(path)
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
         ref = it.sample_latent_first(lf, it.QuadratureRule.gauss_hermite(128), 40, 0)
         assert np.array_equal(it.load_sample_set(out).draws, ref.draws)

@@ -49,6 +49,26 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             it.ModelSpec(delta=np.array([np.nan]), sigma=np.zeros((1, 1)))
 
+    def test_extra_shift_is_a_float_defaulting_to_zero(self):
+        assert spec_n2(0.5).extra_shift == 0.0
+        shifted = it.ModelSpec(np.zeros(2), np.zeros((2, 2)), 2)
+        assert type(shifted.extra_shift) is float and shifted.extra_shift == 2.0
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            (-1.0, "extra_shift must be non-negative, got -1.0"),
+            ("big", "extra_shift must be a number, got 'big'"),
+            (True, "extra_shift must be a number, got True"),
+            (math.inf, "extra_shift must be finite, got inf"),
+        ],
+    )
+    def test_extra_shift_rejected_before_symmetry(self, shift, message):
+        sigma = np.array([[0.0, 0.3], [0.0, 0.0]])
+        with pytest.raises(it.SpecValidationError) as err:
+            it.ModelSpec(delta=np.zeros(2), sigma=sigma, extra_shift=shift)
+        assert str(err.value) == message
+
     def test_diagonal_is_dropped(self):
         base = spec_n2(math.log(2.0))
         shifted = it.ModelSpec(
@@ -304,3 +324,9 @@ class TestDeltaShape:
         with pytest.raises(it.DimensionMismatchError) as err:
             call(form, np.zeros(3))
         assert str(err.value) == "delta has shape (3,), expected (2,)"
+
+    def test_non_finite_entry_message(self):
+        with pytest.raises(ValueError) as err:
+            it.curie_weiss_pmf(2, [0.0, math.nan])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "delta contains non-finite entries"

@@ -119,6 +119,19 @@ class TestRaschMarginal:
         with pytest.raises(it.QuadratureResolutionError, match="refine"):
             it.rasch_marginal_pmf(np.full(8, 0.9), it.QuadratureRule.gauss_hermite(2))
 
+    def test_refusal_at_twenty_items_allocates_no_stack_of_tables(self):
+        # Unit loadings at n = 20 need a finer rule than 64 nodes; the refusal
+        # comes after the table, whose 2**20 floats take 8 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(it.QuadratureResolutionError, match="refine"):
+                it.rasch_marginal_pmf(np.zeros(20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Eight stacked node products would take 64 MiB more.
+        assert peak < 25 << 20
+
     def test_convergence_in_node_count(self, rng):
         # Rules the mass guard rejects are excluded by construction, so the
         # ladder starts at the coarsest rule the guard admits for this model.

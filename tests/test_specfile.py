@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -27,31 +28,30 @@ class TestParsing:
     def test_round_trip_is_exact(self, rng, tmp_path):
         spec = random_spec(rng, 4)
         path = tmp_path / "model.json"
-        it.save_model_spec(spec, path, extra_shift=0.5)
-        loaded, extra_shift = it.load_model_spec(path)
+        it.save_model_spec(replace(spec, extra_shift=0.5), path)
+        loaded = it.load_model_spec(path)
         npt.assert_array_equal(loaded.delta, spec.delta)
         npt.assert_array_equal(loaded.sigma, spec.sigma)
-        assert extra_shift == 0.5
+        assert loaded.extra_shift == 0.5
 
     def test_extra_shift_defaults_to_zero_and_is_omitted(self, rng, tmp_path):
         spec = random_spec(rng, 3)
         path = tmp_path / "model.json"
         it.save_model_spec(spec, path)
         assert "extra_shift" not in json.loads(path.read_text())
-        _, extra_shift = it.load_model_spec(path)
-        assert extra_shift == 0.0
+        assert it.load_model_spec(path).extra_shift == 0.0
 
     def test_dict_form(self):
-        spec, extra_shift = it.model_spec_from_dict(valid_doc())
+        spec = it.model_spec_from_dict(valid_doc())
         assert spec.n == 2
-        assert extra_shift == 0.0
+        assert spec.extra_shift == 0.0
         assert spec.delta[1] == -0.2
 
     def test_diagonal_warning(self, tmp_path):
         doc = valid_doc()
         doc["sigma"][0][0] = 3.0
         with pytest.warns(UserWarning, match="diagonal"):
-            spec, _ = it.model_spec_from_dict(doc)
+            spec = it.model_spec_from_dict(doc)
         assert spec.sigma[0, 0] == 0.0
 
     def test_diagonal_warning_names_the_callers_line(self, tmp_path):
@@ -102,6 +102,13 @@ class TestValidation:
         with pytest.raises(it.SpecValidationError, match="positive integer"):
             it.model_spec_from_dict(doc)
 
+    def test_wrong_number_of_sigma_rows(self):
+        doc = valid_doc()
+        doc["sigma"] = doc["sigma"][:1]
+        with pytest.raises(it.SpecValidationError) as err:
+            it.model_spec_from_dict(doc)
+        assert str(err.value) == "'sigma' must be a list of 2 rows"
+
     def test_non_finite_entries(self):
         doc = valid_doc()
         doc["delta"][0] = math.inf
@@ -113,6 +120,29 @@ class TestValidation:
         doc["extra_shift"] = -1.0
         with pytest.raises(it.SpecValidationError, match="non-negative"):
             it.model_spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            ("2.0", "extra_shift must be a number, got '2.0'"),
+            (None, "extra_shift must be a number, got None"),
+            (math.nan, "extra_shift must be finite, got nan"),
+        ],
+    )
+    def test_extra_shift_must_be_a_finite_number(self, shift, message):
+        doc = valid_doc()
+        doc["extra_shift"] = shift
+        with pytest.raises(it.SpecValidationError) as err:
+            it.model_spec_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_shift_is_checked_before_symmetry(self, tmp_path):
+        doc = valid_doc()
+        doc["sigma"][0][1] = 0.7
+        doc["extra_shift"] = -0.5
+        with pytest.raises(it.SpecValidationError) as err:
+            it.load_model_spec(write_spec(tmp_path, doc))
+        assert str(err.value) == "extra_shift must be non-negative, got -0.5"
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -127,7 +157,7 @@ class TestValidation:
 
 class TestGraphViews:
     def test_network_edges(self):
-        spec, _ = it.model_spec_from_dict(
+        spec = it.model_spec_from_dict(
             {"n": 3, "delta": [0, 0, 0], "sigma": [[0, 0.7, 0], [0.7, 0, 0], [0, 0, 0]]}
         )
         dot = it.graph_dot(spec, "network")
@@ -156,6 +186,14 @@ class TestGraphViews:
         assert "e1 [shape=box];" in dot
         assert "e2" not in dot
         assert "x3 -> e1;" in dot
+
+    def test_views_read_the_specs_shift(self):
+        doc = valid_doc()
+        assert "theta2" not in it.graph_dot(it.model_spec_from_dict(doc), "common-cause")
+        doc["extra_shift"] = 1.0
+        spec = it.model_spec_from_dict(doc)
+        assert "theta2 -> x2;" in it.graph_dot(spec, "common-cause")
+        assert "e2 [shape=box];" in it.graph_dot(spec, "collider")
 
     def test_unknown_view(self, rng):
         with pytest.raises(ValueError, match="unknown view"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -71,7 +72,7 @@ class TestToSpectral:
 
     def test_negative_extra_shift_rejected(self):
         with pytest.raises(ValueError, match="extra_shift"):
-            it.to_spectral(spec_n2(1.0), extra_shift=-0.1)
+            replace(spec_n2(1.0), extra_shift=-0.1)
 
     @pytest.mark.parametrize("spec", [spec_n2(1e308), spec_n2(-1e308)], ids=["pos", "neg"])
     def test_eigenvalues_overflowing_the_shift_raise(self, spec):
@@ -83,6 +84,24 @@ class TestToSpectral:
         for lambdas, q in (([np.nan, 0.0], np.eye(2)), ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])):
             with pytest.raises(ValueError, match="non-finite"):
                 it.SpectralForm(c=0.0, lambdas=np.array(lambdas), q=np.array(q))
+
+    def test_form_rejects_mismatched_eigenvectors(self):
+        with pytest.raises(it.DimensionMismatchError) as err:
+            it.SpectralForm(c=0.0, lambdas=np.array([1.0, 0.0]), q=np.eye(3))
+        assert str(err.value) == "eigenvector shape (3, 3) does not match 2 eigenvalues"
+
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ([1.0, -0.5], "eigenvalues must be non-negative after the shift"),
+            ([0.5, 1.0], "eigenvalues must be sorted in descending order"),
+        ],
+    )
+    def test_form_rejects_bad_eigenvalues(self, lambdas, message):
+        with pytest.raises(ValueError) as err:
+            it.SpectralForm(c=0.0, lambdas=np.array(lambdas), q=np.eye(2))
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
 
 class TestSpectralWeight:
@@ -100,7 +119,7 @@ class TestSpectralWeight:
         for n in (2, 5, 9):
             spec = random_spec(rng, n)
             for shift in (0.0, 1.5):
-                form = it.to_spectral(spec, extra_shift=shift)
+                form = it.to_spectral(replace(spec, extra_shift=shift))
                 gap = it.spectral_pmf(form, spec.delta).log_z - it.ising_pmf(spec).log_z
                 assert gap == pytest.approx(form.c * n / 2.0, abs=1e-12)
 
@@ -118,14 +137,14 @@ class TestSpectralPmf:
         spec = random_spec(rng, 5)
         base = it.spectral_pmf(it.to_spectral(spec), spec.delta)
         for shift in (0.5, 2.0, 10.0):
-            form = it.to_spectral(spec, extra_shift=shift)
+            form = it.to_spectral(replace(spec, extra_shift=shift))
             moved = it.spectral_pmf(form, spec.delta)
             assert it.pmf_distance(base, moved).max_abs <= 1e-12
 
     def test_extra_shift_changes_the_parts(self, rng):
         spec = random_spec(rng, 4)
         a = it.to_spectral(spec)
-        b = it.to_spectral(spec, extra_shift=0.5)
+        b = it.to_spectral(replace(spec, extra_shift=0.5))
         assert b.c == pytest.approx(a.c + 0.5, abs=1e-12)
         npt.assert_allclose(b.lambdas, a.lambdas + 0.5, atol=1e-10)
         assert not np.allclose(a.loadings, b.loadings)
