@@ -51,7 +51,12 @@ def require_number(value, where: str) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecValidationError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise SpecValidationError(
+            f"{where} must be finite, got an integer beyond the float range"
+        ) from None
     if not np.isfinite(out):
         raise SpecValidationError(f"{where} must be finite, got {value!r}")
     return out
@@ -119,10 +124,14 @@ class Pmf:
     (bit ``i`` of ``k`` set means ``x_i = +1``); its size, a power of two,
     gives ``n``.  ``log_z`` records the log normalizer of the weights the
     table was built from, so that ``probs[k] == exp(log_weight(k) - log_z)``.
+    ``error_estimate`` is an estimate of the table's total-variation distance
+    to the exact one: 0 for an enumerated table, the gap to a finer rule's
+    table for a quadrature one.
     """
 
     probs: np.ndarray
     log_z: float
+    error_estimate: float = 0.0
 
     def __post_init__(self) -> None:
         size = freeze_array(self, "probs", 1).shape[0]
@@ -135,6 +144,8 @@ class Pmf:
         total = self.probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-12")
+        if not 0.0 <= self.error_estimate <= 1.0:
+            raise ValueError(f"error estimate must lie in [0, 1], got {self.error_estimate!r}")
 
     @property
     def n(self) -> int:

@@ -6,8 +6,9 @@ weight evaluation: the network pair sum, the eigenvalue form, the
 conditioned collider, and the latent marginal.  A branch that refuses the
 model with a rank or size limit is reported as not evaluated, with its own
 error message as the reason.  Quadrature-free pairs must agree to near
-machine precision; pairs involving the latent branch are held to the
-quadrature tolerance.
+machine precision; pairs involving the latent branch are held to ten times
+the latent table's own error estimate, at least ``QUAD_FLOOR`` and at most
+``QUAD_TOL``.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
@@ -48,9 +49,11 @@ BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm | None, QuadratureRule | N
 }
 
 # Bounds on a pair's max_abs distance, and on its TV distance when the pair
-# involves the latent branch's quadrature.
+# involves the latent branch's quadrature: ten times the latent table's error
+# estimate, at least QUAD_FLOOR and at most QUAD_TOL.
 EXACT_TOL = 1e-12
 QUAD_TOL = 1e-7
+QUAD_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,14 @@ class EquivalenceReport:
     timings: dict[str, float]
     fault: BranchFault | None = None
     skipped_reason: dict[str, str] = field(default_factory=dict)
+    latent_error_estimate: float | None = None
+
+    @property
+    def quad_tol(self) -> float | None:
+        """The TV bound on pairs with the latent branch; None when that branch is not evaluated."""
+        if self.latent_error_estimate is None:
+            return None
+        return min(QUAD_TOL, max(QUAD_FLOOR, 10.0 * self.latent_error_estimate))
 
     @property
     def evaluated(self) -> dict[str, bool]:
@@ -90,7 +101,7 @@ class EquivalenceReport:
         """Each pair's distances and verdict: judged by TV if quadrature is involved."""
         rows = []
         for pair, dist in self.distances.items():
-            metric, tol = ("tv", QUAD_TOL) if "latent" in pair else ("max_abs", EXACT_TOL)
+            metric, tol = ("tv", self.quad_tol) if "latent" in pair else ("max_abs", EXACT_TOL)
             rows.append(
                 {"pair": list(pair), **asdict(dist), "tolerance": tol, "metric": metric,
                  "passed": getattr(dist, metric) <= tol}
@@ -106,7 +117,8 @@ class EquivalenceReport:
             "n": self.n,
             "rank": self.rank,
             "exact_tol": EXACT_TOL,
-            "quad_tol": QUAD_TOL,
+            "quad_tol": self.quad_tol,
+            "latent_error_estimate": self.latent_error_estimate,
             "all_pass": self.all_pass,
             "fault": None if self.fault is None else asdict(self.fault),
             "branches": [
@@ -135,6 +147,11 @@ class EquivalenceReport:
                 for name, evaluated in self.evaluated.items()
             ),
         ]
+        if self.latent_error_estimate is not None:
+            lines.append(
+                f"latent error estimate: {self.latent_error_estimate:.3e}, "
+                f"tv tolerance {self.quad_tol:g}"
+            )
         if self.fault is not None:
             lines.append(
                 f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}"
@@ -201,4 +218,5 @@ def verify_representations(
         timings=timings,
         fault=fault,
         skipped_reason=skipped,
+        latent_error_estimate=tables["latent"].error_estimate if "latent" in tables else None,
     )

@@ -15,7 +15,17 @@ doubling and one matrix product per batch of nodes.  Cancelling the ``2 cosh``
 factors into ``exp(x . eta)`` or factoring the node sum across latent
 dimensions would reproduce the spectral branch's Gaussian identity instead.
 The latent-first sampler draws nodes from this mixture (`node_log_shares`),
-under the marginal's own rank limit, reference rule and ``MASS_TOL`` check.
+under the marginal's own rank limit.
+
+The public entry points integrate with a stretched rule (`_stretched`): the
+``m``-node rule's nodes ``t`` move to ``2 t`` and its weights ``w`` become
+``w 2 phi(2 t) / phi(t)`` (Naylor & Smith 1982; Liu & Pierce 1994), which
+spreads the nodes over the wider latent density that a product of ``2 cosh``
+factors tilts the normal into.  The table under the stretched ``m``-node rule
+is the result; the one under the stretched ``2m``-node rule only measures it.
+Their total-variation distance is the table's error estimate, and an estimate
+above ``ESTIMATE_TOL`` refuses the rule.  The private kernels use whatever
+rule they are given.
 
 Most tensor nodes hold a negligible share of the mass, so the grid is cut into
 boxes of ``_BOX`` nodes per latent dimension (a ragged last box is padded with
@@ -64,7 +74,15 @@ TENSOR_RANK_LIMIT = 3
 # general enumeration cap because every configuration meets every node).
 MIRT_ENUM_LIMIT = 12
 
-# Acceptable deviation of the quadrature marginal's total mass from one.
+# Largest error estimate of a latent table: the total-variation distance
+# between the tables under the stretched m-node and 2m-node rules.
+ESTIMATE_TOL = 1e-8
+
+# Factor by which the latent marginal and sampler widen the rule they are given.
+_STRETCH = 2.0
+
+# Acceptable deviation of the latent-first sampler's node mass from one (its
+# only user: the sampler has no table to measure).
 MASS_TOL = 1e-6
 
 # Tensor-product nodes evaluated together; bounds every working array.
@@ -125,6 +143,18 @@ class QuadratureRule:
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return QuadratureRule.gauss_hermite() if rule is None else rule
+
+
+def _stretched(rule: QuadratureRule) -> QuadratureRule:
+    """``rule`` widened by ``_STRETCH = s``: nodes ``s t``, weights ``w s phi(s t) / phi(t)``.
+
+    A change of variables, so it integrates against the same standard normal
+    density.  Weights that underflow to zero are dropped.
+    """
+    s = _STRETCH
+    weights = np.exp(np.log(rule.weights) + np.log(s) + 0.5 * (1.0 - s * s) * rule.nodes**2)
+    keep = weights > 0.0
+    return QuadratureRule(nodes=s * rule.nodes[keep], weights=weights[keep])
 
 
 def kac_identity_check(a: float, rule: QuadratureRule | None = None) -> float:
@@ -246,12 +276,8 @@ def _check_tensor_rank(r: int) -> None:
         )
 
 
-def _reference_log_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
-    """`log_latent_norm` under ``rule`` at rank 0 (one exact node), else under its refinement."""
-    return log_latent_norm(delta, loadings, rule if loadings.shape[1] == 0 else rule.refined())
-
-
 def _check_mass(mass: float) -> None:
+    """Refuse a node mass off one by more than ``MASS_TOL`` (the latent-first sampler's check)."""
     if abs(mass - 1.0) > MASS_TOL:
         raise QuadratureResolutionError(
             f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
@@ -282,32 +308,32 @@ def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
-    """Marginal table under ``rule``, with the density normalized under the reference rule.
+    """Marginal table under ``rule``, normalized by its own total.
 
     Each batch of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
     first ``n // 2`` items (low index bits) and of the rest, over the nodes
-    whose share ``c`` is at least ``2**-60 / N`` of the ``N``-node grid.  The
-    product runs as stacked products of node blocks, each of at most
-    ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see `_enum`).
-    Above n = 17 one node's product already exceeds that, so each batch is
-    one product and no stack of tables is allocated.
-    A mass off one by more than ``MASS_TOL`` raises
-    `QuadratureResolutionError`; otherwise the table is renormalized.
+    whose share ``c`` of the first batch's total (a lower bound on the whole)
+    is at least ``2**-60 / N`` of the ``N``-node grid.  The product runs as
+    stacked products of node blocks, each of at most ``_BLOCK_MADDS``
+    multiply-adds and so on the calling thread (see `_enum`).  Above n = 17
+    one node's product already exceeds that, so each batch is one product and
+    no stack of tables is allocated.  ``log_z`` is the log of the rule's own
+    total.
     """
-    log_norm = _reference_log_norm(delta, loadings, rule)
     n = delta.shape[0]
     h = n // 2
     raw = np.zeros((1 << (n - h), 1 << h))
     floor = _SKIP_SHARE / rule.node_count ** loadings.shape[1]
     width = _BLOCK_MADDS >> n
     stack = np.empty((_STACK, *raw.shape)) if width else None
-    lo_buf = hi_buf = None
+    log_shift = None
     for _, log_c, eta in _node_batches(delta, loadings, rule):
-        if lo_buf is None:
+        if log_shift is None:
+            log_shift = _log_sum_exp(log_c)
             # The tables of every batch, the first being the largest, reuse
             # two buffers: fresh ones each batch would cost page faults.
             lo_buf, hi_buf = np.empty(log_c.size << h), np.empty(log_c.size << (n - h))
-        c = np.exp(log_c - log_norm)
+        c = np.exp(log_c - log_shift)
         keep = np.flatnonzero(c >= floor)
         c, eta, k = c[keep], eta[:, keep], keep.size
         g_lo = _item_products(eta[:h], lo_buf)
@@ -325,19 +351,42 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
             ).sum(axis=0)
         raw += g_hi[:, full:] @ g_lo[:, full:].T
     mass = raw.sum()
-    _check_mass(mass)
-    return Pmf(raw.ravel() / mass, float(log_norm + np.log(mass)))
+    raw /= mass
+    # Read-only, so the table keeps this memory rather than a copy of it.
+    raw.setflags(write=False)
+    return Pmf(raw.ravel(), float(log_shift + np.log(mass)))
+
+
+def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
+    """The table under the stretched ``rule``, carrying its error estimate.
+
+    The estimate is the total-variation distance to the table under the
+    stretched ``rule.refined()``; above ``ESTIMATE_TOL`` it raises
+    `QuadratureResolutionError`.
+    """
+    fine = _stretched(rule.refined())
+    table = _quadrature_pmf(delta, loadings, _stretched(rule))
+    gap = table.probs - _quadrature_pmf(delta, loadings, fine).probs
+    est = 0.5 * float(np.abs(gap, out=gap).sum())
+    if est > ESTIMATE_TOL:
+        raise QuadratureResolutionError(
+            f"latent table error estimate {est:.3g} (its distance to the table under "
+            f"the {2 * rule.node_count}-node rule) exceeds {ESTIMATE_TOL:g}; "
+            f"refine the rule (more nodes)"
+        )
+    return Pmf(table.probs, table.log_z, est)
 
 
 def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
-    The rank-one latent marginal with unit loadings; a rule too coarse for the
-    ``MASS_TOL`` check raises `QuadratureResolutionError`.
+    The rank-one latent marginal with unit loadings, under the stretched
+    ``rule`` (default 64 nodes); an error estimate above ``ESTIMATE_TOL``
+    raises `QuadratureResolutionError`.
     """
     form = LatentForm(delta=delta, loadings=np.ones((np.size(delta), 1)))
     check_enumerable(form.n)
-    return _quadrature_pmf(form.delta, form.loadings, _default_rule(rule))
+    return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
 
 
 @dataclass(frozen=True)
@@ -378,9 +427,11 @@ class LatentForm:
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:
     """Marginal configuration table of a rank-``r`` latent model (``r <= 3``).
 
-    Uses a tensor product of the one-dimensional rule over the latent
-    dimensions.  A rank-0 form has no latent variable at all: items are
-    independent coins and the table is exact.
+    Uses a tensor product of the stretched one-dimensional rule (default 64
+    nodes) over the latent dimensions; the table carries its error estimate,
+    and one above ``ESTIMATE_TOL`` raises `QuadratureResolutionError`.  A
+    rank-0 form has no latent variable at all: items are independent coins
+    and the table is exact.
     """
     _check_tensor_rank(form.r)
     if form.n > MIRT_ENUM_LIMIT:
@@ -388,21 +439,25 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
             f"n = {form.n} is too large for the tensor-quadrature marginal "
             f"(limit {MIRT_ENUM_LIMIT})"
         )
-    return _quadrature_pmf(form.delta, form.loadings, _default_rule(rule))
+    return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
 
 
-def node_log_shares(form: LatentForm, rule: QuadratureRule) -> np.ndarray:
-    """The marginal's node shares ``log c_k``, in the grid's C order, for any ``n``.
+def node_log_shares(
+    form: LatentForm, rule: QuadratureRule, reference: QuadratureRule | None = None
+) -> np.ndarray:
+    """The marginal's node shares ``log c_k`` under ``rule``, in the grid's C order, for any ``n``.
 
-    Nodes that `_node_batches` skips get share zero (``-inf``).  Raises what
-    `mirt_marginal_pmf` raises for the rank and for a rule whose shares sum
-    off one by more than ``MASS_TOL``.
+    Nodes that `_node_batches` skips get share zero (``-inf``); the rest are
+    normalized to sum to one.  Raises `RankLimitError` above rank 3 and, when
+    the total under ``rule`` is off the total under ``reference`` by more than
+    ``MASS_TOL``, `QuadratureResolutionError`.
     """
     _check_tensor_rank(form.r)
     log_c = np.full(rule.node_count**form.r, -np.inf)
     for index, lc, _ in _node_batches(form.delta, form.loadings, rule):
         real = lc > -np.inf
         log_c[index[real]] = lc[real]
-    log_c -= _reference_log_norm(form.delta, form.loadings, rule)
-    _check_mass(np.exp(log_c).sum())
-    return log_c
+    log_total = _log_sum_exp(log_c)
+    if reference is not None:
+        _check_mass(np.exp(log_total - log_latent_norm(form.delta, form.loadings, reference)))
+    return log_c - log_total

@@ -24,7 +24,7 @@ from ._enum import (
 from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import LatentForm, QuadratureRule, _default_rule, node_log_shares
+from .latent import LatentForm, QuadratureRule, _default_rule, _stretched, node_log_shares
 
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
@@ -323,22 +323,26 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
 def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, seed: int) -> SampleSet:
     """Draw the latent vector first, then the items, for a latent form of rank at most 3.
 
-    Each draw picks a tensor node ``theta_k`` of ``rule`` (default: the
-    64-node Gauss-Hermite rule) with the share ``c_k`` that the latent marginal
-    gives it, then draws the items as independent coins
-    ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.  The draws thus
-    follow the node mixture that `mirt_marginal_pmf` tabulates, and the sampler
-    raises what the marginal raises: `RankLimitError` above rank 3 and
-    `QuadratureResolutionError` for a rule too coarse for the model.
+    Each draw picks a tensor node ``theta_k`` of the stretched ``rule``
+    (default: the 64-node Gauss-Hermite rule), the marginal's own rule, with
+    the share ``c_k`` that the latent marginal gives it, then draws the items
+    as independent coins ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.
+    The draws thus follow the node mixture that `mirt_marginal_pmf`
+    tabulates.  It raises `RankLimitError` above rank 3, and
+    `QuadratureResolutionError` when the node total is off the stretched
+    ``rule.refined()``'s by more than ``MASS_TOL``: with no table to compare,
+    the normalizers are what it can check.
     """
     _require_positive_m(m)
     rule = _default_rule(rule)
-    cdf = np.cumsum(np.exp(node_log_shares(lf, rule)))
+    nodes = _stretched(rule)
+    cdf = np.cumsum(np.exp(node_log_shares(lf, nodes, _stretched(rule.refined()))))
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
     # Node k's digits in base node_count, first latent dimension most significant.
-    digits = k[:, None] // rule.node_count ** np.arange(lf.r - 1, -1, -1) % rule.node_count
-    p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + rule.nodes[digits] @ lf.loadings.T)))
+    count = nodes.node_count
+    digits = k[:, None] // count ** np.arange(lf.r - 1, -1, -1) % count
+    p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + nodes.nodes[digits] @ lf.loadings.T)))
     draws = np.where(rng.random((m, lf.n)) < p_plus, 1, -1).astype(np.int8)
     return SampleSet(
         draws=draws, seed=seed, method="latent-first", meta={"quad_nodes": rule.node_count}

@@ -138,10 +138,10 @@ class TestPmfCommand:
         it.save_model_spec(low_rank_spec(rng, 12, 1), path)
         out = tmp_path / "table.csv"
         argv = ["pmf", str(path), "-r", "latent", "-o", str(out)]
-        assert main(argv) == 2
+        assert main([*argv, "--quad-nodes", "8"]) == 2
         assert "refine the rule" in capsys.readouterr().err
-        assert main([*argv, "--quad-nodes", "64"]) == 2
-        assert main([*argv, "--quad-nodes", "128"]) == 0
+        assert not out.exists()
+        assert main(argv) == 0
         capsys.readouterr()
         _, probs = read_pmf_csv(out.read_text())
         spec = it.load_model_spec(path)
@@ -270,6 +270,25 @@ class TestSpecErrors:
         assert main(["pmf", paired_spec(tmp_path), "-r", "quantum"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field", ["delta", "sigma", "extra_shift"])
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, field):
+        # JSON integers are exact, so 10**400 parses; it is invalid input
+        # (exit 2), not a verification failure (exit 1).
+        doc = {"n": 2, "delta": [0, 0], "sigma": [[0, 0], [0, 0]]}
+        where = {"delta": "delta[0]", "sigma": "sigma[0][1]", "extra_shift": "extra_shift"}[field]
+        if field == "delta":
+            doc["delta"][0] = 10**400
+        elif field == "sigma":
+            doc["sigma"][0][1] = doc["sigma"][1][0] = 10**400
+        else:
+            doc["extra_shift"] = 10**400
+        assert main(["pmf", write_spec(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {where} must be finite, got an integer beyond the float range\n"
+        )
+        assert captured.out == ""
+
 
 # Couplings near the float limit: the eigenvalues of the n = 2 matrix shift to
 # 2e308, and the n = 3 one has an eigenvalue of -2e308.
@@ -392,12 +411,29 @@ class TestVerifyCommand:
         assert main(["verify", str(path), "--inject-fault", "latent"]) == 2
         assert "not evaluated" in capsys.readouterr().err
 
+    def test_rank_one_at_twelve_items_passes_with_its_trust_numbers(self, rng, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 12, 1), path)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", str(path), "--json-report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        est, tol = report["latent_error_estimate"], report["quad_tol"]
+        assert 0.0 <= est <= 1e-8
+        assert tol == max(1e-13, 10.0 * est)
+        latent_rows = [row for row in report["pairs"] if "latent" in row["pair"]]
+        assert len(latent_rows) == 3 and all(row["tolerance"] == tol for row in latent_rows)
+        out = capsys.readouterr().out
+        assert f"latent error estimate: {est:.3e}, tv tolerance {tol:g}\n" in out
+        assert "overall: PASS" in out
+
     def test_too_coarse_quadrature(self, tmp_path, capsys):
         assert main(["verify", paired_spec(tmp_path), "--quad-nodes", "4"]) == 2
         err = capsys.readouterr().err
         assert "refine" in err
-        # The mass prints as a plain number, not as numpy's scalar repr.
-        assert re.search(r"quadrature marginal mass 0\.\d+ deviates", err)
+        # The estimate prints as a plain number, not as numpy's scalar repr.
+        assert re.search(r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08", err)
         assert "np.float64" not in err
 
     def test_zero_fault_eps_exits_2(self, tmp_path, capsys):
@@ -537,7 +573,7 @@ class TestSampleCommand:
         it.save_model_spec(low_rank_spec(rng, 12, 1), path)
         out = tmp_path / "l.csv"
         argv = ["sample", str(path), "--method", "latent-first", "--m", "40", "--out", str(out)]
-        assert main(argv) == 2
+        assert main([*argv, "--quad-nodes", "32"]) == 2
         assert "refine the rule" in capsys.readouterr().err
         assert not out.exists()
         assert main([*argv, "--quad-nodes", "128"]) == 0

@@ -181,6 +181,43 @@ class TestReportSerialization:
         assert "not evaluated" in text
         assert "overall: FAIL" in text
 
+    def test_latent_trust_numbers(self, rng):
+        evaluated = it.verify_representations(low_rank_spec(rng, 6, 2))
+        d = evaluated.to_dict()
+        est = d["latent_error_estimate"]
+        assert 0.0 <= est <= 1e-8
+        assert d["quad_tol"] == evaluated.quad_tol == max(1e-13, 10.0 * est)
+        assert f"latent error estimate: {est:.3e}, tv tolerance {d['quad_tol']:g}" in (
+            evaluated.to_text()
+        )
+        # A branch that is not evaluated has no estimate, and no latent pair
+        # has a tolerance to apply.
+        skipped = it.verify_representations(random_spec(rng, 6))
+        assert not skipped.evaluated["latent"]
+        d = json.loads(skipped.to_json())
+        assert d["latent_error_estimate"] is None and d["quad_tol"] is None
+        assert "latent error estimate" not in skipped.to_text()
+
+
+# Low-rank models as perfbench's verify ladder draws them, six per (n, rank).
+LADDER = [(10, 1), (10, 2), (10, 3), (12, 1), (12, 2)]
+
+
+@pytest.mark.parametrize("n, rank", LADDER)
+def test_latent_tables_are_within_ten_estimates_and_faults_are_caught(n, rank):
+    rng = np.random.default_rng([1, n, rank])
+    for _ in range(6):
+        spec = low_rank_spec(rng, n, rank)
+        clean = it.verify_representations(spec)
+        est = clean.latent_error_estimate
+        # The conventional branch is the exact table.
+        true_tv = clean.distances[("conventional", "latent")].tv
+        assert true_tv <= max(1e-13, 10.0 * est), (true_tv, est)
+        assert clean.all_pass, clean.to_text()
+        faulted = it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
+        for row in faulted.pairs:
+            assert row["passed"] == ("latent" not in row["pair"]), faulted.to_text()
+
 
 class TestTolerances:
     def test_custom_tolerances_are_applied(self, monkeypatch):
@@ -190,11 +227,14 @@ class TestTolerances:
         strict = it.verify_representations(spec)
         # Machine-precision agreement is not zero; absurdly strict bounds fail.
         assert not strict.all_pass
+        # QUAD_TOL caps the latent pairs' bound; the report states the bound applied.
+        assert strict.to_dict()["quad_tol"] == 1e-18
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
         monkeypatch.setattr(it.equivalence, "QUAD_TOL", 1e-4)
         loose = it.verify_representations(spec)
         assert loose.all_pass
-        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-4)
+        applied = max(1e-13, 10.0 * loose.latent_error_estimate)
+        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, applied)
 
     def test_coarse_quadrature_is_caught_not_tolerated(self):
         # A rule too coarse for the model must abort rather than quietly pass.

@@ -119,28 +119,32 @@ class TestRaschMarginal:
         with pytest.raises(it.QuadratureResolutionError, match="refine"):
             it.rasch_marginal_pmf(np.full(8, 0.9), it.QuadratureRule.gauss_hermite(2))
 
-    def test_refusal_at_twenty_items_allocates_no_stack_of_tables(self):
-        # Unit loadings at n = 20 need a finer rule than 64 nodes; the refusal
-        # comes after the table, whose 2**20 floats take 8 MiB.
+    def test_twenty_items_allocate_no_stack_of_tables(self):
+        # The table and its check table under the doubled rule hold 2**20
+        # floats each, 8 MiB.
+        delta = np.zeros(20)
         tracemalloc.start()
         try:
-            with pytest.raises(it.QuadratureResolutionError, match="refine"):
-                it.rasch_marginal_pmf(np.zeros(20))
+            pmf = it.rasch_marginal_pmf(delta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        exact = it.curie_weiss_pmf(20, delta)
+        assert it.pmf_distance(pmf, exact).tv <= 1e-12
         # Eight stacked node products would take 64 MiB more.
-        assert peak < 25 << 20
+        assert peak < 34 << 20
 
     def test_convergence_in_node_count(self, rng):
-        # Rules the mass guard rejects are excluded by construction, so the
-        # ladder starts at the coarsest rule the guard admits for this model.
+        # Rules the error estimate refuses are excluded by construction, so the
+        # ladder starts at the coarsest rule it admits for this model.
         delta = rng.uniform(-1.0, 1.0, 3)
         gaps = []
-        for m in (16, 24, 32, 64):
+        for m in (32, 40, 48, 64):
             a = it.rasch_marginal_pmf(delta, it.QuadratureRule.gauss_hermite(m))
             b = it.rasch_marginal_pmf(delta, it.QuadratureRule.gauss_hermite(2 * m))
             gaps.append(it.pmf_distance(a, b).tv)
+            # The estimate is that gap: b is the table that measured a.
+            assert a.error_estimate == pytest.approx(gaps[-1], rel=1e-12, abs=0.0)
         for earlier, later in zip(gaps, gaps[1:]):
             assert later <= earlier + 1e-14
         assert gaps[-1] < 1e-10
@@ -325,20 +329,22 @@ class TestQuadratureKernel:
                 )
 
     def test_marginals_are_the_renormalized_oracle_table(self, rng):
-        rule = it.QuadratureRule.gauss_hermite(24)
+        rule = it.QuadratureRule.gauss_hermite(40)
+        # The marginals integrate with the rule stretched to nodes 2 t.
+        stretched = latent._stretched(rule)
+        assert np.array_equal(stretched.nodes, 2.0 * rule.nodes)
         delta = rng.uniform(-0.5, 0.5, 5)
         loadings = rng.uniform(-0.4, 0.4, (5, 2))
         table, log_total = mirt_quadrature_table(
-            delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+            delta.tolist(), loadings.tolist(), stretched.nodes.tolist(), stretched.weights.tolist()
         )
         pmf = it.mirt_marginal_pmf(it.LatentForm(delta=delta, loadings=loadings), rule)
         npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)
-        # The doubled rule's normalizer and the mass correction give the
-        # working rule's own total.
+        # The log normalizer is the working rule's own total.
         assert pmf.log_z == pytest.approx(log_total, abs=1e-10)
 
         table, log_total = mirt_quadrature_table(
-            delta.tolist(), [[1.0]] * 5, rule.nodes.tolist(), rule.weights.tolist()
+            delta.tolist(), [[1.0]] * 5, stretched.nodes.tolist(), stretched.weights.tolist()
         )
         pmf = it.rasch_marginal_pmf(delta, rule)
         npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)
