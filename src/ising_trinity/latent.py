@@ -276,8 +276,15 @@ def _check_tensor_rank(r: int) -> None:
         )
 
 
-def _check_mass(mass: float) -> None:
-    """Refuse a node mass off one by more than ``MASS_TOL`` (the latent-first sampler's check)."""
+def _check_mass(form: LatentForm, rule: QuadratureRule, reference: QuadratureRule) -> None:
+    """Refuse ``rule`` when its total is off the total under ``reference`` by more than ``MASS_TOL``.
+
+    The latent-first sampler's check, its only use: it has no table to measure.
+    """
+    mass = np.exp(
+        log_latent_norm(form.delta, form.loadings, rule)
+        - log_latent_norm(form.delta, form.loadings, reference)
+    )
     if abs(mass - 1.0) > MASS_TOL:
         raise QuadratureResolutionError(
             f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
@@ -442,22 +449,15 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
     return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
 
 
-def node_log_shares(
-    form: LatentForm, rule: QuadratureRule, reference: QuadratureRule | None = None
-) -> np.ndarray:
+def node_log_shares(form: LatentForm, rule: QuadratureRule) -> np.ndarray:
     """The marginal's node shares ``log c_k`` under ``rule``, in the grid's C order, for any ``n``.
 
     Nodes that `_node_batches` skips get share zero (``-inf``); the rest are
-    normalized to sum to one.  Raises `RankLimitError` above rank 3 and, when
-    the total under ``rule`` is off the total under ``reference`` by more than
-    ``MASS_TOL``, `QuadratureResolutionError`.
+    normalized to sum to one.  Raises `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
     log_c = np.full(rule.node_count**form.r, -np.inf)
     for index, lc, _ in _node_batches(form.delta, form.loadings, rule):
         real = lc > -np.inf
         log_c[index[real]] = lc[real]
-    log_total = _log_sum_exp(log_c)
-    if reference is not None:
-        _check_mass(np.exp(log_total - log_latent_norm(form.delta, form.loadings, reference)))
-    return log_c - log_total
+    return log_c - _log_sum_exp(log_c)

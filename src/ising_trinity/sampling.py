@@ -24,7 +24,14 @@ from ._enum import (
 from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import LatentForm, QuadratureRule, _default_rule, _stretched, node_log_shares
+from .latent import (
+    LatentForm,
+    QuadratureRule,
+    _check_mass,
+    _default_rule,
+    _stretched,
+    node_log_shares,
+)
 
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
@@ -336,7 +343,8 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, see
     _require_positive_m(m)
     rule = _default_rule(rule)
     nodes = _stretched(rule)
-    cdf = np.cumsum(np.exp(node_log_shares(lf, nodes, _stretched(rule.refined()))))
+    cdf = np.cumsum(np.exp(node_log_shares(lf, nodes)))
+    _check_mass(lf, nodes, _stretched(rule.refined()))
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
     # Node k's digits in base node_count, first latent dimension most significant.
