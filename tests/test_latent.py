@@ -129,7 +129,7 @@ class TestRaschMarginal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        exact = it.curie_weiss_pmf(20, delta)
+        exact = it.ising_pmf(it.ModelSpec(delta, np.ones((20, 20))))
         assert it.pmf_distance(pmf, exact).tv <= 1e-12
         # Eight stacked node products would take 64 MiB more.
         assert peak < 34 << 20
