@@ -3,8 +3,10 @@
 `BRANCHES` is the one table of those paths, shared with the CLI's ``pmf -r``
 and ``verify --inject-fault``.  Each branch builds the PMF through its own
 weight evaluation: the network pair sum, the eigenvalue form, the
-conditioned collider, and the latent marginal.  A branch that refuses the
-model with a rank or size limit is reported as not evaluated, with its own
+conditioned collider, and the latent marginal.  The verifier runs up to the
+enumeration limit (n = 20), which bounds every branch alike.  A branch that
+refuses the model (the latent marginal above rank 3, or with an error
+estimate above ``ESTIMATE_TOL``) is reported as not evaluated, with its own
 error message as the reason.  Quadrature-free pairs must agree to near
 machine precision; pairs involving the latent branch are held to ten times
 the latent table's own error estimate, at least ``QUAD_FLOOR`` and at most
@@ -27,7 +29,7 @@ import numpy as np
 from ._enum import check_enumerable
 from .collider import conditioned_pmf, spectral_to_collider
 from .core import ModelSpec, Pmf, PmfDistance, ising_pmf, pmf_distance
-from .errors import EnumerationLimitError, RankLimitError
+from .errors import QuadratureResolutionError, RankLimitError
 from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
 from .spectral import SpectralForm, spectral_pmf, to_spectral
 
@@ -175,10 +177,11 @@ def verify_representations(
     """Compute the PMF through every branch in `BRANCHES` and compare the tables.
 
     Runs for any enumerable ``n`` (at most 20).  A branch whose builder raises
-    `RankLimitError` or `EnumerationLimitError` (the latent marginal above
-    rank 3 or n = 12) is reported as not evaluated with that error's message,
-    and pairs involving it are omitted.  Injecting a fault into a branch that
-    is not evaluated is an error.
+    `RankLimitError` or `QuadratureResolutionError` (the latent marginal above
+    rank 3, or with an error estimate above ``ESTIMATE_TOL``) is reported as
+    not evaluated with that error's message, and pairs involving it are
+    omitted.  Injecting a fault into a branch that is not evaluated is an
+    error.
     """
     check_enumerable(spec.n)
     form = to_spectral(spec)
@@ -195,7 +198,7 @@ def verify_representations(
         start = time.perf_counter()
         try:
             tables[name] = build(branch_spec, form, rule)
-        except (RankLimitError, EnumerationLimitError) as exc:
+        except (RankLimitError, QuadratureResolutionError) as exc:
             if branch_spec is not spec:
                 raise ValueError(
                     f"cannot inject a fault into the {name} branch, which is "

@@ -10,10 +10,12 @@ convention ``E[exp(s * theta)] = exp(s^2 / 2)`` for a standard-normal latent.
 The marginal sums ``c_k p(x | theta_k)`` over tensor-product nodes, where
 ``c_k = w_k prod_i 2 cosh(eta_ik) / Z`` and ``eta_k = delta + A theta_k``.  The
 items are conditionally independent, so ``p(x | theta_k)`` is a product over
-the low-index half of the items times one over the rest: two half tables by
-doubling and one matrix product per batch of nodes.  Cancelling the ``2 cosh``
-factors into ``exp(x . eta)`` or factoring the node sum across latent
-dimensions would reproduce the spectral branch's Gaussian identity instead.
+groups of items, each tabulated by doubling: the low and the high half of the
+first 12 items, whose tables meet in matrix products of node blocks, and the
+items above them, whose table weights each node's product.  Cancelling the
+``2 cosh`` factors into ``exp(x . eta)`` or factoring the node sum across
+latent dimensions would reproduce the spectral branch's Gaussian identity
+instead.
 The latent-first sampler draws nodes from this mixture (`node_log_shares`),
 under the marginal's own rank limit.
 
@@ -51,12 +53,7 @@ import numpy as np
 
 from ._enum import _BLOCK_MADDS, check_enumerable, log_2cosh
 from .core import Pmf, as_delta, freeze_array
-from .errors import (
-    DimensionMismatchError,
-    EnumerationLimitError,
-    QuadratureResolutionError,
-    RankLimitError,
-)
+from .errors import DimensionMismatchError, QuadratureResolutionError, RankLimitError
 from .spectral import RANK_TOL, SpectralForm
 
 DEFAULT_QUAD_NODES = 64
@@ -69,10 +66,6 @@ KAC_DOMAIN = 5.0
 
 # Tensor-product quadrature is limited to this many latent dimensions.
 TENSOR_RANK_LIMIT = 3
-
-# Full-enumeration limit for the tensor-quadrature marginal (tighter than the
-# general enumeration cap because every configuration meets every node).
-MIRT_ENUM_LIMIT = 12
 
 # Largest error estimate of a latent table: the total-variation distance
 # between the tables under the stretched m-node and 2m-node rules.
@@ -94,8 +87,13 @@ _BOX = 4
 # Boxes whose bounds sum below this share of the total mass are skipped.
 _SKIP_SHARE = 2.0**-60
 
+# Items of the latent table's sub-table, split into two halves multiplied per
+# node block; the items above them weight each node's product.  Twelve keeps
+# the blocks at least 32 nodes wide (_BLOCK_MADDS >> 12).
+_SUB_ITEMS = 12
+
 # Node-block products per stacked matrix product of the latent table; their
-# results take _STACK * 2**n floats.
+# results take _STACK * 2**_SUB_ITEMS floats at most.
 _STACK = 8
 
 
@@ -276,15 +274,12 @@ def _check_tensor_rank(r: int) -> None:
         )
 
 
-def _check_mass(form: LatentForm, rule: QuadratureRule, reference: QuadratureRule) -> None:
-    """Refuse ``rule`` when its total is off the total under ``reference`` by more than ``MASS_TOL``.
+def _check_mass(form: LatentForm, log_norm: float, reference: QuadratureRule) -> None:
+    """Refuse a rule of log total ``log_norm`` off the one under ``reference`` by over ``MASS_TOL``.
 
     The latent-first sampler's check, its only use: it has no table to measure.
     """
-    mass = np.exp(
-        log_latent_norm(form.delta, form.loadings, rule)
-        - log_latent_norm(form.delta, form.loadings, reference)
-    )
+    mass = np.exp(log_norm - log_latent_norm(form.delta, form.loadings, reference))
     if abs(mass - 1.0) > MASS_TOL:
         raise QuadratureResolutionError(
             f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
@@ -317,46 +312,57 @@ def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
 def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     """Marginal table under ``rule``, normalized by its own total.
 
-    Each batch of nodes adds ``G_hi (c G_lo)^T``, the conditional tables of the
-    first ``n // 2`` items (low index bits) and of the rest, over the nodes
-    whose share ``c`` of the first batch's total (a lower bound on the whole)
-    is at least ``2**-60 / N`` of the ``N``-node grid.  The product runs as
-    stacked products of node blocks, each of at most ``_BLOCK_MADDS``
-    multiply-adds and so on the calling thread (see `_enum`).  Above n = 17
-    one node's product already exceeds that, so each batch is one product and
-    no stack of tables is allocated.  ``log_z`` is the log of the rule's own
-    total.
+    The first ``s = min(n, _SUB_ITEMS)`` items make up a sub-table.  Slab
+    ``j`` of the table holds the ``2**s`` configurations whose items above
+    the first ``s`` take configuration ``j`` (the index's top bits), and each
+    batch of nodes adds ``G_hi (c t_j G_lo)^T`` to it: ``G_lo`` and ``G_hi``
+    are the conditional tables of the first ``s // 2`` items and of the rest
+    of the sub-table, ``t_j`` the conditional probability of configuration
+    ``j`` (one, in the only slab, at n <= 12), and ``c`` each node's share of
+    the first batch's total (a lower bound on the whole), over the nodes
+    whose share is at least ``2**-60 / N`` of the ``N``-node grid.  The
+    products run as stacked products of node blocks, each of at most
+    ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see
+    `_enum`), so the table does not depend on the BLAS thread count.  Besides
+    the table, only the weights ``t`` grow with ``n``: ``2**(n - s)`` per
+    node.  ``log_z`` is the log of the rule's own total.
     """
     n = delta.shape[0]
-    h = n // 2
-    raw = np.zeros((1 << (n - h), 1 << h))
+    sub = min(n, _SUB_ITEMS)
+    h = sub // 2
+    raw = np.zeros((1 << (n - sub), 1 << (sub - h), 1 << h))
     floor = _SKIP_SHARE / rule.node_count ** loadings.shape[1]
-    width = _BLOCK_MADDS >> n
-    stack = np.empty((_STACK, *raw.shape)) if width else None
+    width = _BLOCK_MADDS >> sub
+    stack = np.empty((_STACK, *raw.shape[1:]))
     log_shift = None
     for _, log_c, eta in _node_batches(delta, loadings, rule):
         if log_shift is None:
             log_shift = _log_sum_exp(log_c)
             # The tables of every batch, the first being the largest, reuse
-            # two buffers: fresh ones each batch would cost page faults.
-            lo_buf, hi_buf = np.empty(log_c.size << h), np.empty(log_c.size << (n - h))
+            # these buffers: fresh ones each batch would cost page faults.
+            lo_buf, hi_buf, top_buf = (np.empty(log_c.size << i) for i in (h, sub - h, n - sub))
+            part_buf = np.empty((1 << h, min(_STACK * width, log_c.size)))
         c = np.exp(log_c - log_shift)
         keep = np.flatnonzero(c >= floor)
         c, eta, k = c[keep], eta[:, keep], keep.size
         g_lo = _item_products(eta[:h], lo_buf)
-        g_lo *= c
-        g_hi = _item_products(eta[h:], hi_buf)
+        g_hi = _item_products(eta[h:sub], hi_buf)
+        top = _item_products(eta[sub:], top_buf)
         # Blocks of `width` nodes, _STACK blocks per product call; then the
-        # rest, which is every node when there are no blocks.
-        full = k - k % width if width else 0
-        for lo in range(0, full, _STACK * width or 1):
-            part = slice(lo, min(lo + _STACK * width, full))
-            raw += np.matmul(
-                g_hi[:, part].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
-                g_lo[:, part].reshape(g_lo.shape[0], -1, width).transpose(1, 2, 0),
-                out=stack[: (part.stop - lo) // width],
-            ).sum(axis=0)
-        raw += g_hi[:, full:] @ g_lo[:, full:].T
+        # rest.  Each part of the low-half table is weighted by c t_j as used.
+        full = k - k % width
+        for slab, t in zip(raw, top):
+            ct = c * t
+            for start in range(0, full, _STACK * width):
+                part = slice(start, min(start + _STACK * width, full))
+                lo = np.multiply(g_lo[:, part], ct[part], out=part_buf[:, : part.stop - start])
+                slab += np.matmul(
+                    g_hi[:, part].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
+                    lo.reshape(lo.shape[0], -1, width).transpose(1, 2, 0),
+                    out=stack[: (part.stop - start) // width],
+                ).sum(axis=0)
+            lo = np.multiply(g_lo[:, full:], ct[full:], out=part_buf[:, : k - full])
+            slab += g_hi[:, full:] @ lo.T
     mass = raw.sum()
     raw /= mass
     # Read-only, so the table keeps this memory rather than a copy of it.
@@ -387,13 +393,10 @@ def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
 def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
-    The rank-one latent marginal with unit loadings, under the stretched
-    ``rule`` (default 64 nodes); an error estimate above ``ESTIMATE_TOL``
-    raises `QuadratureResolutionError`.
+    `mirt_marginal_pmf` of the rank-one form with unit loadings, with its
+    limits and error estimate.
     """
-    form = LatentForm(delta=delta, loadings=np.ones((np.size(delta), 1)))
-    check_enumerable(form.n)
-    return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
+    return mirt_marginal_pmf(LatentForm(delta=delta, loadings=np.ones((np.size(delta), 1))), rule)
 
 
 @dataclass(frozen=True)
@@ -432,32 +435,32 @@ class LatentForm:
 
 
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:
-    """Marginal configuration table of a rank-``r`` latent model (``r <= 3``).
+    """Marginal configuration table of a rank-``r`` latent model (``r <= 3``, ``n <= 20``).
 
     Uses a tensor product of the stretched one-dimensional rule (default 64
     nodes) over the latent dimensions; the table carries its error estimate,
-    and one above ``ESTIMATE_TOL`` raises `QuadratureResolutionError`.  A
-    rank-0 form has no latent variable at all: items are independent coins
-    and the table is exact.
+    and one above ``ESTIMATE_TOL`` raises `QuadratureResolutionError`.  Above
+    rank 3 it raises `RankLimitError`, and above the enumeration limit, the
+    one size limit of every table, `EnumerationLimitError`.  A rank-0 form
+    has no latent variable at all: items are independent coins and the table
+    is exact.
     """
     _check_tensor_rank(form.r)
-    if form.n > MIRT_ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"n = {form.n} is too large for the tensor-quadrature marginal "
-            f"(limit {MIRT_ENUM_LIMIT})"
-        )
+    check_enumerable(form.n)
     return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
 
 
-def node_log_shares(form: LatentForm, rule: QuadratureRule) -> np.ndarray:
+def node_log_shares(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray, float]:
     """The marginal's node shares ``log c_k`` under ``rule``, in the grid's C order, for any ``n``.
 
     Nodes that `_node_batches` skips get share zero (``-inf``); the rest are
-    normalized to sum to one.  Raises `RankLimitError` above rank 3.
+    normalized to sum to one.  Also returns the log of the total they were
+    normalized by, the rule's normalizer.  Raises `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
     log_c = np.full(rule.node_count**form.r, -np.inf)
     for index, lc, _ in _node_batches(form.delta, form.loadings, rule):
         real = lc > -np.inf
         log_c[index[real]] = lc[real]
-    return log_c - _log_sum_exp(log_c)
+    log_norm = _log_sum_exp(log_c)
+    return log_c - log_norm, log_norm

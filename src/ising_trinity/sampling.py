@@ -343,8 +343,9 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, see
     _require_positive_m(m)
     rule = _default_rule(rule)
     nodes = _stretched(rule)
-    cdf = np.cumsum(np.exp(node_log_shares(lf, nodes)))
-    _check_mass(lf, nodes, _stretched(rule.refined()))
+    log_shares, log_norm = node_log_shares(lf, nodes)
+    _check_mass(lf, log_norm, _stretched(rule.refined()))
+    cdf = np.cumsum(np.exp(log_shares))
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
     # Node k's digits in base node_count, first latent dimension most significant.

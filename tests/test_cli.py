@@ -100,13 +100,13 @@ class TestPmfCommand:
         assert main(["pmf", str(path), "-r", "latent"]) == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_latent_limited_to_twelve_items(self, rng, tmp_path, capsys):
+    def test_latent_limited_to_twenty_items(self, rng, tmp_path, capsys):
         from conftest import low_rank_spec
 
         path = tmp_path / "model.json"
-        it.save_model_spec(low_rank_spec(rng, 13, 1), path)
+        it.save_model_spec(low_rank_spec(rng, 21, 1), path)
         assert main(["pmf", str(path), "-r", "latent"]) == 3
-        assert "n = 13 is too large for the tensor-quadrature marginal" in capsys.readouterr().err
+        assert "n = 21 is too large for exact enumeration (limit 20)" in capsys.readouterr().err
 
     def test_only_the_latent_table_builds_a_quadrature_rule(self, tmp_path):
         # Building a Gauss-Hermite rule imports numpy.polynomial (about 1.8 MB
@@ -403,13 +403,38 @@ class TestVerifyCommand:
         assert "overall: PASS" in captured.out
         assert "n = 21 is too large for exact enumeration" in captured.err
 
-    def test_fault_on_branch_skipped_for_size(self, rng, tmp_path, capsys):
+    def test_fault_on_branch_refused_by_its_rule(self, tmp_path, capsys):
+        argv = ["verify", paired_spec(tmp_path), "--quad-nodes", "4", "--inject-fault", "latent"]
+        assert main(argv) == 2
+        assert "not evaluated: latent table error estimate" in capsys.readouterr().err
+
+    def test_rank_two_at_twenty_items_runs_every_branch(self, tmp_path, capsys):
         from conftest import low_rank_spec
 
         path = tmp_path / "model.json"
-        it.save_model_spec(low_rank_spec(rng, 13, 1), path)
-        assert main(["verify", str(path), "--inject-fault", "latent"]) == 2
-        assert "not evaluated" in capsys.readouterr().err
+        it.save_model_spec(low_rank_spec(np.random.default_rng([24, 20, 2]), 20, 2), path)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", str(path), "--json-report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert all(branch["evaluated"] for branch in report["branches"])
+        assert len(report["pairs"]) == 6 and report["all_pass"]
+        assert main(["verify", str(path), "--inject-fault", "latent"]) == 1
+        out = capsys.readouterr().out
+        assert "fault injected: branch latent" in out and "overall: FAIL" in out
+
+    def test_unresolved_latent_branch_is_not_evaluated(self, tmp_path, capsys):
+        from conftest import low_rank_spec
+
+        # Loadings of norm 3: the 64-node rule's estimate is about 2e-3.
+        spec = low_rank_spec(np.random.default_rng([0, 14, 2]), 14, 2)
+        path = tmp_path / "model.json"
+        it.save_model_spec(it.ModelSpec(spec.delta, 9.0 * spec.sigma), path)
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"latent \(not evaluated: latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08", out
+        )
+        assert "overall: PASS" in out
 
     def test_rank_one_at_twelve_items_passes_with_its_trust_numbers(self, rng, tmp_path, capsys):
         from conftest import low_rank_spec
@@ -429,12 +454,13 @@ class TestVerifyCommand:
         assert "overall: PASS" in out
 
     def test_too_coarse_quadrature(self, tmp_path, capsys):
-        assert main(["verify", paired_spec(tmp_path), "--quad-nodes", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "refine" in err
+        # The latent branch is not evaluated, and the reason says why.
+        assert main(["verify", paired_spec(tmp_path), "--quad-nodes", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "refine" in out
         # The estimate prints as a plain number, not as numpy's scalar repr.
-        assert re.search(r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08", err)
-        assert "np.float64" not in err
+        assert re.search(r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08", out)
+        assert "np.float64" not in out
 
     def test_zero_fault_eps_exits_2(self, tmp_path, capsys):
         # A zero fault perturbs nothing, so it could only report PASS.

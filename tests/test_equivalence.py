@@ -84,9 +84,15 @@ class TestVerifier:
     @pytest.mark.parametrize("n", [13, 20])
     @pytest.mark.parametrize("rank", [2, None])
     def test_beyond_the_latent_limits_the_exact_branches_still_run(self, rng, n, rank):
+        # Every branch runs to the enumeration limit; only the rank limit
+        # keeps the latent branch out, as for the full-rank model.
         spec = random_spec(rng, n) if rank is None else low_rank_spec(rng, n, rank)
         report = it.verify_representations(spec)
         assert report.all_pass, report.to_text()
+        if rank is not None:
+            assert all(report.evaluated.values()) and report.skipped_reason == {}
+            assert sorted(report.distances) == sorted(ALL_PAIRS)
+            return
         assert report.evaluated == {
             "conventional": True, "spectral": True, "collider": True, "latent": False
         }
@@ -95,7 +101,7 @@ class TestVerifier:
         )
         # The skip reason is the latent builder's own refusal, word for word.
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
-        with pytest.raises((it.RankLimitError, it.EnumerationLimitError)) as refused:
+        with pytest.raises(it.RankLimitError) as refused:
             it.mirt_marginal_pmf(lf)
         assert report.skipped_reason == {"latent": str(refused.value)}
         assert f"latent (not evaluated: {refused.value})" in report.to_text()
@@ -125,10 +131,12 @@ class TestFaultInjection:
         with pytest.raises(ValueError, match="not evaluated"):
             it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
 
-    def test_fault_on_branch_skipped_for_size_rejected(self, rng):
-        spec = low_rank_spec(rng, 13, 1)
-        with pytest.raises(ValueError, match="not evaluated: n = 13 is too large"):
-            it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
+    def test_fault_on_branch_refused_by_its_rule_rejected(self):
+        rule = it.QuadratureRule.gauss_hermite(4)
+        with pytest.raises(ValueError, match="not evaluated: latent table error estimate"):
+            it.verify_representations(
+                unit_coupling_spec(2), rule, fault=it.BranchFault(branch="latent")
+            )
 
     def test_unknown_branch_rejected(self):
         names = re.escape("('conventional', 'spectral', 'collider', 'latent')")
@@ -237,7 +245,14 @@ class TestTolerances:
         assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, applied)
 
     def test_coarse_quadrature_is_caught_not_tolerated(self):
-        # A rule too coarse for the model must abort rather than quietly pass.
+        # A rule too coarse for the model must not be judged by its table:
+        # the latent branch is not evaluated, and the reason is its estimate.
         spec = unit_coupling_spec(2)
-        with pytest.raises(it.QuadratureResolutionError):
-            it.verify_representations(spec, rule=it.QuadratureRule.gauss_hermite(4))
+        report = it.verify_representations(spec, rule=it.QuadratureRule.gauss_hermite(4))
+        assert report.evaluated["latent"] is False
+        assert all("latent" not in pair for pair in report.distances)
+        assert report.latent_error_estimate is None and report.quad_tol is None
+        assert re.fullmatch(
+            r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08; refine the rule \(more nodes\)",
+            report.skipped_reason["latent"],
+        )

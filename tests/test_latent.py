@@ -119,9 +119,10 @@ class TestRaschMarginal:
         with pytest.raises(it.QuadratureResolutionError, match="refine"):
             it.rasch_marginal_pmf(np.full(8, 0.9), it.QuadratureRule.gauss_hermite(2))
 
-    def test_twenty_items_allocate_no_stack_of_tables(self):
+    def test_twenty_items_work_in_sub_table_blocks(self):
         # The table and its check table under the doubled rule hold 2**20
-        # floats each, 8 MiB.
+        # floats each, 8 MiB; every other working array is sized by the
+        # 2**12-configuration sub-table or the node batch.
         delta = np.zeros(20)
         tracemalloc.start()
         try:
@@ -131,7 +132,7 @@ class TestRaschMarginal:
             tracemalloc.stop()
         exact = it.ising_pmf(it.ModelSpec(delta, np.ones((20, 20))))
         assert it.pmf_distance(pmf, exact).tv <= 1e-12
-        # Eight stacked node products would take 64 MiB more.
+        # Eight stacked node products of the whole table would take 64 MiB more.
         assert peak < 34 << 20
 
     def test_convergence_in_node_count(self, rng):
@@ -214,9 +215,34 @@ class TestMirtMarginal:
             it.mirt_marginal_pmf(lf)
 
     def test_item_limit(self):
-        lf = it.LatentForm(delta=np.zeros(13), loadings=np.ones((13, 1)))
-        with pytest.raises(it.EnumerationLimitError):
+        lf = it.LatentForm(delta=np.zeros(21), loadings=np.ones((21, 1)))
+        with pytest.raises(it.EnumerationLimitError, match="n = 21 is too large"):
             it.mirt_marginal_pmf(lf)
+
+    # Above 12 items the items beyond the sub-table weight each node's product.
+    @pytest.mark.parametrize("n, rank", [(20, 1), (20, 2), (14, 3)])
+    def test_up_to_the_enumeration_limit(self, n, rank):
+        spec = low_rank_spec(np.random.default_rng([24, n, rank]), n, rank)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        assert lf.r == rank
+        pmf = it.mirt_marginal_pmf(lf)
+        tv = it.pmf_distance(pmf, it.ising_pmf(spec)).tv
+        assert tv <= max(1e-13, 10.0 * pmf.error_estimate)
+
+    def test_rank_two_at_twenty_items_stays_chunked(self):
+        spec = low_rank_spec(np.random.default_rng([24, 20, 2]), 20, 2)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        tracemalloc.start()
+        try:
+            pmf = it.mirt_marginal_pmf(lf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pmf.probs.shape == (1 << 20,)
+        # Two tables of 8 MiB, the per-node weights of the 256 configurations
+        # above the sub-table (8 MiB for a batch of 4096 nodes) and the batch's
+        # sub-table halves and fields.
+        assert peak < 48 << 20
 
     def test_too_coarse_rule_is_rejected(self, rng):
         spec = low_rank_spec(rng, 8, 2)
@@ -281,7 +307,7 @@ class TestQuadratureKernel:
         with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
             it.QuadratureRule, "refined", lambda self: self
         ):
-            shares = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
+            shares, _ = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
         oracle = log_c - np.logaddexp.reduce(log_c)
         kept = shares > -np.inf
         npt.assert_allclose(shares[kept], oracle[kept], rtol=0, atol=ORACLE_TOL)
