@@ -16,7 +16,7 @@ import numpy as np
 from ._enum import linear_table, log_2cosh, normalize, split_half_table, split_halves
 from .core import Pmf, as_delta, freeze_array
 from .errors import DimensionMismatchError
-from .spectral import RANK_TOL, SpectralForm
+from .spectral import SpectralForm
 
 UNIT_TOL = 1e-8
 
@@ -82,9 +82,9 @@ def simple_collider(delta) -> ColliderForm:
 
 
 def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
-    """One effect per strictly positive eigenvalue, along its eigenvector."""
+    """One effect per positive eigenvalue (`SpectralForm.positive`), along its eigenvector."""
     delta = as_delta(delta, form.n)
-    keep = form.lambdas > RANK_TOL
+    keep = form.positive
     return ColliderForm(delta=delta, lams=form.lambdas[keep], dirs=form.q[:, keep])
 
 

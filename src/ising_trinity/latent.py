@@ -16,18 +16,21 @@ items above them, whose table weights each node's product.  Cancelling the
 ``2 cosh`` factors into ``exp(x . eta)`` or factoring the node sum across
 latent dimensions would reproduce the spectral branch's Gaussian identity
 instead.
-The latent-first sampler draws nodes from this mixture (`node_log_shares`),
+The latent-first sampler draws nodes from this mixture (`latent_first_nodes`),
 under the marginal's own rank limit.
 
-The public entry points integrate with a stretched rule (`_stretched`): the
-``m``-node rule's nodes ``t`` move to ``2 t`` and its weights ``w`` become
+This module alone decides how far a latent output is trusted.  Its public
+entry points integrate with a stretched rule (`_stretched`): the ``m``-node
+rule's nodes ``t`` move to ``2 t`` and its weights ``w`` become
 ``w 2 phi(2 t) / phi(t)`` (Naylor & Smith 1982; Liu & Pierce 1994), which
 spreads the nodes over the wider latent density that a product of ``2 cosh``
-factors tilts the normal into.  The table under the stretched ``m``-node rule
-is the result; the one under the stretched ``2m``-node rule only measures it.
-Their total-variation distance is the table's error estimate, and an estimate
-above ``ESTIMATE_TOL`` refuses the rule.  The private kernels use whatever
-rule they are given.
+factors tilts the normal into.  `_rule_pair` builds that working rule and the
+stretched ``2m``-node rule that measures it.  The table under the working
+rule is the result, and its total-variation distance to the table under the
+reference is its error estimate; an estimate above ``ESTIMATE_TOL`` refuses
+the rule.  The latent-first sampler has no table, so it compares the two
+rules' normalizers instead.  The private kernels use whatever rule they are
+given.
 
 Most tensor nodes hold a negligible share of the mass, so the grid is cut into
 boxes of ``_BOX`` nodes per latent dimension (a ragged last box is padded with
@@ -54,7 +57,7 @@ import numpy as np
 from ._enum import _BLOCK_MADDS, check_enumerable, log_2cosh
 from .core import Pmf, as_delta, freeze_array
 from .errors import DimensionMismatchError, QuadratureResolutionError, RankLimitError
-from .spectral import RANK_TOL, SpectralForm
+from .spectral import SpectralForm
 
 DEFAULT_QUAD_NODES = 64
 
@@ -134,10 +137,6 @@ class QuadratureRule:
         t, v = np.polynomial.hermite.hermgauss(node_count)
         return cls(nodes=t * np.sqrt(2.0), weights=v / np.sqrt(np.pi))
 
-    def refined(self) -> "QuadratureRule":
-        """Gauss-Hermite reference rule at twice this rule's resolution."""
-        return QuadratureRule.gauss_hermite(2 * self.node_count)
-
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return QuadratureRule.gauss_hermite() if rule is None else rule
@@ -153,6 +152,11 @@ def _stretched(rule: QuadratureRule) -> QuadratureRule:
     weights = np.exp(np.log(rule.weights) + np.log(s) + 0.5 * (1.0 - s * s) * rule.nodes**2)
     keep = weights > 0.0
     return QuadratureRule(nodes=s * rule.nodes[keep], weights=weights[keep])
+
+
+def _rule_pair(rule: QuadratureRule) -> tuple[QuadratureRule, QuadratureRule]:
+    """The stretched ``rule`` that latent outputs use, and the stretched ``2m``-node reference."""
+    return _stretched(rule), _stretched(QuadratureRule.gauss_hermite(2 * rule.node_count))
 
 
 def kac_identity_check(a: float, rule: QuadratureRule | None = None) -> float:
@@ -259,31 +263,11 @@ def _log_sum_exp(log_c: np.ndarray) -> float:
     return float(peak + np.log(np.exp(log_c - peak).sum()))
 
 
-def log_latent_norm(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule) -> float:
-    """Log of the quadrature estimate of ``E[prod_i 2 cosh(delta_i + a_i . theta)]``."""
-    return float(np.logaddexp.reduce(
-        [_log_sum_exp(log_c) for _, log_c, _ in _node_batches(delta, loadings, rule)]
-    ))
-
-
 def _check_tensor_rank(r: int) -> None:
     if r > TENSOR_RANK_LIMIT:
         raise RankLimitError(
             f"tensor quadrature supports a latent rank of at most "
             f"{TENSOR_RANK_LIMIT}, got rank {r}"
-        )
-
-
-def _check_mass(form: LatentForm, log_norm: float, reference: QuadratureRule) -> None:
-    """Refuse a rule of log total ``log_norm`` off the one under ``reference`` by over ``MASS_TOL``.
-
-    The latent-first sampler's check, its only use: it has no table to measure.
-    """
-    mass = np.exp(log_norm - log_latent_norm(form.delta, form.loadings, reference))
-    if abs(mass - 1.0) > MASS_TOL:
-        raise QuadratureResolutionError(
-            f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
-            f"{MASS_TOL:g}; refine the rule (more nodes)"
         )
 
 
@@ -374,11 +358,11 @@ def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     """The table under the stretched ``rule``, carrying its error estimate.
 
     The estimate is the total-variation distance to the table under the
-    stretched ``rule.refined()``; above ``ESTIMATE_TOL`` it raises
+    reference of `_rule_pair`; above ``ESTIMATE_TOL`` it raises
     `QuadratureResolutionError`.
     """
-    fine = _stretched(rule.refined())
-    table = _quadrature_pmf(delta, loadings, _stretched(rule))
+    nodes, fine = _rule_pair(rule)
+    table = _quadrature_pmf(delta, loadings, nodes)
     gap = table.probs - _quadrature_pmf(delta, loadings, fine).probs
     est = 0.5 * float(np.abs(gap, out=gap).sum())
     if est > ESTIMATE_TOL:
@@ -428,10 +412,9 @@ class LatentForm:
 
     @classmethod
     def from_spectral(cls, form: SpectralForm, delta) -> "LatentForm":
-        """Keep one latent dimension per strictly positive eigenvalue."""
+        """Keep one latent dimension per positive eigenvalue (`SpectralForm.positive`)."""
         delta = as_delta(delta, form.n)
-        keep = form.lambdas > RANK_TOL
-        return cls(delta=delta, loadings=form.loadings[:, keep])
+        return cls(delta=delta, loadings=form.loadings[:, form.positive])
 
 
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:
@@ -464,3 +447,29 @@ def node_log_shares(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray,
         log_c[index[real]] = lc[real]
     log_norm = _log_sum_exp(log_c)
     return log_c - log_norm, log_norm
+
+
+def latent_first_nodes(
+    form: LatentForm, rule: QuadratureRule | None
+) -> tuple[np.ndarray, QuadratureRule]:
+    """The latent-first sampler's node shares ``c_k`` and the stretched rule they are on.
+
+    The shares are `node_log_shares` under the stretched ``rule`` (default:
+    the 64-node Gauss-Hermite rule), the marginal's own rule, in the grid's C
+    order.  With no table to measure, the sampler checks normalizers: it
+    raises `QuadratureResolutionError` when the node total under that rule is
+    off the one under the reference of `_rule_pair` by more than
+    ``MASS_TOL``.  It raises `RankLimitError` above rank 3.
+    """
+    _check_tensor_rank(form.r)
+    nodes, fine = _rule_pair(_default_rule(rule))
+    log_shares, log_norm = node_log_shares(form, nodes)
+    batches = _node_batches(form.delta, form.loadings, fine)
+    log_fine = np.logaddexp.reduce([_log_sum_exp(log_c) for _, log_c, _ in batches])
+    mass = np.exp(log_norm - log_fine)
+    if abs(mass - 1.0) > MASS_TOL:
+        raise QuadratureResolutionError(
+            f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
+            f"{MASS_TOL:g}; refine the rule (more nodes)"
+        )
+    return np.exp(log_shares), nodes

@@ -24,14 +24,7 @@ from ._enum import (
 from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import (
-    LatentForm,
-    QuadratureRule,
-    _check_mass,
-    _default_rule,
-    _stretched,
-    node_log_shares,
-)
+from .latent import DEFAULT_QUAD_NODES, LatentForm, QuadratureRule, latent_first_nodes
 
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
@@ -43,9 +36,9 @@ MAX_PROPOSALS = 1 << 27
 GIBBS_CHAINS = 64
 
 # Random numbers each sampler draws and works on together: Gibbs's sweeps x
-# sites x chains, rejection's proposals x (two per cause block + one).  Bounds
-# either's working block at 2 MiB of floats whatever the model's width, the
-# draw count or the acceptance rate.
+# sites x chains, rejection's proposals x (two per cause block + one),
+# latent-first's rows x items.  Bounds each one's working block at 2 MiB of
+# floats whatever the model's width, the draw count or the acceptance rate.
 _UNIFORM_BLOCK = 1 << 18
 
 # Variables handled as one block of 2**10 configurations: the causes that one
@@ -64,8 +57,9 @@ class SampleSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Checked before the cast, which would truncate 1.5 to 1.
-        if not np.isin(self.draws, (-1, 1)).all():
+        # Checked before the cast, which would truncate 1.5 to 1.  Integer
+        # draws would otherwise be looked up in a table of intp, 8 bytes each.
+        if not np.isin(self.draws, (-1, 1), kind="sort").all():
             raise ValueError("draws must contain only +1 and -1")
         if freeze_array(self, "draws", 2, dtype=np.int8).shape[0] < 1:
             raise ValueError("a sample set must contain at least one draw")
@@ -335,27 +329,28 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, see
     the share ``c_k`` that the latent marginal gives it, then draws the items
     as independent coins ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.
     The draws thus follow the node mixture that `mirt_marginal_pmf`
-    tabulates.  It raises `RankLimitError` above rank 3, and
-    `QuadratureResolutionError` when the node total is off the stretched
-    ``rule.refined()``'s by more than ``MASS_TOL``: with no table to compare,
-    the normalizers are what it can check.
+    tabulates.  The shares and their check come from `latent_first_nodes`,
+    which raises `RankLimitError` above rank 3 and
+    `QuadratureResolutionError` when the rule does not resolve the model.
+    All ``m`` node uniforms come first, then the item uniforms in row order,
+    drawn and used in blocks of ``_UNIFORM_BLOCK // n`` rows; so the draws do
+    not depend on the block size.
     """
     _require_positive_m(m)
-    rule = _default_rule(rule)
-    nodes = _stretched(rule)
-    log_shares, log_norm = node_log_shares(lf, nodes)
-    _check_mass(lf, log_norm, _stretched(rule.refined()))
-    cdf = np.cumsum(np.exp(log_shares))
+    shares, nodes = latent_first_nodes(lf, rule)
+    cdf = np.cumsum(shares)
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
-    # Node k's digits in base node_count, first latent dimension most significant.
-    count = nodes.node_count
-    digits = k[:, None] // count ** np.arange(lf.r - 1, -1, -1) % count
-    p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + nodes.nodes[digits] @ lf.loadings.T)))
-    draws = np.where(rng.random((m, lf.n)) < p_plus, 1, -1).astype(np.int8)
-    return SampleSet(
-        draws=draws, seed=seed, method="latent-first", meta={"quad_nodes": rule.node_count}
-    )
+    count, draws = nodes.node_count, np.empty((m, lf.n), dtype=np.int8)
+    rows = max(1, _UNIFORM_BLOCK // max(lf.n, 1))
+    for lo in range(0, m, rows):
+        # Node k's digits in base count, first latent dimension most significant.
+        digits = k[lo : lo + rows, None] // count ** np.arange(lf.r - 1, -1, -1) % count
+        p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + nodes.nodes[digits] @ lf.loadings.T)))
+        draws[lo : lo + rows] = np.where(rng.random(p_plus.shape) < p_plus, 1, -1)
+    draws.setflags(write=False)
+    quad_nodes = DEFAULT_QUAD_NODES if rule is None else rule.node_count
+    return SampleSet(draws=draws, seed=seed, method="latent-first", meta={"quad_nodes": quad_nodes})
 
 
 def sidecar_path(csv_path) -> Path:

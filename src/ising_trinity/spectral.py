@@ -23,13 +23,16 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """Shift ``c``, eigenvalues (descending), and orthonormal eigenvectors.
+    """Eigenvalues (descending) and orthonormal eigenvectors of the shifted couplings.
 
-    Zeroing trailing eigenvalues yields a lower-rank form that defines a model
-    in its own right rather than reproducing the original couplings.
+    The shift is not stored: it is the diagonal of ``loadings @ loadings.T``
+    while no eigenvalue has been zeroed.  Zeroing trailing eigenvalues yields
+    a lower-rank form that defines a model in its own right rather than
+    reproducing the original couplings.  Every eigen-based story keeps the
+    eigenvalues above ``RANK_TOL`` (`positive`), one latent dimension or one
+    effect each.
     """
 
-    c: float
     lambdas: np.ndarray
     q: np.ndarray
 
@@ -60,18 +63,25 @@ class SpectralForm:
         return self.lambdas.shape[0]
 
     @property
+    def positive(self) -> np.ndarray:
+        """Mask of the eigenvalues above ``RANK_TOL``, the ones every eigen-based story keeps."""
+        return self.lambdas > RANK_TOL
+
+    @property
     def rank(self) -> int:
-        """Number of strictly positive eigenvalues."""
-        return int(np.sum(self.lambdas > RANK_TOL))
+        """Number of positive eigenvalues (`positive`)."""
+        return int(np.sum(self.positive))
 
 
 def to_spectral(spec: ModelSpec) -> SpectralForm:
     """Eigendecompose the zero-diagonal couplings after the canonical PSD shift.
 
-    The spec's ``extra_shift`` adds on top of the minimal shift; it changes
-    ``c``, the eigenvalues, and the loadings but never the PMF.  Eigenvector
-    columns get a deterministic sign: the entry of largest magnitude (first
-    such on ties) is made positive.
+    The shift ``c`` is the minimal one plus the spec's ``extra_shift``; it is
+    not kept, but it is the diagonal of the form's ``loadings @ loadings.T``.
+    ``extra_shift`` changes the eigenvalues and the loadings but never the
+    PMF.  Eigenvalues within ``RANK_TOL`` of zero are set to exactly zero.
+    Eigenvector columns get a deterministic sign: the entry of largest
+    magnitude (first such on ties) is made positive.
     """
     try:
         evals, vecs = np.linalg.eigh(spec.sigma)
@@ -95,7 +105,7 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
         lead = np.argmax(np.abs(vecs[:, col]))
         if vecs[lead, col] < 0.0:
             vecs[:, col] = -vecs[:, col]
-    return SpectralForm(c=c, lambdas=lambdas, q=vecs)
+    return SpectralForm(lambdas=lambdas, q=vecs)
 
 
 def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
@@ -108,21 +118,21 @@ def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
         raise ValueError(f"max_rank must be non-negative, got {max_rank}")
     lambdas = form.lambdas.copy()
     lambdas[max_rank:] = 0.0
-    return SpectralForm(c=form.c, lambdas=lambdas, q=form.q)
+    return SpectralForm(lambdas=lambdas, q=form.q)
 
 
 def spectral_pmf(form: SpectralForm, delta) -> Pmf:
     """Exact probability table computed through the eigenvalue representation.
 
-    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` over the positive
-    eigenvalues; zero ones contribute nothing and are skipped.  With ``x``
-    split into its high and low index halves (`split_halves`), each score is
-    ``s_hi + s_lo``, so the log weight is ``x_hi.delta_hi + lambda s_hi^2 / 2``
-    plus the same for the low half plus the cross term ``(lambda s_hi) . s_lo``,
-    written out by `split_half_table`.
+    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` over the eigenvalues
+    above ``RANK_TOL`` (`SpectralForm.positive`), as the collider and latent
+    stories do.  With ``x`` split into its high and low index halves
+    (`split_halves`), each score is ``s_hi + s_lo``, so the log weight is
+    ``x_hi.delta_hi + lambda s_hi^2 / 2`` plus the same for the low half plus
+    the cross term ``(lambda s_hi) . s_lo``, written out by `split_half_table`.
     """
     delta = as_delta(delta, form.n)
-    keep = form.lambdas > 0.0
+    keep = form.positive
     lams = form.lambdas[keep]
     halves = []
     for part in split_halves(form.n):

@@ -99,7 +99,7 @@ CALLER_ARRAYS = {
     ),
     "rasch_marginal_pmf": (it.rasch_marginal_pmf, DELTA),
     "SpectralForm": (
-        lambda lams, q: it.SpectralForm(c=0.0, lambdas=lams, q=q), [2.0, 1.0, 0.5], np.eye(3)
+        lambda lams, q: it.SpectralForm(lambdas=lams, q=q), [2.0, 1.0, 0.5], np.eye(3)
     ),
     "QuadratureRule": (
         lambda x, w: it.QuadratureRule(nodes=x, weights=w), [-1.0, 1.0], [0.5, 0.5]

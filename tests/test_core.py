@@ -191,6 +191,12 @@ class TestPmfType:
         with pytest.raises(it.DimensionMismatchError, match="0 entries"):
             it.Pmf(np.zeros(0), 0.0)
 
+    @pytest.mark.parametrize("est", [-1e-17, 1.5, np.inf, np.nan])
+    def test_rejects_error_estimate_outside_zero_to_one(self, est):
+        with pytest.raises(ValueError, match=r"error estimate must lie in \[0, 1\], got "):
+            it.Pmf(np.array([0.5, 0.5]), 0.0, est)
+        assert it.Pmf(np.array([0.5, 0.5]), 0.0, 1.0).error_estimate == 1.0
+
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_n_follows_from_the_size(self, n):
         assert it.Pmf(np.full(1 << n, 1.0 / (1 << n)), 0.0).n == n

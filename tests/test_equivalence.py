@@ -231,18 +231,25 @@ class TestTolerances:
     def test_custom_tolerances_are_applied(self, monkeypatch):
         spec = unit_coupling_spec(2)
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-18)
-        monkeypatch.setattr(it.equivalence, "QUAD_TOL", 1e-18)
+        monkeypatch.setattr(it.equivalence, "QUAD_FLOOR", 1e-18)
         strict = it.verify_representations(spec)
         # Machine-precision agreement is not zero; absurdly strict bounds fail.
         assert not strict.all_pass
-        # QUAD_TOL caps the latent pairs' bound; the report states the bound applied.
-        assert strict.to_dict()["quad_tol"] == 1e-18
+        # Below the floor, ten estimates bound the latent pairs; the report
+        # states the bound applied.
+        assert strict.to_dict()["quad_tol"] == 10.0 * strict.latent_error_estimate > 1e-18
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
-        monkeypatch.setattr(it.equivalence, "QUAD_TOL", 1e-4)
+        monkeypatch.setattr(it.equivalence, "QUAD_FLOOR", 1e-4)
         loose = it.verify_representations(spec)
         assert loose.all_pass
-        applied = max(1e-13, 10.0 * loose.latent_error_estimate)
-        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, applied)
+        assert 10.0 * loose.latent_error_estimate < 1e-4
+        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-4)
+
+    def test_latent_bound_stays_at_most_1e_7(self):
+        # The latent module refuses estimates above ESTIMATE_TOL, so the
+        # largest bound a latent pair can get is exactly 1e-7.
+        assert max(it.equivalence.QUAD_FLOOR, 10.0 * it.latent.ESTIMATE_TOL) == 1e-7
+        assert not hasattr(it.equivalence, "QUAD_TOL")
 
     def test_coarse_quadrature_is_caught_not_tolerated(self):
         # A rule too coarse for the model must not be judged by its table:

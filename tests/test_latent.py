@@ -37,7 +37,19 @@ class TestQuadratureRule:
         assert rule.weights @ rule.nodes**4 == pytest.approx(3.0, abs=1e-9)
 
     def test_refined_doubles_nodes(self):
-        assert it.QuadratureRule.gauss_hermite(16).refined().node_count == 32
+        # The table under m nodes is measured against the one under 2m: its
+        # estimate is their distance, and a refusal names the doubled rule.
+        form = it.LatentForm(delta=np.full(12, 0.5), loadings=np.ones((12, 1)))
+        coarse, fine = (
+            it.mirt_marginal_pmf(form, it.QuadratureRule.gauss_hermite(m)) for m in (16, 32)
+        )
+        assert coarse.error_estimate == pytest.approx(it.pmf_distance(coarse, fine).tv, rel=1e-9)
+        with pytest.raises(it.QuadratureResolutionError, match="under the 32-node rule"):
+            it.mirt_marginal_pmf(
+                it.LatentForm(delta=np.zeros(4), loadings=np.ones((4, 1))),
+                it.QuadratureRule.gauss_hermite(16),
+            )
+        assert not hasattr(it.QuadratureRule, "refined")
 
     def test_rule_size_is_capped_before_numpy(self):
         with warnings.catch_warnings():
@@ -45,7 +57,10 @@ class TestQuadratureRule:
             with pytest.raises(ValueError, match=f"limited to {MAX_QUAD_NODES} nodes"):
                 it.QuadratureRule.gauss_hermite(2 * MAX_QUAD_NODES)
             with pytest.raises(ValueError, match=f"use at most {MAX_QUAD_NODES // 2}"):
-                it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES // 2 + 1).refined()
+                it.mirt_marginal_pmf(
+                    it.LatentForm(np.zeros(2), np.ones((2, 1))),
+                    it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES // 2 + 1),
+                )
             largest = it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES)
         assert abs(largest.weights.sum() - 1.0) <= 1e-12
         assert largest.weights @ largest.nodes**2 == pytest.approx(1.0, abs=1e-12)
@@ -275,12 +290,9 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     table, log_total = mirt_quadrature_table(
         delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
     )
-    # Small chunks evaluate the boxes of the node grid one batch at a time; the
-    # rule is made its own reference, as the oracle normalizes under it.
-    with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
-        it.QuadratureRule, "refined", lambda self: self
-    ):
-        log_norm = latent.log_latent_norm(delta, loadings, rule)
+    # Small chunks evaluate the boxes of the node grid one batch at a time.
+    with mock.patch.object(latent, "_NODE_CHUNK", chunk):
+        _, log_norm = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
         pmf = latent._quadrature_pmf(delta, loadings, rule)
     assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
@@ -302,11 +314,9 @@ class TestQuadratureKernel:
                 delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
             )
         ])
-        # The rule is its own reference, so the shares are the oracle's node
-        # weights, in its C order, divided by their total.
-        with mock.patch.object(latent, "_NODE_CHUNK", chunk), mock.patch.object(
-            it.QuadratureRule, "refined", lambda self: self
-        ):
+        # The shares are the oracle's node weights, in its C order, divided
+        # by their total.
+        with mock.patch.object(latent, "_NODE_CHUNK", chunk):
             shares, _ = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
         oracle = log_c - np.logaddexp.reduce(log_c)
         kept = shares > -np.inf

@@ -690,6 +690,32 @@ class TestLatentFirstSampler:
         sample = it.sample_latent_first(lf, None, 50, seed=1)
         assert sample.draws.shape == (50, 40)
 
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # A block of 2**30 uniforms holds every row: the whole (m, n) draw at once.
+        rng = np.random.default_rng(31)
+        lf = it.LatentForm(
+            delta=rng.uniform(-0.5, 0.5, 5), loadings=rng.uniform(-0.5, 0.5, (5, 2))
+        )
+        monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", 1 << 30)
+        whole = it.sample_latent_first(lf, None, 999, seed=4)
+        monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
+        blocked = it.sample_latent_first(lf, None, 999, seed=4)
+        assert np.array_equal(blocked.draws, whole.draws) and blocked.meta == whole.meta
+
+    def test_working_memory_is_bounded(self):
+        # 200k draws of 40 items are 7.6 MiB of int8; the item uniforms and
+        # fields come in blocks of _UNIFORM_BLOCK floats (2 MiB), not (m, n).
+        lf = it.LatentForm(delta=np.full(40, 0.3), loadings=np.full((40, 1), 0.1))
+        tracemalloc.start()
+        try:
+            sample = it.sample_latent_first(lf, None, 200_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.draws.shape == (200_000, 40)
+        assert peak < 32 * 2**20
+
     def test_coarse_rule_rejected(self):
         lf = rank_one_form(2)
         rule = it.QuadratureRule.gauss_hermite(4)

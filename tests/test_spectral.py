@@ -14,19 +14,28 @@ def spec_n2(s12: float) -> it.ModelSpec:
     return it.ModelSpec(delta=np.zeros(2), sigma=np.array([[0.0, s12], [s12, 0.0]]))
 
 
+def shift_of(form: it.SpectralForm) -> float:
+    """The shift of an untruncated form: every diagonal entry of ``loadings @ loadings.T``."""
+    diag = np.diag(form.loadings @ form.loadings.T)
+    npt.assert_allclose(diag, diag[0], rtol=0, atol=1e-12)
+    return float(diag[0])
+
+
 class TestToSpectral:
     def test_positive_pair_coupling(self):
         form = it.to_spectral(spec_n2(1.0))
-        assert form.c == pytest.approx(1.0, abs=1e-14)
+        assert shift_of(form) == pytest.approx(1.0, abs=1e-14)
         npt.assert_allclose(form.lambdas, [2.0, 0.0], atol=1e-14)
         inv = 1.0 / math.sqrt(2.0)
         npt.assert_allclose(form.q[:, 0], [inv, inv], atol=1e-14)
         npt.assert_allclose(form.loadings[:, 0], [1.0, 1.0], atol=1e-14)
         assert form.rank == 1
+        # The shift is read from the loadings, not stored.
+        assert not hasattr(form, "c")
 
     def test_negative_pair_coupling(self):
         form = it.to_spectral(spec_n2(-1.0))
-        assert form.c == pytest.approx(1.0, abs=1e-14)
+        assert shift_of(form) == pytest.approx(1.0, abs=1e-14)
         npt.assert_allclose(form.lambdas, [2.0, 0.0], atol=1e-14)
         inv = 1.0 / math.sqrt(2.0)
         # Sign convention: the entry of largest magnitude (first on ties) is positive.
@@ -34,7 +43,7 @@ class TestToSpectral:
 
     def test_zero_couplings(self):
         form = it.to_spectral(it.ModelSpec(delta=np.zeros(3), sigma=np.zeros((3, 3))))
-        assert form.c == 0.0
+        assert shift_of(form) == 0.0
         npt.assert_array_equal(form.lambdas, np.zeros(3))
         npt.assert_array_equal(form.loadings, np.zeros((3, 3)))
         assert form.rank == 0
@@ -45,7 +54,7 @@ class TestToSpectral:
 
     def test_single_variable(self):
         form = it.to_spectral(it.ModelSpec(delta=np.array([0.2]), sigma=np.zeros((1, 1))))
-        assert form.c == 0.0
+        assert shift_of(form) == 0.0
         assert form.rank == 0
 
     def test_orthonormal_and_reconstructs_shifted_matrix(self, rng):
@@ -53,7 +62,7 @@ class TestToSpectral:
             spec = random_spec(rng, n)
             form = it.to_spectral(spec)
             npt.assert_allclose(form.q.T @ form.q, np.eye(n), atol=1e-12)
-            shifted = spec.sigma + form.c * np.eye(n)
+            shifted = spec.sigma + shift_of(form) * np.eye(n)
             npt.assert_allclose(
                 (form.q * form.lambdas) @ form.q.T, shifted, atol=1e-10
             )
@@ -80,14 +89,26 @@ class TestToSpectral:
         with pytest.raises(it.EigendecompositionError, match="are not finite"):
             it.to_spectral(spec)
 
+    def test_failed_eigendecomposition_is_a_typed_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(it.EigendecompositionError) as err:
+            it.to_spectral(spec_n2(1.0))
+        assert str(err.value) == (
+            "eigendecomposition of the coupling matrix failed: Eigenvalues did not converge"
+        )
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
     def test_form_rejects_non_finite_eigenpairs(self):
         for lambdas, q in (([np.nan, 0.0], np.eye(2)), ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])):
             with pytest.raises(ValueError, match="non-finite"):
-                it.SpectralForm(c=0.0, lambdas=np.array(lambdas), q=np.array(q))
+                it.SpectralForm(lambdas=np.array(lambdas), q=np.array(q))
 
     def test_form_rejects_mismatched_eigenvectors(self):
         with pytest.raises(it.DimensionMismatchError) as err:
-            it.SpectralForm(c=0.0, lambdas=np.array([1.0, 0.0]), q=np.eye(3))
+            it.SpectralForm(lambdas=np.array([1.0, 0.0]), q=np.eye(3))
         assert str(err.value) == "eigenvector shape (3, 3) does not match 2 eigenvalues"
 
     @pytest.mark.parametrize(
@@ -99,7 +120,7 @@ class TestToSpectral:
     )
     def test_form_rejects_bad_eigenvalues(self, lambdas, message):
         with pytest.raises(ValueError) as err:
-            it.SpectralForm(c=0.0, lambdas=np.array(lambdas), q=np.eye(2))
+            it.SpectralForm(lambdas=np.array(lambdas), q=np.eye(2))
         assert type(err.value) is ValueError
         assert str(err.value) == message
 
@@ -121,7 +142,7 @@ class TestSpectralWeight:
             for shift in (0.0, 1.5):
                 form = it.to_spectral(replace(spec, extra_shift=shift))
                 gap = it.spectral_pmf(form, spec.delta).log_z - it.ising_pmf(spec).log_z
-                assert gap == pytest.approx(form.c * n / 2.0, abs=1e-12)
+                assert gap == pytest.approx(shift_of(form) * n / 2.0, abs=1e-12)
 
 
 class TestSpectralPmf:
@@ -145,7 +166,7 @@ class TestSpectralPmf:
         spec = random_spec(rng, 4)
         a = it.to_spectral(spec)
         b = it.to_spectral(replace(spec, extra_shift=0.5))
-        assert b.c == pytest.approx(a.c + 0.5, abs=1e-12)
+        assert shift_of(b) == pytest.approx(shift_of(a) + 0.5, abs=1e-12)
         npt.assert_allclose(b.lambdas, a.lambdas + 0.5, atol=1e-10)
         assert not np.allclose(a.loadings, b.loadings)
 
@@ -158,6 +179,23 @@ class TestRankAndTruncation:
             assert form.rank == rank
             assert it.LatentForm.from_spectral(form, spec.delta).r == rank
             assert it.spectral_to_collider(form, spec.delta).r == rank
+
+    def test_every_story_keeps_the_same_eigenvalues(self):
+        # An eigenvalue between 0 and RANK_TOL counts toward no story's rank,
+        # so the spectral table must drop it too.
+        q = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
+        form = it.SpectralForm(lambdas=np.array([1.0, 0.5, 5e-11, 0.0]), q=q)
+        delta = np.array([0.1, -0.2, 0.3, 0.0])
+        assert form.rank == 2
+        assert it.LatentForm.from_spectral(form, delta).r == 2
+        cf = it.spectral_to_collider(form, delta)
+        assert cf.r == 2
+        gap = it.pmf_distance(it.spectral_pmf(form, delta), it.conditioned_pmf(cf))
+        assert gap.max_abs <= 1e-15
+        # Dropping the small eigenvalue by hand gives the same spectral table.
+        kept = it.SpectralForm(lambdas=np.array([1.0, 0.5, 0.0, 0.0]), q=q)
+        table = it.spectral_pmf(form, delta)
+        assert np.array_equal(table.probs, it.spectral_pmf(kept, delta).probs)
 
     def test_truncation_zeroes_trailing_eigenvalues(self, rng):
         form = it.to_spectral(random_spec(rng, 6))
