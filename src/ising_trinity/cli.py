@@ -86,8 +86,9 @@ def _pmf_text(pmf: Pmf, representation: str, fmt: str) -> str:
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     spec = load_model_spec(args.spec)
+    # Only the latent table reads the rule, so only it checks --quad-nodes.
     latent = args.representation == "latent"
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes) if latent else None
+    rule = QuadratureRule(args.quad_nodes) if latent else QuadratureRule()
     # The network table needs no eigendecomposition, so a model whose
     # eigenvalues overflow still gets it.
     form = None if args.representation == "conventional" else to_spectral(spec)
@@ -101,7 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     fault = None
     if args.inject_fault is not None:
         fault = BranchFault(branch=args.inject_fault, eps=args.fault_eps)
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+    rule = QuadratureRule(args.quad_nodes)
     report = verify_representations(spec, rule, fault=fault)
     print(report.to_text())
     if args.json_report is not None:
@@ -120,7 +121,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         sample = sample_collider_rejection(cf, args.m, args.seed)
     else:
         lf = LatentForm.from_spectral(to_spectral(spec), spec.delta)
-        rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+        rule = QuadratureRule(args.quad_nodes)
         sample = sample_latent_first(lf, rule, args.m, args.seed)
     save_sample_set(sample, args.out)
     note = ""

@@ -37,11 +37,10 @@ from .spectral import SpectralForm, spectral_pmf, to_spectral
 
 # Name -> builder ``(spec, form, rule) -> Pmf``, in report order.  ``form`` is
 # the spectral form of ``spec``'s couplings, which a fault leaves alone and the
-# conventional branch never reads; a rule of None is the latent marginal's
-# default, built only if that branch runs.
+# conventional branch never reads, and ``rule`` is the latent marginal's.
 # Each builder looks its functions up when called, so rebinding a module
 # global (as a tracer does) reaches every caller of the table.
-BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm | None, QuadratureRule | None], Pmf]] = {
+BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm | None, QuadratureRule], Pmf]] = {
     "conventional": lambda spec, form, rule: ising_pmf(spec),
     "spectral": lambda spec, form, rule: spectral_pmf(form, spec.delta),
     "collider": lambda spec, form, rule: conditioned_pmf(
@@ -171,7 +170,7 @@ class EquivalenceReport:
 
 def verify_representations(
     spec: ModelSpec,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule = QuadratureRule(),
     *,
     fault: BranchFault | None = None,
 ) -> EquivalenceReport:

@@ -103,16 +103,21 @@ def _weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
 def _distinct_configs(data, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """`_weighted_configs` with repeated rows merged and their weights summed.
 
-    Rows are keyed by their packed sign bits, so any width works; ``n``, when
-    given, is the width the data must have.
+    Rows are keyed by their packed sign bytes, so any width works, and
+    sorted by them, first byte first (stably, so each group's first row is
+    its first occurrence); a group starts where a row differs from the one
+    before it.  ``n``, when given, is the width the data must have.
     """
     configs, weights = _weighted_configs(data)
     if n is not None and configs.shape[1] != n:
         raise DimensionMismatchError(f"data has {configs.shape[1]} columns, expected {n}")
     packed = np.packbits(configs > 0.0, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return configs[first], np.bincount(inverse, weights=weights)
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
+    starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return configs[order[starts]], np.bincount(inverse, weights=weights)
 
 
 def _pack(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:

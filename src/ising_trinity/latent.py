@@ -19,8 +19,10 @@ instead.
 The latent-first sampler draws nodes from this mixture (`latent_first_nodes`),
 under the marginal's own rank limit.
 
-This module alone decides how far a latent output is trusted.  Its public
-entry points integrate with a stretched rule (`_stretched`): the ``m``-node
+This module alone decides how far a latent output is trusted.  A caller's
+`QuadratureRule` is only a node count ``m``; the nodes and weights are built
+here (`_gauss_hermite`), and no other module reads them.  The public entry
+points integrate with a stretched rule (`_stretched`): the ``m``-node
 rule's nodes ``t`` move to ``2 t`` and its weights ``w`` become
 ``w 2 phi(2 t) / phi(t)`` (Naylor & Smith 1982; Liu & Pierce 1994), which
 spreads the nodes over the wider latent density that a product of ``2 cosh``
@@ -29,8 +31,8 @@ stretched ``2m``-node rule that measures it.  The table under the working
 rule is the result, and its total-variation distance to the table under the
 reference is its error estimate; an estimate above ``ESTIMATE_TOL`` refuses
 the rule.  The latent-first sampler has no table, so it compares the two
-rules' normalizers instead.  The private kernels use whatever rule they are
-given.
+rules' normalizers instead.  The private kernels take whatever nodes and
+weights they are given.
 
 Most tensor nodes hold a negligible share of the mass, so the grid is cut into
 boxes of ``_BOX`` nodes per latent dimension (a ragged last box is padded with
@@ -61,8 +63,9 @@ from .spectral import SpectralForm
 
 DEFAULT_QUAD_NODES = 64
 
-# Largest Gauss-Hermite rule (numpy's weights turn non-finite near 380 nodes).
-MAX_QUAD_NODES = 256
+# Largest latent rule.  Every latent output also builds the rule of twice its
+# nodes, and numpy's Gauss-Hermite weights turn non-finite near 380 nodes.
+MAX_QUAD_NODES = 128
 
 # Largest tilt the identity check accepts; far inside what 32+ nodes resolve.
 KAC_DOMAIN = 5.0
@@ -102,80 +105,74 @@ _STACK = 8
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights integrating against the standard normal density."""
+    """A latent rule: the Gauss-Hermite rule of ``node_count`` nodes per latent dimension.
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    The count is all a caller chooses.  This module alone turns it into nodes
+    and weights, stretches them, and builds the rule of twice as many nodes
+    that measures every latent output, so ``node_count`` runs from 1 to
+    ``MAX_QUAD_NODES``; it is stored as a Python ``int``.
+    """
+
+    node_count: int = DEFAULT_QUAD_NODES
 
     def __post_init__(self) -> None:
-        nodes = freeze_array(self, "nodes", 1)
-        weights = freeze_array(self, "weights", 1)
-        if nodes.shape != weights.shape:
-            raise DimensionMismatchError(
-                f"nodes and weights must be matching vectors, got shapes "
-                f"{nodes.shape} and {weights.shape}"
-            )
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-    @classmethod
-    @functools.cache
-    def gauss_hermite(cls, node_count: int = DEFAULT_QUAD_NODES) -> "QuadratureRule":
-        """Gauss-Hermite rule rescaled to the standard normal weight function (cached)."""
-        if node_count < 1:
-            raise ValueError(f"node_count must be positive, got {node_count}")
-        if node_count > MAX_QUAD_NODES:
+        m = self.node_count
+        if type(m) is bool or not isinstance(m, (int, np.integer)) or not 0 < m <= MAX_QUAD_NODES:
             raise ValueError(
-                f"Gauss-Hermite rules are limited to {MAX_QUAD_NODES} nodes, got {node_count} "
-                f"(a latent marginal also builds the doubled rule, so use at most "
-                f"{MAX_QUAD_NODES // 2} there)"
+                f"latent rules take 1 to {MAX_QUAD_NODES} nodes (each latent output also "
+                f"builds the rule of twice its nodes), got {m!r}"
             )
-        t, v = np.polynomial.hermite.hermgauss(node_count)
-        return cls(nodes=t * np.sqrt(2.0), weights=v / np.sqrt(np.pi))
+        object.__setattr__(self, "node_count", int(m))
 
 
-def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
-    return QuadratureRule.gauss_hermite() if rule is None else rule
+@functools.cache
+def _gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``m``-node Gauss-Hermite rule for the standard normal."""
+    t, v = np.polynomial.hermite.hermgauss(m)
+    nodes, weights = t * np.sqrt(2.0), v / np.sqrt(np.pi)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _stretched(rule: QuadratureRule) -> QuadratureRule:
-    """``rule`` widened by ``_STRETCH = s``: nodes ``s t``, weights ``w s phi(s t) / phi(t)``.
+def _stretched(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``m``-node rule widened by ``_STRETCH = s``.
 
-    A change of variables, so it integrates against the same standard normal
-    density.  Weights that underflow to zero are dropped.
+    Nodes ``t`` move to ``s t`` and weights ``w`` become ``w s phi(s t) / phi(t)``:
+    a change of variables, so the rule integrates against the same standard
+    normal density.  Weights that underflow to zero are dropped.
     """
+    t, w = _gauss_hermite(m)
     s = _STRETCH
-    weights = np.exp(np.log(rule.weights) + np.log(s) + 0.5 * (1.0 - s * s) * rule.nodes**2)
+    weights = np.exp(np.log(w) + np.log(s) + 0.5 * (1.0 - s * s) * t**2)
     keep = weights > 0.0
-    return QuadratureRule(nodes=s * rule.nodes[keep], weights=weights[keep])
+    return s * t[keep], weights[keep]
 
 
-def _rule_pair(rule: QuadratureRule) -> tuple[QuadratureRule, QuadratureRule]:
-    """The stretched ``rule`` that latent outputs use, and the stretched ``2m``-node reference."""
-    return _stretched(rule), _stretched(QuadratureRule.gauss_hermite(2 * rule.node_count))
+def _rule_pair(rule: QuadratureRule):
+    """Stretched ``(nodes, weights)`` of the working rule and of the ``2m``-node reference."""
+    return _stretched(rule.node_count), _stretched(2 * rule.node_count)
 
 
-def kac_identity_check(a: float, rule: QuadratureRule | None = None) -> float:
+def kac_identity_check(a: float, rule: QuadratureRule = QuadratureRule()) -> float:
     """Quadrature value of ``integral exp(2 a t - t^2) / sqrt(pi) dt``.
 
-    Equals ``exp(a**2)`` exactly; the returned value exposes the rule's error.
-    Restricted to ``|a| <= 5``, where a 32-node rule is already accurate to
-    better than 1e-8 relative.
+    Evaluated under the plain, unstretched ``rule`` (``QuadratureRule()`` is
+    the 64-node one).  Equals ``exp(a**2)`` exactly; the returned value
+    exposes the rule's error.  Restricted to ``|a| <= 5``, where a 32-node
+    rule is already accurate to better than 1e-8 relative.
     """
     if not np.isfinite(a) or abs(a) > KAC_DOMAIN:
         raise ValueError(f"|a| must be <= {KAC_DOMAIN:g} and finite, got {a!r}")
-    rule = _default_rule(rule)
-    t = rule.nodes
+    t, w = _gauss_hermite(rule.node_count)
     vals = np.sqrt(2.0) * np.exp(2.0 * a * t - 0.5 * t**2)
-    return float(rule.weights @ vals)
+    return float(w @ vals)
 
 
-def _node_batches(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule):
+def _node_batches(delta: np.ndarray, loadings: np.ndarray, nodes, weights):
     """Batches ``(index, log_c, eta)`` of the tensor nodes holding all but ``2**-60`` of the mass.
+
+    The grid is the tensor product of the one-dimensional ``nodes`` and ``weights``.
 
     ``index`` holds each node's position in the grid's C order, ``log_c`` its
     unnormalized log weight ``sum_j log w_kj + sum_i log 2 cosh(eta_ik)``
@@ -185,13 +182,13 @@ def _node_batches(delta: np.ndarray, loadings: np.ndarray, rule: QuadratureRule)
     order of their bounds; see the module docstring.
     """
     n, r = loadings.shape
-    m = rule.node_count
+    m = nodes.size
     per_dim = -(-m // _BOX)
     per_batch = max(1, _NODE_CHUNK // _BOX**r)
     # Slots first, boxes innermost; padding repeats the last node at weight zero.
     slot = np.arange(per_dim * _BOX).reshape(per_dim, _BOX).T
-    t = rule.nodes[np.minimum(slot, m - 1)]
-    log_w = np.where(slot < m, np.log(rule.weights)[np.minimum(slot, m - 1)], -np.inf)
+    t = nodes[np.minimum(slot, m - 1)]
+    log_w = np.where(slot < m, np.log(weights)[np.minimum(slot, m - 1)], -np.inf)
     steps = np.ascontiguousarray(loadings.T[:, :, None, None] * t)
     # C-order index of a box's first node per box digit, and of each slot within it.
     place = m ** np.arange(r - 1, -1, -1)
@@ -293,8 +290,8 @@ def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
-    """Marginal table under ``rule``, normalized by its own total.
+def _quadrature_pmf(delta, loadings, nodes, weights) -> Pmf:
+    """Marginal table under the rule of ``nodes`` and ``weights``, normalized by its own total.
 
     The first ``s = min(n, _SUB_ITEMS)`` items make up a sub-table.  Slab
     ``j`` of the table holds the ``2**s`` configurations whose items above
@@ -315,11 +312,11 @@ def _quadrature_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     sub = min(n, _SUB_ITEMS)
     h = sub // 2
     raw = np.zeros((1 << (n - sub), 1 << (sub - h), 1 << h))
-    floor = _SKIP_SHARE / rule.node_count ** loadings.shape[1]
+    floor = _SKIP_SHARE / nodes.size ** loadings.shape[1]
     width = _BLOCK_MADDS >> sub
     stack = np.empty((_STACK, *raw.shape[1:]))
     log_shift = None
-    for _, log_c, eta in _node_batches(delta, loadings, rule):
+    for _, log_c, eta in _node_batches(delta, loadings, nodes, weights):
         if log_shift is None:
             log_shift = _log_sum_exp(log_c)
             # The tables of every batch, the first being the largest, reuse
@@ -361,9 +358,9 @@ def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     reference of `_rule_pair`; above ``ESTIMATE_TOL`` it raises
     `QuadratureResolutionError`.
     """
-    nodes, fine = _rule_pair(rule)
-    table = _quadrature_pmf(delta, loadings, nodes)
-    gap = table.probs - _quadrature_pmf(delta, loadings, fine).probs
+    working, fine = _rule_pair(rule)
+    table = _quadrature_pmf(delta, loadings, *working)
+    gap = table.probs - _quadrature_pmf(delta, loadings, *fine).probs
     est = 0.5 * float(np.abs(gap, out=gap).sum())
     if est > ESTIMATE_TOL:
         raise QuadratureResolutionError(
@@ -374,7 +371,7 @@ def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
     return Pmf(table.probs, table.log_z, est)
 
 
-def rasch_marginal_pmf(delta, rule: QuadratureRule | None = None) -> Pmf:
+def rasch_marginal_pmf(delta, rule: QuadratureRule = QuadratureRule()) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
     `mirt_marginal_pmf` of the rank-one form with unit loadings, with its
@@ -417,7 +414,7 @@ class LatentForm:
         return cls(delta=delta, loadings=form.loadings[:, form.positive])
 
 
-def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> Pmf:
+def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule()) -> Pmf:
     """Marginal configuration table of a rank-``r`` latent model (``r <= 3``, ``n <= 20``).
 
     Uses a tensor product of the stretched one-dimensional rule (default 64
@@ -430,41 +427,42 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule | None = None) -> P
     """
     _check_tensor_rank(form.r)
     check_enumerable(form.n)
-    return _measured_pmf(form.delta, form.loadings, _default_rule(rule))
+    return _measured_pmf(form.delta, form.loadings, rule)
 
 
-def node_log_shares(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray, float]:
-    """The marginal's node shares ``log c_k`` under ``rule``, in the grid's C order, for any ``n``.
+def node_log_shares(form: LatentForm, nodes, weights) -> tuple[np.ndarray, float]:
+    """The marginal's node shares ``log c_k`` under the rule of ``nodes`` and ``weights``.
 
-    Nodes that `_node_batches` skips get share zero (``-inf``); the rest are
-    normalized to sum to one.  Also returns the log of the total they were
-    normalized by, the rule's normalizer.  Raises `RankLimitError` above rank 3.
+    The shares are in the grid's C order, for any ``n``.  Nodes that
+    `_node_batches` skips get share zero (``-inf``); the rest are normalized
+    to sum to one.  Also returns the log of the total they were normalized
+    by, the rule's normalizer.  Raises `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
-    log_c = np.full(rule.node_count**form.r, -np.inf)
-    for index, lc, _ in _node_batches(form.delta, form.loadings, rule):
+    log_c = np.full(nodes.size**form.r, -np.inf)
+    for index, lc, _ in _node_batches(form.delta, form.loadings, nodes, weights):
         real = lc > -np.inf
         log_c[index[real]] = lc[real]
     log_norm = _log_sum_exp(log_c)
     return log_c - log_norm, log_norm
 
 
-def latent_first_nodes(
-    form: LatentForm, rule: QuadratureRule | None
-) -> tuple[np.ndarray, QuadratureRule]:
-    """The latent-first sampler's node shares ``c_k`` and the stretched rule they are on.
+def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The latent-first sampler's node shares ``c_k`` and the stretched node values they are on.
 
-    The shares are `node_log_shares` under the stretched ``rule`` (default:
-    the 64-node Gauss-Hermite rule), the marginal's own rule, in the grid's C
-    order.  With no table to measure, the sampler checks normalizers: it
-    raises `QuadratureResolutionError` when the node total under that rule is
-    off the one under the reference of `_rule_pair` by more than
-    ``MASS_TOL``.  It raises `RankLimitError` above rank 3.
+    The shares are `node_log_shares` under the stretched ``rule``, the
+    marginal's own rule, in the grid's C order: with ``K`` values, node
+    ``k``'s coordinates are the values at ``k``'s base-``K`` digits, the first
+    latent dimension most significant.  With no table to measure, the
+    sampler checks normalizers: it raises `QuadratureResolutionError` when
+    the node total under that rule is off the one under the reference of
+    `_rule_pair` by more than ``MASS_TOL``.  It raises `RankLimitError` above
+    rank 3.
     """
     _check_tensor_rank(form.r)
-    nodes, fine = _rule_pair(_default_rule(rule))
-    log_shares, log_norm = node_log_shares(form, nodes)
-    batches = _node_batches(form.delta, form.loadings, fine)
+    working, fine = _rule_pair(rule)
+    log_shares, log_norm = node_log_shares(form, *working)
+    batches = _node_batches(form.delta, form.loadings, *fine)
     log_fine = np.logaddexp.reduce([_log_sum_exp(log_c) for _, log_c, _ in batches])
     mass = np.exp(log_norm - log_fine)
     if abs(mass - 1.0) > MASS_TOL:
@@ -472,4 +470,4 @@ def latent_first_nodes(
             f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
             f"{MASS_TOL:g}; refine the rule (more nodes)"
         )
-    return np.exp(log_shares), nodes
+    return np.exp(log_shares), working[0]

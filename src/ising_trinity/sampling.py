@@ -7,6 +7,7 @@ always yields the same draws, independent of machine parallelism.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from ._enum import (
 from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import DEFAULT_QUAD_NODES, LatentForm, QuadratureRule, latent_first_nodes
+from .latent import LatentForm, QuadratureRule, latent_first_nodes
 
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
@@ -40,6 +41,9 @@ GIBBS_CHAINS = 64
 # latent-first's rows x items.  Bounds each one's working block at 2 MiB of
 # floats whatever the model's width, the draw count or the acceptance rate.
 _UNIFORM_BLOCK = 1 << 18
+
+# Largest split-R-hat of Gibbs chains that passes without a warning.
+_RHAT_WARN = 1.01
 
 # Variables handled as one block of 2**10 configurations: the causes that one
 # alias lookup of the rejection sampler draws, and the columns of a sample CSV
@@ -116,7 +120,10 @@ def sample_gibbs(
     largest split-R-hat over sites, and ``ess_min``, the smallest bulk
     effective sample size over sites (see `_chain_diagnostics`).  Either is
     ``None`` where no site has within-chain variation to measure, or where
-    the chains hold fewer than eight draws each.
+    the chains hold fewer than eight draws each; ``rhat_max`` is infinite
+    where a site is constant within each chain but differs between chains.
+    A ``rhat_max`` above 1.01 raises a `UserWarning`: the chains have not
+    mixed, and the draws may not follow the model.
     """
     _require_positive_m(m)
     if burn_in < 0:
@@ -149,11 +156,19 @@ def sample_gibbs(
             if sweep >= 1 and sweep % thin == 0:
                 recorded[sweep // thin - 1] = b
     chains = 2 * recorded.transpose(2, 0, 1) - 1  # (k, per_chain, n)
+    diagnostics = _chain_diagnostics(chains)
+    rhat = diagnostics["rhat_max"]
+    if rhat is not None and rhat > _RHAT_WARN:
+        warnings.warn(
+            f"Gibbs chains have not mixed: split R-hat {rhat:.4g} exceeds {_RHAT_WARN}, "
+            f"so the draws may not follow the model",
+            stacklevel=2,
+        )
     return SampleSet(
         draws=chains.reshape(k * per_chain, n)[:m],
         seed=seed,
         method="gibbs",
-        meta={"burn_in": burn_in, "thin": thin, "chains": k, **_chain_diagnostics(chains)},
+        meta={"burn_in": burn_in, "thin": thin, "chains": k, **diagnostics},
     )
 
 
@@ -170,8 +185,9 @@ def _chain_diagnostics(chains: np.ndarray) -> dict:
     ``P_j`` lowered to the smallest before it, stopping at the first that is
     not positive.  Rank-normalizing a two-valued site is an affine map, so
     these are also the rank-normalized (bulk) values.  Sites with ``W = 0``
-    are skipped.  Both values are ``None`` when no site is left, or when the
-    halves hold fewer than four draws (two lag pairs).
+    are skipped, except that one whose half means differ never mixed and
+    makes R-hat infinite.  Otherwise both values are ``None`` when no site is
+    left, or when the halves hold fewer than four draws (two lag pairs).
     """
     half = chains.shape[1] // 2
     if half < 4:
@@ -182,8 +198,9 @@ def _chain_diagnostics(chains: np.ndarray) -> dict:
     # which is exactly 0 for a constant half.
     w = half / (half - 1) * (1.0 - means**2).mean(axis=0)
     live = w > 0.0
+    frozen_apart = (~live & (means.min(axis=0) < means.max(axis=0))).any()
     if not live.any():
-        return {"rhat_max": None, "ess_min": None}
+        return {"rhat_max": np.inf if frozen_apart else None, "ess_min": None}
     y = halves[:, :, live] - means[:, None, live]
     w = w[live]
     var_plus = (half - 1) / half * w + means[:, live].var(axis=0, ddof=1)
@@ -201,7 +218,8 @@ def _chain_diagnostics(chains: np.ndarray) -> dict:
             break
         pair_sum += np.where(positive, pair, 0.0)
     ess = len(y) * half / (2.0 * pair_sum - 1.0)
-    return {"rhat_max": float(np.sqrt(var_plus / w).max()), "ess_min": float(ess.min())}
+    rhat = np.inf if frozen_apart else float(np.sqrt(var_plus / w).max())
+    return {"rhat_max": rhat, "ess_min": float(ess.min())}
 
 
 def _alias_table(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,11 +339,11 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     )
 
 
-def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, seed: int) -> SampleSet:
+def sample_latent_first(lf: LatentForm, rule: QuadratureRule, m: int, seed: int) -> SampleSet:
     """Draw the latent vector first, then the items, for a latent form of rank at most 3.
 
     Each draw picks a tensor node ``theta_k`` of the stretched ``rule``
-    (default: the 64-node Gauss-Hermite rule), the marginal's own rule, with
+    (``QuadratureRule()`` is the 64-node one), the marginal's own rule, with
     the share ``c_k`` that the latent marginal gives it, then draws the items
     as independent coins ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.
     The draws thus follow the node mixture that `mirt_marginal_pmf`
@@ -337,20 +355,20 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule | None, m: int, see
     not depend on the block size.
     """
     _require_positive_m(m)
-    shares, nodes = latent_first_nodes(lf, rule)
+    shares, values = latent_first_nodes(lf, rule)
     cdf = np.cumsum(shares)
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
-    count, draws = nodes.node_count, np.empty((m, lf.n), dtype=np.int8)
+    count, draws = values.size, np.empty((m, lf.n), dtype=np.int8)
     rows = max(1, _UNIFORM_BLOCK // max(lf.n, 1))
     for lo in range(0, m, rows):
         # Node k's digits in base count, first latent dimension most significant.
         digits = k[lo : lo + rows, None] // count ** np.arange(lf.r - 1, -1, -1) % count
-        p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + nodes.nodes[digits] @ lf.loadings.T)))
+        p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + values[digits] @ lf.loadings.T)))
         draws[lo : lo + rows] = np.where(rng.random(p_plus.shape) < p_plus, 1, -1)
     draws.setflags(write=False)
-    quad_nodes = DEFAULT_QUAD_NODES if rule is None else rule.node_count
-    return SampleSet(draws=draws, seed=seed, method="latent-first", meta={"quad_nodes": quad_nodes})
+    meta = {"quad_nodes": rule.node_count}
+    return SampleSet(draws=draws, seed=seed, method="latent-first", meta=meta)
 
 
 def sidecar_path(csv_path) -> Path:

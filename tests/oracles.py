@@ -425,11 +425,14 @@ def _split_variances(halves, means):
 def split_rhat(chains):
     """Split-R-hat of one site's chains, given as equal-length lists of values.
 
-    ``None`` where every half is constant (``W = 0``).
+    Where every half is constant (``W = 0``): infinite when the halves
+    differ, which no mixing chain does, and ``None`` when they agree.
     """
     halves, means = _split_halves(chains)
     w, var_plus = _split_variances(halves, means)
-    return math.sqrt(var_plus / w) if w > 0.0 else None
+    if w == 0.0:
+        return math.inf if var_plus > 0.0 else None
+    return math.sqrt(var_plus / w)
 
 
 def bulk_ess(chains):

@@ -21,6 +21,11 @@ from oracles import pmf_csv_text, pmf_json_text
 AGREE = 0.4
 MIXED = 0.1
 
+QUAD_NODES_MESSAGE = (
+    "latent rules take 1 to 128 nodes (each latent output also builds the rule of "
+    "twice its nodes)"
+)
+
 
 def write_spec(tmp_path, doc, name="model.json"):
     path = tmp_path / name
@@ -214,7 +219,7 @@ class TestPmfBytes:
         out = tmp_path / f"table.{fmt}"
         argv = ["pmf", str(tmp_path / "model.json"), "-r", representation, "--format", fmt]
         assert main([*argv, "-o", str(out)]) == 0
-        pmf = BRANCHES[representation](spec, it.to_spectral(spec), None)
+        pmf = BRANCHES[representation](spec, it.to_spectral(spec), it.QuadratureRule())
         assert out.read_text(encoding="utf-8") == expected_pmf_text(pmf, representation, fmt)
 
 
@@ -470,16 +475,43 @@ class TestVerifyCommand:
         assert "fault epsilon must be finite and nonzero, got 0.0" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("nodes, got", [("256", "got 512"), ("300", "got 300")])
+    @pytest.mark.parametrize("nodes, got", [("256", "got 256"), ("300", "got 300")])
     def test_quadrature_rule_above_the_limit(self, tmp_path, capsys, nodes, got):
-        # The latent branch also builds the doubled rule, so 256 working nodes
-        # ask for 512; either way the CLI stops before numpy builds a rule.
+        # The message names the count asked for, and the CLI stops before
+        # numpy builds a rule.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["verify", paired_spec(tmp_path), "--quad-nodes", nodes]) == 2
         err = capsys.readouterr().err
-        assert f"Gauss-Hermite rules are limited to 256 nodes, {got}" in err
-        assert "use at most 128" in err
+        assert err == f"error: {QUAD_NODES_MESSAGE}, {got}\n"
+
+
+LATENT_COMMANDS = {
+    "pmf": ["pmf", "-r", "latent"],
+    "verify": ["verify"],
+    "sample": ["sample", "--method", "latent-first", "--m", "5"],
+}
+
+
+@pytest.mark.parametrize("nodes", ["0", "129"])
+@pytest.mark.parametrize("command", sorted(LATENT_COMMANDS))
+def test_quad_nodes_outside_one_to_128_exit_2(tmp_path, capsys, command, nodes):
+    name, *flags = LATENT_COMMANDS[command]
+    out = tmp_path / "out.csv"
+    argv = [name, paired_spec(tmp_path), *flags, "--quad-nodes", nodes]
+    if name == "sample":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {QUAD_NODES_MESSAGE}, got {nodes}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_only_the_latent_table_reads_quad_nodes(tmp_path, capsys):
+    argv = ["pmf", paired_spec(tmp_path), "--quad-nodes", "0"]
+    for representation in ("conventional", "spectral", "collider"):
+        assert main([*argv, "-r", representation]) == 0
+    capsys.readouterr()
 
 
 class TestSampleCommand:
@@ -510,6 +542,27 @@ class TestSampleCommand:
         assert side["meta"] == {
             "burn_in": 50, "thin": 2, "chains": 20, "rhat_max": None, "ess_min": None
         }
+
+    def test_gibbs_that_does_not_mix_prints_one_warning(self, tmp_path):
+        from conftest import low_rank_spec
+
+        spec = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(np.random.default_rng(3), 12, 1), spec)
+        argv = ["sample", str(spec), "--method", "gibbs", "--m", "20032", "--seed", "3"]
+        src = str(Path(it.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-m", "ising_trinity.cli", *argv, "--out", str(tmp_path / "g.csv")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stderr == (
+            "warning: Gibbs chains have not mixed: split R-hat inf exceeds 1.01, "
+            "so the draws may not follow the model\n"
+        )
+        assert json.loads((tmp_path / "g.meta.json").read_text())["meta"]["rhat_max"] == math.inf
 
     def test_rejection_reports_acceptance_rate(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
@@ -608,7 +661,7 @@ class TestSampleCommand:
         assert side["meta"] == {"quad_nodes": 128} and side["n"] == 12
         spec = it.load_model_spec(path)
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
-        ref = it.sample_latent_first(lf, it.QuadratureRule.gauss_hermite(128), 40, 0)
+        ref = it.sample_latent_first(lf, it.QuadratureRule(128), 40, 0)
         assert np.array_equal(it.load_sample_set(out).draws, ref.draws)
 
     def test_latent_first_rejects_wide_models(self, rng, tmp_path, capsys):

@@ -132,7 +132,7 @@ class TestFaultInjection:
             it.verify_representations(spec, fault=it.BranchFault(branch="latent"))
 
     def test_fault_on_branch_refused_by_its_rule_rejected(self):
-        rule = it.QuadratureRule.gauss_hermite(4)
+        rule = it.QuadratureRule(4)
         with pytest.raises(ValueError, match="not evaluated: latent table error estimate"):
             it.verify_representations(
                 unit_coupling_spec(2), rule, fault=it.BranchFault(branch="latent")
@@ -255,7 +255,7 @@ class TestTolerances:
         # A rule too coarse for the model must not be judged by its table:
         # the latent branch is not evaluated, and the reason is its estimate.
         spec = unit_coupling_spec(2)
-        report = it.verify_representations(spec, rule=it.QuadratureRule.gauss_hermite(4))
+        report = it.verify_representations(spec, rule=it.QuadratureRule(4))
         assert report.evaluated["latent"] is False
         assert all("latent" not in pair for pair in report.distances)
         assert report.latent_error_estimate is None and report.quad_tol is None

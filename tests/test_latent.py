@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -26,61 +27,64 @@ HALF_LOG3 = 0.5 * math.log(3.0)
 class TestQuadratureRule:
     def test_weights_sum_to_one(self):
         for m in (8, 16, 32, 64, 128):
-            rule = it.QuadratureRule.gauss_hermite(m)
-            assert abs(rule.weights.sum() - 1.0) <= 1e-12
+            _, weights = latent._gauss_hermite(m)
+            assert abs(weights.sum() - 1.0) <= 1e-12
 
     def test_integrates_low_moments_of_the_normal(self):
-        rule = it.QuadratureRule.gauss_hermite(32)
-        assert rule.weights @ np.ones(32) == pytest.approx(1.0, abs=1e-12)
-        assert rule.weights @ rule.nodes == pytest.approx(0.0, abs=1e-12)
-        assert rule.weights @ rule.nodes**2 == pytest.approx(1.0, abs=1e-10)
-        assert rule.weights @ rule.nodes**4 == pytest.approx(3.0, abs=1e-9)
+        nodes, weights = latent._gauss_hermite(32)
+        assert weights @ np.ones(32) == pytest.approx(1.0, abs=1e-12)
+        assert weights @ nodes == pytest.approx(0.0, abs=1e-12)
+        assert weights @ nodes**2 == pytest.approx(1.0, abs=1e-10)
+        assert weights @ nodes**4 == pytest.approx(3.0, abs=1e-9)
 
     def test_refined_doubles_nodes(self):
         # The table under m nodes is measured against the one under 2m: its
         # estimate is their distance, and a refusal names the doubled rule.
         form = it.LatentForm(delta=np.full(12, 0.5), loadings=np.ones((12, 1)))
-        coarse, fine = (
-            it.mirt_marginal_pmf(form, it.QuadratureRule.gauss_hermite(m)) for m in (16, 32)
-        )
+        coarse, fine = (it.mirt_marginal_pmf(form, it.QuadratureRule(m)) for m in (16, 32))
         assert coarse.error_estimate == pytest.approx(it.pmf_distance(coarse, fine).tv, rel=1e-9)
         with pytest.raises(it.QuadratureResolutionError, match="under the 32-node rule"):
             it.mirt_marginal_pmf(
                 it.LatentForm(delta=np.zeros(4), loadings=np.ones((4, 1))),
-                it.QuadratureRule.gauss_hermite(16),
+                it.QuadratureRule(16),
             )
         assert not hasattr(it.QuadratureRule, "refined")
 
     def test_rule_size_is_capped_before_numpy(self):
+        # Every latent output also builds the rule of twice its nodes, so the
+        # largest count's reference is still far from numpy's non-finite weights.
+        assert MAX_QUAD_NODES == 128
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"limited to {MAX_QUAD_NODES} nodes"):
-                it.QuadratureRule.gauss_hermite(2 * MAX_QUAD_NODES)
-            with pytest.raises(ValueError, match=f"use at most {MAX_QUAD_NODES // 2}"):
-                it.mirt_marginal_pmf(
-                    it.LatentForm(np.zeros(2), np.ones((2, 1))),
-                    it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES // 2 + 1),
-                )
-            largest = it.QuadratureRule.gauss_hermite(MAX_QUAD_NODES)
-        assert abs(largest.weights.sum() - 1.0) <= 1e-12
-        assert largest.weights @ largest.nodes**2 == pytest.approx(1.0, abs=1e-12)
+            with pytest.raises(ValueError, match=f"take 1 to {MAX_QUAD_NODES} nodes"):
+                it.QuadratureRule(MAX_QUAD_NODES + 1)
+            nodes, weights = latent._gauss_hermite(2 * MAX_QUAD_NODES)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert weights @ nodes**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_rule_is_equal_and_read_only(self):
-        first = it.QuadratureRule.gauss_hermite(48)
-        again = it.QuadratureRule.gauss_hermite(48)
-        assert np.array_equal(first.nodes, again.nodes)
-        assert np.array_equal(first.weights, again.weights)
-        for arr in (again.nodes, again.weights):
+        first, again = latent._gauss_hermite(48), latent._gauss_hermite(48)
+        assert it.QuadratureRule(48) == it.QuadratureRule(np.int64(48))
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+                b[0] = 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            it.QuadratureRule.gauss_hermite(0)
-        with pytest.raises(ValueError, match="positive"):
-            it.QuadratureRule(nodes=np.array([0.0]), weights=np.array([-1.0]))
-        with pytest.raises(it.DimensionMismatchError):
-            it.QuadratureRule(nodes=np.zeros(3), weights=np.ones(2))
+        for bad in (0, -1, MAX_QUAD_NODES + 1, True, 2.5):
+            with pytest.raises(ValueError, match=f"nodes .*, got {bad!r}$"):
+                it.QuadratureRule(bad)
+        assert [f.name for f in dataclasses.fields(it.QuadratureRule)] == ["node_count"]
+        assert it.QuadratureRule().node_count == latent.DEFAULT_QUAD_NODES == 64
+        rule = it.QuadratureRule(np.int64(32))
+        assert type(rule.node_count) is int and rule.node_count == 32
+
+    def test_every_count_gives_a_finite_nonempty_stretched_pair(self):
+        for m in range(1, MAX_QUAD_NODES + 1):
+            for nodes, weights in latent._rule_pair(it.QuadratureRule(m)):
+                assert nodes.shape == weights.shape and nodes.size > 0, m
+                assert np.isfinite(nodes).all() and (weights > 0.0).all(), m
+                assert np.isfinite(weights).all(), m
 
 
 class TestMomentGeneratingIdentity:
@@ -89,12 +93,12 @@ class TestMomentGeneratingIdentity:
 
     def test_unit_tilt(self):
         for m in (32, 64):
-            rule = it.QuadratureRule.gauss_hermite(m)
+            rule = it.QuadratureRule(m)
             got = it.kac_identity_check(1.0, rule)
             assert abs(got - math.e) / math.e <= 1e-8
 
     def test_double_tilt(self):
-        got = it.kac_identity_check(2.0, it.QuadratureRule.gauss_hermite(32))
+        got = it.kac_identity_check(2.0, it.QuadratureRule(32))
         assert abs(got - math.exp(4.0)) / math.exp(4.0) <= 1e-8
         assert got == pytest.approx(54.598150033144236, rel=1e-10)
 
@@ -132,7 +136,7 @@ class TestRaschMarginal:
 
     def test_too_coarse_rule_is_rejected(self):
         with pytest.raises(it.QuadratureResolutionError, match="refine"):
-            it.rasch_marginal_pmf(np.full(8, 0.9), it.QuadratureRule.gauss_hermite(2))
+            it.rasch_marginal_pmf(np.full(8, 0.9), it.QuadratureRule(2))
 
     def test_twenty_items_work_in_sub_table_blocks(self):
         # The table and its check table under the doubled rule hold 2**20
@@ -156,8 +160,8 @@ class TestRaschMarginal:
         delta = rng.uniform(-1.0, 1.0, 3)
         gaps = []
         for m in (32, 40, 48, 64):
-            a = it.rasch_marginal_pmf(delta, it.QuadratureRule.gauss_hermite(m))
-            b = it.rasch_marginal_pmf(delta, it.QuadratureRule.gauss_hermite(2 * m))
+            a = it.rasch_marginal_pmf(delta, it.QuadratureRule(m))
+            b = it.rasch_marginal_pmf(delta, it.QuadratureRule(2 * m))
             gaps.append(it.pmf_distance(a, b).tv)
             # The estimate is that gap: b is the table that measured a.
             assert a.error_estimate == pytest.approx(gaps[-1], rel=1e-12, abs=0.0)
@@ -263,7 +267,7 @@ class TestMirtMarginal:
         spec = low_rank_spec(rng, 8, 2)
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
         with pytest.raises(it.QuadratureResolutionError):
-            it.mirt_marginal_pmf(lf, it.QuadratureRule.gauss_hermite(2))
+            it.mirt_marginal_pmf(lf, it.QuadratureRule(2))
 
 
 ORACLE_TOL = 1e-12
@@ -272,7 +276,7 @@ entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 
 @st.composite
 def quadrature_cases(draw):
-    """A latent form with n <= 7 and r <= 3, a small rule, and a node chunk size.
+    """A latent form with n <= 7 and r <= 3, a small rule's nodes and weights, and a chunk size.
 
     Rules of other than 4 or 8 nodes end in a ragged box; chunks below a box's
     ``_BOX**r`` nodes make every box its own batch.
@@ -281,19 +285,20 @@ def quadrature_cases(draw):
     r = draw(st.integers(min_value=0, max_value=min(3, n)))
     delta = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
     loadings = np.array(draw(st.lists(entries, min_size=n * r, max_size=n * r))).reshape(n, r)
-    rule = it.QuadratureRule.gauss_hermite(draw(st.integers(min_value=1, max_value=9)))
+    rule = latent._gauss_hermite(draw(st.integers(min_value=1, max_value=9)))
     chunk = draw(st.sampled_from([1, 2, 3, 7, 64, 4096]))
     return delta, loadings, rule, chunk
 
 
 def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
+    nodes, weights = rule
     table, log_total = mirt_quadrature_table(
-        delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+        delta.tolist(), loadings.tolist(), nodes.tolist(), weights.tolist()
     )
     # Small chunks evaluate the boxes of the node grid one batch at a time.
     with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-        _, log_norm = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
-        pmf = latent._quadrature_pmf(delta, loadings, rule)
+        _, log_norm = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), *rule)
+        pmf = latent._quadrature_pmf(delta, loadings, *rule)
     assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     npt.assert_allclose(pmf.probs, table, rtol=0, atol=ORACLE_TOL)
@@ -308,16 +313,17 @@ class TestQuadratureKernel:
     @settings(max_examples=60, deadline=None)
     @given(case=quadrature_cases())
     def test_node_shares_match_node_by_node_oracle(self, case):
-        delta, loadings, rule, chunk = case
+        delta, loadings, (nodes, weights), chunk = case
         log_c = np.array([
             lc for lc, _ in mirt_node_log_shares(
-                delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+                delta.tolist(), loadings.tolist(), nodes.tolist(), weights.tolist()
             )
         ])
         # The shares are the oracle's node weights, in its C order, divided
         # by their total.
         with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-            shares, _ = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), rule)
+            form = it.LatentForm(delta=delta, loadings=loadings)
+            shares, _ = latent.node_log_shares(form, nodes, weights)
         oracle = log_c - np.logaddexp.reduce(log_c)
         kept = shares > -np.inf
         npt.assert_allclose(shares[kept], oracle[kept], rtol=0, atol=ORACLE_TOL)
@@ -337,13 +343,13 @@ class TestQuadratureKernel:
         ],
     )
     def test_skipped_nodes_hold_under_two_to_the_minus_sixty(self, delta, loadings, nodes, chunk):
-        rule = it.QuadratureRule.gauss_hermite(nodes)
+        t, w = latent._gauss_hermite(nodes)
         with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-            batches = list(latent._node_batches(delta, loadings, rule))
+            batches = list(latent._node_batches(delta, loadings, t, w))
         seen = np.concatenate([index[log_c > -np.inf] for index, log_c, _ in batches])
         log_c = np.array([
             lc for lc, _ in mirt_node_log_shares(
-                delta.tolist(), loadings.tolist(), rule.nodes.tolist(), rule.weights.tolist()
+                delta.tolist(), loadings.tolist(), t.tolist(), w.tolist()
             )
         ])
         skipped = np.setdiff1d(np.arange(log_c.size), seen)
@@ -361,18 +367,18 @@ class TestQuadratureKernel:
         for nodes in (4, 7):
             for chunk in (1, 5, 4096):
                 assert_kernel_matches_oracle(
-                    delta, loadings, it.QuadratureRule.gauss_hermite(nodes), chunk
+                    delta, loadings, latent._gauss_hermite(nodes), chunk
                 )
 
     def test_marginals_are_the_renormalized_oracle_table(self, rng):
-        rule = it.QuadratureRule.gauss_hermite(40)
+        rule = it.QuadratureRule(40)
         # The marginals integrate with the rule stretched to nodes 2 t.
-        stretched = latent._stretched(rule)
-        assert np.array_equal(stretched.nodes, 2.0 * rule.nodes)
+        nodes, weights = latent._stretched(40)
+        assert np.array_equal(nodes, 2.0 * latent._gauss_hermite(40)[0])
         delta = rng.uniform(-0.5, 0.5, 5)
         loadings = rng.uniform(-0.4, 0.4, (5, 2))
         table, log_total = mirt_quadrature_table(
-            delta.tolist(), loadings.tolist(), stretched.nodes.tolist(), stretched.weights.tolist()
+            delta.tolist(), loadings.tolist(), nodes.tolist(), weights.tolist()
         )
         pmf = it.mirt_marginal_pmf(it.LatentForm(delta=delta, loadings=loadings), rule)
         npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)
@@ -380,7 +386,7 @@ class TestQuadratureKernel:
         assert pmf.log_z == pytest.approx(log_total, abs=1e-10)
 
         table, log_total = mirt_quadrature_table(
-            delta.tolist(), [[1.0]] * 5, stretched.nodes.tolist(), stretched.weights.tolist()
+            delta.tolist(), [[1.0]] * 5, nodes.tolist(), weights.tolist()
         )
         pmf = it.rasch_marginal_pmf(delta, rule)
         npt.assert_allclose(pmf.probs, np.array(table) / sum(table), rtol=0, atol=ORACLE_TOL)

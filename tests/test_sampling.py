@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -243,12 +244,9 @@ class TestGibbsSampler:
                 per_site = [chains[:, :, i].tolist() for i in range(spec.n)]
                 rhats = [v for v in map(split_rhat, per_site) if v is not None]
                 esses = [v for v in map(bulk_ess, per_site) if v is not None]
-                assert len(rhats) == len(esses)
-                if not rhats:
-                    assert sample.meta["rhat_max"] is sample.meta["ess_min"] is None
-                    continue
-                assert sample.meta["rhat_max"] == pytest.approx(max(rhats), rel=1e-9)
-                assert sample.meta["ess_min"] == pytest.approx(min(esses), rel=1e-9)
+                for key, values, pick in (("rhat_max", rhats, max), ("ess_min", esses, min)):
+                    want = pytest.approx(pick(values), rel=1e-9) if values else None
+                    assert sample.meta[key] == want, key
 
     def test_diagnostics_are_null_without_variation(self):
         # Two sites that never flip; chains of seven draws, too short to split.
@@ -261,10 +259,29 @@ class TestGibbsSampler:
     def test_diagnostics_flag_chains_that_do_not_mix(self, rng):
         # At unit coupling on eight sites each chain stays in the mode it
         # entered; the weak model's chains mix within a few sweeps.
-        stuck = it.sample_gibbs(unit_coupling_spec(8), 20_000, seed=2).meta
-        mixing = it.sample_gibbs(weak_spec(rng), 20_000, seed=2).meta
+        with pytest.warns(UserWarning, match="not mixed"):
+            stuck = it.sample_gibbs(unit_coupling_spec(8), 20_000, seed=2).meta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixing = it.sample_gibbs(weak_spec(rng), 20_000, seed=2).meta
         assert stuck["rhat_max"] > 2.0 and stuck["ess_min"] < 1000
         assert mixing["rhat_max"] < 1.05 and mixing["ess_min"] > 5000
+
+    def test_chains_frozen_apart_have_infinite_rhat_and_warn(self, tmp_path):
+        # Strongly coupled rank-one models: each chain stays in the mode it
+        # entered, so every site is constant within each chain but differs
+        # between chains, and the draws are far from the table.
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            spec = low_rank_spec(rng, 12, 1)
+            with pytest.warns(UserWarning, match=r"not mixed: split R-hat inf exceeds 1\.01"):
+                sample = it.sample_gibbs(spec, 20_032, seed=3)
+            assert sample.meta["rhat_max"] == math.inf and sample.meta["ess_min"] is None
+            tv = 0.5 * np.abs(it.empirical_frequencies(sample) - it.ising_pmf(spec).probs).sum()
+            assert tv > 0.1
+        it.save_sample_set(sample, tmp_path / "d.csv")
+        assert '"rhat_max": Infinity' in it.sidecar_path(tmp_path / "d.csv").read_text()
+        assert it.load_sample_set(tmp_path / "d.csv").meta["rhat_max"] == math.inf
 
     @pytest.mark.parametrize("n", [2, 6, 8])
     def test_goodness_of_fit_to_the_exact_table(self, n):
@@ -637,7 +654,7 @@ class TestRejectionSampler:
 class TestLatentFirstSampler:
     def test_matches_marginal_table(self):
         lf = rank_one_form(2)
-        sample = it.sample_latent_first(lf, None, 50_000, seed=6)
+        sample = it.sample_latent_first(lf, it.QuadratureRule(), 50_000, seed=6)
         freq = it.empirical_frequencies(sample)
         agree = math.e**2 / (2.0 * math.e**2 + 2.0)
         assert agree == pytest.approx(0.4403985, abs=5e-8)
@@ -651,18 +668,24 @@ class TestLatentFirstSampler:
         lf = it.LatentForm(
             delta=np.full(3, 0.5 * math.log(3.0)), loadings=np.zeros((3, 1))
         )
-        sample = it.sample_latent_first(lf, None, 40_000, seed=12)
+        sample = it.sample_latent_first(lf, it.QuadratureRule(), 40_000, seed=12)
         plus_rate = (sample.draws > 0).mean(axis=0)
         npt.assert_allclose(plus_rate, 0.75, atol=0.01)
 
     def test_deterministic(self):
         lf = rank_one_form(3)
-        a = it.sample_latent_first(lf, None, 400, seed=13)
-        b = it.sample_latent_first(lf, None, 400, seed=13)
+        a = it.sample_latent_first(lf, it.QuadratureRule(), 400, seed=13)
+        b = it.sample_latent_first(lf, it.QuadratureRule(), 400, seed=13)
         assert np.array_equal(a.draws, b.draws)
         assert a.meta == {"quad_nodes": 64}
-        rule = it.QuadratureRule.gauss_hermite(32)
+        rule = it.QuadratureRule(32)
         assert it.sample_latent_first(lf, rule, 10, seed=0).meta == {"quad_nodes": 32}
+
+    def test_sidecar_of_a_numpy_count_serializes(self, tmp_path):
+        rule = it.QuadratureRule(np.int64(32))
+        sample = it.sample_latent_first(rank_one_form(3), rule, 10, seed=0)
+        it.save_sample_set(sample, tmp_path / "d.csv")
+        assert it.load_sample_set(tmp_path / "d.csv").meta == {"quad_nodes": 32}
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_goodness_of_fit_to_the_network_table(self, rank):
@@ -671,7 +694,8 @@ class TestLatentFirstSampler:
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
         assert lf.r == rank
         m = 40_000
-        counts = it.empirical_frequencies(it.sample_latent_first(lf, None, m, seed=rank)) * m
+        sample = it.sample_latent_first(lf, it.QuadratureRule(), m, seed=rank)
+        counts = it.empirical_frequencies(sample) * m
         expected = m * it.ising_pmf(spec).probs
         assert pooled_chi_square_passes(counts, expected)
 
@@ -681,13 +705,13 @@ class TestLatentFirstSampler:
         with pytest.raises(it.RankLimitError) as marginal:
             it.mirt_marginal_pmf(lf)
         with pytest.raises(it.RankLimitError) as sampler:
-            it.sample_latent_first(lf, None, 10, seed=0)
+            it.sample_latent_first(lf, it.QuadratureRule(), 10, seed=0)
         assert str(sampler.value) == str(marginal.value)
         assert str(sampler.value) == "tensor quadrature supports a latent rank of at most 3, got rank 4"
 
     def test_needs_no_item_limit(self):
         lf = it.LatentForm(delta=np.full(40, 0.3), loadings=np.full((40, 1), 0.1))
-        sample = it.sample_latent_first(lf, None, 50, seed=1)
+        sample = it.sample_latent_first(lf, it.QuadratureRule(), 50, seed=1)
         assert sample.draws.shape == (50, 40)
 
     @pytest.mark.parametrize("block", [7, 1000])
@@ -698,9 +722,9 @@ class TestLatentFirstSampler:
             delta=rng.uniform(-0.5, 0.5, 5), loadings=rng.uniform(-0.5, 0.5, (5, 2))
         )
         monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", 1 << 30)
-        whole = it.sample_latent_first(lf, None, 999, seed=4)
+        whole = it.sample_latent_first(lf, it.QuadratureRule(), 999, seed=4)
         monkeypatch.setattr(sampling, "_UNIFORM_BLOCK", block)
-        blocked = it.sample_latent_first(lf, None, 999, seed=4)
+        blocked = it.sample_latent_first(lf, it.QuadratureRule(), 999, seed=4)
         assert np.array_equal(blocked.draws, whole.draws) and blocked.meta == whole.meta
 
     def test_working_memory_is_bounded(self):
@@ -709,7 +733,7 @@ class TestLatentFirstSampler:
         lf = it.LatentForm(delta=np.full(40, 0.3), loadings=np.full((40, 1), 0.1))
         tracemalloc.start()
         try:
-            sample = it.sample_latent_first(lf, None, 200_000, seed=2)
+            sample = it.sample_latent_first(lf, it.QuadratureRule(), 200_000, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -718,7 +742,7 @@ class TestLatentFirstSampler:
 
     def test_coarse_rule_rejected(self):
         lf = rank_one_form(2)
-        rule = it.QuadratureRule.gauss_hermite(4)
+        rule = it.QuadratureRule(4)
         with pytest.raises(it.QuadratureResolutionError, match="refine") as sampler:
             it.sample_latent_first(lf, rule, 10, seed=0)
         with pytest.raises(it.QuadratureResolutionError, match="refine"):
