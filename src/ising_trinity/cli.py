@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._enum import config_text
+from ._enum import config_text, split_halves
 from .collider import spectral_to_collider
 from .core import Pmf, ising_pmf
 from .equivalence import BRANCHES, BranchFault, verify_representations
@@ -56,13 +56,14 @@ def _write_out(text: str, path: str) -> None:
 def _row_cells(n: int, sep: str) -> tuple[list[str], list[str]]:
     """Each configuration's cells, each cell followed by ``sep``, in index order.
 
-    Returned as the parts for the low ``h = n // 2`` index bits and for the
-    high ones, the split of `spectral_pmf`'s table: only ``2**h`` and
-    ``2**(n - h)`` distinct strings are built, and the lists repeat them.
+    Returned as the parts for the low ``h`` index bits and the high
+    ``n - h`` of `split_halves`, the split of `spectral_pmf`'s table: only
+    ``2**h`` and ``2**(n - h)`` distinct strings are built, and the lists
+    repeat them.
     """
     lo, hi = (
         [c + sep for c in config_text(k, sep)] if k else [""]
-        for k in (n // 2, n - n // 2)
+        for k in (len(range(n)[part]) for part in reversed(split_halves(n)))
     )
     return lo * len(hi), [c for c in hi for _ in lo]
 
@@ -89,10 +90,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     # Only the latent table reads the rule, so only it checks --quad-nodes.
     latent = args.representation == "latent"
     rule = QuadratureRule(args.quad_nodes) if latent else QuadratureRule()
-    # The network table needs no eigendecomposition, so a model whose
-    # eigenvalues overflow still gets it.
-    form = None if args.representation == "conventional" else to_spectral(spec)
-    pmf = BRANCHES[args.representation](spec, form, rule)
+    pmf = BRANCHES[args.representation](spec, rule)
     _write_out(_pmf_text(pmf, args.representation, args.format), args.output)
     return 0
 

@@ -33,21 +33,21 @@ from .collider import conditioned_pmf, spectral_to_collider
 from .core import ModelSpec, Pmf, PmfDistance, ising_pmf, pmf_distance
 from .errors import QuadratureResolutionError, RankLimitError
 from .latent import LatentForm, QuadratureRule, mirt_marginal_pmf
-from .spectral import SpectralForm, spectral_pmf, to_spectral
+from .spectral import spectral_pmf, to_spectral
 
-# Name -> builder ``(spec, form, rule) -> Pmf``, in report order.  ``form`` is
-# the spectral form of ``spec``'s couplings, which a fault leaves alone and the
-# conventional branch never reads, and ``rule`` is the latent marginal's.
-# Each builder looks its functions up when called, so rebinding a module
-# global (as a tracer does) reaches every caller of the table.
-BRANCHES: dict[str, Callable[[ModelSpec, SpectralForm | None, QuadratureRule], Pmf]] = {
-    "conventional": lambda spec, form, rule: ising_pmf(spec),
-    "spectral": lambda spec, form, rule: spectral_pmf(form, spec.delta),
-    "collider": lambda spec, form, rule: conditioned_pmf(
-        spectral_to_collider(form, spec.delta)
+# Name -> builder ``(spec, rule) -> Pmf``, in report order; ``rule`` is the
+# latent marginal's.  Each eigen-branch eigendecomposes ``spec`` itself, so
+# the conventional branch never does.  Each builder looks its functions up
+# when called, so rebinding a module global (as a tracer does) reaches every
+# caller of the table.
+BRANCHES: dict[str, Callable[[ModelSpec, QuadratureRule], Pmf]] = {
+    "conventional": lambda spec, rule: ising_pmf(spec),
+    "spectral": lambda spec, rule: spectral_pmf(to_spectral(spec), spec.delta),
+    "collider": lambda spec, rule: conditioned_pmf(
+        spectral_to_collider(to_spectral(spec), spec.delta)
     ),
-    "latent": lambda spec, form, rule: mirt_marginal_pmf(
-        LatentForm.from_spectral(form, spec.delta), rule
+    "latent": lambda spec, rule: mirt_marginal_pmf(
+        LatentForm.from_spectral(to_spectral(spec), spec.delta), rule
     ),
 }
 
@@ -184,7 +184,8 @@ def verify_representations(
     error.
     """
     check_enumerable(spec.n)
-    form = to_spectral(spec)
+    # Raises EigendecompositionError before any branch runs.
+    rank = to_spectral(spec).rank
 
     tables: dict[str, Pmf] = {}
     timings: dict[str, float] = {}
@@ -197,7 +198,7 @@ def verify_representations(
             branch_spec = replace(spec, delta=delta)
         start = time.perf_counter()
         try:
-            tables[name] = build(branch_spec, form, rule)
+            tables[name] = build(branch_spec, rule)
         except (RankLimitError, QuadratureResolutionError) as exc:
             if branch_spec is not spec:
                 raise ValueError(
@@ -216,7 +217,7 @@ def verify_representations(
     }
     return EquivalenceReport(
         n=spec.n,
-        rank=form.rank,
+        rank=rank,
         distances=distances,
         timings=timings,
         fault=fault,

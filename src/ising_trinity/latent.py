@@ -26,12 +26,14 @@ points integrate with a stretched rule (`_stretched`): the ``m``-node
 rule's nodes ``t`` move to ``2 t`` and its weights ``w`` become
 ``w 2 phi(2 t) / phi(t)`` (Naylor & Smith 1982; Liu & Pierce 1994), which
 spreads the nodes over the wider latent density that a product of ``2 cosh``
-factors tilts the normal into.  `_rule_pair` builds that working rule and the
-stretched ``2m``-node rule that measures it.  The table under the working
-rule is the result, and its total-variation distance to the table under the
-reference is its error estimate; an estimate above ``ESTIMATE_TOL`` refuses
-the rule.  The latent-first sampler has no table, so it compares the two
-rules' normalizers instead.  The private kernels take whatever nodes and
+factors tilts the normal into.  The stretched weights are built and used as
+logs, so every ``m``-node rule keeps all ``m`` nodes, however far out the
+stretch moves them.  `_rule_pair` builds that working rule and the stretched
+``2m``-node rule that measures it.  The table under the working rule is the
+result, and its total-variation distance to the table under the reference
+is its error estimate; an estimate above ``ESTIMATE_TOL`` refuses the rule.
+The latent-first sampler has no table, so it compares the two rules'
+normalizers instead.  The private kernels take whatever nodes and log
 weights they are given.
 
 Most tensor nodes hold a negligible share of the mass, so the grid is cut into
@@ -136,21 +138,20 @@ def _gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stretched(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``m``-node rule widened by ``_STRETCH = s``.
+    """The ``m`` nodes and ``m`` log weights of the ``m``-node rule widened by ``_STRETCH = s``.
 
     Nodes ``t`` move to ``s t`` and weights ``w`` become ``w s phi(s t) / phi(t)``:
     a change of variables, so the rule integrates against the same standard
-    normal density.  Weights that underflow to zero are dropped.
+    normal density.  The weights are kept as logs, which stay finite where
+    the weights themselves would underflow, so every node is kept.
     """
     t, w = _gauss_hermite(m)
     s = _STRETCH
-    weights = np.exp(np.log(w) + np.log(s) + 0.5 * (1.0 - s * s) * t**2)
-    keep = weights > 0.0
-    return s * t[keep], weights[keep]
+    return s * t, np.log(w) + np.log(s) + 0.5 * (1.0 - s * s) * t**2
 
 
 def _rule_pair(rule: QuadratureRule):
-    """Stretched ``(nodes, weights)`` of the working rule and of the ``2m``-node reference."""
+    """Stretched ``(nodes, log_weights)`` of the working rule and of the ``2m``-node reference."""
     return _stretched(rule.node_count), _stretched(2 * rule.node_count)
 
 
@@ -169,10 +170,11 @@ def kac_identity_check(a: float, rule: QuadratureRule = QuadratureRule()) -> flo
     return float(w @ vals)
 
 
-def _node_batches(delta: np.ndarray, loadings: np.ndarray, nodes, weights):
+def _node_batches(delta: np.ndarray, loadings: np.ndarray, nodes, log_weights):
     """Batches ``(index, log_c, eta)`` of the tensor nodes holding all but ``2**-60`` of the mass.
 
-    The grid is the tensor product of the one-dimensional ``nodes`` and ``weights``.
+    The grid is the tensor product of the one-dimensional ``nodes`` and
+    their ``log_weights``.
 
     ``index`` holds each node's position in the grid's C order, ``log_c`` its
     unnormalized log weight ``sum_j log w_kj + sum_i log 2 cosh(eta_ik)``
@@ -188,7 +190,7 @@ def _node_batches(delta: np.ndarray, loadings: np.ndarray, nodes, weights):
     # Slots first, boxes innermost; padding repeats the last node at weight zero.
     slot = np.arange(per_dim * _BOX).reshape(per_dim, _BOX).T
     t = nodes[np.minimum(slot, m - 1)]
-    log_w = np.where(slot < m, np.log(weights)[np.minimum(slot, m - 1)], -np.inf)
+    log_w = np.where(slot < m, log_weights[np.minimum(slot, m - 1)], -np.inf)
     steps = np.ascontiguousarray(loadings.T[:, :, None, None] * t)
     # C-order index of a box's first node per box digit, and of each slot within it.
     place = m ** np.arange(r - 1, -1, -1)
@@ -202,18 +204,19 @@ def _node_batches(delta: np.ndarray, loadings: np.ndarray, nodes, weights):
 
     def batch(boxes):
         digits = boxes // per_dim ** np.arange(r - 1, -1, -1)[:, None] % per_dim
-        size = n * boxes.size * _BOX**r
+        k = boxes.size * _BOX**r
         # Fields sum as (delta + a_1 t) + ... + a_0 t, weights as w_1 + ... + w_0.
         eta, lw = delta.reshape(n, *[1] * r, 1), np.zeros([1] * (r + 1))
         for j in [*range(1, r), 0][:r]:
             shape = [1] * r + [boxes.size]
             shape[j] = _BOX
-            out = work[0, :size].reshape(n, *[_BOX] * r, -1) if j == 0 else None
+            out = work[0, : n * k].reshape(n, *[_BOX] * r, -1) if j == 0 else None
             eta = np.add(eta, np.take(steps[j], digits[j], axis=2).reshape(n, *shape), out=out)
             lw = lw + np.take(log_w, digits[j], axis=1).reshape(shape)
-        eta = eta.reshape(n, -1)
+        # Shapes spelled out: at n = 0 there is no -1 to infer.
+        eta = eta.reshape(n, k)
         # log 2cosh(eta) = |eta| + log1p(exp(-2|eta|))
-        mag, tail = work[1, :size].reshape(n, -1), work[2, :size].reshape(n, -1)
+        mag, tail = work[1:, : n * k].reshape(2, n, k)
         np.multiply(np.abs(eta, out=mag), -2.0, out=tail)
         mag += np.log1p(np.exp(tail, out=tail), out=tail)
         log_c = lw.reshape(-1) + mag.sum(axis=0)
@@ -290,8 +293,8 @@ def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_pmf(delta, loadings, nodes, weights) -> Pmf:
-    """Marginal table under the rule of ``nodes`` and ``weights``, normalized by its own total.
+def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
+    """Marginal table under the rule of ``nodes`` and ``log_weights``, normalized by its own total.
 
     The first ``s = min(n, _SUB_ITEMS)`` items make up a sub-table.  Slab
     ``j`` of the table holds the ``2**s`` configurations whose items above
@@ -316,7 +319,7 @@ def _quadrature_pmf(delta, loadings, nodes, weights) -> Pmf:
     width = _BLOCK_MADDS >> sub
     stack = np.empty((_STACK, *raw.shape[1:]))
     log_shift = None
-    for _, log_c, eta in _node_batches(delta, loadings, nodes, weights):
+    for _, log_c, eta in _node_batches(delta, loadings, nodes, log_weights):
         if log_shift is None:
             log_shift = _log_sum_exp(log_c)
             # The tables of every batch, the first being the largest, reuse
@@ -349,26 +352,6 @@ def _quadrature_pmf(delta, loadings, nodes, weights) -> Pmf:
     # Read-only, so the table keeps this memory rather than a copy of it.
     raw.setflags(write=False)
     return Pmf(raw.ravel(), float(log_shift + np.log(mass)))
-
-
-def _measured_pmf(delta, loadings, rule: QuadratureRule) -> Pmf:
-    """The table under the stretched ``rule``, carrying its error estimate.
-
-    The estimate is the total-variation distance to the table under the
-    reference of `_rule_pair`; above ``ESTIMATE_TOL`` it raises
-    `QuadratureResolutionError`.
-    """
-    working, fine = _rule_pair(rule)
-    table = _quadrature_pmf(delta, loadings, *working)
-    gap = table.probs - _quadrature_pmf(delta, loadings, *fine).probs
-    est = 0.5 * float(np.abs(gap, out=gap).sum())
-    if est > ESTIMATE_TOL:
-        raise QuadratureResolutionError(
-            f"latent table error estimate {est:.3g} (its distance to the table under "
-            f"the {2 * rule.node_count}-node rule) exceeds {ESTIMATE_TOL:g}; "
-            f"refine the rule (more nodes)"
-        )
-    return Pmf(table.probs, table.log_z, est)
 
 
 def rasch_marginal_pmf(delta, rule: QuadratureRule = QuadratureRule()) -> Pmf:
@@ -418,20 +401,31 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule())
     """Marginal configuration table of a rank-``r`` latent model (``r <= 3``, ``n <= 20``).
 
     Uses a tensor product of the stretched one-dimensional rule (default 64
-    nodes) over the latent dimensions; the table carries its error estimate,
-    and one above ``ESTIMATE_TOL`` raises `QuadratureResolutionError`.  Above
-    rank 3 it raises `RankLimitError`, and above the enumeration limit, the
-    one size limit of every table, `EnumerationLimitError`.  A rank-0 form
-    has no latent variable at all: items are independent coins and the table
-    is exact.
+    nodes) over the latent dimensions.  The table carries its error
+    estimate, its total-variation distance to the table under the reference
+    of `_rule_pair`; an estimate above ``ESTIMATE_TOL`` raises
+    `QuadratureResolutionError`.  Above rank 3 it raises `RankLimitError`,
+    and above the enumeration limit, the one size limit of every table,
+    `EnumerationLimitError`.  A rank-0 form has no latent variable at all:
+    items are independent coins and the table is exact.
     """
     _check_tensor_rank(form.r)
     check_enumerable(form.n)
-    return _measured_pmf(form.delta, form.loadings, rule)
+    working, fine = _rule_pair(rule)
+    table = _quadrature_pmf(form.delta, form.loadings, *working)
+    gap = table.probs - _quadrature_pmf(form.delta, form.loadings, *fine).probs
+    est = 0.5 * float(np.abs(gap, out=gap).sum())
+    if est > ESTIMATE_TOL:
+        raise QuadratureResolutionError(
+            f"latent table error estimate {est:.3g} (its distance to the table under "
+            f"the {2 * rule.node_count}-node rule) exceeds {ESTIMATE_TOL:g}; "
+            f"refine the rule (more nodes)"
+        )
+    return Pmf(table.probs, table.log_z, est)
 
 
-def node_log_shares(form: LatentForm, nodes, weights) -> tuple[np.ndarray, float]:
-    """The marginal's node shares ``log c_k`` under the rule of ``nodes`` and ``weights``.
+def node_log_shares(form: LatentForm, nodes, log_weights) -> tuple[np.ndarray, float]:
+    """The marginal's node shares ``log c_k`` under the rule of ``nodes`` and ``log_weights``.
 
     The shares are in the grid's C order, for any ``n``.  Nodes that
     `_node_batches` skips get share zero (``-inf``); the rest are normalized
@@ -440,7 +434,7 @@ def node_log_shares(form: LatentForm, nodes, weights) -> tuple[np.ndarray, float
     """
     _check_tensor_rank(form.r)
     log_c = np.full(nodes.size**form.r, -np.inf)
-    for index, lc, _ in _node_batches(form.delta, form.loadings, nodes, weights):
+    for index, lc, _ in _node_batches(form.delta, form.loadings, nodes, log_weights):
         real = lc > -np.inf
         log_c[index[real]] = lc[real]
     log_norm = _log_sum_exp(log_c)
@@ -459,7 +453,6 @@ def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarr
     `_rule_pair` by more than ``MASS_TOL``.  It raises `RankLimitError` above
     rank 3.
     """
-    _check_tensor_rank(form.r)
     working, fine = _rule_pair(rule)
     log_shares, log_norm = node_log_shares(form, *working)
     batches = _node_batches(form.delta, form.loadings, *fine)

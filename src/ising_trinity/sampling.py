@@ -288,7 +288,8 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
             )
     rng = np.random.default_rng(seed)
     blocks = []
-    for lo in range(0, n, _BLOCK_WIDTH):
+    # A form without causes is one block of none, whose one configuration is kept.
+    for lo in range(0, max(n, 1), _BLOCK_WIDTH):
         part = slice(lo, lo + _BLOCK_WIDTH)
         prob, alias = _alias_table(linear_table(cf.delta[part]))
         jump = alias - np.arange(alias.size)

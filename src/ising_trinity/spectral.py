@@ -89,7 +89,7 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
         raise EigendecompositionError(
             f"eigendecomposition of the coupling matrix failed: {exc}"
         ) from exc
-    c = max(0.0, -float(evals.min())) + spec.extra_shift
+    c = max(0.0, -float(evals.min(initial=0.0))) + spec.extra_shift
     with np.errstate(over="ignore", invalid="ignore"):
         lambdas = evals + c
     if not np.all(np.isfinite(lambdas)):

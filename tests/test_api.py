@@ -126,3 +126,37 @@ def test_records_copy_the_callers_arrays(kind):
     for name, value in stored.items():
         npt.assert_array_equal(getattr(record, name), value, err_msg=f"{kind}.{name}")
         assert not getattr(record, name).flags.writeable
+
+
+# Each story of a model without items, from its spec: a one-entry table, a
+# sample of m rows and no columns, or a report whose every branch agrees.
+EMPTY_MODEL_STORIES = {
+    "ising_pmf": it.ising_pmf,
+    "spectral_pmf": lambda spec: it.spectral_pmf(it.to_spectral(spec), spec.delta),
+    "conditioned_pmf": lambda spec: it.conditioned_pmf(
+        it.spectral_to_collider(it.to_spectral(spec), spec.delta)
+    ),
+    "mirt_marginal_pmf": lambda spec: it.mirt_marginal_pmf(
+        it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+    ),
+    "verify_representations": it.verify_representations,
+    "sample_exact": lambda spec: it.sample_exact(it.ising_pmf(spec), 7, 0),
+    "sample_gibbs": lambda spec: it.sample_gibbs(spec, 7, 0),
+    "sample_collider_rejection": lambda spec: it.sample_collider_rejection(
+        it.spectral_to_collider(it.to_spectral(spec), spec.delta), 7, 0
+    ),
+    "sample_latent_first": lambda spec: it.sample_latent_first(
+        it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta), it.QuadratureRule(), 7, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("story", EMPTY_MODEL_STORIES)
+def test_a_model_without_items_runs_in_every_story(story):
+    out = EMPTY_MODEL_STORIES[story](it.ModelSpec(delta=np.zeros(0), sigma=np.zeros((0, 0))))
+    if isinstance(out, it.Pmf):
+        assert out.probs.tolist() == [1.0]
+    elif isinstance(out, it.SampleSet):
+        assert out.draws.shape == (7, 0)
+    else:
+        assert out.n == 0 and out.all_pass and all(out.evaluated.values())

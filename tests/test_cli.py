@@ -219,7 +219,7 @@ class TestPmfBytes:
         out = tmp_path / f"table.{fmt}"
         argv = ["pmf", str(tmp_path / "model.json"), "-r", representation, "--format", fmt]
         assert main([*argv, "-o", str(out)]) == 0
-        pmf = BRANCHES[representation](spec, it.to_spectral(spec), it.QuadratureRule())
+        pmf = BRANCHES[representation](spec, it.QuadratureRule())
         assert out.read_text(encoding="utf-8") == expected_pmf_text(pmf, representation, fmt)
 
 
@@ -363,8 +363,8 @@ class TestVerifyCommand:
         tables = {}
         with monkeypatch.context() as patch:
             for name in ("spectral", "collider"):
-                def record(spec, form, rule, name=name, build=BRANCHES[name]):
-                    tables[name] = build(spec, form, rule)
+                def record(spec, rule, name=name, build=BRANCHES[name]):
+                    tables[name] = build(spec, rule)
                     return tables[name]
 
                 patch.setitem(BRANCHES, name, record)

@@ -79,12 +79,19 @@ class TestQuadratureRule:
         rule = it.QuadratureRule(np.int64(32))
         assert type(rule.node_count) is int and rule.node_count == 32
 
-    def test_every_count_gives_a_finite_nonempty_stretched_pair(self):
+    def test_every_count_gives_m_and_2m_stretched_nodes_with_finite_log_weights(self):
         for m in range(1, MAX_QUAD_NODES + 1):
-            for nodes, weights in latent._rule_pair(it.QuadratureRule(m)):
-                assert nodes.shape == weights.shape and nodes.size > 0, m
-                assert np.isfinite(nodes).all() and (weights > 0.0).all(), m
-                assert np.isfinite(weights).all(), m
+            pair = latent._rule_pair(it.QuadratureRule(m))
+            for (nodes, log_weights), count in zip(pair, (m, 2 * m)):
+                assert nodes.shape == log_weights.shape == (count,), m
+                assert np.isfinite(nodes).all() and np.isfinite(log_weights).all(), m
+
+    def test_default_reference_keeps_every_node(self):
+        # The stretch moves the outer nodes of the 128-node reference far enough
+        # out that their weights underflow; their log weights do not.
+        (nodes, _), (fine, log_weights) = latent._rule_pair(it.QuadratureRule())
+        assert nodes.size == 64 and fine.size == 128
+        assert np.exp(log_weights).min() == 0.0
 
 
 class TestMomentGeneratingIdentity:
@@ -278,6 +285,8 @@ entries = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 def quadrature_cases(draw):
     """A latent form with n <= 7 and r <= 3, a small rule's nodes and weights, and a chunk size.
 
+    The oracles take the weights, the kernels their logs.
+
     Rules of other than 4 or 8 nodes end in a ragged box; chunks below a box's
     ``_BOX**r`` nodes make every box its own batch.
     """
@@ -297,8 +306,9 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     )
     # Small chunks evaluate the boxes of the node grid one batch at a time.
     with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-        _, log_norm = latent.node_log_shares(it.LatentForm(delta=delta, loadings=loadings), *rule)
-        pmf = latent._quadrature_pmf(delta, loadings, *rule)
+        form = it.LatentForm(delta=delta, loadings=loadings)
+        _, log_norm = latent.node_log_shares(form, nodes, np.log(weights))
+        pmf = latent._quadrature_pmf(delta, loadings, nodes, np.log(weights))
     assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     npt.assert_allclose(pmf.probs, table, rtol=0, atol=ORACLE_TOL)
@@ -323,7 +333,7 @@ class TestQuadratureKernel:
         # by their total.
         with mock.patch.object(latent, "_NODE_CHUNK", chunk):
             form = it.LatentForm(delta=delta, loadings=loadings)
-            shares, _ = latent.node_log_shares(form, nodes, weights)
+            shares, _ = latent.node_log_shares(form, nodes, np.log(weights))
         oracle = log_c - np.logaddexp.reduce(log_c)
         kept = shares > -np.inf
         npt.assert_allclose(shares[kept], oracle[kept], rtol=0, atol=ORACLE_TOL)
@@ -345,7 +355,7 @@ class TestQuadratureKernel:
     def test_skipped_nodes_hold_under_two_to_the_minus_sixty(self, delta, loadings, nodes, chunk):
         t, w = latent._gauss_hermite(nodes)
         with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-            batches = list(latent._node_batches(delta, loadings, t, w))
+            batches = list(latent._node_batches(delta, loadings, t, np.log(w)))
         seen = np.concatenate([index[log_c > -np.inf] for index, log_c, _ in batches])
         log_c = np.array([
             lc for lc, _ in mirt_node_log_shares(
@@ -373,8 +383,9 @@ class TestQuadratureKernel:
     def test_marginals_are_the_renormalized_oracle_table(self, rng):
         rule = it.QuadratureRule(40)
         # The marginals integrate with the rule stretched to nodes 2 t.
-        nodes, weights = latent._stretched(40)
+        nodes, log_weights = latent._stretched(40)
         assert np.array_equal(nodes, 2.0 * latent._gauss_hermite(40)[0])
+        weights = np.exp(log_weights)
         delta = rng.uniform(-0.5, 0.5, 5)
         loadings = rng.uniform(-0.4, 0.4, (5, 2))
         table, log_total = mirt_quadrature_table(
