@@ -191,19 +191,37 @@ def curie_weiss_pmf(n: int, delta) -> Pmf:
     return Pmf(*normalize(log_w))
 
 
+# Entries per block of `pmf_distance`. Its two buffers stay in cache, where
+# whole-table temporaries at n = 20 cost more in page faults than in arithmetic.
+_DISTANCE_BLOCK = 1 << 15
+
+
 def pmf_distance(a: Pmf, b: Pmf) -> PmfDistance:
-    """Distance summary between two tables over the same configuration space."""
+    """Distance summary between two tables over the same configuration space.
+
+    Sums run over blocks, then pairwise over the block sums: on a
+    power-of-two table that is the order of numpy's pairwise ``sum`` over
+    the whole table, so the result is the same to the last bit.
+    """
     if a.n != b.n:
         raise DimensionMismatchError(f"tables have different sizes: n = {a.n} vs {b.n}")
-    diff = np.abs(a.probs - b.probs)
-    # Terms where a is zero count as zero; where only b is zero they are +inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = a.probs / b.probs
-        np.log(terms, out=terms)
-        terms *= a.probs
-    np.copyto(terms, 0.0, where=a.probs == 0.0)
-    kl = float(terms.sum())
-    return PmfDistance(tv=float(0.5 * diff.sum()), max_abs=float(diff.max()), kl=kl)
+    size = min(a.probs.size, _DISTANCE_BLOCK)
+    diff, terms = np.empty(size), np.empty(size)
+    parts = np.empty((a.probs.size // size, 3))
+    for i, start in enumerate(range(0, a.probs.size, size)):
+        pa, pb = a.probs[start : start + size], b.probs[start : start + size]
+        np.abs(np.subtract(pa, pb, out=diff), out=diff)
+        # Terms where a is zero count as zero; where only b is zero they are +inf.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(np.divide(pa, pb, out=terms), out=terms)
+            terms *= pa
+        np.copyto(terms, 0.0, where=pa == 0.0)
+        parts[i] = diff.sum(), terms.sum(), diff.max()
+    sums = parts[:, :2]
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    tv, kl = sums[0]
+    return PmfDistance(tv=float(0.5 * tv), max_abs=float(parts[:, 2].max()), kl=float(kl))
 
 
 def _first_moments(table: np.ndarray) -> tuple[np.ndarray, float]:

@@ -357,10 +357,11 @@ def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
 def rasch_marginal_pmf(delta, rule: QuadratureRule = QuadratureRule()) -> Pmf:
     """Marginal configuration table of the single-latent model by quadrature.
 
-    `mirt_marginal_pmf` of the rank-one form with unit loadings, with its
-    limits and error estimate.
+    `mirt_marginal_pmf` of the rank-one form with unit loadings (rank zero
+    when there are no items), with its limits and error estimate.
     """
-    return mirt_marginal_pmf(LatentForm(delta=delta, loadings=np.ones((np.size(delta), 1))), rule)
+    size = np.size(delta)
+    return mirt_marginal_pmf(LatentForm(delta=delta, loadings=np.ones((size, min(size, 1)))), rule)
 
 
 @dataclass(frozen=True)

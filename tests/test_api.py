@@ -139,6 +139,7 @@ EMPTY_MODEL_STORIES = {
     "mirt_marginal_pmf": lambda spec: it.mirt_marginal_pmf(
         it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
     ),
+    "rasch_marginal_pmf": lambda spec: it.rasch_marginal_pmf(spec.delta),
     "verify_representations": it.verify_representations,
     "sample_exact": lambda spec: it.sample_exact(it.ising_pmf(spec), 7, 0),
     "sample_gibbs": lambda spec: it.sample_gibbs(spec, 7, 0),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import ising_trinity as it
 from ising_trinity import sampling
-from ising_trinity.cli import _pmf_text, build_parser, main
+from ising_trinity.cli import _pmf_blocks, build_parser, main
 from ising_trinity.equivalence import BRANCHES
 from oracles import pmf_csv_text, pmf_json_text
 
@@ -153,6 +154,10 @@ class TestPmfCommand:
         np.testing.assert_allclose(probs, it.ising_pmf(spec).probs, rtol=0, atol=1e-12)
 
 
+def pmf_text(pmf, representation, fmt):
+    return b"".join(_pmf_blocks(pmf, representation, fmt)).decode()
+
+
 def expected_pmf_text(pmf, representation, fmt):
     if fmt == "csv":
         return pmf_csv_text(pmf.n, pmf.probs.tolist())
@@ -181,7 +186,7 @@ class TestPmfBytes:
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_text_matches_the_per_cell_reference(self, pmf, representation, fmt):
-        assert _pmf_text(pmf, representation, fmt) == expected_pmf_text(pmf, representation, fmt)
+        assert pmf_text(pmf, representation, fmt) == expected_pmf_text(pmf, representation, fmt)
 
     # n = 0 has no configuration cells, so each row is the probability alone;
     # n = 16 is the size of the benchmark's tables, split 8 + 8.
@@ -193,7 +198,7 @@ class TestPmfBytes:
         weights[rng.random(1 << n) < 0.1] = 0.0
         weights[0] = 1.0
         pmf = it.Pmf(weights / weights.sum(), -1.5)
-        text = _pmf_text(pmf, "collider", fmt)
+        text = pmf_text(pmf, "collider", fmt)
         assert text == expected_pmf_text(pmf, "collider", fmt)
         if fmt == "json":
             assert json.loads(text)["rows"][0] == [*[-1] * n, pmf.probs[0]]
@@ -221,6 +226,23 @@ class TestPmfBytes:
         assert main([*argv, "-o", str(out)]) == 0
         pmf = BRANCHES[representation](spec, it.QuadratureRule())
         assert out.read_text(encoding="utf-8") == expected_pmf_text(pmf, representation, fmt)
+
+    def test_writing_the_n16_json_table_keeps_a_small_peak(self, tmp_path):
+        # Formatting the whole table as one string peaked at 27.7 MiB traced here.
+        rng = np.random.default_rng(16)
+        upper = np.triu(rng.uniform(-1.0, 1.0, (16, 16)), 1)
+        spec = it.ModelSpec(rng.uniform(-1.0, 1.0, 16), upper + upper.T)
+        it.save_model_spec(spec, tmp_path / "m.json")
+        out = tmp_path / "t.json"
+        argv = ["pmf", str(tmp_path / "m.json"), "--format", "json", "-o", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert len(json.loads(out.read_text())["rows"]) == 1 << 16
 
 
 class TestSpecErrors:
