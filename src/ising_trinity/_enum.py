@@ -121,11 +121,6 @@ def log_2cosh(t: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a))
 
 
-def log_sigmoid(t: np.ndarray) -> np.ndarray:
-    """``log(logistic(t))`` elementwise, without overflow."""
-    return -np.logaddexp(0.0, -t)
-
-
 def normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn log weights into ``(probs, log_z)`` with ``probs`` summing to one.
 

@@ -271,19 +271,24 @@ def _check_tensor_rank(r: int) -> None:
         )
 
 
+def _item_conditional(eta: np.ndarray, sign: float) -> np.ndarray:
+    """Item conditionals ``p(x_i = sign | theta) = 1 / (1 + exp(-2 sign eta_i))``, ``sign = +-1``.
+
+    ``eta`` holds the fields ``delta_i + a_i . theta``.  An exponential that
+    overflows gives the probability's limit, zero.
+    """
+    with np.errstate(over="ignore"):
+        p = np.exp(-2.0 * sign * eta)
+    p += 1.0
+    return np.reciprocal(p, out=p)
+
+
 def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``prod_i p(x_i | theta_k)`` over the items of these fields, ``(2**items, K)``, by doubling.
 
     The table is written to the start of the flat buffer ``buf``.
-    ``p(x_i = +-1 | theta_k) = 1 / (1 + exp(-+2 eta_ik))``; an exponential
-    that overflows gives the probability's limit, zero.
     """
-    with np.errstate(over="ignore"):
-        p_plus, p_minus = np.exp(-2.0 * eta), np.exp(2.0 * eta)
-    p_plus += 1.0
-    p_minus += 1.0
-    np.reciprocal(p_plus, out=p_plus)
-    np.reciprocal(p_minus, out=p_minus)
+    p_plus, p_minus = _item_conditional(eta, 1.0), _item_conditional(eta, -1.0)
     out = buf[: eta.shape[1] << eta.shape[0]].reshape(1 << eta.shape[0], eta.shape[1])
     out[0] = 1.0
     for i in range(eta.shape[0]):
@@ -425,37 +430,24 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule())
     return Pmf(table.probs, table.log_z, est)
 
 
-def node_log_shares(form: LatentForm, nodes, log_weights) -> tuple[np.ndarray, float]:
-    """The marginal's node shares ``log c_k`` under the rule of ``nodes`` and ``log_weights``.
+def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The latent-first sampler's nodes: shares ``c_k``, ``(K,)``, and coordinates, ``(K, r)``.
 
-    The shares are in the grid's C order, for any ``n``.  Nodes that
-    `_node_batches` skips get share zero (``-inf``); the rest are normalized
-    to sum to one.  Also returns the log of the total they were normalized
-    by, the rule's normalizer.  Raises `RankLimitError` above rank 3.
+    The nodes are those of the stretched ``rule``, the marginal's own rule,
+    that `_node_batches` keeps and whose share is positive, in the grid's C
+    order (the first latent dimension most significant); the shares are
+    normalized over the kept nodes.  With no table to measure, the sampler
+    checks normalizers: it raises `QuadratureResolutionError` when the node
+    total under that rule is off the one under the reference of `_rule_pair`
+    by more than ``MASS_TOL``.  It raises `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
-    log_c = np.full(nodes.size**form.r, -np.inf)
-    for index, lc, _ in _node_batches(form.delta, form.loadings, nodes, log_weights):
-        real = lc > -np.inf
-        log_c[index[real]] = lc[real]
+    (nodes, log_weights), fine = _rule_pair(rule)
+    batches = _node_batches(form.delta, form.loadings, nodes, log_weights)
+    index, log_c = map(np.concatenate, zip(*[(i, c) for i, c, _ in batches]))
+    order = np.argsort(index)
+    index, log_c = index[order], log_c[order]
     log_norm = _log_sum_exp(log_c)
-    return log_c - log_norm, log_norm
-
-
-def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """The latent-first sampler's node shares ``c_k`` and the stretched node values they are on.
-
-    The shares are `node_log_shares` under the stretched ``rule``, the
-    marginal's own rule, in the grid's C order: with ``K`` values, node
-    ``k``'s coordinates are the values at ``k``'s base-``K`` digits, the first
-    latent dimension most significant.  With no table to measure, the
-    sampler checks normalizers: it raises `QuadratureResolutionError` when
-    the node total under that rule is off the one under the reference of
-    `_rule_pair` by more than ``MASS_TOL``.  It raises `RankLimitError` above
-    rank 3.
-    """
-    working, fine = _rule_pair(rule)
-    log_shares, log_norm = node_log_shares(form, *working)
     batches = _node_batches(form.delta, form.loadings, *fine)
     log_fine = np.logaddexp.reduce([_log_sum_exp(log_c) for _, log_c, _ in batches])
     mass = np.exp(log_norm - log_fine)
@@ -464,4 +456,8 @@ def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarr
             f"quadrature marginal mass {float(mass)!r} deviates from 1 by more than "
             f"{MASS_TOL:g}; refine the rule (more nodes)"
         )
-    return np.exp(log_shares), working[0]
+    # The padding of ragged boxes, at log_c = -inf, goes with the shares that are zero.
+    shares = np.exp(log_c - log_norm)
+    kept = np.flatnonzero(shares)
+    digits = index[kept, None] // nodes.size ** np.arange(form.r - 1, -1, -1) % nodes.size
+    return shares[kept], nodes[digits]

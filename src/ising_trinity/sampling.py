@@ -20,12 +20,11 @@ from ._enum import (
     decode_configs,
     encode_configs,
     linear_table,
-    log_sigmoid,
 )
 from .collider import ColliderForm, conditioned_pmf
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
-from .latent import LatentForm, QuadratureRule, latent_first_nodes
+from .latent import LatentForm, QuadratureRule, _item_conditional, latent_first_nodes
 
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
@@ -356,16 +355,14 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule, m: int, seed: int)
     not depend on the block size.
     """
     _require_positive_m(m)
-    shares, values = latent_first_nodes(lf, rule)
+    shares, theta = latent_first_nodes(lf, rule)
     cdf = np.cumsum(shares)
     rng = np.random.default_rng(seed)
     k = np.minimum(np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right"), cdf.size - 1)
-    count, draws = values.size, np.empty((m, lf.n), dtype=np.int8)
+    draws = np.empty((m, lf.n), dtype=np.int8)
     rows = max(1, _UNIFORM_BLOCK // max(lf.n, 1))
     for lo in range(0, m, rows):
-        # Node k's digits in base count, first latent dimension most significant.
-        digits = k[lo : lo + rows, None] // count ** np.arange(lf.r - 1, -1, -1) % count
-        p_plus = np.exp(log_sigmoid(2.0 * (lf.delta + values[digits] @ lf.loadings.T)))
+        p_plus = _item_conditional(lf.delta + theta[k[lo : lo + rows]] @ lf.loadings.T, 1.0)
         draws[lo : lo + rows] = np.where(rng.random(p_plus.shape) < p_plus, 1, -1)
     draws.setflags(write=False)
     meta = {"quad_nodes": rule.node_count}
@@ -432,6 +429,12 @@ def load_sample_set(csv_path) -> SampleSet:
     for key in ("seed", "method"):
         if not isinstance(side, dict) or key not in side:
             raise ValueError(f"sample metadata sidecar {side_path} has no {key!r} field")
+    # Not isinstance, which takes a JSON true for an int; nor int(), which
+    # would truncate 1.5 and parse "7".
+    if type(side["seed"]) is not int:
+        raise ValueError(f"sample metadata sidecar {side_path} has a non-integer 'seed' field")
+    if not isinstance(side.get("meta", {}), dict):
+        raise ValueError(f"sample metadata sidecar {side_path} has a non-object 'meta' field")
     draws = read_csv_table(csv_path, np.int8, rows="draws")[1]
     if draws.shape != (side.get("m", draws.shape[0]), side.get("n", draws.shape[1])):
         raise ValueError(
@@ -439,6 +442,5 @@ def load_sample_set(csv_path) -> SampleSet:
             f"its sidecar records {side.get('m')} x {side.get('n')}"
         )
     return SampleSet(
-        draws=draws, seed=int(side["seed"]), method=str(side["method"]),
-        meta=dict(side.get("meta", {})),
+        draws=draws, seed=side["seed"], method=str(side["method"]), meta=side.get("meta", {}),
     )

@@ -306,10 +306,7 @@ def assert_kernel_matches_oracle(delta, loadings, rule, chunk):
     )
     # Small chunks evaluate the boxes of the node grid one batch at a time.
     with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-        form = it.LatentForm(delta=delta, loadings=loadings)
-        _, log_norm = latent.node_log_shares(form, nodes, np.log(weights))
         pmf = latent._quadrature_pmf(delta, loadings, nodes, np.log(weights))
-    assert log_norm == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     assert pmf.log_z == pytest.approx(log_total, rel=0, abs=ORACLE_TOL)
     npt.assert_allclose(pmf.probs, table, rtol=0, atol=ORACLE_TOL)
 
@@ -323,23 +320,31 @@ class TestQuadratureKernel:
     @settings(max_examples=60, deadline=None)
     @given(case=quadrature_cases())
     def test_node_shares_match_node_by_node_oracle(self, case):
-        delta, loadings, (nodes, weights), chunk = case
+        delta, loadings, (nodes, _), chunk = case
+        # The sampler's nodes are those of the stretched rule of this size.
+        t, log_w = latent._stretched(nodes.size)
         log_c = np.array([
             lc for lc, _ in mirt_node_log_shares(
-                delta.tolist(), loadings.tolist(), nodes.tolist(), weights.tolist()
+                delta.tolist(), loadings.tolist(), t.tolist(), np.exp(log_w).tolist()
             )
         ])
-        # The shares are the oracle's node weights, in its C order, divided
-        # by their total.
-        with mock.patch.object(latent, "_NODE_CHUNK", chunk):
-            form = it.LatentForm(delta=delta, loadings=loadings)
-            shares, _ = latent.node_log_shares(form, nodes, np.log(weights))
         oracle = log_c - np.logaddexp.reduce(log_c)
-        kept = shares > -np.inf
-        npt.assert_allclose(shares[kept], oracle[kept], rtol=0, atol=ORACLE_TOL)
-        # Skipped nodes get share zero; together they hold under 2**-60.
-        assert np.exp(oracle[~kept]).sum() < 2.0**-60
-        assert np.exp(shares).sum() == pytest.approx(1.0, rel=0, abs=ORACLE_TOL)
+        # Small rules fail the normalizer check, which is not under test here.
+        with mock.patch.object(latent, "_NODE_CHUNK", chunk), \
+                mock.patch.object(latent, "MASS_TOL", np.inf):
+            form = it.LatentForm(delta=delta, loadings=loadings)
+            shares, theta = latent.latent_first_nodes(form, it.QuadratureRule(t.size))
+        # Every coordinate is a node value, and the nodes come in the oracle's C order.
+        digits = np.searchsorted(t, theta)
+        assert theta.shape == (shares.size, form.r) and np.array_equal(t[digits], theta)
+        index = digits @ t.size ** np.arange(form.r - 1, -1, -1)
+        assert (np.diff(index) > 0).all()
+        # The kept shares are the oracle's, divided by their total; the
+        # dropped nodes hold under 2**-60 together.
+        assert (shares > 0.0).all()
+        npt.assert_allclose(np.log(shares), oracle[index], rtol=0, atol=ORACLE_TOL)
+        assert np.exp(np.delete(oracle, index)).sum() < 2.0**-60
+        assert shares.sum() == pytest.approx(1.0, rel=0, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize(
         "delta, loadings, nodes, chunk",

@@ -740,6 +740,31 @@ class TestLatentFirstSampler:
         assert sample.draws.shape == (200_000, 40)
         assert peak < 32 * 2**20
 
+    def test_rank_three_draws_hold_only_the_kept_nodes(self):
+        # The 128-node rank-3 grid has 2**21 nodes, most of them skipped by
+        # the sweep; a full grid of their shares would be 16 MiB of floats.
+        spec = low_rank_spec(np.random.default_rng(3), 10, 3)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        assert lf.r == 3
+        tracemalloc.start()
+        try:
+            sample = it.sample_latent_first(lf, it.QuadratureRule(128), 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.draws.shape == (20_000, 10)
+        assert peak < 24 * 2**20
+
+    def test_certain_coins_draw_without_overflow(self):
+        # Fields near +-1000 overflow exp(2 eta); the item conditional takes
+        # its limit instead.  The two fields' magnitudes sum to 2000 at every
+        # node, so the rule resolves the model exactly.
+        lf = it.LatentForm(delta=np.array([1000.0, -1000.0]), loadings=np.full((2, 1), 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sample = it.sample_latent_first(lf, it.QuadratureRule(), 500, seed=2)
+        assert (sample.draws == [1, -1]).all()
+
     def test_coarse_rule_rejected(self):
         lf = rank_one_form(2)
         rule = it.QuadratureRule(4)
@@ -813,6 +838,21 @@ class TestSampleIo:
         side.pop(field, None)
         it.sidecar_path(path).write_text(json.dumps(side if field else 3))
         with pytest.raises(ValueError, match=f"has no '{field or 'seed'}' field"):
+            it.load_sample_set(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("meta", 5), ("meta", None), ("meta", [1, 2]), ("seed", None), ("seed", [1]),
+         ("seed", 1.5), ("seed", "7"), ("seed", True)],
+    )
+    def test_sidecar_fields_must_have_their_json_types(self, tmp_path, field, value):
+        path = tmp_path / "draws.csv"
+        it.save_sample_set(it.sample_exact(it.ising_pmf(unit_coupling_spec(2)), 3, seed=0), path)
+        side = json.loads(it.sidecar_path(path).read_text())
+        side[field] = value
+        it.sidecar_path(path).write_text(json.dumps(side))
+        kind = "integer" if field == "seed" else "object"
+        with pytest.raises(ValueError, match=f"has a non-{kind} '{field}' field"):
             it.load_sample_set(path)
 
     def test_headers_only_file(self, tmp_path):
