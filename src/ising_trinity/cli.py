@@ -13,8 +13,7 @@ import inspect
 import json
 import sys
 import warnings
-from collections.abc import Iterator
-from pathlib import Path
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .estimation import fit_pseudo_likelihood
 from .graphs import VIEWS, graph_dot
 from .latent import DEFAULT_QUAD_NODES, LatentForm, QuadratureRule
 from .sampling import (
+    METHODS,
     read_csv_table,
     sample_collider_rejection,
     sample_exact,
@@ -37,8 +37,6 @@ from .sampling import (
 )
 from .specfile import load_model_spec
 from .spectral import to_spectral
-
-METHODS = ("exact", "gibbs", "collider-rejection", "latent-first")
 
 # Table format -> (separator after each configuration cell; row template of
 # the low-half cells, the high-half cells and the probability; separator
@@ -59,11 +57,14 @@ ROW_TEMPLATES = {
 _BLOCK_ROWS = 1 << 10
 
 
-def _write_out(text: str, path: str) -> None:
+def _write_out(chunks: Iterable[bytes], path: str) -> None:
+    """Write UTF-8 chunks to stdout for ``-``, else to the file at ``path``, opened only here."""
     if path == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "wb") as out:
+            out.writelines(chunks)
 
 
 def _row_cells(n: int, sep: str) -> tuple[list[bytes], list[bytes]]:
@@ -111,13 +112,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     latent = args.representation == "latent"
     rule = QuadratureRule(args.quad_nodes) if latent else QuadratureRule()
     pmf = BRANCHES[args.representation](spec, rule)
-    blocks = _pmf_blocks(pmf, args.representation, args.format)
-    if args.output == "-":
-        for block in blocks:
-            sys.stdout.write(block.decode())
-    else:
-        with open(args.output, "wb") as out:
-            out.writelines(blocks)
+    _write_out(_pmf_blocks(pmf, args.representation, args.format), args.output)
     return 0
 
 
@@ -130,7 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_representations(spec, rule, fault=fault)
     print(report.to_text())
     if args.json_report is not None:
-        Path(args.json_report).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_out([(report.to_json() + "\n").encode()], args.json_report)
     return 0 if report.all_pass else 1
 
 
@@ -173,7 +168,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = fit_pseudo_likelihood(
         data, init, grad_tol=args.grad_tol, max_iter=args.max_iter
     )
-    _write_out(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
+    _write_out([(json.dumps(result.to_dict(), indent=2) + "\n").encode()], args.out)
     if args.out != "-":
         decrement = result.newton_decrement
         print(
@@ -186,7 +181,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    _write_out(graph_dot(load_model_spec(args.spec), args.view), args.out)
+    _write_out([graph_dot(load_model_spec(args.spec), args.view).encode()], args.out)
     return 0
 
 
@@ -220,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("spec", help="model-spec JSON file")
     p_verify.add_argument("--quad-nodes", **quad_nodes)
-    p_verify.add_argument("--json-report", help="also write the report as JSON")
+    p_verify.add_argument("--json-report", help="also write the report as JSON (- for stdout)")
     p_verify.add_argument(
         "--inject-fault",
         choices=tuple(BRANCHES),

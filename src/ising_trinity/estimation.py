@@ -207,10 +207,12 @@ def fit_pseudo_likelihood(
     along ``d = g`` past ``NEWTON_MAX_PARAMS`` parameters or where ``H`` has no
     Cholesky factor (singular data, underflowed weights).  The step starts at
     ``INITIAL_STEP`` and halves until the Armijo condition ``f(new) >= f(old) +
-    ARMIJO_C * step * g^T d`` holds; more than ``MAX_HALVINGS`` halvings raises
-    `LineSearchError`.  Stops when the gradient norm drops below ``grad_tol``
-    (finite and positive) or after ``max_iter`` (at least 0) accepted steps,
-    whichever comes first.
+    ARMIJO_C * step * g^T d`` holds.  Where no step of ``MAX_HALVINGS`` halvings
+    or fewer does, a Newton iteration searches along ``d = g`` instead (``H``
+    may be numerically singular yet factor), and only a gradient search that
+    fails too raises `LineSearchError`.  Stops when the gradient norm drops
+    below ``grad_tol`` (finite and positive) or after ``max_iter`` (at least 0)
+    accepted steps, whichever comes first.
     """
     if not (np.isfinite(grad_tol) and grad_tol > 0.0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
@@ -228,21 +230,30 @@ def fit_pseudo_likelihood(
     trace = [value]
     grad_norm = float(np.linalg.norm(grad))
     direction, decrement = _direction(vec, grad, configs, weights)
-    while grad_norm >= grad_tol and len(trace) - 1 < max_iter:
+
+    def armijo(d: np.ndarray) -> tuple[np.ndarray, float, np.ndarray] | None:
+        """The first point along ``d`` from ``vec`` that meets the Armijo condition, or None."""
         step = INITIAL_STEP
-        slope = ARMIJO_C * float(grad @ direction)
+        slope = ARMIJO_C * float(grad @ d)
         for _ in range(MAX_HALVINGS + 1):
-            candidate = vec + step * direction
+            candidate = vec + step * d
             cand_value, cand_grad = _objective_and_grad(candidate, configs, weights)
             if np.isfinite(cand_value) and cand_value >= value + step * slope:
-                break
+                return candidate, cand_value, cand_grad
             step *= 0.5
-        else:
+        return None
+
+    while grad_norm >= grad_tol and len(trace) - 1 < max_iter:
+        # A numerically singular Hessian may factor, yet its Newton direction
+        # finds no increase; the gradient then still does.
+        found = armijo(direction)
+        if found is None and decrement is not None:
+            found = armijo(grad)
+        if found is None:
             raise LineSearchError(
-                f"no acceptable step after {MAX_HALVINGS} halvings "
-                f"(gradient norm {grad_norm:.3e})"
+                f"no acceptable step after {MAX_HALVINGS} halvings (gradient norm {grad_norm:.3e})"
             )
-        vec, value, grad = candidate, cand_value, cand_grad
+        vec, value, grad = found
         grad_norm = float(np.linalg.norm(grad))
         direction, decrement = _direction(vec, grad, configs, weights)
         trace.append(value)

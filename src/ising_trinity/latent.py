@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import _BLOCK_MADDS, check_enumerable, log_2cosh
-from .core import Pmf, as_delta, freeze_array
+from .core import Pmf, as_delta, freeze_array, pmf_distance
 from .errors import DimensionMismatchError, QuadratureResolutionError, RankLimitError
 from .spectral import SpectralForm
 
@@ -419,8 +419,7 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule())
     check_enumerable(form.n)
     working, fine = _rule_pair(rule)
     table = _quadrature_pmf(form.delta, form.loadings, *working)
-    gap = table.probs - _quadrature_pmf(form.delta, form.loadings, *fine).probs
-    est = 0.5 * float(np.abs(gap, out=gap).sum())
+    est = pmf_distance(table, _quadrature_pmf(form.delta, form.loadings, *fine)).tv
     if est > ESTIMATE_TOL:
         raise QuadratureResolutionError(
             f"latent table error estimate {est:.3g} (its distance to the table under "

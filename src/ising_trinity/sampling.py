@@ -26,6 +26,9 @@ from .core import ModelSpec, Pmf, freeze_array
 from .errors import ConditioningTooSevereError
 from .latent import LatentForm, QuadratureRule, _item_conditional, latent_first_nodes
 
+# The `method` that each sampler's draws carry, in the order the CLI lists them.
+METHODS = ("exact", "gibbs", "collider-rejection", "latent-first")
+
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
 # machine.  Up to the enumeration limit a run expected to need more is refused
@@ -379,11 +382,11 @@ def save_sample_set(sample: SampleSet, csv_path) -> None:
     csv_path = Path(csv_path)
     header = ",".join(f"x_{i + 1}" for i in range(sample.n))
     # Each block of columns indexes into the text of its configurations.
-    plus, rows, lead = sample.draws > 0, np.full(sample.m, "", dtype=object), ""
+    rows, lead = np.full(sample.m, "", dtype=object), ""
     for start in range(0, sample.n, _BLOCK_WIDTH):
-        block = plus[:, start : start + _BLOCK_WIDTH]
+        block = sample.draws[:, start : start + _BLOCK_WIDTH]
         text = np.array(config_text(block.shape[1], ","), dtype=object)
-        rows = rows + lead + text[block @ (1 << np.arange(block.shape[1]))]
+        rows = rows + lead + text[encode_configs(block)]
         lead = ","
     csv_path.write_text("\n".join([header, *rows.tolist()]) + "\n", encoding="utf-8")
     side = {
@@ -421,7 +424,8 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
 
 def load_sample_set(csv_path) -> SampleSet:
     """Read a sample CSV and its sidecar back into a `SampleSet`: the sidecar must name
-    the ``seed`` and ``method``, and the draws must have any ``m`` and ``n`` it records."""
+    the ``seed`` and a ``method`` of ``METHODS``, and the draws must have any ``m`` and
+    ``n`` it records."""
     side_path = sidecar_path(csv_path)
     if not side_path.exists():
         raise ValueError(f"missing sample metadata sidecar {side_path}")
@@ -431,8 +435,11 @@ def load_sample_set(csv_path) -> SampleSet:
             raise ValueError(f"sample metadata sidecar {side_path} has no {key!r} field")
     # Not isinstance, which takes a JSON true for an int; nor int(), which
     # would truncate 1.5 and parse "7".
-    if type(side["seed"]) is not int:
-        raise ValueError(f"sample metadata sidecar {side_path} has a non-integer 'seed' field")
+    for k in ("seed", "m", "n"):
+        if k in side and type(side[k]) is not int:
+            raise ValueError(f"sample metadata sidecar {side_path} has a non-integer {k!r} field")
+    if side["method"] not in METHODS:
+        raise ValueError(f"sample metadata sidecar {side_path} has an unknown 'method' field")
     if not isinstance(side.get("meta", {}), dict):
         raise ValueError(f"sample metadata sidecar {side_path} has a non-object 'meta' field")
     draws = read_csv_table(csv_path, np.int8, rows="draws")[1]
@@ -442,5 +449,5 @@ def load_sample_set(csv_path) -> SampleSet:
             f"its sidecar records {side.get('m')} x {side.get('n')}"
         )
     return SampleSet(
-        draws=draws, seed=side["seed"], method=str(side["method"]), meta=side.get("meta", {}),
+        draws=draws, seed=side["seed"], method=side["method"], meta=side.get("meta", {}),
     )

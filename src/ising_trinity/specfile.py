@@ -34,14 +34,13 @@ def _spec_from_dict(data) -> ModelSpec:
     unknown = set(data) - {"n", "delta", "sigma", "extra_shift"}
     if unknown:
         raise SpecValidationError(f"unknown spec fields: {sorted(unknown)}")
-    if "n" not in data:
-        raise SpecValidationError("spec is missing required field 'n'")
+    for key in ("n", "delta", "sigma"):
+        if key not in data:
+            raise SpecValidationError(f"spec is missing required field {key!r}")
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SpecValidationError(f"'n' must be a positive integer, got {n!r}")
 
-    if "delta" not in data:
-        raise SpecValidationError("spec is missing required field 'delta'")
     delta_raw = data["delta"]
     if not isinstance(delta_raw, list) or len(delta_raw) != n:
         raise SpecValidationError(f"'delta' must be a list of {n} numbers")
@@ -49,8 +48,6 @@ def _spec_from_dict(data) -> ModelSpec:
         [require_number(v, f"delta[{i}]") for i, v in enumerate(delta_raw)]
     )
 
-    if "sigma" not in data:
-        raise SpecValidationError("spec is missing required field 'sigma'")
     sigma_raw = data["sigma"]
     if not isinstance(sigma_raw, list) or len(sigma_raw) != n:
         raise SpecValidationError(f"'sigma' must be a list of {n} rows")

@@ -17,6 +17,7 @@ import ising_trinity as it
 from ising_trinity import sampling
 from ising_trinity.cli import _pmf_blocks, build_parser, main
 from ising_trinity.equivalence import BRANCHES
+from ising_trinity.graphs import VIEWS
 from oracles import pmf_csv_text, pmf_json_text
 
 AGREE = 0.4
@@ -372,6 +373,17 @@ class TestVerifyCommand:
         assert doc["all_pass"] is True
         assert len(doc["pairs"]) == 6
         assert doc["rank"] == 1
+
+    def test_json_report_dash_prints_after_the_text(self, tmp_path, capsys):
+        spec = paired_spec(tmp_path)
+        assert main(["verify", spec, "--json-report", "-"]) == 0
+        text, _, report = capsys.readouterr().out.partition("\n{")
+        assert text.endswith("overall: PASS")
+        assert main(["verify", spec, "--json-report", str(tmp_path / "report.json")]) == 0
+        written = (tmp_path / "report.json").read_text()
+        seconds = re.compile(r'"seconds": [^,]*,')
+        assert seconds.sub("", "{" + report) == seconds.sub("", written)
+        assert not (tmp_path / "-").exists()
 
     def test_extra_shift_reaches_every_branch(self, tmp_path, capsys, monkeypatch):
         # Canonical rank 2; the file's shift makes every eigenvalue positive.
@@ -858,6 +870,34 @@ class TestExportGraphCommand:
         text = out_path.read_text()
         assert "e1 [shape=box];" in text
         assert "x1 -> e1;" in text
+
+
+# Each command that writes to a path or to stdout for "-": its arguments,
+# with "{spec}" for an n = 11 model (two blocks of pmf rows) and "{data}" for
+# a weighted data table, and its output flag.
+WRITERS = {
+    "pmf-csv": (["pmf", "{spec}", "-r", "spectral"], "-o"),
+    "pmf-json": (["pmf", "{spec}", "--format", "json"], "-o"),
+    "fit": (["fit", "{data}"], "--out"),
+    **{f"graph-{view}": (["export-graph", "{spec}", "--view", view], "--out") for view in VIEWS},
+}
+
+
+@pytest.mark.parametrize("argv, flag", WRITERS.values(), ids=WRITERS)
+def test_stdout_holds_the_bytes_written_to_a_file(tmp_path, capsysbinary, argv, flag):
+    rng = np.random.default_rng(11)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (11, 11)), 1)
+    spec = it.ModelSpec(rng.uniform(-1.0, 1.0, 11), upper + upper.T)
+    it.save_model_spec(spec, tmp_path / "m.json")
+    data = tmp_path / "population.csv"
+    data.write_text(
+        f"x_1,x_2,weight\n-1,-1,{AGREE}\n1,-1,{MIXED}\n-1,1,{MIXED}\n1,1,{AGREE}\n"
+    )
+    argv = [arg.format(spec=tmp_path / "m.json", data=data) for arg in argv]
+    assert main([*argv, flag, "-"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main([*argv, flag, str(tmp_path / "out")]) == 0
+    assert printed == (tmp_path / "out").read_bytes()
 
 
 def test_flag_defaults_are_the_library_defaults():

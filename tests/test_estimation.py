@@ -345,6 +345,24 @@ class TestFit:
         with pytest.raises(it.LineSearchError, match="halvings"):
             it.fit_pseudo_likelihood(it.ising_pmf(spec))
 
+    def test_newton_direction_without_increase_falls_back_to_the_gradient(self):
+        """Gibbs chains frozen in two modes: 3,000 draws hold 28 distinct rows,
+        two of them 1,733 and 1,162 times.  After one step every eigenvalue of
+        the negative Hessian is below 6e-14, yet it factors, and no step along
+        its Newton direction raises the objective; gradient steps do."""
+        rng = np.random.default_rng(16)
+        for k in (1, 5, 10, 16):
+            upper = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1)
+            spec = it.ModelSpec(rng.uniform(-1.0, 1.0, k), upper + upper.T)
+        with pytest.warns(UserWarning, match="not mixed"):
+            sample = it.sample_gibbs(spec, 3000, seed=7)
+        fit = it.fit_pseudo_likelihood(sample, max_iter=30)
+        assert fit.iterations == 30
+        assert not fit.converged
+        assert np.all(np.diff(fit.objective_trace) > 0.0)
+        assert fit.objective_trace[1] == pytest.approx(-2.3809, abs=1e-4)
+        assert fit.objective_trace[-1] > -1.2
+
     @pytest.mark.parametrize(
         "knob, value",
         [

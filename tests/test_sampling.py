@@ -777,15 +777,26 @@ class TestLatentFirstSampler:
 
 class TestSampleIo:
     def test_round_trip(self, tmp_path):
-        cf = it.simple_collider(np.array([0.3, -0.2]))
-        sample = it.sample_collider_rejection(cf, 120, seed=21)
-        path = tmp_path / "draws.csv"
-        it.save_sample_set(sample, path)
-        loaded = it.load_sample_set(path)
-        assert np.array_equal(loaded.draws, sample.draws)
-        assert loaded.seed == sample.seed
-        assert loaded.method == "collider-rejection"
-        assert loaded.meta == sample.meta
+        # Every sampler writes a method of `METHODS`, which the reader takes.
+        spec = it.ModelSpec(delta=np.array([0.3, -0.2]), sigma=0.2 * (1 - np.eye(2)))
+        form = it.to_spectral(spec)
+        samples = [
+            it.sample_exact(it.ising_pmf(spec), 120, seed=21),
+            it.sample_gibbs(spec, 120, seed=21, burn_in=10),
+            it.sample_collider_rejection(it.spectral_to_collider(form, spec.delta), 120, seed=21),
+            it.sample_latent_first(
+                it.LatentForm.from_spectral(form, spec.delta), it.QuadratureRule(), 120, seed=21
+            ),
+        ]
+        assert tuple(sample.method for sample in samples) == sampling.METHODS
+        for sample in samples:
+            path = tmp_path / f"{sample.method}.csv"
+            it.save_sample_set(sample, path)
+            loaded = it.load_sample_set(path)
+            assert np.array_equal(loaded.draws, sample.draws)
+            assert loaded.seed == sample.seed
+            assert loaded.method == sample.method
+            assert loaded.meta == sample.meta
 
     def test_csv_and_sidecar_contents(self, tmp_path):
         pmf = it.ising_pmf(unit_coupling_spec(2))
@@ -843,16 +854,19 @@ class TestSampleIo:
     @pytest.mark.parametrize(
         "field, value",
         [("meta", 5), ("meta", None), ("meta", [1, 2]), ("seed", None), ("seed", [1]),
-         ("seed", 1.5), ("seed", "7"), ("seed", True)],
+         ("seed", 1.5), ("seed", "7"), ("seed", True), ("method", None), ("method", 5),
+         ("method", ["x"]), ("method", "bogus"), ("m", True), ("m", 1.0), ("n", 2.0)],
     )
     def test_sidecar_fields_must_have_their_json_types(self, tmp_path, field, value):
+        # One draw of two variables: an "m" of true or 1.0 and an "n" of 2.0
+        # compare equal to the shape of the draws.
         path = tmp_path / "draws.csv"
-        it.save_sample_set(it.sample_exact(it.ising_pmf(unit_coupling_spec(2)), 3, seed=0), path)
+        it.save_sample_set(it.sample_exact(it.ising_pmf(unit_coupling_spec(2)), 1, seed=0), path)
         side = json.loads(it.sidecar_path(path).read_text())
         side[field] = value
         it.sidecar_path(path).write_text(json.dumps(side))
-        kind = "integer" if field == "seed" else "object"
-        with pytest.raises(ValueError, match=f"has a non-{kind} '{field}' field"):
+        kind = {"meta": "a non-object", "method": "an unknown"}.get(field, "a non-integer")
+        with pytest.raises(ValueError, match=f"has {kind} '{field}' field"):
             it.load_sample_set(path)
 
     def test_headers_only_file(self, tmp_path):

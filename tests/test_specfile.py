@@ -83,6 +83,9 @@ class TestValidation:
             del doc[missing]
             with pytest.raises(it.SpecValidationError, match=missing):
                 it.model_spec_from_dict(doc)
+        # Every field's presence is checked before any field is read.
+        with pytest.raises(it.SpecValidationError, match="missing required field 'sigma'"):
+            it.model_spec_from_dict({"n": "x", "delta": "y"})
 
     def test_bad_sizes_and_types(self):
         doc = valid_doc()
