@@ -180,8 +180,8 @@ def verify_representations(
     `RankLimitError` or `QuadratureResolutionError` (the latent marginal above
     rank 3, or with an error estimate above ``ESTIMATE_TOL``) is reported as
     not evaluated with that error's message, and pairs involving it are
-    omitted.  Injecting a fault into a branch that is not evaluated is an
-    error.
+    omitted.  Injecting a fault into a branch that is not evaluated, or one
+    whose ``eps`` rounds away in the first intercept, raises `ValueError`.
     """
     check_enumerable(spec.n)
     # Raises EigendecompositionError before any branch runs.
@@ -195,6 +195,11 @@ def verify_representations(
         if fault is not None and fault.branch == name:
             delta = spec.delta.copy()
             delta[0] += fault.eps
+            if delta[0] == spec.delta[0]:
+                raise ValueError(
+                    f"a fault of eps {fault.eps:g} leaves the {name} branch's first "
+                    f"intercept {spec.delta[0]!r} unchanged; it would perturb nothing"
+                )
             branch_spec = replace(spec, delta=delta)
         start = time.perf_counter()
         try:

@@ -29,7 +29,8 @@ spreads the nodes over the wider latent density that a product of ``2 cosh``
 factors tilts the normal into.  The stretched weights are built and used as
 logs, so every ``m``-node rule keeps all ``m`` nodes, however far out the
 stretch moves them.  `_rule_pair` builds that working rule and the stretched
-``2m``-node rule that measures it.  The table under the working rule is the
+reference of ``(3m + 1) // 2`` nodes that measures it, so the reference
+always has more nodes than the rule.  The table under the working rule is the
 result, and its total-variation distance to the table under the reference
 is its error estimate; an estimate above ``ESTIMATE_TOL`` refuses the rule.
 The latent-first sampler has no table, so it compares the two rules'
@@ -65,8 +66,9 @@ from .spectral import SpectralForm
 
 DEFAULT_QUAD_NODES = 64
 
-# Largest latent rule.  Every latent output also builds the rule of twice its
-# nodes, and numpy's Gauss-Hermite weights turn non-finite near 380 nodes.
+# Largest latent rule.  Every latent output also builds its reference of
+# (3m + 1) // 2 nodes, 192 here, and numpy's Gauss-Hermite weights turn
+# non-finite near 380 nodes.
 MAX_QUAD_NODES = 128
 
 # Largest tilt the identity check accepts; far inside what 32+ nodes resolve.
@@ -76,7 +78,8 @@ KAC_DOMAIN = 5.0
 TENSOR_RANK_LIMIT = 3
 
 # Largest error estimate of a latent table: the total-variation distance
-# between the tables under the stretched m-node and 2m-node rules.
+# between the tables under the stretched m-node rule and its (3m + 1) // 2-node
+# reference.
 ESTIMATE_TOL = 1e-8
 
 # Factor by which the latent marginal and sampler widen the rule they are given.
@@ -100,8 +103,9 @@ _SKIP_SHARE = 2.0**-60
 # the blocks at least 32 nodes wide (_BLOCK_MADDS >> 12).
 _SUB_ITEMS = 12
 
-# Node-block products per stacked matrix product of the latent table; their
-# results take _STACK * 2**_SUB_ITEMS floats at most.
+# Node-block products per stacked matrix product of the latent table, whose
+# nodes make one part of a batch; the results take _STACK * 2**_SUB_ITEMS
+# floats at most.
 _STACK = 8
 
 
@@ -110,9 +114,10 @@ class QuadratureRule:
     """A latent rule: the Gauss-Hermite rule of ``node_count`` nodes per latent dimension.
 
     The count is all a caller chooses.  This module alone turns it into nodes
-    and weights, stretches them, and builds the rule of twice as many nodes
-    that measures every latent output, so ``node_count`` runs from 1 to
-    ``MAX_QUAD_NODES``; it is stored as a Python ``int``.
+    and weights, stretches them, and builds the reference of
+    ``(3m + 1) // 2`` nodes that measures every latent output, so
+    ``node_count`` runs from 1 to ``MAX_QUAD_NODES``; it is stored as a
+    Python ``int``.
     """
 
     node_count: int = DEFAULT_QUAD_NODES
@@ -122,7 +127,7 @@ class QuadratureRule:
         if type(m) is bool or not isinstance(m, (int, np.integer)) or not 0 < m <= MAX_QUAD_NODES:
             raise ValueError(
                 f"latent rules take 1 to {MAX_QUAD_NODES} nodes (each latent output also "
-                f"builds the rule of twice its nodes), got {m!r}"
+                f"builds a reference rule of 1.5 times its nodes, rounded up), got {m!r}"
             )
         object.__setattr__(self, "node_count", int(m))
 
@@ -151,8 +156,13 @@ def _stretched(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rule_pair(rule: QuadratureRule):
-    """Stretched ``(nodes, log_weights)`` of the working rule and of the ``2m``-node reference."""
-    return _stretched(rule.node_count), _stretched(2 * rule.node_count)
+    """Stretched ``(nodes, log_weights)`` of the working rule and of its reference.
+
+    The reference has ``(3m + 1) // 2`` nodes: 96 for the default 64, 192 for
+    ``MAX_QUAD_NODES``, and 2 for 1, so always more than the rule it measures.
+    """
+    m = rule.node_count
+    return _stretched(m), _stretched((3 * m + 1) // 2)
 
 
 def kac_identity_check(a: float, rule: QuadratureRule = QuadratureRule()) -> float:
@@ -283,15 +293,15 @@ def _item_conditional(eta: np.ndarray, sign: float) -> np.ndarray:
     return np.reciprocal(p, out=p)
 
 
-def _item_products(eta: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``prod_i p(x_i | theta_k)`` over the items of these fields, ``(2**items, K)``, by doubling.
+def _item_products(p_plus: np.ndarray, p_minus: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``prod_i p(x_i | theta_k)`` over items of these conditionals, ``(2**items, K)``, by doubling.
 
-    The table is written to the start of the flat buffer ``buf``.
+    ``p_plus`` and ``p_minus`` hold ``p(x_i = +-1 | theta_k)``.  The table is
+    written to the start of the flat buffer ``buf``.
     """
-    p_plus, p_minus = _item_conditional(eta, 1.0), _item_conditional(eta, -1.0)
-    out = buf[: eta.shape[1] << eta.shape[0]].reshape(1 << eta.shape[0], eta.shape[1])
+    out = buf[: p_plus.shape[1] << p_plus.shape[0]].reshape(1 << p_plus.shape[0], -1)
     out[0] = 1.0
-    for i in range(eta.shape[0]):
+    for i in range(p_plus.shape[0]):
         half = 1 << i
         np.multiply(out[:half], p_plus[i], out=out[half : 2 * half])
         out[:half] *= p_minus[i]
@@ -312,9 +322,13 @@ def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
     whose share is at least ``2**-60 / N`` of the ``N``-node grid.  The
     products run as stacked products of node blocks, each of at most
     ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see
-    `_enum`), so the table does not depend on the BLAS thread count.  Besides
-    the table, only the weights ``t`` grow with ``n``: ``2**(n - s)`` per
-    node.  ``log_z`` is the log of the rule's own total.
+    `_enum`), so the table does not depend on the BLAS thread count.  A
+    batch runs in parts of ``_STACK`` blocks, the last part also holding the
+    nodes that fill no block.  Each part's conditionals and item tables are
+    built just before its products, so they stay in cache, and every slab
+    adds the products in node order.  Besides the table, only the weights ``t`` grow with ``n``:
+    ``2**(n - s)`` per node of a part.  ``log_z`` is the log of the rule's
+    own total.
     """
     n = delta.shape[0]
     sub = min(n, _SUB_ITEMS)
@@ -322,36 +336,42 @@ def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
     raw = np.zeros((1 << (n - sub), 1 << (sub - h), 1 << h))
     floor = _SKIP_SHARE / nodes.size ** loadings.shape[1]
     width = _BLOCK_MADDS >> sub
+    span = _STACK * width
     stack = np.empty((_STACK, *raw.shape[1:]))
     log_shift = None
     for _, log_c, eta in _node_batches(delta, loadings, nodes, log_weights):
         if log_shift is None:
             log_shift = _log_sum_exp(log_c)
-            # The tables of every batch, the first being the largest, reuse
-            # these buffers: fresh ones each batch would cost page faults.
-            lo_buf, hi_buf, top_buf = (np.empty(log_c.size << i) for i in (h, sub - h, n - sub))
-            part_buf = np.empty((1 << h, min(_STACK * width, log_c.size)))
+            # The tables of every part, of at most span + width nodes, reuse
+            # these buffers: fresh ones each part would cost page faults.
+            size = min(span + width, log_c.size)
+            lo_buf, hi_buf, top_buf = (np.empty(size << i) for i in (h, sub - h, n - sub))
+            part_buf = np.empty((1 << h, size))
         c = np.exp(log_c - log_shift)
         keep = np.flatnonzero(c >= floor)
-        c, eta, k = c[keep], eta[:, keep], keep.size
-        g_lo = _item_products(eta[:h], lo_buf)
-        g_hi = _item_products(eta[h:sub], hi_buf)
-        top = _item_products(eta[sub:], top_buf)
-        # Blocks of `width` nodes, _STACK blocks per product call; then the
-        # rest.  Each part of the low-half table is weighted by c t_j as used.
-        full = k - k % width
-        for slab, t in zip(raw, top):
-            ct = c * t
-            for start in range(0, full, _STACK * width):
-                part = slice(start, min(start + _STACK * width, full))
-                lo = np.multiply(g_lo[:, part], ct[part], out=part_buf[:, : part.stop - start])
-                slab += np.matmul(
-                    g_hi[:, part].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
-                    lo.reshape(lo.shape[0], -1, width).transpose(1, 2, 0),
-                    out=stack[: (part.stop - start) // width],
-                ).sum(axis=0)
-            lo = np.multiply(g_lo[:, full:], ct[full:], out=part_buf[:, : k - full])
-            slab += g_hi[:, full:] @ lo.T
+        # Parts of _STACK blocks of `width` nodes, the last one also holding
+        # the rest; each part's low-half table is weighted by c t_j as used.
+        full = keep.size - keep.size % width
+        starts = range(0, max(full, 1), span)
+        for start, stop in zip(starts, [*starts[1:], keep.size]):
+            part = keep[start:stop]
+            fields, weight = eta[:, part], c[part]
+            p_plus, p_minus = _item_conditional(fields, 1.0), _item_conditional(fields, -1.0)
+            g_lo = _item_products(p_plus[:h], p_minus[:h], lo_buf)
+            g_hi = _item_products(p_plus[h:sub], p_minus[h:sub], hi_buf)
+            top = _item_products(p_plus[sub:], p_minus[sub:], top_buf)
+            # The nodes before `cut` fill whole blocks.
+            cut = min(stop, full) - start
+            for slab, t in zip(raw, top):
+                lo = np.multiply(g_lo, weight * t, out=part_buf[:, : part.size])
+                if cut:
+                    slab += np.matmul(
+                        g_hi[:, :cut].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
+                        lo[:, :cut].reshape(lo.shape[0], -1, width).transpose(1, 2, 0),
+                        out=stack[: cut // width],
+                    ).sum(axis=0)
+                if cut < part.size:
+                    slab += g_hi[:, cut:] @ lo[:, cut:].T
     mass = raw.sum()
     raw /= mass
     # Read-only, so the table keeps this memory rather than a copy of it.
@@ -408,8 +428,9 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule())
 
     Uses a tensor product of the stretched one-dimensional rule (default 64
     nodes) over the latent dimensions.  The table carries its error
-    estimate, its total-variation distance to the table under the reference
-    of `_rule_pair`; an estimate above ``ESTIMATE_TOL`` raises
+    estimate, its total-variation distance to the table under the
+    ``(3m + 1) // 2``-node reference of `_rule_pair` (96 nodes by default);
+    an estimate above ``ESTIMATE_TOL`` raises
     `QuadratureResolutionError`.  Above rank 3 it raises `RankLimitError`,
     and above the enumeration limit, the one size limit of every table,
     `EnumerationLimitError`.  A rank-0 form has no latent variable at all:
@@ -423,7 +444,7 @@ def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule())
     if est > ESTIMATE_TOL:
         raise QuadratureResolutionError(
             f"latent table error estimate {est:.3g} (its distance to the table under "
-            f"the {2 * rule.node_count}-node rule) exceeds {ESTIMATE_TOL:g}; "
+            f"the {fine[0].size}-node rule) exceeds {ESTIMATE_TOL:g}; "
             f"refine the rule (more nodes)"
         )
     return Pmf(table.probs, table.log_z, est)
@@ -437,8 +458,9 @@ def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarr
     order (the first latent dimension most significant); the shares are
     normalized over the kept nodes.  With no table to measure, the sampler
     checks normalizers: it raises `QuadratureResolutionError` when the node
-    total under that rule is off the one under the reference of `_rule_pair`
-    by more than ``MASS_TOL``.  It raises `RankLimitError` above rank 3.
+    total under that rule is off the one under the ``(3m + 1) // 2``-node
+    reference of `_rule_pair` by more than ``MASS_TOL``.  It raises
+    `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
     (nodes, log_weights), fine = _rule_pair(rule)

@@ -101,10 +101,9 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
     vecs = vecs[:, order]
-    for col in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, col]))
-        if vecs[lead, col] < 0.0:
-            vecs[:, col] = -vecs[:, col]
+    if vecs.size:
+        lead = np.abs(vecs).argmax(axis=0)
+        vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return SpectralForm(lambdas=lambdas, q=vecs)
 
 

@@ -24,8 +24,8 @@ AGREE = 0.4
 MIXED = 0.1
 
 QUAD_NODES_MESSAGE = (
-    "latent rules take 1 to 128 nodes (each latent output also builds the rule of "
-    "twice its nodes)"
+    "latent rules take 1 to 128 nodes (each latent output also builds a reference "
+    "rule of 1.5 times its nodes, rounded up)"
 )
 
 
@@ -507,6 +507,19 @@ class TestVerifyCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "fault epsilon must be finite and nonzero, got 0.0" in captured.err
+        assert captured.out == ""
+
+    def test_fault_that_rounds_away_exits_2(self, tmp_path, capsys):
+        # delta[0] + 1e-300 == delta[0]: the faulted branch would equal the
+        # original and verify would print PASS under a "fault injected" line.
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.uniform(-1.0, 1.0, (6, 6)), 1)
+        path = tmp_path / "model.json"
+        it.save_model_spec(it.ModelSpec(rng.uniform(-1.0, 1.0, 6), upper + upper.T), path)
+        argv = ["verify", str(path), "--inject-fault", "spectral", "--fault-eps", "1e-300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "a fault of eps 1e-300 leaves the spectral branch's first intercept" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("nodes, got", [("256", "got 256"), ("300", "got 300")])

@@ -37,27 +37,36 @@ class TestQuadratureRule:
         assert weights @ nodes**2 == pytest.approx(1.0, abs=1e-10)
         assert weights @ nodes**4 == pytest.approx(3.0, abs=1e-9)
 
-    def test_refined_doubles_nodes(self):
-        # The table under m nodes is measured against the one under 2m: its
-        # estimate is their distance, and a refusal names the doubled rule.
+    def test_reference_has_half_again_the_nodes(self):
+        # The table under m nodes is measured against the one under
+        # (3m + 1) // 2: its estimate is their distance, and a refusal names
+        # the reference rule.
         form = it.LatentForm(delta=np.full(12, 0.5), loadings=np.ones((12, 1)))
-        coarse, fine = (it.mirt_marginal_pmf(form, it.QuadratureRule(m)) for m in (16, 32))
+        coarse, fine = (it.mirt_marginal_pmf(form, it.QuadratureRule(m)) for m in (16, 24))
         assert coarse.error_estimate == pytest.approx(it.pmf_distance(coarse, fine).tv, rel=1e-9)
-        with pytest.raises(it.QuadratureResolutionError, match="under the 32-node rule"):
-            it.mirt_marginal_pmf(
-                it.LatentForm(delta=np.zeros(4), loadings=np.ones((4, 1))),
-                it.QuadratureRule(16),
-            )
+        coarse, fine = (it.mirt_marginal_pmf(form, it.QuadratureRule(m)) for m in (33, 50))
+        assert coarse.error_estimate == pytest.approx(it.pmf_distance(coarse, fine).tv, rel=1e-9)
+        for m, reference in ((16, 24), (17, 26)):
+            with pytest.raises(
+                it.QuadratureResolutionError, match=f"under the {reference}-node rule"
+            ):
+                it.mirt_marginal_pmf(
+                    it.LatentForm(delta=np.zeros(4), loadings=np.ones((4, 1))),
+                    it.QuadratureRule(m),
+                )
         assert not hasattr(it.QuadratureRule, "refined")
 
     def test_rule_size_is_capped_before_numpy(self):
-        # Every latent output also builds the rule of twice its nodes, so the
-        # largest count's reference is still far from numpy's non-finite weights.
+        # Every latent output also builds its reference of (3m + 1) // 2 nodes,
+        # so the largest count's 192-node reference is still far from numpy's
+        # non-finite weights, and so is the doubled rule.
         assert MAX_QUAD_NODES == 128
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"take 1 to {MAX_QUAD_NODES} nodes"):
                 it.QuadratureRule(MAX_QUAD_NODES + 1)
+            _, (fine, _) = latent._rule_pair(it.QuadratureRule(MAX_QUAD_NODES))
+            assert fine.size == 192
             nodes, weights = latent._gauss_hermite(2 * MAX_QUAD_NODES)
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert weights @ nodes**2 == pytest.approx(1.0, abs=1e-12)
@@ -79,19 +88,27 @@ class TestQuadratureRule:
         rule = it.QuadratureRule(np.int64(32))
         assert type(rule.node_count) is int and rule.node_count == 32
 
-    def test_every_count_gives_m_and_2m_stretched_nodes_with_finite_log_weights(self):
+    def test_every_rule_and_reference_has_finite_log_weights(self):
+        # The reference has ceil(3m / 2) nodes, always more than the rule's m.
         for m in range(1, MAX_QUAD_NODES + 1):
             pair = latent._rule_pair(it.QuadratureRule(m))
-            for (nodes, log_weights), count in zip(pair, (m, 2 * m)):
+            for (nodes, log_weights), count in zip(pair, (m, -(-3 * m // 2))):
                 assert nodes.shape == log_weights.shape == (count,), m
                 assert np.isfinite(nodes).all() and np.isfinite(log_weights).all(), m
+            assert pair[1][0].size > m
+        assert [latent._rule_pair(it.QuadratureRule(m))[1][0].size for m in (1, 2, 3)] == [2, 3, 5]
 
     def test_default_reference_keeps_every_node(self):
-        # The stretch moves the outer nodes of the 128-node reference far enough
-        # out that their weights underflow; their log weights do not.
+        # The default 96-node reference keeps every weight above the float
+        # range's floor.  The stretch moves the outer nodes of the largest
+        # rule's 192-node reference far enough out that their weights
+        # underflow; their log weights do not.
         (nodes, _), (fine, log_weights) = latent._rule_pair(it.QuadratureRule())
-        assert nodes.size == 64 and fine.size == 128
-        assert np.exp(log_weights).min() == 0.0
+        assert nodes.size == 64 and fine.size == 96
+        assert np.exp(log_weights).min() > 0.0
+        (nodes, _), (fine, log_weights) = latent._rule_pair(it.QuadratureRule(MAX_QUAD_NODES))
+        assert nodes.size == 128 and fine.size == 192
+        assert np.isfinite(log_weights).all() and np.exp(log_weights).min() == 0.0
 
 
 class TestMomentGeneratingIdentity:
@@ -168,7 +185,7 @@ class TestRaschMarginal:
         gaps = []
         for m in (32, 40, 48, 64):
             a = it.rasch_marginal_pmf(delta, it.QuadratureRule(m))
-            b = it.rasch_marginal_pmf(delta, it.QuadratureRule(2 * m))
+            b = it.rasch_marginal_pmf(delta, it.QuadratureRule((3 * m + 1) // 2))
             gaps.append(it.pmf_distance(a, b).tv)
             # The estimate is that gap: b is the table that measured a.
             assert a.error_estimate == pytest.approx(gaps[-1], rel=1e-12, abs=0.0)
@@ -266,9 +283,35 @@ class TestMirtMarginal:
             tracemalloc.stop()
         assert pmf.probs.shape == (1 << 20,)
         # Two tables of 8 MiB, the per-node weights of the 256 configurations
-        # above the sub-table (8 MiB for a batch of 4096 nodes) and the batch's
-        # sub-table halves and fields.
-        assert peak < 48 << 20
+        # above the sub-table (512 KiB for a part of 256 nodes), the batch's
+        # fields and the part's sub-table halves.  Weights built for a whole
+        # batch of 4096 nodes would take 8 MiB.
+        assert peak < 26 << 20
+
+    def test_estimate_tracks_the_true_error_over_a_rule_ladder(self):
+        # Each table's estimate against its distance to the exact table, for
+        # rules the estimate refuses too: neither may be ten times the other
+        # where the true error stands above rounding.
+        rng = np.random.default_rng(11)
+        ratios = []
+        for _ in range(12):
+            r, n = int(rng.integers(2, 4)), int(rng.integers(8, 13))
+            loadings = rng.normal(size=(n, r))
+            loadings *= rng.choice([1.0, 1.3]) / np.linalg.norm(loadings, axis=1, keepdims=True)
+            delta = rng.uniform(-1.0, 1.0, n)
+            sigma = loadings @ loadings.T
+            np.fill_diagonal(sigma, 0.0)
+            exact = it.ising_pmf(it.ModelSpec(delta, sigma))
+            for m in (8, 16, 24, 32, 48):
+                working, fine = latent._rule_pair(it.QuadratureRule(m))
+                table = latent._quadrature_pmf(delta, loadings, *working)
+                est = it.pmf_distance(table, latent._quadrature_pmf(delta, loadings, *fine)).tv
+                true = it.pmf_distance(table, exact).tv
+                assert true <= max(1e-13, 10.0 * est), (n, r, m)
+                if true > 1e-13:
+                    assert est <= 10.0 * true, (n, r, m)
+                    ratios.append(est / true)
+        assert len(ratios) >= 40
 
     def test_too_coarse_rule_is_rejected(self, rng):
         spec = low_rank_spec(rng, 8, 2)

@@ -73,6 +73,17 @@ class TestToSpectral:
         assert np.all(np.diff(form.lambdas) <= 0.0)
         assert np.all(form.lambdas >= 0.0)
 
+    def test_signs_match_the_per_column_rule_bit_for_bit(self, rng):
+        # The reference: eigh's columns in descending eigenvalue order, each
+        # negated when its first entry of largest magnitude is negative.
+        for n in (3, 10, 12, 20):
+            spec = random_spec(rng, n)
+            evals, vecs = np.linalg.eigh(spec.sigma)
+            form = it.to_spectral(spec)
+            for col, q in zip(vecs[:, np.argsort(-evals, kind="stable")].T, form.q.T):
+                want = -col if col[np.argmax(np.abs(col))] < 0.0 else col
+                assert want.tobytes() == q.tobytes()
+
     def test_deterministic(self, rng):
         spec = random_spec(rng, 5)
         a, b = it.to_spectral(spec), it.to_spectral(spec)
