@@ -7,16 +7,19 @@ conditioned collider, and the latent marginal.  The verifier runs up to the
 enumeration limit (n = 20), which bounds every branch alike.  A branch that
 refuses the model (the latent marginal above rank 3, or with an error
 estimate above ``ESTIMATE_TOL``) is reported as not evaluated, with its own
-error message as the reason.  Quadrature-free pairs must agree to near
-machine precision; pairs involving the latent branch are held to ten times
-the latent table's own error estimate, at least ``QUAD_FLOOR``.  The latent
-module refuses any estimate above ``ESTIMATE_TOL``, so that bound never
-exceeds ``10 * ESTIMATE_TOL`` = 1e-7; how the estimate is measured is the
-latent module's alone.
+error message as the reason.  Every pair is judged by its total-variation
+distance: quadrature-free pairs against ``EXACT_TOL``, and pairs involving
+the latent branch against ten times the latent table's own error estimate,
+at least ``EXACT_TOL``.  The latent module refuses any estimate above
+``ESTIMATE_TOL``, so that bound never exceeds ``10 * ESTIMATE_TOL`` = 1e-7;
+how the estimate is measured is the latent module's alone.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
-branches silently collapsing into a single shared computation.
+branches silently collapsing into a single shared computation.  To first
+order the fault moves the faulted table by a TV of |Δδ₀|·(1 − m₀²)/2, with
+m₀ = E x₀; a fault whose predicted shift is below twice the faulted branch's
+bound is refused, since no verdict could show it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -51,11 +55,9 @@ BRANCHES: dict[str, Callable[[ModelSpec, QuadratureRule], Pmf]] = {
     ),
 }
 
-# Bounds on a pair's max_abs distance, and on its TV distance when the pair
-# involves the latent branch's quadrature: ten times the latent table's error
-# estimate, at least QUAD_FLOOR.
+# The TV bound on a quadrature-free pair, and the floor of the bound on a pair
+# with the latent branch, whose quadrature is held to ten error estimates.
 EXACT_TOL = 1e-12
-QUAD_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,14 @@ class EquivalenceReport:
     fault: BranchFault | None = None
     skipped_reason: dict[str, str] = field(default_factory=dict)
     latent_error_estimate: float | None = None
+    fault_shift: float | None = None
 
     @property
     def quad_tol(self) -> float | None:
         """The TV bound on pairs with the latent branch; None when that branch is not evaluated."""
         if self.latent_error_estimate is None:
             return None
-        return max(QUAD_FLOOR, 10.0 * self.latent_error_estimate)
+        return max(EXACT_TOL, 10.0 * self.latent_error_estimate)
 
     @property
     def evaluated(self) -> dict[str, bool]:
@@ -100,14 +103,12 @@ class EquivalenceReport:
 
     @property
     def pairs(self) -> list[dict]:
-        """Each pair's distances and verdict: judged by TV if quadrature is involved."""
+        """Each pair's distances and its verdict, ``tv <= tolerance``."""
         rows = []
         for pair, dist in self.distances.items():
-            metric, tol = ("tv", self.quad_tol) if "latent" in pair else ("max_abs", EXACT_TOL)
-            rows.append(
-                {"pair": list(pair), **asdict(dist), "tolerance": tol, "metric": metric,
-                 "passed": getattr(dist, metric) <= tol}
-            )
+            tol = self.quad_tol if "latent" in pair else EXACT_TOL
+            rows.append({"pair": list(pair), **asdict(dist), "tolerance": tol,
+                         "passed": dist.tv <= tol})
         return rows
 
     @property
@@ -123,6 +124,7 @@ class EquivalenceReport:
             "latent_error_estimate": self.latent_error_estimate,
             "all_pass": self.all_pass,
             "fault": None if self.fault is None else asdict(self.fault),
+            "fault_shift": self.fault_shift,
             "branches": [
                 {
                     "name": name,
@@ -155,14 +157,13 @@ class EquivalenceReport:
                 f"tv tolerance {self.quad_tol:g}"
             )
         if self.fault is not None:
-            lines.append(
-                f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}"
-            )
+            lines.append(f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}, "
+                         f"predicted tv shift {self.fault_shift:.3e}")
         for row in self.pairs:
             (a, b), verdict = row["pair"], "PASS" if row["passed"] else "FAIL"
             lines.append(
                 f"{a} vs {b}: tv={row['tv']:.3e} max_abs={row['max_abs']:.3e} "
-                f"kl={row['kl']:.3e} [{verdict} {row['metric']} <= {row['tolerance']:g}]"
+                f"kl={row['kl']:.3e} [{verdict} tv <= {row['tolerance']:g}]"
             )
         lines.append("overall: " + ("PASS" if self.all_pass else "FAIL"))
         return "\n".join(lines)
@@ -181,7 +182,8 @@ def verify_representations(
     rank 3, or with an error estimate above ``ESTIMATE_TOL``) is reported as
     not evaluated with that error's message, and pairs involving it are
     omitted.  Injecting a fault into a branch that is not evaluated, or one
-    whose ``eps`` rounds away in the first intercept, raises `ValueError`.
+    whose predicted TV shift is below twice that branch's bound (as when
+    ``eps`` rounds away in the first intercept), raises `ValueError`.
     """
     check_enumerable(spec.n)
     # Raises EigendecompositionError before any branch runs.
@@ -190,22 +192,16 @@ def verify_representations(
     tables: dict[str, Pmf] = {}
     timings: dict[str, float] = {}
     skipped: dict[str, str] = {}
+    delta = spec.delta.copy()
+    if fault is not None:
+        delta[:1] += fault.eps  # a model without items has no intercept to move
     for name, build in BRANCHES.items():
-        branch_spec = spec
-        if fault is not None and fault.branch == name:
-            delta = spec.delta.copy()
-            delta[0] += fault.eps
-            if delta[0] == spec.delta[0]:
-                raise ValueError(
-                    f"a fault of eps {fault.eps:g} leaves the {name} branch's first "
-                    f"intercept {spec.delta[0]!r} unchanged; it would perturb nothing"
-                )
-            branch_spec = replace(spec, delta=delta)
+        faulted = fault is not None and fault.branch == name
         start = time.perf_counter()
         try:
-            tables[name] = build(branch_spec, rule)
+            tables[name] = build(replace(spec, delta=delta) if faulted else spec, rule)
         except (RankLimitError, QuadratureResolutionError) as exc:
-            if branch_spec is not spec:
+            if faulted:
                 raise ValueError(
                     f"cannot inject a fault into the {name} branch, which is "
                     f"not evaluated: {exc}"
@@ -214,18 +210,26 @@ def verify_representations(
             continue
         timings[name] = time.perf_counter() - start
 
-    names = list(tables)
-    distances = {
-        (a, b): pmf_distance(tables[a], tables[b])
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    }
-    return EquivalenceReport(
+    report = EquivalenceReport(
         n=spec.n,
         rank=rank,
-        distances=distances,
+        distances={(a, b): pmf_distance(tables[a], tables[b]) for a, b in combinations(tables, 2)},
         timings=timings,
         fault=fault,
         skipped_reason=skipped,
         latent_error_estimate=tables["latent"].error_estimate if "latent" in tables else None,
     )
+    if fault is not None:
+        # The step as stored (0 if eps rounds away) times (1 - m₀²) / 2, which is
+        # 2 P(x₀ = 1) P(x₀ = -1): rounding cannot make it negative.
+        probs = tables["conventional"].probs
+        step = np.abs(delta - spec.delta).sum()
+        report.fault_shift = float(2.0 * step * probs[1::2].sum() * probs[0::2].sum())
+        bound = report.quad_tol if fault.branch == "latent" else EXACT_TOL
+        if report.fault_shift < 2.0 * bound:
+            raise ValueError(
+                f"a fault of eps {fault.eps:g} in the {fault.branch} branch has a predicted tv "
+                f"shift of {report.fault_shift:.3e}, below twice its bound {bound:g}; no verdict "
+                "could show it"
+            )
+    return report

@@ -485,7 +485,7 @@ class TestVerifyCommand:
         report = json.loads(report_path.read_text())
         est, tol = report["latent_error_estimate"], report["quad_tol"]
         assert 0.0 <= est <= 1e-8
-        assert tol == max(1e-13, 10.0 * est)
+        assert tol == max(1e-12, 10.0 * est)
         latent_rows = [row for row in report["pairs"] if "latent" in row["pair"]]
         assert len(latent_rows) == 3 and all(row["tolerance"] == tol for row in latent_rows)
         out = capsys.readouterr().out
@@ -519,7 +519,36 @@ class TestVerifyCommand:
         argv = ["verify", str(path), "--inject-fault", "spectral", "--fault-eps", "1e-300"]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "a fault of eps 1e-300 leaves the spectral branch's first intercept" in captured.err
+        assert captured.err == (
+            "error: a fault of eps 1e-300 in the spectral branch has a predicted tv shift of "
+            "0.000e+00, below twice its bound 1e-12; no verdict could show it\n"
+        )
+        assert captured.out == ""
+
+    def test_fault_at_twenty_near_uniform_items_exits_1(self, tmp_path, capsys):
+        from conftest import near_uniform_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(near_uniform_spec(), path)
+        assert main(["verify", str(path), "--inject-fault", "spectral"]) == 1
+        out = capsys.readouterr().out
+        assert "fault injected: branch spectral, eps 1e-06, predicted tv shift 5.000e-07" in out
+        assert "[FAIL tv <= 1e-12]" in out and "overall: FAIL" in out
+
+    def test_fault_no_verdict_can_show_exits_2(self, tmp_path, capsys):
+        from conftest import frozen_site_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(frozen_site_spec(), path)
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--inject-fault", "spectral"]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"error: a fault of eps 1e-06 in the spectral branch has a predicted tv shift of "
+            r"6\.79\de-14, below twice its bound 1e-12; no verdict could show it\n",
+            captured.err,
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("nodes, got", [("256", "got 256"), ("300", "got 300")])

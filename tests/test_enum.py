@@ -240,7 +240,7 @@ class TestSplitHalfBuilders:
         report = it.verify_representations(spec)
         exact = [pair for pair in report.distances if "latent" not in pair]
         assert len(exact) == 3 and report.all_pass
-        assert max(report.distances[pair].max_abs for pair in exact) <= 1e-12
+        assert max(report.distances[pair].tv for pair in exact) <= 1e-12
 
     @pytest.mark.parametrize("builder", ["spectral_pmf", "conditioned_pmf"])
     def test_enumeration_limit_memory(self, rng, builder):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ising_trinity as it
-from conftest import low_rank_spec, random_spec
+from conftest import frozen_site_spec, low_rank_spec, near_uniform_spec, random_spec
 
 ALL_PAIRS = [
     ("conventional", "spectral"),
@@ -35,7 +35,7 @@ class TestVerifier:
             if "latent" in pair:
                 assert dist.tv <= 1e-7
             else:
-                assert dist.max_abs <= 1e-12
+                assert dist.tv <= 1e-12
 
     def test_zero_model(self):
         spec = it.ModelSpec(delta=np.zeros(3), sigma=np.zeros((3, 3)))
@@ -123,7 +123,7 @@ class TestFaultInjection:
         small = it.verify_representations(spec, fault=it.BranchFault(branch="spectral", eps=1e-9))
         large = it.verify_representations(spec, fault=it.BranchFault(branch="spectral", eps=1e-3))
         pair = ("conventional", "spectral")
-        assert small.distances[pair].max_abs < large.distances[pair].max_abs
+        assert small.distances[pair].tv < large.distances[pair].tv
 
     def test_fault_on_skipped_branch_rejected(self, rng):
         spec = random_spec(rng, 6)
@@ -153,6 +153,49 @@ class TestFaultInjection:
             with pytest.raises(ValueError, match="finite and nonzero"):
                 it.BranchFault(branch="spectral", eps=eps)
 
+    def test_near_uniform_faults_fail_at_twenty_items(self):
+        # Every probability is near 1e-6, so a 1e-6 fault moves each by about
+        # 1e-12: a max_abs verdict would pass it, the TV verdict does not.
+        spec = near_uniform_spec()
+        clean = it.verify_representations(spec)
+        assert clean.all_pass, clean.to_text()
+        assert not clean.evaluated["latent"]
+        for branch in ("conventional", "spectral", "collider"):
+            faulted = it.verify_representations(spec, fault=it.BranchFault(branch=branch))
+            assert not faulted.all_pass, faulted.to_text()
+            for row in faulted.pairs:
+                assert row["passed"] == (branch not in row["pair"]), row
+                if branch in row["pair"]:
+                    assert row["max_abs"] < 1e-12 < 2e-12 < row["tv"]
+
+    @pytest.mark.parametrize("branch", ["conventional", "spectral", "collider"])
+    def test_fault_no_verdict_can_show_is_refused(self, branch):
+        # x_1 is nearly frozen at +1, so the fault moves the table by a TV of
+        # 6.8e-14, below twice the 1e-12 bound; a verdict would read PASS.
+        with pytest.raises(
+            ValueError,
+            match=rf"^a fault of eps 1e-06 in the {branch} branch has a predicted tv shift of "
+            r"6\.79\de-14, below twice its bound 1e-12; no verdict could show it$",
+        ):
+            it.verify_representations(frozen_site_spec(), fault=it.BranchFault(branch=branch))
+
+    def test_fault_on_a_model_without_items_is_refused(self):
+        # No intercept to move, so the fault perturbs nothing.
+        spec = it.ModelSpec(delta=np.zeros(0), sigma=np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="predicted tv shift of 0.000e[+]00, below twice"):
+            it.verify_representations(spec, fault=it.BranchFault(branch="spectral"))
+
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
+    def test_predicted_shift_matches_the_faulted_pairs_tv(self, n):
+        rng = np.random.default_rng([38, n])
+        spec = random_spec(rng, n, field_scale=2.0)
+        for branch, other in (("conventional", "spectral"), ("spectral", "collider"),
+                              ("collider", "conventional")):
+            report = it.verify_representations(spec, fault=it.BranchFault(branch=branch))
+            tv = next(d.tv for pair, d in report.distances.items() if {branch, other} == set(pair))
+            assert report.fault_shift == pytest.approx(tv, rel=1e-3)
+            assert f"predicted tv shift {report.fault_shift:.3e}" in report.to_text()
+
 
 class TestReportSerialization:
     def test_dictionary_structure(self, rng):
@@ -162,10 +205,13 @@ class TestReportSerialization:
         assert d["all_pass"] is True
         assert d["fault"] is None
         assert [b["name"] for b in d["branches"]] == list(it.equivalence.BRANCHES)
+        assert d["fault_shift"] is None
         for pair in d["pairs"]:
-            assert set(pair) == {"pair", "tv", "max_abs", "kl", "tolerance", "metric", "passed"}
-            expected_metric = "tv" if "latent" in pair["pair"] else "max_abs"
-            assert pair["metric"] == expected_metric
+            # One distance judges every pair; only the bound depends on the pair.
+            assert set(pair) == {"pair", "tv", "max_abs", "kl", "tolerance", "passed"}
+            expected_tol = d["quad_tol"] if "latent" in pair["pair"] else d["exact_tol"]
+            assert pair["tolerance"] == expected_tol
+            assert pair["passed"] == (pair["tv"] <= expected_tol)
 
     def test_json_round_trips(self, rng):
         report = it.verify_representations(
@@ -173,6 +219,7 @@ class TestReportSerialization:
         )
         d = json.loads(report.to_json())
         assert d["fault"] == {"branch": "collider", "eps": 1e-6}
+        assert d["fault_shift"] == report.fault_shift > 2e-12
         assert d["all_pass"] is False
 
     def test_text_lists_pairs_and_verdict(self, rng):
@@ -194,7 +241,7 @@ class TestReportSerialization:
         d = evaluated.to_dict()
         est = d["latent_error_estimate"]
         assert 0.0 <= est <= 1e-8
-        assert d["quad_tol"] == evaluated.quad_tol == max(1e-13, 10.0 * est)
+        assert d["quad_tol"] == evaluated.quad_tol == max(1e-12, 10.0 * est)
         assert f"latent error estimate: {est:.3e}, tv tolerance {d['quad_tol']:g}" in (
             evaluated.to_text()
         )
@@ -229,27 +276,31 @@ def test_latent_tables_are_within_ten_estimates_and_faults_are_caught(n, rank):
 
 class TestTolerances:
     def test_custom_tolerances_are_applied(self, monkeypatch):
+        # EXACT_TOL bounds the exact pairs and floors the latent pairs' bound.
         spec = unit_coupling_spec(2)
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-18)
-        monkeypatch.setattr(it.equivalence, "QUAD_FLOOR", 1e-18)
         strict = it.verify_representations(spec)
         # Machine-precision agreement is not zero; absurdly strict bounds fail.
         assert not strict.all_pass
-        # Below the floor, ten estimates bound the latent pairs; the report
+        assert not all(row["passed"] for row in strict.pairs if "latent" not in row["pair"])
+        # Above the floor, ten estimates bound the latent pairs; the report
         # states the bound applied.
         assert strict.to_dict()["quad_tol"] == 10.0 * strict.latent_error_estimate > 1e-18
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
-        monkeypatch.setattr(it.equivalence, "QUAD_FLOOR", 1e-4)
         loose = it.verify_representations(spec)
         assert loose.all_pass
-        assert 10.0 * loose.latent_error_estimate < 1e-4
-        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-4)
+        # Below the floor, the floor bounds the latent pairs too.
+        assert 10.0 * loose.latent_error_estimate < 1e-6
+        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-6)
+        assert {row["tolerance"] for row in loose.pairs} == {1e-6}
 
     def test_latent_bound_stays_at_most_1e_7(self):
         # The latent module refuses estimates above ESTIMATE_TOL, so the
         # largest bound a latent pair can get is exactly 1e-7.
-        assert max(it.equivalence.QUAD_FLOOR, 10.0 * it.latent.ESTIMATE_TOL) == 1e-7
+        assert max(it.equivalence.EXACT_TOL, 10.0 * it.latent.ESTIMATE_TOL) == 1e-7
         assert not hasattr(it.equivalence, "QUAD_TOL")
+        # The exact bound is the latent pairs' one floor.
+        assert not hasattr(it.equivalence, "QUAD_FLOOR")
 
     def test_coarse_quadrature_is_caught_not_tolerated(self):
         # A rule too coarse for the model must not be judged by its table:
