@@ -1,22 +1,16 @@
-"""Decimal text of float64 arrays, byte for byte as ``"%.17g" % x`` or ``repr(x)``.
+"""Decimal text of float64 arrays, byte for byte as ``"%.17g" % x``.
 
 Python formats each float with a correctly rounded ``dtoa`` (Gay 1990), one
-call per value.  Here the digits of a whole array come from numpy:
-
-- Split ``x = m * 2**e`` and take ``X = floor(log10 x)``.  The 17-digit
-  integer ``y = x * 10**(16 - X)`` is ``m`` times a 106-bit table entry for
-  the power of ten, formed as a double-double by Dekker's two-product with
-  a Veltkamp split (Dekker 1971).  Its error, about ``2**-104 * 1e17``, is
-  seven orders below `_MARGIN`.
-- ``"%.17g"`` writes ``D``, the nearest integer to ``y``.
-- ``repr`` writes the shortest decimal inside ``x``'s rounding interval,
-  ``y`` plus or minus half an ulp: the nearest 16-digit one when it falls
-  inside, else ``D``.
+call per value.  Here the digits of a whole array come from numpy: split
+``x = m * 2**e`` and take ``X = floor(log10 x)``.  The 17-digit integer
+``y = x * 10**(16 - X)`` is ``m`` times a 106-bit table entry for the power
+of ten, formed as a double-double by Dekker's two-product with a Veltkamp
+split (Dekker 1971).  Its error, about ``2**-104 * 1e17``, is seven orders
+below `_MARGIN`.  ``"%.17g"`` writes ``D``, the nearest integer to ``y``.
 
 A value is certified when it is normal, below 1, its ``D`` has 17 digits,
-and no rounding boundary lies within `_MARGIN` of ``y``.  For ``repr`` the
-interval must also be symmetric (``m != 1/2``) and hold no 15-digit decimal.
-Every other value is formatted by Python itself.
+and no rounding boundary lies within `_MARGIN` of ``y``.  Every other value
+is formatted by Python itself.
 
 The text is laid out as one NUL-padded 32-byte row per value, built from
 small tables of digit groups, heads and exponent tails; dropping every NUL
@@ -59,8 +53,8 @@ def _tables() -> tuple:
     return (hi, *_split(hi), lo, k, *words)
 
 
-def decimal_text(x: np.ndarray, shortest: bool) -> list[bytes]:
-    """Each value of ``x`` as ``repr`` writes it if ``shortest``, else as ``"%.17g"``."""
+def decimal_text(x: np.ndarray) -> list[bytes]:
+    """Each value of ``x`` as ``"%.17g"`` writes it."""
     th, th_h, th_l, tl, k, quads, trimmed, heads, tails = _tables()
     good = (x >= np.finfo(np.float64).tiny) & (x < 1.0)
     xs = np.where(good, x, 0.5)
@@ -81,20 +75,6 @@ def decimal_text(x: np.ndarray, shortest: bool) -> list[bytes]:
     r = frac - np.rint(frac)
     D = whole.astype(np.int64) + np.rint(frac).astype(np.int64)
     good &= (D > 10**16) & (D < 10**17) & (np.abs(np.abs(r) - 0.5) > _MARGIN)
-    if shortest:
-        # In units of y's last digit: half an ulp of x, and the distances from
-        # y to the nearest multiple of 10 (16 digits) and of 100 (15 digits).
-        half_ulp = np.ldexp(y, -54) / m
-        t = D % 10 + r
-        up = t > 5.0
-        d16 = np.abs(10.0 * up - t)
-        u = D % 100 + r
-        use16 = d16 < half_ulp - _MARGIN
-        # Certified: a symmetric interval that clearly holds or misses the one
-        # nearest 16-digit decimal, and clearly misses every 15-digit one.
-        good &= (m != 0.5) & (use16 | (d16 > half_ulp + _MARGIN)) & (np.abs(t - 5.0) > _MARGIN)
-        good &= np.minimum(np.abs(u), 100.0 - u) > half_ulp + _MARGIN
-        D = np.where(use16, D - D % 10 + 10 * up, D)
     # Each value is a row of 32 bytes: a head (its first digit, with "0.000"
     # before it in fixed form and "." after it in exponent form unless it is
     # alone), 16 digits in groups of 4, and a tail ("e-XX" in exponent form)
@@ -109,8 +89,6 @@ def decimal_text(x: np.ndarray, shortest: bool) -> list[bytes]:
     kind = np.where(X < -4, ~later, 1 - X)  # "d." / "d" / "0." + (-X - 1) zeros + "d"
     rows[:, 0] = heads.take(10 * kind + D, mode="clip")  # D is the first digit
     rows[:, 3] = tails[np.where(X < -4, -X, 0)]
-    rest = np.flatnonzero(~good)
-    fmt = repr if shortest else "%.17g".__mod__
-    rows.view("S32")[rest, 0] = [fmt(v).encode() + b"\n" for v in x[rest].tolist()]
+    rows.view("S32")[~good, 0] = [b"%.17g\n" % v for v in x[~good].tolist()]
     flat = rows.view(np.uint8).ravel()
     return flat[flat != 0].tobytes().split(b"\n")[:-1]

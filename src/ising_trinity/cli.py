@@ -40,11 +40,11 @@ from .spectral import to_spectral
 
 # Table format -> (separator after each configuration cell; row template of
 # the low-half cells, the high-half cells and the probability; separator
-# between rows; whether the probability is written as `repr`, which is
-# `json`'s float, or as "%.17g").
+# between rows). Both formats write each probability as "%.17g", which
+# `json.loads` parses back to the same float.
 ROW_TEMPLATES = {
-    "csv": (",", b"%s%s%s\n", b"", False),
-    "json": (",\n      ", b"    [\n      %s%s%s\n    ]", b",\n", True),
+    "csv": (",", b"%s%s%s\n", b""),
+    "json": (",\n      ", b"    [\n      %s%s%s\n    ]", b",\n"),
 }
 
 # Rows per written block. In-process time barely depends on it (n = 16 CSV /
@@ -89,7 +89,7 @@ def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
     written by `decimal_text`.
     """
     header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
-    sep, row, between, shortest = ROW_TEMPLATES[fmt]
+    sep, row, between = ROW_TEMPLATES[fmt]
     if fmt == "csv":
         yield (",".join(header) + "\n").encode()
     else:
@@ -97,7 +97,7 @@ def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
         yield f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n'.encode()
     lo, hi = _row_cells(pmf.n, sep)
     for start in range(0, pmf.probs.size, _BLOCK_ROWS):
-        text = decimal_text(pmf.probs[start : start + _BLOCK_ROWS], shortest)
+        text = decimal_text(pmf.probs[start : start + _BLOCK_ROWS])
         block = slice(start, start + len(text))
         cells = [None] * 3 * len(text)
         cells[0::3], cells[1::3], cells[2::3] = lo[block], hi[block], text
@@ -130,6 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.out == "-":
+        raise ValueError("sample writes a CSV and its sidecar, so --out must be a file, not -")
     spec = load_model_spec(args.spec)
     if args.method == "exact":
         sample = sample_exact(ising_pmf(spec), args.m, args.seed)
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--method", choices=METHODS, required=True)
     p_sample.add_argument("--m", type=int, required=True, help="number of draws")
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--out", required=True, help="output CSV path")
+    p_sample.add_argument("--out", required=True, help="output CSV path (not -)")
     # The library signatures' defaults; `inspect` sees through `functools.wraps`.
     gibbs = inspect.signature(sample_gibbs).parameters
     p_sample.add_argument("--burn-in", type=int, default=gibbs["burn_in"].default)

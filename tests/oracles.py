@@ -181,15 +181,20 @@ def pmf_csv_text(n, probs):
 
 
 def pmf_json_text(n, representation, log_z, probs):
-    """A probability table as the whole document passed through ``json.dumps``."""
+    """A probability table as the whole document passed through ``json.dumps``.
+
+    Each row's probability is dumped as a placeholder string, which is then
+    replaced by the CSV's text of the value, ``"%.17g" % p``.
+    """
     doc = {
         "n": n,
         "representation": representation,
         "log_z": log_z,
         "columns": [f"x_{i + 1}" for i in range(n)] + ["probability"],
-        "rows": [list(x) + [float(p)] for x, p in zip(all_configs(n), probs)],
+        "rows": [list(x) + ["<p>"] for x in all_configs(n)],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    head, *rest = json.dumps(doc, indent=2).split('"<p>"')
+    return head + "".join("%.17g" % p + part for p, part in zip(probs, rest)) + "\n"
 
 
 def sample_csv_text(draws):

@@ -165,6 +165,12 @@ def expected_pmf_text(pmf, representation, fmt):
     return pmf_json_text(pmf.n, representation, pmf.log_z, pmf.probs.tolist())
 
 
+def assert_json_rows_parse_back(pmf, text):
+    """``json.loads`` of the written table returns exactly ``pmf.probs``."""
+    probs = np.array([row[-1] for row in json.loads(text)["rows"]], dtype=np.float64)
+    assert np.array_equal(probs.view(np.int64), pmf.probs.view(np.int64))
+
+
 @st.composite
 def tables(draw):
     """Tables over 1..10 variables with entries from 1 down to 1e-300, some exactly 0."""
@@ -187,7 +193,10 @@ class TestPmfBytes:
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_text_matches_the_per_cell_reference(self, pmf, representation, fmt):
-        assert pmf_text(pmf, representation, fmt) == expected_pmf_text(pmf, representation, fmt)
+        text = pmf_text(pmf, representation, fmt)
+        assert text == expected_pmf_text(pmf, representation, fmt)
+        if fmt == "json":
+            assert_json_rows_parse_back(pmf, text)
 
     # n = 0 has no configuration cells, so each row is the probability alone;
     # n = 16 is the size of the benchmark's tables, split 8 + 8.
@@ -203,6 +212,7 @@ class TestPmfBytes:
         assert text == expected_pmf_text(pmf, "collider", fmt)
         if fmt == "json":
             assert json.loads(text)["rows"][0] == [*[-1] * n, pmf.probs[0]]
+            assert_json_rows_parse_back(pmf, text)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -753,6 +763,17 @@ class TestSampleCommand:
         assert capsys.readouterr().err == (
             "error: tensor quadrature supports a latent rank of at most 3, got rank 4\n"
         )
+
+    def test_out_dash_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # A sample is a CSV plus its sidecar, which stdout cannot hold.
+        spec = paired_spec(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["sample", spec, "--method", "exact", "--m", "3", "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: sample writes a CSV and its sidecar, so --out must be a file, not -\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_zero_draws(self, tmp_path, capsys):
         code = main(

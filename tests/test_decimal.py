@@ -10,8 +10,7 @@ from ising_trinity._decimal import decimal_text
 
 def assert_matches_python(values):
     x = np.asarray(values, dtype=np.float64)
-    assert decimal_text(x, shortest=False) == [b"%.17g" % v for v in x.tolist()]
-    assert decimal_text(x, shortest=True) == [repr(v).encode() for v in x.tolist()]
+    assert decimal_text(x) == [b"%.17g" % v for v in x.tolist()]
 
 
 @settings(max_examples=200, deadline=None)
