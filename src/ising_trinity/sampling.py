@@ -154,7 +154,9 @@ def sample_gibbs(
         t *= 0.5
         for sweep, t_sweep in enumerate(t, lo + 1 - burn_in):
             for row, b_i, t_i in zip(rows, b_rows, t_sweep):
-                b_i[...] = row @ b > t_i
+                # ndarray.dot, not @: the same product without the matmul
+                # ufunc's dispatch, which costs more than the product here.
+                b_i[...] = row.dot(b) > t_i
             if sweep >= 1 and sweep % thin == 0:
                 recorded[sweep // thin - 1] = b
     chains = 2 * recorded.transpose(2, 0, 1) - 1  # (k, per_chain, n)
@@ -378,16 +380,22 @@ def sidecar_path(csv_path) -> Path:
 
 
 def save_sample_set(sample: SampleSet, csv_path) -> None:
-    """Write draws as CSV (columns ``x_1..x_n``) plus a JSON metadata sidecar."""
+    """Write draws as CSV (columns ``x_1..x_n``) plus a JSON metadata sidecar.
+
+    Raises `ValueError`, writing nothing, for draws of no variables: their
+    rows would be blank lines, which no reader takes back.
+    """
+    if sample.n == 0:
+        raise ValueError("a sample set of no variables has no CSV columns to write")
     csv_path = Path(csv_path)
     header = ",".join(f"x_{i + 1}" for i in range(sample.n))
     # Each block of columns indexes into the text of its configurations.
-    rows, lead = np.full(sample.m, "", dtype=object), ""
+    rows = None
     for start in range(0, sample.n, _BLOCK_WIDTH):
         block = sample.draws[:, start : start + _BLOCK_WIDTH]
         text = np.array(config_text(block.shape[1], ","), dtype=object)
-        rows = rows + lead + text[encode_configs(block)]
-        lead = ","
+        cells = text[encode_configs(block)]
+        rows = cells if rows is None else rows + "," + cells
     csv_path.write_text("\n".join([header, *rows.tolist()]) + "\n", encoding="utf-8")
     side = {
         "method": sample.method,
@@ -406,6 +414,13 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
 
     Raises `ValueError` on an empty file, no ``rows`` after the header, or a
     malformed row: blank, ragged, or with a cell that does not parse (``#`` too).
+
+    Draws of a few variables repeat lines, so only the distinct lines are
+    parsed, in first-seen order, and the table indexes back into them.
+    Identical lines parse identically, so every line is still checked.
+    Where that parse fails, all lines are parsed again, so that the error
+    counts the file's own rows.  A file without a repeated line pays only
+    for the pass that finds none.
     """
     text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
@@ -413,13 +428,27 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
     lines = text.split("\n")
     if len(lines) < 2:
         raise ValueError(f"data file {path} contains no {rows}")
+    body = lines[1:]
+    index = dict.fromkeys(body)
     try:
-        if "" in lines:
+        if "" in index:
             raise ValueError("blank line")
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=dtype, ndmin=2)
+        try:
+            table = _parse_lines(list(index), dtype)
+        except ValueError:
+            _parse_lines(body, dtype)  # raises with the row number the file gives
+            raise
+        if len(index) < len(body):
+            position = dict(zip(index, range(len(index))))
+            rows_at = np.fromiter(map(position.__getitem__, body), np.intp, len(body))
+            table = table.take(rows_at, axis=0)
     except ValueError as exc:
         raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
     return [h.strip() for h in lines[0].split(",")], table
+
+
+def _parse_lines(lines: list[str], dtype) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=2)
 
 
 def load_sample_set(csv_path) -> SampleSet:

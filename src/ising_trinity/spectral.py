@@ -97,7 +97,7 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
             f"eigendecomposition of the coupling matrix failed: the eigenvalues "
             f"{evals.min():g} to {evals.max():g} or their shift by c = {c:g} are not finite"
         )
-    lambdas[np.abs(lambdas) < RANK_TOL] = 0.0
+    lambdas[np.abs(lambdas) <= RANK_TOL] = 0.0
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
     vecs = vecs[:, order]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -215,6 +216,7 @@ class TestGibbsSampler:
             it.ModelSpec(delta=np.array([0.3]), sigma=np.zeros((1, 1))),
             random_spec(rng, 4, coupling_scale=0.5, field_scale=0.5),
             unit_coupling_spec(6),
+            random_spec(rng, 20, coupling_scale=0.3, field_scale=0.5),
         ]
         for spec in specs:
             for seed in range(3):
@@ -822,6 +824,15 @@ class TestSampleIo:
         assert path.read_text(encoding="utf-8") == sample_csv_text(draws.tolist())
         assert np.array_equal(it.load_sample_set(path).draws, draws)
 
+    def test_draws_of_no_variables_are_refused_before_writing(self, tmp_path):
+        # Their rows would be blank lines, which the loader refuses as empty.
+        spec = it.ModelSpec(delta=np.zeros(0), sigma=np.zeros((0, 0)))
+        sample = it.sample_gibbs(spec, 5, seed=0, burn_in=3)
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match="no variables"):
+            it.save_sample_set(sample, path)
+        assert not path.exists() and not it.sidecar_path(path).exists()
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "draws.csv"
         path.write_text("x_1,x_2\n1,-1\n")
@@ -906,6 +917,13 @@ CSV_CASES = {
     "CR": "x_1,x_2\r1,-1\r-1,1\r",
     "weight column": "x_1,x_2,weight\n1,-1,0.25\n-1,1,0.75\n",
     "weight column, CRLF": "x_1,x_2,Weight \r\n1,-1,0.25\r\n-1,1,0.75\r\n",
+    "repeated lines": "x_1,x_2,x_3\n1,-1,1\n-1,1,1\n1,-1,1\n1,-1,1\n-1,-1,-1\n-1,1,1\n",
+    "distinct lines": "x_1,x_2\n1,-1\n-1,1\n1,1\n-1,-1\n",
+    "repeated weight column": "x_1,x_2,weight\n1,-1,0.25\n-1,1,0.5\n1,-1,0.25\n1,-1,0.125\n",
+    "repeated CRLF": "x_1,x_2\r\n1,-1\r\n-1,1\r\n1,-1\r\n1,-1\r\n",
+    "blank CRLF line": "x_1,x_2\r\n1,-1\r\n\r\n1,-1\r\n-1,1\r\n",
+    "repeated word": "x_1,x_2\n1,-1\n1,-1\n-1,1\n1,-1\n1,up\n",
+    "repeated ragged": "x_1,x_2\n1,-1\n-1,1\n1,-1\n-1\n",
     "empty": "",
     "spaces only": "  \n \n",
     "header only": "x_1,x_2\n",
@@ -928,6 +946,19 @@ def same_outcome(got, want) -> bool:
     return isinstance(got, tuple) and all(
         np.array_equal(g, np.asarray(w, dtype=float), equal_nan=True) for g, w in zip(got, want)
     )
+
+
+def per_line_table(path, dtype):
+    """`read_csv_table` as one `np.loadtxt` call over every line after the header."""
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    if lines == [""] or len(lines) < 2:
+        raise ValueError("no rows")
+    try:
+        if "" in lines:
+            raise ValueError("blank line")
+        return np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
 
 
 def fit_reference(path):
@@ -964,6 +995,33 @@ class TestCsvReaders:
         assert isinstance(got, str) == isinstance(want, str)
         if not isinstance(want, str):
             assert np.array_equal(got, want)
+
+    # Tables are compared by value and dtype; a refused file must give the
+    # message of the per-line parse, whose row numbers count the file's rows.
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_reader_equals_a_per_line_loadtxt(self, tmp_path, name, dtype):
+        path = tmp_path / "data.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
+        try:
+            want = per_line_table(path, dtype)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                sampling.read_csv_table(path, dtype)
+            assert str(exc) == "no rows" or str(got.value) == str(exc)
+            return
+        got = sampling.read_csv_table(path, dtype)[1]
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+    def test_malformed_row_counts_the_files_own_rows(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(CSV_CASES["repeated word"].encode("utf-8"))
+        message = "could not convert string 'up' to float64 at row 4, column 2."
+        with pytest.raises(ValueError, match=re.escape(f"malformed row: {message}") + "$"):
+            sampling.read_csv_table(path, np.float64)
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(message)
+        assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize(
         "name, code, words",

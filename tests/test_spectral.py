@@ -208,6 +208,14 @@ class TestRankAndTruncation:
         table = it.spectral_pmf(form, delta)
         assert np.array_equal(table.probs, it.spectral_pmf(kept, delta).probs)
 
+    def test_an_eigenvalue_of_exactly_rank_tol_is_zeroed(self):
+        # Couplings of 5e-11 shift to the eigenvalues 1e-10 == RANK_TOL and 0.
+        # No story keeps the first, so the form must hold it as zero too.
+        spec = it.ModelSpec(delta=np.zeros(2), sigma=5e-11 * (1 - np.eye(2)))
+        form = it.to_spectral(spec)
+        npt.assert_array_equal(form.lambdas, np.zeros(2))
+        assert form.rank == 0
+
     def test_truncation_zeroes_trailing_eigenvalues(self, rng):
         form = it.to_spectral(random_spec(rng, 6))
         cut = it.truncate_spectral(form, 2)
