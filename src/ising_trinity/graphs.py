@@ -2,9 +2,10 @@
 
 The network view is an undirected graph over the items with one labeled edge
 per nonzero coupling.  The common-cause view adds one latent parent per
-strictly positive eigenvalue of the shifted coupling matrix; the collider view
-adds one observed common effect per positive eigenvalue instead, with arrows
-reversed.
+non-zero eigenvalue of the shifted coupling matrix; the collider view adds one
+observed common effect per non-zero eigenvalue instead, with arrows reversed.
+Both count the eigenvalues `to_spectral` keeps, so they show the rank that
+every eigen-based story and the verifier use.
 """
 
 from __future__ import annotations

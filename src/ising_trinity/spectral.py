@@ -17,9 +17,6 @@ from ._enum import linear_table, normalize, split_half_table, split_halves
 from .core import ModelSpec, Pmf, as_delta, freeze_array
 from .errors import DimensionMismatchError, EigendecompositionError
 
-# Eigenvalues within this tolerance of zero are treated as exactly zero.
-RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SpectralForm:
@@ -29,8 +26,9 @@ class SpectralForm:
     while no eigenvalue has been zeroed.  Zeroing trailing eigenvalues yields
     a lower-rank form that defines a model in its own right rather than
     reproducing the original couplings.  Every eigen-based story keeps the
-    eigenvalues above ``RANK_TOL`` (`positive`), one latent dimension or one
-    effect each.
+    non-zero eigenvalues (`positive`), one latent dimension or one effect
+    each; `to_spectral` has already zeroed those that ``eigh`` cannot tell
+    from zero.
     """
 
     lambdas: np.ndarray
@@ -64,8 +62,8 @@ class SpectralForm:
 
     @property
     def positive(self) -> np.ndarray:
-        """Mask of the eigenvalues above ``RANK_TOL``, the ones every eigen-based story keeps."""
-        return self.lambdas > RANK_TOL
+        """Mask of the non-zero eigenvalues, the ones every eigen-based story keeps."""
+        return self.lambdas > 0.0
 
     @property
     def rank(self) -> int:
@@ -79,7 +77,10 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
     The shift ``c`` is the minimal one plus the spec's ``extra_shift``; it is
     not kept, but it is the diagonal of the form's ``loadings @ loadings.T``.
     ``extra_shift`` changes the eigenvalues and the loadings but never the
-    PMF.  Eigenvalues within ``RANK_TOL`` of zero are set to exactly zero.
+    PMF.  The rank is decided here, once: a shifted eigenvalue at or below
+    ``8 * n * eps * lambda_max`` is set to exactly zero.  The couplings have
+    zero trace, so their norm is at most ``lambda_max`` and the cut scales
+    with ``eigh``'s rounding, ``O(n * eps * norm)``, at any coupling size.
     Eigenvector columns get a deterministic sign: the entry of largest
     magnitude (first such on ties) is made positive.
     """
@@ -97,7 +98,8 @@ def to_spectral(spec: ModelSpec) -> SpectralForm:
             f"eigendecomposition of the coupling matrix failed: the eigenvalues "
             f"{evals.min():g} to {evals.max():g} or their shift by c = {c:g} are not finite"
         )
-    lambdas[np.abs(lambdas) <= RANK_TOL] = 0.0
+    cut = 8.0 * lambdas.size * np.finfo(float).eps * lambdas.max(initial=0.0)
+    lambdas[lambdas <= cut] = 0.0
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
     vecs = vecs[:, order]
@@ -123,9 +125,9 @@ def truncate_spectral(form: SpectralForm, max_rank: int) -> SpectralForm:
 def spectral_pmf(form: SpectralForm, delta) -> Pmf:
     """Exact probability table computed through the eigenvalue representation.
 
-    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` over the eigenvalues
-    above ``RANK_TOL`` (`SpectralForm.positive`), as the collider and latent
-    stories do.  With ``x`` split into its high and low index halves
+    Builds ``x.delta + sum_r lambda_r (q_r . x)^2 / 2`` over the non-zero
+    eigenvalues (`SpectralForm.positive`), as the collider and latent stories
+    do.  With ``x`` split into its high and low index halves
     (`split_halves`), each score is ``s_hi + s_lo``, so the log weight is
     ``x_hi.delta_hi + lambda s_hi^2 / 2`` plus the same for the low half plus
     the cross term ``(lambda s_hi) . s_lo``, written out by `split_half_table`.

@@ -44,6 +44,22 @@ class TestVerifier:
         assert report.all_pass
         assert all(report.evaluated.values())
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-11, 5e-11, 1e-10, 3e-10, 1e-9, 3e-9])
+    @pytest.mark.parametrize("n", [2, 12, 20])
+    def test_near_zero_couplings_keep_every_eigenvalue(self, n, s):
+        # The conventional branch keeps couplings of any size, so every
+        # eigen-based story must keep their eigenvalues too: n = 2 has one,
+        # the random models n - 1 (the shift zeroes the smallest).
+        if n == 2:
+            spec = it.ModelSpec(delta=np.zeros(2), sigma=s * (1 - np.eye(2)))
+        else:
+            rng = np.random.default_rng(4)
+            upper = np.triu(rng.uniform(-s, s, (n, n)), 1)
+            spec = it.ModelSpec(delta=rng.uniform(-1, 1, n), sigma=upper + upper.T)
+        report = it.verify_representations(spec)
+        assert report.rank == max(1, n - 1)
+        assert report.all_pass, report.to_text()
+
     def test_random_full_interaction_small_n(self, rng):
         for n in (2, 3, 4):
             report = it.verify_representations(random_spec(rng, n))

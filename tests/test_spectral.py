@@ -184,37 +184,50 @@ class TestSpectralPmf:
 
 class TestRankAndTruncation:
     def test_constructed_rank_is_honest(self, rng):
-        for rank in (1, 2, 3):
-            spec = low_rank_spec(rng, 8, rank)
+        # The zero cut is relative to the largest eigenvalue, so it must
+        # neither keep rounding noise nor drop a genuine eigenvalue: on
+        # low-rank models and on the equal-coupling family c * (J - I), whose
+        # canonical shift leaves one eigenvalue for c > 0 and n - 1 for c < 0.
+        cases = [
+            (low_rank_spec(rng, n, rank), rank) for n in range(4, 21) for rank in (1, 2, 3)
+        ]
+        for n in range(2, 65):
+            for c in (1e-6, 0.02, 0.1, 1.0, 4.0, -0.1, -1.0):
+                spec = it.ModelSpec(delta=np.zeros(n), sigma=c * (1 - np.eye(n)))
+                cases.append((spec, 1 if c > 0.0 else n - 1))
+        for spec, rank in cases:
             form = it.to_spectral(spec)
             assert form.rank == rank
             assert it.LatentForm.from_spectral(form, spec.delta).r == rank
             assert it.spectral_to_collider(form, spec.delta).r == rank
 
     def test_every_story_keeps_the_same_eigenvalues(self):
-        # An eigenvalue between 0 and RANK_TOL counts toward no story's rank,
-        # so the spectral table must drop it too.
+        # Every story reads the form's non-zero eigenvalues (`positive`), so a
+        # 5e-11 eigenvalue beside 1.0 counts in each, and the spectral and
+        # collider tables still agree.
         q = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
         form = it.SpectralForm(lambdas=np.array([1.0, 0.5, 5e-11, 0.0]), q=q)
         delta = np.array([0.1, -0.2, 0.3, 0.0])
-        assert form.rank == 2
-        assert it.LatentForm.from_spectral(form, delta).r == 2
+        assert form.rank == 3
+        assert it.LatentForm.from_spectral(form, delta).r == 3
         cf = it.spectral_to_collider(form, delta)
-        assert cf.r == 2
+        assert cf.r == 3
         gap = it.pmf_distance(it.spectral_pmf(form, delta), it.conditioned_pmf(cf))
         assert gap.max_abs <= 1e-15
-        # Dropping the small eigenvalue by hand gives the same spectral table.
-        kept = it.SpectralForm(lambdas=np.array([1.0, 0.5, 0.0, 0.0]), q=q)
-        table = it.spectral_pmf(form, delta)
-        assert np.array_equal(table.probs, it.spectral_pmf(kept, delta).probs)
 
-    def test_an_eigenvalue_of_exactly_rank_tol_is_zeroed(self):
-        # Couplings of 5e-11 shift to the eigenvalues 1e-10 == RANK_TOL and 0.
-        # No story keeps the first, so the form must hold it as zero too.
+    def test_a_coupling_of_5e_11_keeps_its_eigenvalue(self):
+        # Couplings of 5e-11 shift to the eigenvalues 1e-10 and 0. The cut is
+        # relative to the largest, so the first is kept, and the eigen-based
+        # tables agree with the network table.
         spec = it.ModelSpec(delta=np.zeros(2), sigma=5e-11 * (1 - np.eye(2)))
         form = it.to_spectral(spec)
-        npt.assert_array_equal(form.lambdas, np.zeros(2))
-        assert form.rank == 0
+        npt.assert_allclose(form.lambdas, [1e-10, 0.0], rtol=1e-12, atol=0)
+        assert form.rank == 1
+        net = it.ising_pmf(spec)
+        spe = it.spectral_pmf(form, spec.delta)
+        col = it.conditioned_pmf(it.spectral_to_collider(form, spec.delta))
+        assert it.pmf_distance(net, spe).max_abs <= 1e-16
+        assert it.pmf_distance(spe, col).max_abs <= 1e-16
 
     def test_truncation_zeroes_trailing_eigenvalues(self, rng):
         form = it.to_spectral(random_spec(rng, 6))
