@@ -11,6 +11,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -58,10 +59,21 @@ _BLOCK_ROWS = 1 << 10
 
 
 def _write_out(chunks: Iterable[bytes], path: str) -> None:
-    """Write UTF-8 chunks to stdout for ``-``, else to the file at ``path``, opened only here."""
+    """Write UTF-8 chunks to stdout for ``-``, else to the file at ``path``, opened only here.
+
+    When the reader of stdout has gone (``| head``), the rest of the output
+    goes to the null device, so the command still returns its own exit code
+    and no later write or flush fails.
+    """
     if path == "-":
-        for chunk in chunks:
-            sys.stdout.write(chunk.decode())
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk.decode())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "wb") as out:
             out.writelines(chunks)
@@ -123,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         fault = BranchFault(branch=args.inject_fault, eps=args.fault_eps)
     rule = QuadratureRule(args.quad_nodes)
     report = verify_representations(spec, rule, fault=fault)
-    print(report.to_text())
+    _write_out([(report.to_text() + "\n").encode()], "-")
     if args.json_report is not None:
         _write_out([(report.to_json() + "\n").encode()], args.json_report)
     return 0 if report.all_pass else 1
@@ -148,7 +160,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     note = ""
     if "acceptance_rate" in sample.meta:
         note = f" (acceptance rate {sample.meta['acceptance_rate']:.4f})"
-    print(f"wrote {sample.m} draws via {sample.method} to {args.out}{note}")
+    _write_out([f"wrote {sample.m} draws via {sample.method} to {args.out}{note}\n".encode()], "-")
     return 0
 
 
@@ -173,12 +185,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     _write_out([(json.dumps(result.to_dict(), indent=2) + "\n").encode()], args.out)
     if args.out != "-":
         decrement = result.newton_decrement
-        print(
+        summary = (
             f"fit {'converged' if result.converged else 'did not converge'} after "
             f"{result.iterations} iterations (final gradient norm "
             f"{result.grad_norm_final:.3e}, Newton decrement "
-            f"{'n/a' if decrement is None else format(decrement, '.3e')})"
+            f"{'n/a' if decrement is None else format(decrement, '.3e')})\n"
         )
+        _write_out([summary.encode()], "-")
     return 0
 
 

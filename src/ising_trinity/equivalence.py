@@ -7,19 +7,20 @@ conditioned collider, and the latent marginal.  The verifier runs up to the
 enumeration limit (n = 20), which bounds every branch alike.  A branch that
 refuses the model (the latent marginal above rank 3, or with an error
 estimate above ``ESTIMATE_TOL``) is reported as not evaluated, with its own
-error message as the reason.  Every pair is judged by its total-variation
-distance: quadrature-free pairs against ``EXACT_TOL``, and pairs involving
-the latent branch against ten times the latent table's own error estimate,
-at least ``EXACT_TOL``.  The latent module refuses any estimate above
-``ESTIMATE_TOL``, so that bound never exceeds ``10 * ESTIMATE_TOL`` = 1e-7;
-how the estimate is measured is the latent module's alone.
+error message as the reason.  Every pair is judged from its two tables
+alone: its total-variation distance against ten times the larger of their
+``error_estimate``s, at least ``EXACT_TOL``.  An enumerated table estimates
+0, so a quadrature-free pair is held to ``EXACT_TOL``.  The latent module
+refuses any estimate above ``ESTIMATE_TOL``, so no bound exceeds
+``10 * ESTIMATE_TOL`` = 1e-7; how an estimate is measured is its builder's
+alone.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
 branches silently collapsing into a single shared computation.  To first
 order the fault moves the faulted table by a TV of |Δδ₀|·(1 − m₀²)/2, with
-m₀ = E x₀; a fault whose predicted shift is below twice the faulted branch's
-bound is refused, since no verdict could show it.
+m₀ = E x₀, read from that table; a fault whose predicted shift is below
+twice the faulted table's bound is refused, since no verdict could show it.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ BRANCHES: dict[str, Callable[[ModelSpec, QuadratureRule], Pmf]] = {
     ),
 }
 
-# The TV bound on a quadrature-free pair, and the floor of the bound on a pair
-# with the latent branch, whose quadrature is held to ten error estimates.
+# The TV bound on a pair of exact tables, and the floor of every pair's bound;
+# a table with an error estimate is held to ten of them.
 EXACT_TOL = 1e-12
 
 
@@ -86,15 +87,12 @@ class EquivalenceReport:
     timings: dict[str, float]
     fault: BranchFault | None = None
     skipped_reason: dict[str, str] = field(default_factory=dict)
-    latent_error_estimate: float | None = None
+    estimates: dict[str, float] = field(default_factory=dict)
     fault_shift: float | None = None
 
-    @property
-    def quad_tol(self) -> float | None:
-        """The TV bound on pairs with the latent branch; None when that branch is not evaluated."""
-        if self.latent_error_estimate is None:
-            return None
-        return max(EXACT_TOL, 10.0 * self.latent_error_estimate)
+    def bound(self, *names: str) -> float:
+        """The named tables' TV bound: ten times their largest estimate, at least `EXACT_TOL`."""
+        return max(EXACT_TOL, 10.0 * max(self.estimates[name] for name in names))
 
     @property
     def evaluated(self) -> dict[str, bool]:
@@ -106,7 +104,7 @@ class EquivalenceReport:
         """Each pair's distances and its verdict, ``tv <= tolerance``."""
         rows = []
         for pair, dist in self.distances.items():
-            tol = self.quad_tol if "latent" in pair else EXACT_TOL
+            tol = self.bound(*pair)
             rows.append({"pair": list(pair), **asdict(dist), "tolerance": tol,
                          "passed": dist.tv <= tol})
         return rows
@@ -119,9 +117,6 @@ class EquivalenceReport:
         return {
             "n": self.n,
             "rank": self.rank,
-            "exact_tol": EXACT_TOL,
-            "quad_tol": self.quad_tol,
-            "latent_error_estimate": self.latent_error_estimate,
             "all_pass": self.all_pass,
             "fault": None if self.fault is None else asdict(self.fault),
             "fault_shift": self.fault_shift,
@@ -130,6 +125,7 @@ class EquivalenceReport:
                     "name": name,
                     "evaluated": evaluated,
                     "seconds": self.timings.get(name),
+                    "error_estimate": self.estimates.get(name),
                     "skipped_reason": self.skipped_reason.get(name),
                 }
                 for name, evaluated in self.evaluated.items()
@@ -145,26 +141,19 @@ class EquivalenceReport:
             f"n = {self.n}, canonical rank = {self.rank}",
             "branches: "
             + ", ".join(
-                f"{name} ({self.timings[name]:.3f}s)"
+                f"{name} ({self.timings[name]:.3f}s, error estimate {self.estimates[name]:.3e})"
                 if evaluated
                 else f"{name} (not evaluated: {self.skipped_reason[name]})"
                 for name, evaluated in self.evaluated.items()
             ),
         ]
-        if self.latent_error_estimate is not None:
-            lines.append(
-                f"latent error estimate: {self.latent_error_estimate:.3e}, "
-                f"tv tolerance {self.quad_tol:g}"
-            )
         if self.fault is not None:
             lines.append(f"fault injected: branch {self.fault.branch}, eps {self.fault.eps:g}, "
                          f"predicted tv shift {self.fault_shift:.3e}")
         for row in self.pairs:
             (a, b), verdict = row["pair"], "PASS" if row["passed"] else "FAIL"
-            lines.append(
-                f"{a} vs {b}: tv={row['tv']:.3e} max_abs={row['max_abs']:.3e} "
-                f"kl={row['kl']:.3e} [{verdict} tv <= {row['tolerance']:g}]"
-            )
+            lines.append(f"{a} vs {b}: tv={row['tv']:.3e} max_abs={row['max_abs']:.3e} "
+                         f"[{verdict} tv <= {row['tolerance']:g}]")
         lines.append("overall: " + ("PASS" if self.all_pass else "FAIL"))
         return "\n".join(lines)
 
@@ -217,15 +206,15 @@ def verify_representations(
         timings=timings,
         fault=fault,
         skipped_reason=skipped,
-        latent_error_estimate=tables["latent"].error_estimate if "latent" in tables else None,
+        estimates={name: table.error_estimate for name, table in tables.items()},
     )
     if fault is not None:
         # The step as stored (0 if eps rounds away) times (1 - m₀²) / 2, which is
         # 2 P(x₀ = 1) P(x₀ = -1): rounding cannot make it negative.
-        probs = tables["conventional"].probs
+        probs = tables[fault.branch].probs
         step = np.abs(delta - spec.delta).sum()
         report.fault_shift = float(2.0 * step * probs[1::2].sum() * probs[0::2].sum())
-        bound = report.quad_tol if fault.branch == "latent" else EXACT_TOL
+        bound = report.bound(fault.branch)
         if report.fault_shift < 2.0 * bound:
             raise ValueError(
                 f"a fault of eps {fault.eps:g} in the {fault.branch} branch has a predicted tv "

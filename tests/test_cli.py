@@ -493,13 +493,16 @@ class TestVerifyCommand:
         report_path = tmp_path / "report.json"
         assert main(["verify", str(path), "--json-report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        est, tol = report["latent_error_estimate"], report["quad_tol"]
+        est = {b["name"]: b["error_estimate"] for b in report["branches"]}["latent"]
         assert 0.0 <= est <= 1e-8
-        assert tol == max(1e-12, 10.0 * est)
+        tol = max(1e-12, 10.0 * est)
         latent_rows = [row for row in report["pairs"] if "latent" in row["pair"]]
         assert len(latent_rows) == 3 and all(row["tolerance"] == tol for row in latent_rows)
         out = capsys.readouterr().out
-        assert f"latent error estimate: {est:.3e}, tv tolerance {tol:g}\n" in out
+        assert re.search(rf"latent \(\d+\.\d{{3}}s, error estimate {re.escape(f'{est:.3e}')}\)", out)
+        latent_lines = [line for line in out.splitlines() if " vs latent: " in line]
+        assert len(latent_lines) == 3
+        assert all(line.endswith(f"[PASS tv <= {tol:g}]") for line in latent_lines)
         assert "overall: PASS" in out
 
     def test_too_coarse_quadrature(self, tmp_path, capsys):
@@ -961,6 +964,27 @@ def test_stdout_holds_the_bytes_written_to_a_file(tmp_path, capsysbinary, argv, 
     printed = capsysbinary.readouterr().out
     assert main([*argv, flag, str(tmp_path / "out")]) == 0
     assert printed == (tmp_path / "out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["pmf"], 0), (["verify", "--inject-fault", "spectral"], 1)],
+    ids=["pmf", "verify"],
+)
+def test_a_reader_that_stops_early_leaves_the_exit_code(tmp_path, argv, code):
+    # As `| head -1` does: read one line, then close the pipe. The n = 12
+    # table is larger than a pipe's buffer, so pmf still has rows to write.
+    doc = {"n": 12, "delta": [0.1] * 12, "sigma": np.zeros((12, 12)).tolist()}
+    src = str(Path(it.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    command = [sys.executable, "-m", "ising_trinity.cli", argv[0], write_spec(tmp_path, doc)]
+    with subprocess.Popen(
+        command + argv[1:], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as run:
+        run.stdout.readline()
+        run.stdout.close()
+        assert (run.wait(timeout=60), run.stderr.read()) == (code, b"")
 
 
 def test_flag_defaults_are_the_library_defaults():

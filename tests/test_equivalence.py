@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,10 +223,12 @@ class TestReportSerialization:
         assert d["fault"] is None
         assert [b["name"] for b in d["branches"]] == list(it.equivalence.BRANCHES)
         assert d["fault_shift"] is None
+        assert set(d) == {"n", "rank", "all_pass", "fault", "fault_shift", "branches", "pairs"}
+        estimates = {b["name"]: b["error_estimate"] for b in d["branches"] if b["evaluated"]}
         for pair in d["pairs"]:
-            # One distance judges every pair; only the bound depends on the pair.
-            assert set(pair) == {"pair", "tv", "max_abs", "kl", "tolerance", "passed"}
-            expected_tol = d["quad_tol"] if "latent" in pair["pair"] else d["exact_tol"]
+            # One distance judges every pair; the bound reads its two tables' estimates.
+            assert set(pair) == {"pair", "tv", "max_abs", "tolerance", "passed"}
+            expected_tol = max(1e-12, 10.0 * max(estimates[name] for name in pair["pair"]))
             assert pair["tolerance"] == expected_tol
             assert pair["passed"] == (pair["tv"] <= expected_tol)
 
@@ -255,19 +258,25 @@ class TestReportSerialization:
     def test_latent_trust_numbers(self, rng):
         evaluated = it.verify_representations(low_rank_spec(rng, 6, 2))
         d = evaluated.to_dict()
-        est = d["latent_error_estimate"]
+        estimates = {b["name"]: b["error_estimate"] for b in d["branches"]}
+        assert estimates == evaluated.estimates
+        est = estimates.pop("latent")
         assert 0.0 <= est <= 1e-8
-        assert d["quad_tol"] == evaluated.quad_tol == max(1e-12, 10.0 * est)
-        assert f"latent error estimate: {est:.3e}, tv tolerance {d['quad_tol']:g}" in (
-            evaluated.to_text()
-        )
+        assert set(estimates.values()) == {0.0}
+        for row in d["pairs"]:
+            latent = "latent" in row["pair"]
+            assert row["tolerance"] == (max(1e-12, 10.0 * est) if latent else 1e-12)
+        text = evaluated.to_text()
+        assert f"latent ({evaluated.timings['latent']:.3f}s, error estimate {est:.3e})" in text
+        assert f"collider ({evaluated.timings['collider']:.3f}s, error estimate 0.000e+00)" in text
         # A branch that is not evaluated has no estimate, and no latent pair
         # has a tolerance to apply.
         skipped = it.verify_representations(random_spec(rng, 6))
         assert not skipped.evaluated["latent"]
         d = json.loads(skipped.to_json())
-        assert d["latent_error_estimate"] is None and d["quad_tol"] is None
-        assert "latent error estimate" not in skipped.to_text()
+        assert [b["error_estimate"] for b in d["branches"]] == [0.0, 0.0, 0.0, None]
+        assert "latent" not in skipped.estimates
+        assert skipped.to_text().count("error estimate") == 3
 
 
 # Low-rank models as perfbench's verify ladder draws them, six per (n, rank).
@@ -280,7 +289,7 @@ def test_latent_tables_are_within_ten_estimates_and_faults_are_caught(n, rank):
     for _ in range(6):
         spec = low_rank_spec(rng, n, rank)
         clean = it.verify_representations(spec)
-        est = clean.latent_error_estimate
+        est = clean.estimates["latent"]
         # The conventional branch is the exact table.
         true_tv = clean.distances[("conventional", "latent")].tv
         assert true_tv <= max(1e-13, 10.0 * est), (true_tv, est)
@@ -301,20 +310,42 @@ class TestTolerances:
         assert not all(row["passed"] for row in strict.pairs if "latent" not in row["pair"])
         # Above the floor, ten estimates bound the latent pairs; the report
         # states the bound applied.
-        assert strict.to_dict()["quad_tol"] == 10.0 * strict.latent_error_estimate > 1e-18
+        latent_bound = 10.0 * strict.estimates["latent"]
+        assert latent_bound > 1e-18
+        assert {row["tolerance"] for row in strict.to_dict()["pairs"]} == {1e-18, latent_bound}
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
         loose = it.verify_representations(spec)
         assert loose.all_pass
         # Below the floor, the floor bounds the latent pairs too.
-        assert 10.0 * loose.latent_error_estimate < 1e-6
-        assert (loose.to_dict()["exact_tol"], loose.to_dict()["quad_tol"]) == (1e-6, 1e-6)
-        assert {row["tolerance"] for row in loose.pairs} == {1e-6}
+        assert 10.0 * loose.estimates["latent"] < 1e-6
+        assert loose.bound("conventional") == loose.bound("latent") == 1e-6
+        assert {row["tolerance"] for row in loose.to_dict()["pairs"]} == {1e-6}
+
+    def test_the_bound_follows_the_estimate_not_the_name(self, monkeypatch):
+        # A spectral table that carries an estimate is held to ten of them,
+        # while the pair of exact tables keeps the floor.
+        monkeypatch.setitem(
+            it.equivalence.BRANCHES, "spectral",
+            lambda spec, rule: replace(it.ising_pmf(spec), error_estimate=1e-9),
+        )
+        spec = unit_coupling_spec(2)
+        report = it.verify_representations(spec)
+        tolerances = {tuple(row["pair"]): row["tolerance"] for row in report.pairs}
+        assert tolerances[("conventional", "spectral")] == 1e-8
+        assert tolerances[("spectral", "collider")] == 1e-8
+        assert tolerances[("conventional", "collider")] == 1e-12
+        assert report.to_dict()["branches"][1]["error_estimate"] == 1e-9
+        # The fault refusal reads the same bound: a shift of 5e-9 is below
+        # twice 1e-8.
+        with pytest.raises(ValueError, match="shift of 5.000e-09, below twice its bound 1e-08"):
+            it.verify_representations(spec, fault=it.BranchFault("spectral", 1e-8))
 
     def test_latent_bound_stays_at_most_1e_7(self):
         # The latent module refuses estimates above ESTIMATE_TOL, so the
         # largest bound a latent pair can get is exactly 1e-7.
         assert max(it.equivalence.EXACT_TOL, 10.0 * it.latent.ESTIMATE_TOL) == 1e-7
         assert not hasattr(it.equivalence, "QUAD_TOL")
+        assert not hasattr(it.EquivalenceReport, "quad_tol")
         # The exact bound is the latent pairs' one floor.
         assert not hasattr(it.equivalence, "QUAD_FLOOR")
 
@@ -325,7 +356,7 @@ class TestTolerances:
         report = it.verify_representations(spec, rule=it.QuadratureRule(4))
         assert report.evaluated["latent"] is False
         assert all("latent" not in pair for pair in report.distances)
-        assert report.latent_error_estimate is None and report.quad_tol is None
+        assert "latent" not in report.estimates
         assert re.fullmatch(
             r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08; refine the rule \(more nodes\)",
             report.skipped_reason["latent"],
