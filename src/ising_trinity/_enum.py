@@ -8,10 +8,13 @@ Exact tables are built by doubling rather than by materializing the
 ``(2**n, n)`` configuration matrix.  A table over the first ``k`` variables
 becomes one over the first ``k + 1`` by writing it twice: the lower half for
 ``x_k = -1`` and the upper half, whose indices carry the new top bit ``k``,
-for ``x_k = +1``.  `linear_table` applies this to ``x . coef``, or to several
-such scores at once; each builder composes it into its own log-weight
-formula and hands the result to `normalize`.  Every table costs O(2**n) work
-per linear term and no configuration matrix.
+for ``x_k = +1``.  `doubling_table` is the one loop that does this.  Its
+step for variable ``k`` is subtracted from the lower half and added to the
+upper: a scalar (`linear_table`'s ``x . coef``), a row (several such scores
+at once), or a table over the first ``k`` variables (`ising_pmf`'s field
+on ``x_k``).  Each builder composes these into its own log-weight formula
+and hands the result to `normalize`.  Every table costs O(2**n) work per
+linear term and no configuration matrix.
 
 Split halves: a table whose terms are products of scores is cheaper to build
 from two half tables.  The low ``h = n // 2`` bits of an index pick a
@@ -64,21 +67,31 @@ def encode_configs(x) -> np.ndarray:
     return (x > 0).astype(np.int64) @ (1 << np.arange(x.shape[-1], dtype=np.int64))
 
 
+def doubling_table(steps, n: int, shape: tuple = ()) -> np.ndarray:
+    """The ``(2**n, *shape)`` table that ``n`` doubling steps build from zeros.
+
+    Step ``k`` writes the table over the first ``k`` variables twice:
+    ``v <- concat(v - step_k, v + step_k)``.  A step is anything that
+    broadcasts against the ``2**k`` rows so far: a scalar, a row of
+    ``shape``, or a table of its own over the first ``k`` variables.
+    """
+    out = np.zeros((1 << n, *shape))
+    for k, step in enumerate(steps):
+        half = 1 << k
+        np.add(out[:half], step, out=out[half : 2 * half])
+        out[:half] -= step
+    return out
+
+
 def linear_table(coef: np.ndarray) -> np.ndarray:
     """``x . coef`` at every configuration of ``len(coef)`` variables, in index order.
 
-    Adding variable ``k`` doubles the table: ``v <- concat(v - coef_k, v + coef_k)``.
-    An ``(n, r)`` coefficient matrix gives the ``(2**n, r)`` table of its ``r``
-    column scores.
+    Step ``k`` of `doubling_table` is ``coef_k``.  An ``(n, r)`` coefficient
+    matrix gives the ``(2**n, r)`` table of its ``r`` column scores.
     """
     coef = np.asarray(coef, dtype=np.float64)
     check_enumerable(coef.shape[0])
-    out = np.zeros((1 << coef.shape[0], *coef.shape[1:]))
-    for k, c in enumerate(coef):
-        half = 1 << k
-        np.add(out[:half], c, out=out[half : 2 * half])
-        out[:half] -= c
-    return out
+    return doubling_table(coef, coef.shape[0], coef.shape[1:])
 
 
 def split_halves(n: int) -> tuple[slice, slice]:

@@ -49,12 +49,11 @@ ROW_TEMPLATES = {
 }
 
 # Rows per written block. In-process time barely depends on it (n = 16 CSV /
-# JSON text in 23 / 36 ms at 2**10 rows, 24 / 34 ms at 2**12), but the
-# perfbench `tables` workload's peak RSS moves with it through glibc heap
-# fragmentation, and not monotonically: 2**9 / 2**10 / 2**11 / 2**12 / 2**13
-# rows read 137.6-138.2 / 133.9-135.0 / 138.1-139.2 / 139.2-140.3 /
-# 139.2-140.7 MB, where one string for the whole table read 138.0-138.4 MB
-# (3-second runs, seeds 11-16, 2-CPU VM, numpy 2.4).
+# JSON text in 23 / 36 ms at 2**10 rows, 24 / 34 ms at 2**12).  The perfbench
+# `tables` workload's peak RSS did move, between 133.9 and 157.2 MB across
+# block sizes at identical output, but that is glibc's heap layout (whether a
+# phase happens to free more than the trim threshold at the heap top), not a
+# property of the block size, so no size is picked by it.
 _BLOCK_ROWS = 1 << 10
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enum import check_enumerable, linear_table, normalize
+from ._enum import check_enumerable, doubling_table, linear_table, normalize
 from .errors import DimensionMismatchError, SpecValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -163,21 +163,24 @@ class PmfDistance:
 def ising_pmf(spec: ModelSpec) -> Pmf:
     """Exact probability table of the pairwise model by full enumeration.
 
-    Adding variable ``k`` doubles the log weights by
-    ``x_k (delta_k + sum_{j<k} sigma_kj x_j)``, so each pair enters once and
-    the diagonal never does.
+    The doubling step of variable ``k`` is its field table ``delta_k +
+    sum_{j<k} sigma_kj x_j`` over the variables before it, so each pair
+    enters once and the diagonal never does.  The steps are built from the
+    parameters divided by ``2**e``, the power of two that brings the largest
+    into ``[0.5, 1)``, so that no sum can overflow; the table is then
+    multiplied back by ``2**e``.  Both scalings are exact for parameters down
+    to ``2**-1021`` times the largest, and the table is the unscaled one to
+    the last bit wherever that is finite.  A log weight beyond the float
+    range becomes infinite: below the peak it is a weight of 0, and a peak
+    beyond the range `normalize` refuses.
     """
     n = spec.n
     check_enumerable(n)
-    log_w = np.zeros(1 << n)
-    # Sums beyond the float range become infinite or NaN, which normalize refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            half = 1 << k
-            field = linear_table(spec.sigma[k, :k])
-            field += spec.delta[k]
-            np.add(log_w[:half], field, out=log_w[half : 2 * half])
-            log_w[:half] -= field
+    e = np.frexp(np.abs(np.append(spec.delta, spec.sigma)).max(initial=0.0))[1]
+    delta, sigma = np.ldexp(spec.delta, -e), np.ldexp(spec.sigma, -e)
+    log_w = doubling_table((linear_table(sigma[k, :k]) + delta[k] for k in range(n)), n)
+    with np.errstate(over="ignore"):
+        np.ldexp(log_w, e, out=log_w)
     return Pmf(*normalize(log_w))
 
 

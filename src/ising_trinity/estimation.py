@@ -9,6 +9,9 @@ a population table).  The objective is concave in ``(delta, sigma)``, so
 damped Newton steps with a backtracking line search converge to its maximizer.
 Every objective runs over the distinct configurations of the data, each with
 the summed weight of its copies: the same objective on at most ``2**n`` rows.
+`_distinct_configs` is the one reader of every data form.  A sample's int8
+draws are merged on their signs before any float copy, so only the distinct
+rows become float64.
 """
 
 from __future__ import annotations
@@ -62,18 +65,26 @@ class FitResult:
         }
 
 
-def _weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize any accepted data form to ``(configs, weights summing to 1)``.
+def _distinct_configs(data, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Any accepted data form as its distinct float rows and their weights, summing to 1.
 
     Accepts a `SampleSet`, an enumerated table (`Pmf`), a raw ``(m, n)``
-    matrix of ``+/-1`` rows, or an explicit ``(configs, weights)`` pair.
+    matrix of ``+/-1`` rows, or an explicit ``(configs, weights)`` pair;
+    rows weigh equally unless weights are given.  A sample's int8 draws and
+    a table's decoded configurations are merged as they are, and only the
+    distinct rows become float64; the other forms are read as float64 first.
+    Rows are keyed by their packed sign bytes, so any width works, and
+    sorted by them, first byte first (stably, so each group's first row is
+    its first occurrence); a group starts where a row differs from the one
+    before it, and its weight is the sum of its rows'.  ``n``, when given,
+    is the width the data must have.
     """
     weights = None
     if isinstance(data, SampleSet):
-        configs = data.draws.astype(np.float64)
+        configs = data.draws
     elif isinstance(data, Pmf):
-        configs = decode_configs(np.arange(1 << data.n), data.n).astype(np.float64)
-        weights = data.probs.astype(np.float64)
+        configs = decode_configs(np.arange(1 << data.n), data.n)
+        weights = data.probs
     elif isinstance(data, tuple) and len(data) == 2:
         configs = np.asarray(data[0], dtype=np.float64)
         weights = np.asarray(data[1], dtype=np.float64)
@@ -82,7 +93,7 @@ def _weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
 
     if configs.ndim != 2 or configs.shape[0] == 0 or configs.shape[1] == 0:
         raise ValueError(f"data must be a non-empty matrix, got shape {configs.shape}")
-    if not np.all(np.abs(configs) == 1.0):
+    if not np.all(np.abs(configs) == 1):
         raise ValueError("data entries must be exactly +1 or -1")
     if weights is None:
         weights = np.full(configs.shape[0], 1.0 / configs.shape[0])
@@ -97,27 +108,15 @@ def _weighted_configs(data) -> tuple[np.ndarray, np.ndarray]:
         if total <= 0.0:
             raise ValueError("weights must not all be zero")
         weights = weights / total
-    return configs, weights
-
-
-def _distinct_configs(data, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`_weighted_configs` with repeated rows merged and their weights summed.
-
-    Rows are keyed by their packed sign bytes, so any width works, and
-    sorted by them, first byte first (stably, so each group's first row is
-    its first occurrence); a group starts where a row differs from the one
-    before it.  ``n``, when given, is the width the data must have.
-    """
-    configs, weights = _weighted_configs(data)
     if n is not None and configs.shape[1] != n:
         raise DimensionMismatchError(f"data has {configs.shape[1]} columns, expected {n}")
-    packed = np.packbits(configs > 0.0, axis=1)
+    packed = np.packbits(configs > 0, axis=1)
     order = np.lexsort(packed.T[::-1])
     ranked = packed[order]
     starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
-    return configs[order[starts]], np.bincount(inverse, weights=weights)
+    return configs[order[starts]].astype(np.float64), np.bincount(inverse, weights=weights)
 
 
 def _pack(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:

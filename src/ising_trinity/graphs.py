@@ -26,33 +26,25 @@ def graph_dot(spec: ModelSpec, view: str) -> str:
         raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
     n = spec.n
     items = [f"x{i + 1}" for i in range(n)]
+    plain = [f"  {name};" for name in items]
 
     if view == "network":
-        lines = ["graph network {"]
-        lines.extend(f"  {name};" for name in items)
+        lines = ["graph network {", *plain]
         for i in range(n):
             for j in range(i + 1, n):
                 if spec.sigma[i, j] != 0.0:
                     lines.append(
                         f'  {items[i]} -- {items[j]} [label="{spec.sigma[i, j]:g}"];'
                     )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    rank = to_spectral(spec).rank
-    if view == "common-cause":
-        lines = ["digraph common_cause {"]
-        lines.extend(f"  theta{r + 1} [shape=circle];" for r in range(rank))
-        lines.extend(f"  {name};" for name in items)
-        for r in range(rank):
-            lines.extend(f"  theta{r + 1} -> {name};" for name in items)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    lines = ["digraph collider {"]
-    lines.extend(f"  {name};" for name in items)
-    lines.extend(f"  e{r + 1} [shape=box];" for r in range(rank))
-    for r in range(rank):
-        lines.extend(f"  {name} -> e{r + 1};" for name in items)
+    else:
+        collider = view == "collider"
+        name, shape = ("e", "box") if collider else ("theta", "circle")
+        hidden = [f"{name}{r + 1}" for r in range(to_spectral(spec).rank)]
+        marked = [f"  {node} [shape={shape}];" for node in hidden]
+        lines = [f"digraph {view.replace('-', '_')} {{"]
+        lines += (plain + marked) if collider else (marked + plain)
+        for node in hidden:
+            lines.extend(f"  {item} -> {node};" if collider else f"  {node} -> {item};"
+                         for item in items)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -55,7 +55,13 @@ _BLOCK_WIDTH = 10
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Draws as an ``(m, n)`` matrix of ``+/-1`` int8 values, with provenance."""
+    """Draws as an ``(m, n)`` matrix of ``+/-1`` int8 values, with provenance.
+
+    The provenance is what `load_sample_set` takes back: an integer ``seed``
+    (a numpy integer is stored as a Python ``int``; a bool or a float is
+    refused), a ``method`` of ``METHODS`` and a dict ``meta``.  Any other
+    raises `ValueError`, so every record saves and loads back.
+    """
 
     draws: np.ndarray
     seed: int
@@ -69,6 +75,13 @@ class SampleSet:
             raise ValueError("draws must contain only +1 and -1")
         if freeze_array(self, "draws", 2, dtype=np.int8).shape[0] < 1:
             raise ValueError("a sample set must contain at least one draw")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not isinstance(self.meta, dict):
+            raise ValueError(f"meta must be a dict, got {self.meta!r}")
 
     @property
     def m(self) -> int:
@@ -453,8 +466,8 @@ def _parse_lines(lines: list[str], dtype) -> np.ndarray:
 
 def load_sample_set(csv_path) -> SampleSet:
     """Read a sample CSV and its sidecar back into a `SampleSet`: the sidecar must name
-    the ``seed`` and a ``method`` of ``METHODS``, and the draws must have any ``m`` and
-    ``n`` it records."""
+    the ``seed`` and ``method``, which the record checks, and the draws must have any
+    ``m`` and ``n`` it records."""
     side_path = sidecar_path(csv_path)
     if not side_path.exists():
         raise ValueError(f"missing sample metadata sidecar {side_path}")
@@ -464,19 +477,18 @@ def load_sample_set(csv_path) -> SampleSet:
             raise ValueError(f"sample metadata sidecar {side_path} has no {key!r} field")
     # Not isinstance, which takes a JSON true for an int; nor int(), which
     # would truncate 1.5 and parse "7".
-    for k in ("seed", "m", "n"):
+    for k in ("m", "n"):
         if k in side and type(side[k]) is not int:
             raise ValueError(f"sample metadata sidecar {side_path} has a non-integer {k!r} field")
-    if side["method"] not in METHODS:
-        raise ValueError(f"sample metadata sidecar {side_path} has an unknown 'method' field")
-    if not isinstance(side.get("meta", {}), dict):
-        raise ValueError(f"sample metadata sidecar {side_path} has a non-object 'meta' field")
     draws = read_csv_table(csv_path, np.int8, rows="draws")[1]
     if draws.shape != (side.get("m", draws.shape[0]), side.get("n", draws.shape[1])):
         raise ValueError(
             f"data file {csv_path} holds {draws.shape[0]} x {draws.shape[1]} draws, but "
             f"its sidecar records {side.get('m')} x {side.get('n')}"
         )
-    return SampleSet(
-        draws=draws, seed=side["seed"], method=side["method"], meta=side.get("meta", {}),
-    )
+    try:
+        return SampleSet(
+            draws=draws, seed=side["seed"], method=side["method"], meta=side.get("meta", {}),
+        )
+    except ValueError as exc:
+        raise ValueError(f"data file {csv_path} with sidecar {side_path}: {exc}") from None

@@ -347,24 +347,24 @@ HUGE_COUPLINGS = {
     ids=[*(f"pmf-{r}" for r in BRANCHES), "verify"],
 )
 def test_non_finite_eigenvalues_exit_2(tmp_path, capsys, doc, command):
-    # Neither a table (once uniform from NaN eigenvalues) nor a verdict is written.
-    # The network table needs no eigenvalues: at n = 2 it is exact, and at
-    # n = 3 its own log weights overflow.
+    # No eigen-based table (once uniform from NaN eigenvalues) and no verdict
+    # is written.  The network table needs no eigenvalues and is exact.  At n = 3 the six
+    # configurations that satisfy two couplings of three weigh 1e308 and the
+    # two that satisfy none -3e308, beyond the float range: a weight of 0.
     conventional = command[1:] == ["-r", "conventional"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command[0], write_spec(tmp_path, doc), *command[1:]])
     captured = capsys.readouterr()
-    if conventional and doc["n"] == 2:
+    if conventional:
         assert (code, captured.err) == (0, "")
-        assert captured.out == pmf_csv_text(2, [0.5, 0.0, 0.0, 0.5])
+        sixth = 1.0 / 6.0
+        probs = {2: [0.5, 0.0, 0.0, 0.5], 3: [sixth, sixth, 0.0, sixth, sixth, 0.0, sixth, sixth]}
+        assert captured.out == pmf_csv_text(doc["n"], probs[doc["n"]])
         return
     assert code == 2
-    if conventional:
-        assert "log weights are not finite" in captured.err
-    else:
-        assert "eigendecomposition of the coupling matrix failed" in captured.err
-        assert "are not finite" in captured.err
+    assert "eigendecomposition of the coupling matrix failed" in captured.err
+    assert "are not finite" in captured.err
     assert captured.out == ""
 
 

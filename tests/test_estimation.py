@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import ising_trinity as it
 from conftest import random_spec
 from ising_trinity import estimation
-from ising_trinity.estimation import _distinct_configs, _weighted_configs
+from ising_trinity._enum import encode_configs
+from ising_trinity.estimation import _distinct_configs
 from oracles import all_configs, pseudo_loglik_and_grad, pseudo_loglik_hessian
 
 ORACLE_TOL = 1e-12
@@ -51,40 +53,56 @@ CONSTANT_COLUMN = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
 class TestWeightedConfigs:
     def test_sample_set_gets_equal_weights(self, rng):
+        # Each distinct draw once, weighing 1/m for each of its copies.
         sample = it.sample_exact(it.ising_pmf(random_spec(rng, 3)), 10, seed=0)
-        configs, weights = _weighted_configs(sample)
-        assert configs.shape == (10, 3)
-        npt.assert_allclose(weights, 0.1)
+        configs, weights = _distinct_configs(sample)
+        assert configs.dtype == np.float64
+        rows = [tuple(x) for x in configs.tolist()]
+        assert sorted(rows) == sorted(set(map(tuple, sample.draws.tolist())))
+        at = [rows.index(tuple(x)) for x in sample.draws.tolist()]
+        assert weights.tolist() == np.bincount(at, weights=np.full(10, 0.1)).tolist()
 
     def test_table_weights_are_probabilities(self, rng):
+        # Merged order sorts the rows with x_1 most significant and -1 first.
         pmf = it.ising_pmf(random_spec(rng, 3))
-        configs, weights = _weighted_configs(pmf)
+        configs, weights = _distinct_configs(pmf)
         assert configs.dtype == np.float64
-        assert configs.tolist() == [list(x) for x in all_configs(3)]
-        npt.assert_allclose(weights, pmf.probs)
+        assert configs.tolist() == sorted(list(x) for x in all_configs(3))
+        probs = pmf.probs / pmf.probs.sum()
+        assert weights.tolist() == probs[encode_configs(configs)].tolist()
+
+    def test_sample_set_merges_as_its_float_draws(self, rng):
+        # int8 draws are merged before they become float64, which must not
+        # change a bit of the rows, the weights or the fit.
+        sample = it.sample_exact(it.ising_pmf(random_spec(rng, 5)), 2000, seed=1)
+        floats = sample.draws.astype(np.float64)
+        for got, want in zip(_distinct_configs(sample), _distinct_configs(floats)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        fits = [it.fit_pseudo_likelihood(data, max_iter=30).to_dict() for data in (sample, floats)]
+        assert json.dumps(fits[0]) == json.dumps(fits[1])
 
     def test_explicit_weights_are_normalized(self):
         configs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        _, weights = _weighted_configs((configs, np.array([2.0, 2.0])))
+        _, weights = _distinct_configs((configs, np.array([2.0, 2.0])))
         npt.assert_allclose(weights, 0.5)
 
     def test_raw_matrix(self):
-        configs, weights = _weighted_configs(np.array([[1, -1], [-1, -1], [1, 1]]))
+        configs, weights = _distinct_configs(np.array([[1, -1], [-1, -1], [1, 1]]))
         assert configs.shape == (3, 2)
         npt.assert_allclose(weights, 1.0 / 3.0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
-            _weighted_configs(np.array([[1, 0]]))
+            _distinct_configs(np.array([[1, 0]]))
         with pytest.raises(ValueError, match="non-empty"):
-            _weighted_configs(np.empty((0, 3)))
+            _distinct_configs(np.empty((0, 3)))
         configs = np.ones((2, 2))
         with pytest.raises(ValueError, match="not all be zero"):
-            _weighted_configs((configs, np.zeros(2)))
+            _distinct_configs((configs, np.zeros(2)))
         with pytest.raises(ValueError, match="non-negative"):
-            _weighted_configs((configs, np.array([1.0, -1.0])))
+            _distinct_configs((configs, np.array([1.0, -1.0])))
         with pytest.raises(it.DimensionMismatchError):
-            _weighted_configs((configs, np.ones(3)))
+            _distinct_configs((configs, np.ones(3)))
 
 
 @st.composite

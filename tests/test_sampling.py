@@ -99,6 +99,24 @@ class TestSampleSet:
         floats = it.SampleSet(draws=np.array([[1.0, -1.0]]), seed=0, method="exact")
         assert floats.draws.dtype == np.int8 and floats.draws.tolist() == [[1, -1]]
 
+    # Each is a value the sidecar writer once saved and the loader then refused.
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("seed", True), ("seed", "7"), ("method", "mine"),
+                         ("meta", [1])],
+    )
+    def test_rejects_provenance_the_loader_would_refuse(self, field, value):
+        kwargs = {"draws": np.ones((1, 2)), "seed": 0, "method": "exact", field: value}
+        words = {"seed": "seed must be an integer", "method": "method must be one of",
+                 "meta": "meta must be a dict"}[field]
+        with pytest.raises(ValueError, match=words):
+            it.SampleSet(**kwargs)
+
+    def test_numpy_integer_seed_round_trips(self, tmp_path):
+        sample = it.SampleSet(draws=np.ones((2, 2)), seed=np.int64(3), method="exact")
+        assert type(sample.seed) is int and sample.seed == 3
+        it.save_sample_set(sample, tmp_path / "d.csv")
+        assert it.load_sample_set(tmp_path / "d.csv").seed == 3
+
     def test_frequencies_refuse_more_than_twenty_items(self):
         sample = it.SampleSet(draws=np.ones((2, 21), dtype=np.int8), seed=0, method="exact")
         with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
@@ -876,9 +894,11 @@ class TestSampleIo:
         side = json.loads(it.sidecar_path(path).read_text())
         side[field] = value
         it.sidecar_path(path).write_text(json.dumps(side))
-        kind = {"meta": "a non-object", "method": "an unknown"}.get(field, "a non-integer")
-        with pytest.raises(ValueError, match=f"has {kind} '{field}' field"):
+        words = {"meta": "meta must be a dict", "method": "method must be one of",
+                 "seed": "seed must be an integer"}.get(field, f"has a non-integer '{field}' field")
+        with pytest.raises(ValueError, match=re.escape(words)) as exc:
             it.load_sample_set(path)
+        assert str(it.sidecar_path(path)) in str(exc.value)
 
     def test_headers_only_file(self, tmp_path):
         path = tmp_path / "draws.csv"

@@ -190,6 +190,27 @@ class TestGraphViews:
         assert "e2" not in dot
         assert "x3 -> e1;" in dot
 
+    def test_digraph_views_in_full(self, rng):
+        # Latent causes come before the items and point at them; effects come
+        # after the items, which point at them.
+        from conftest import low_rank_spec
+
+        spec = low_rank_spec(rng, 3, 2)
+        assert it.graph_dot(spec, "common-cause") == (
+            "digraph common_cause {\n"
+            "  theta1 [shape=circle];\n  theta2 [shape=circle];\n  x1;\n  x2;\n  x3;\n"
+            "  theta1 -> x1;\n  theta1 -> x2;\n  theta1 -> x3;\n"
+            "  theta2 -> x1;\n  theta2 -> x2;\n  theta2 -> x3;\n"
+            "}\n"
+        )
+        assert it.graph_dot(spec, "collider") == (
+            "digraph collider {\n"
+            "  x1;\n  x2;\n  x3;\n  e1 [shape=box];\n  e2 [shape=box];\n"
+            "  x1 -> e1;\n  x2 -> e1;\n  x3 -> e1;\n"
+            "  x1 -> e2;\n  x2 -> e2;\n  x3 -> e2;\n"
+            "}\n"
+        )
+
     def test_views_read_the_specs_shift(self):
         doc = valid_doc()
         assert "theta2" not in it.graph_dot(it.model_spec_from_dict(doc), "common-cause")
