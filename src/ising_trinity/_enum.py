@@ -33,6 +33,14 @@ fresh process, against 12-16 ms either way for single-threaded blocks.  The
 blocks also bound the product's working set, and a product on one thread
 cannot depend on the BLAS thread count; CI compares n = 16 tables written
 on one and on two threads.
+
+Ten-variable blocks: the writers format configurations by looking up cells
+in `config_text` tables of at most ``BLOCK_WIDTH`` = 10 variables, 2**10
+strings each.  A sample CSV's columns are cut into blocks that wide.  A pmf
+table is written in blocks of 2**10 rows, so each block is one full cycle of
+its low ten variables and holds one configuration of the variables above
+them.  The rejection sampler draws each block of ten causes by one alias
+lookup into its 2**10 configurations.
 """
 
 from __future__ import annotations
@@ -116,6 +124,10 @@ def split_half_table(hi_w, hi_s, lo_w, lo_s) -> np.ndarray:
         block += lo_w
         block += hi_w[top : top + rows, None]
     return table
+
+
+# Variables per block of 2**10 configurations; see the module docstring.
+BLOCK_WIDTH = 10
 
 
 def config_text(n: int, sep: str) -> list[str]:

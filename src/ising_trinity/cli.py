@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ._decimal import decimal_text
-from ._enum import config_text, split_halves
+from ._enum import BLOCK_WIDTH, config_text
 from .collider import spectral_to_collider
 from .core import Pmf, ising_pmf
 from .equivalence import BRANCHES, BranchFault, verify_representations
@@ -48,13 +48,14 @@ ROW_TEMPLATES = {
     "json": (",\n      ", b"    [\n      %s%s%s\n    ]", b",\n"),
 }
 
-# Rows per written block. In-process time barely depends on it (n = 16 CSV /
-# JSON text in 23 / 36 ms at 2**10 rows, 24 / 34 ms at 2**12).  The perfbench
-# `tables` workload's peak RSS did move, between 133.9 and 157.2 MB across
-# block sizes at identical output, but that is glibc's heap layout (whether a
-# phase happens to free more than the trim threshold at the heap top), not a
-# property of the block size, so no size is picked by it.
-_BLOCK_ROWS = 1 << 10
+# Rows per written block: one full cycle of the low `BLOCK_WIDTH` variables,
+# whose cells each block takes from one text table.  In-process time barely
+# depends on the block size (n = 16 CSV / JSON text in 23 / 36 ms at 2**10
+# rows, 24 / 34 ms at 2**12).  The perfbench `tables` workload's peak RSS did
+# move, between 133.9 and 157.2 MB across block sizes at identical output, but
+# that is glibc's heap layout (whether a phase happens to free more than the
+# trim threshold at the heap top), not a property of the block size.
+_BLOCK_ROWS = 1 << BLOCK_WIDTH
 
 
 def _write_out(chunks: Iterable[bytes], path: str) -> None:
@@ -78,26 +79,14 @@ def _write_out(chunks: Iterable[bytes], path: str) -> None:
             out.writelines(chunks)
 
 
-def _row_cells(n: int, sep: str) -> tuple[list[bytes], list[bytes]]:
-    """Each configuration's cells, each cell followed by ``sep``, in index order.
-
-    Returned as the parts for the low ``h`` index bits and the high
-    ``n - h`` of `split_halves`, the split of `spectral_pmf`'s table: only
-    ``2**h`` and ``2**(n - h)`` distinct strings are built, and the lists
-    repeat them.
-    """
-    lo, hi = (
-        [(c + sep).encode() for c in config_text(k, sep)] if k else [b""]
-        for k in (len(range(n)[part]) for part in reversed(split_halves(n)))
-    )
-    return lo * len(hi), [c for c in hi for _ in lo]
-
-
 def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
     """The table as CSV, or as JSON rows after a dumped head, in blocks of `_BLOCK_ROWS` rows.
 
-    Each block is one ``%`` format over its rows, with the probabilities
-    written by `decimal_text`.
+    Block ``b`` holds every configuration of the low ``min(n, 10)``
+    variables, in index order, under configuration ``b`` of the variables
+    above them, so its cells come from two `config_text` tables: one list
+    for the low variables and one cell of the high.  Each block is one ``%``
+    format over its rows, with the probabilities written by `decimal_text`.
     """
     header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
     sep, row, between = ROW_TEMPLATES[fmt]
@@ -106,12 +95,13 @@ def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
     else:
         head = dict(n=pmf.n, representation=representation, log_z=pmf.log_z, columns=header)
         yield f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n'.encode()
-    lo, hi = _row_cells(pmf.n, sep)
-    for start in range(0, pmf.probs.size, _BLOCK_ROWS):
+    # Each cell followed by ``sep``; no variables have the one empty cell.
+    lo, hi = ([(c + sep).encode() if k else b"" for c in config_text(k, sep)]
+              for k in (min(pmf.n, BLOCK_WIDTH), max(pmf.n - BLOCK_WIDTH, 0)))
+    for start, high in zip(range(0, pmf.probs.size, _BLOCK_ROWS), hi):
         text = decimal_text(pmf.probs[start : start + _BLOCK_ROWS])
-        block = slice(start, start + len(text))
         cells = [None] * 3 * len(text)
-        cells[0::3], cells[1::3], cells[2::3] = lo[block], hi[block], text
+        cells[0::3], cells[1::3], cells[2::3] = lo, [high] * len(text), text
         yield (between if start else b"") + between.join([row] * len(text)) % tuple(cells)
     if fmt == "json":
         yield b"\n  ]\n}\n"
@@ -166,10 +156,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _read_config_table(path: str) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The rows of a data file, or ``(configs, weights)`` when its last column is ``weight``."""
     header, table = read_csv_table(path, np.float64)
-    if table.shape[1] != len(header):
-        raise ValueError(
-            f"data file {path} rows do not match its header of {len(header)} columns"
-        )
     if header[-1].lower() == "weight":
         return table[:, :-1], table[:, -1]
     return table

@@ -17,10 +17,20 @@ alone.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
-branches silently collapsing into a single shared computation.  To first
-order the fault moves the faulted table by a TV of |Δδ₀|·(1 − m₀²)/2, with
-m₀ = E x₀, read from that table; a fault whose predicted shift is below
-twice the faulted table's bound is refused, since no verdict could show it.
+branches silently collapsing into a single shared computation.  A fault of
+stored step s multiplies the odds of x₁ = +1 by e^{2s} and leaves the table
+given x₁ alone, so it moves the table by exactly the TV
+
+    |p·e^{2s} / (p·e^{2s} + 1 − p) − p|,   p = P(x₁ = +1),
+
+with p read from the first other evaluated table in `BRANCHES` order, which
+is exact (conventional, or spectral when conventional is faulted).  Its first
+order term is |s|·(1 − m₁²)/2 with m₁ = E x₁.  It is evaluated as
+p·q·(1 − e^{−2|s|}) / (a + b·e^{−2|s|}), with q = P(x₁ = −1) read from the
+same table, a the side that s favours and b the other: nothing overflows,
+and a site whose p rounds to 1 keeps the shift of a fault that moves it.  A
+fault whose predicted shift is below twice the faulted table's bound is
+refused, since no verdict could show it.
 """
 
 from __future__ import annotations
@@ -170,9 +180,11 @@ def verify_representations(
     `RankLimitError` or `QuadratureResolutionError` (the latent marginal above
     rank 3, or with an error estimate above ``ESTIMATE_TOL``) is reported as
     not evaluated with that error's message, and pairs involving it are
-    omitted.  Injecting a fault into a branch that is not evaluated, or one
-    whose predicted TV shift is below twice that branch's bound (as when
-    ``eps`` rounds away in the first intercept), raises `ValueError`.
+    omitted.  A fault's predicted TV shift, ``fault_shift``, is the exact TV
+    by which it moves the faulted table from the model's (see the module
+    docstring).  Injecting a fault into a branch that is not evaluated, or one
+    whose predicted shift is below twice that branch's bound (as when ``eps``
+    rounds away in the first intercept), raises `ValueError`.
     """
     check_enumerable(spec.n)
     # Raises EigendecompositionError before any branch runs.
@@ -209,11 +221,14 @@ def verify_representations(
         estimates={name: table.error_estimate for name, table in tables.items()},
     )
     if fault is not None:
-        # The step as stored (0 if eps rounds away) times (1 - m₀²) / 2, which is
-        # 2 P(x₀ = 1) P(x₀ = -1): rounding cannot make it negative.
-        probs = tables[fault.branch].probs
-        step = np.abs(delta - spec.delta).sum()
-        report.fault_shift = float(2.0 * step * probs[1::2].sum() * probs[0::2].sum())
+        # P(x₁ = ±1) from the first other table, exact; the stored step s (0 if
+        # eps rounds away) moves mass to the side it favours, `gain`, from `lose`.
+        probs = next(t for name, t in tables.items() if name != fault.branch).probs
+        step = (delta - spec.delta).sum()
+        plus, minus = probs[1::2].sum(), probs[0::2].sum()
+        gain, lose = (plus, minus) if step >= 0 else (minus, plus)
+        drain, keep = -np.expm1(-2.0 * abs(step)), np.exp(-2.0 * abs(step))
+        report.fault_shift = float(gain * lose * drain / (gain + lose * keep)) if gain else 0.0
         bound = report.bound(fault.branch)
         if report.fault_shift < 2.0 * bound:
             raise ValueError(

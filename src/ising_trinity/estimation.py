@@ -24,6 +24,7 @@ from ._enum import decode_configs
 from .core import ModelSpec, Pmf, freeze_array
 from .errors import DimensionMismatchError, LineSearchError
 from .sampling import SampleSet
+from .specfile import model_spec_to_dict
 
 # The backtracking (Armijo) line search: each iteration's first step, the
 # halvings it may take before giving up, and the sufficient-increase constant.
@@ -54,9 +55,7 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.spec_hat.n,
-            "delta": self.spec_hat.delta.tolist(),
-            "sigma": self.spec_hat.sigma.tolist(),
+            **model_spec_to_dict(self.spec_hat),
             "converged": self.converged,
             "iterations": self.iterations,
             "grad_norm_final": self.grad_norm_final,

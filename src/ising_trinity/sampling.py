@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._enum import (
+    BLOCK_WIDTH,
     ENUMERATION_LIMIT,
     check_enumerable,
     config_text,
@@ -47,11 +48,6 @@ _UNIFORM_BLOCK = 1 << 18
 # Largest split-R-hat of Gibbs chains that passes without a warning.
 _RHAT_WARN = 1.01
 
-# Variables handled as one block of 2**10 configurations: the causes that one
-# alias lookup of the rejection sampler draws, and the columns of a sample CSV
-# that `save_sample_set` formats by one lookup into their configurations' text.
-_BLOCK_WIDTH = 10
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -59,8 +55,10 @@ class SampleSet:
 
     The provenance is what `load_sample_set` takes back: an integer ``seed``
     (a numpy integer is stored as a Python ``int``; a bool or a float is
-    refused), a ``method`` of ``METHODS`` and a dict ``meta``.  Any other
-    raises `ValueError`, so every record saves and loads back.
+    refused), a ``method`` of ``METHODS`` and a dict ``meta``, stored as its
+    JSON sidecar reads back: numpy scalars as the Python numbers they hold,
+    tuples as lists.  Any other, or a ``meta`` that JSON cannot write, raises
+    `ValueError`, so every record saves and loads back equal.
     """
 
     draws: np.ndarray
@@ -82,6 +80,11 @@ class SampleSet:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not isinstance(self.meta, dict):
             raise ValueError(f"meta must be a dict, got {self.meta!r}")
+        try:
+            text = json.dumps(self.meta, default=_json_scalar)
+        except TypeError as exc:
+            raise ValueError(f"meta must hold JSON data: {exc}") from None
+        object.__setattr__(self, "meta", json.loads(text))
 
     @property
     def m(self) -> int:
@@ -90,6 +93,11 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.draws.shape[1]
+
+
+def _json_scalar(value):
+    """A numpy scalar as the Python value it holds, for `json.dumps`, which refuses the rest."""
+    return value.item() if isinstance(value, np.generic) else json.JSONEncoder().default(value)
 
 
 def _require_positive_m(m: int) -> None:
@@ -268,7 +276,7 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
 
     Causes are proposed from their independent marginals and kept with
     probability equal to the product of effect acceptances, which is exactly
-    the conditioning event's likelihood.  A block of ``b <= _BLOCK_WIDTH``
+    the conditioning event's likelihood.  A block of ``b <= BLOCK_WIDTH``
     causes is one categorical variable over its ``2**b`` configurations, with
     probabilities ``exp(x . delta)`` normalized (the product of the causes'
     marginals), and one alias lookup (`_alias_table`) draws it: an integer
@@ -306,8 +314,8 @@ def sample_collider_rejection(cf: ColliderForm, m: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(seed)
     blocks = []
     # A form without causes is one block of none, whose one configuration is kept.
-    for lo in range(0, max(n, 1), _BLOCK_WIDTH):
-        part = slice(lo, lo + _BLOCK_WIDTH)
+    for lo in range(0, max(n, 1), BLOCK_WIDTH):
+        part = slice(lo, lo + BLOCK_WIDTH)
         prob, alias = _alias_table(linear_table(cf.delta[part]))
         jump = alias - np.arange(alias.size)
         # Effect-major (r, 2**b) scores: summing r rows of a batch is fast,
@@ -396,37 +404,33 @@ def save_sample_set(sample: SampleSet, csv_path) -> None:
     """Write draws as CSV (columns ``x_1..x_n``) plus a JSON metadata sidecar.
 
     Raises `ValueError`, writing nothing, for draws of no variables: their
-    rows would be blank lines, which no reader takes back.
+    rows would be blank lines, which no reader takes back.  The sidecar is
+    serialized before either file is written.
     """
     if sample.n == 0:
         raise ValueError("a sample set of no variables has no CSV columns to write")
+    side = {"method": sample.method, "seed": sample.seed, "m": sample.m, "n": sample.n,
+            "meta": sample.meta}
+    side_text = json.dumps(side, indent=2) + "\n"
     csv_path = Path(csv_path)
     header = ",".join(f"x_{i + 1}" for i in range(sample.n))
     # Each block of columns indexes into the text of its configurations.
     rows = None
-    for start in range(0, sample.n, _BLOCK_WIDTH):
-        block = sample.draws[:, start : start + _BLOCK_WIDTH]
+    for start in range(0, sample.n, BLOCK_WIDTH):
+        block = sample.draws[:, start : start + BLOCK_WIDTH]
         text = np.array(config_text(block.shape[1], ","), dtype=object)
         cells = text[encode_configs(block)]
         rows = cells if rows is None else rows + "," + cells
     csv_path.write_text("\n".join([header, *rows.tolist()]) + "\n", encoding="utf-8")
-    side = {
-        "method": sample.method,
-        "seed": sample.seed,
-        "m": sample.m,
-        "n": sample.n,
-        "meta": sample.meta,
-    }
-    sidecar_path(csv_path).write_text(
-        json.dumps(side, indent=2) + "\n", encoding="utf-8"
-    )
+    sidecar_path(csv_path).write_text(side_text, encoding="utf-8")
 
 
-def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarray]:
+def read_csv_table(path, dtype) -> tuple[list[str], np.ndarray]:
     """The stripped header cells and the cells, parsed as ``dtype``, of a CSV file.
 
-    Raises `ValueError` on an empty file, no ``rows`` after the header, or a
-    malformed row: blank, ragged, or with a cell that does not parse (``#`` too).
+    Raises `ValueError` on an empty file, no rows after the header, a
+    malformed row (blank, ragged, or with a cell that does not parse, ``#``
+    too), or rows not as wide as the header.
 
     Draws of a few variables repeat lines, so only the distinct lines are
     parsed, in first-seen order, and the table indexes back into them.
@@ -440,7 +444,7 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
         raise ValueError(f"data file {path} is empty")
     lines = text.split("\n")
     if len(lines) < 2:
-        raise ValueError(f"data file {path} contains no {rows}")
+        raise ValueError(f"data file {path} contains no rows")
     body = lines[1:]
     index = dict.fromkeys(body)
     try:
@@ -457,7 +461,10 @@ def read_csv_table(path, dtype, rows: str = "rows") -> tuple[list[str], np.ndarr
             table = table.take(rows_at, axis=0)
     except ValueError as exc:
         raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
-    return [h.strip() for h in lines[0].split(",")], table
+    header = [h.strip() for h in lines[0].split(",")]
+    if table.shape[1] != len(header):
+        raise ValueError(f"data file {path} rows do not match its header of {len(header)} columns")
+    return header, table
 
 
 def _parse_lines(lines: list[str], dtype) -> np.ndarray:
@@ -467,7 +474,8 @@ def _parse_lines(lines: list[str], dtype) -> np.ndarray:
 def load_sample_set(csv_path) -> SampleSet:
     """Read a sample CSV and its sidecar back into a `SampleSet`: the sidecar must name
     the ``seed`` and ``method``, which the record checks, and the draws must have any
-    ``m`` and ``n`` it records."""
+    ``m`` and ``n`` it records.  The CSV is read by `read_csv_table`, so it is refused
+    when it holds no rows, a malformed row, or rows not as wide as its header."""
     side_path = sidecar_path(csv_path)
     if not side_path.exists():
         raise ValueError(f"missing sample metadata sidecar {side_path}")
@@ -480,7 +488,7 @@ def load_sample_set(csv_path) -> SampleSet:
     for k in ("m", "n"):
         if k in side and type(side[k]) is not int:
             raise ValueError(f"sample metadata sidecar {side_path} has a non-integer {k!r} field")
-    draws = read_csv_table(csv_path, np.int8, rows="draws")[1]
+    draws = read_csv_table(csv_path, np.int8)[1]
     if draws.shape != (side.get("m", draws.shape[0]), side.get("n", draws.shape[1])):
         raise ValueError(
             f"data file {csv_path} holds {draws.shape[0]} x {draws.shape[1]} draws, but "

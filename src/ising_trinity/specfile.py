@@ -40,23 +40,11 @@ def _spec_from_dict(data) -> ModelSpec:
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SpecValidationError(f"'n' must be a positive integer, got {n!r}")
-
-    delta_raw = data["delta"]
-    if not isinstance(delta_raw, list) or len(delta_raw) != n:
-        raise SpecValidationError(f"'delta' must be a list of {n} numbers")
-    delta = np.array(
-        [require_number(v, f"delta[{i}]") for i, v in enumerate(delta_raw)]
-    )
-
+    delta = np.array(_numbers(data["delta"], n, "delta"))
     sigma_raw = data["sigma"]
     if not isinstance(sigma_raw, list) or len(sigma_raw) != n:
         raise SpecValidationError(f"'sigma' must be a list of {n} rows")
-    rows = []
-    for i, row in enumerate(sigma_raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise SpecValidationError(f"sigma[{i}] must be a list of {n} numbers")
-        rows.append([require_number(v, f"sigma[{i}][{j}]") for j, v in enumerate(row)])
-    sigma = np.array(rows)
+    sigma = np.array([_numbers(row, n, f"sigma[{i}]") for i, row in enumerate(sigma_raw)])
 
     if np.any(np.diag(sigma) != 0.0):
         warnings.warn(
@@ -65,6 +53,13 @@ def _spec_from_dict(data) -> ModelSpec:
             stacklevel=3,
         )
     return ModelSpec(delta=delta, sigma=sigma, extra_shift=data.get("extra_shift", 0.0))
+
+
+def _numbers(raw, n: int, name: str) -> list[float]:
+    """``raw`` as a list of ``n`` floats, each checked by `require_number` as ``name[j]``."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise SpecValidationError(f"{name} must be a list of {n} numbers")
+    return [require_number(v, f"{name}[{j}]") for j, v in enumerate(raw)]
 
 
 def model_spec_to_dict(spec: ModelSpec) -> dict:

@@ -63,6 +63,18 @@ def frozen_site_spec():
     return it.ModelSpec(delta=delta, sigma=upper + upper.T)
 
 
+def rank2_spec():
+    """The n = 5, rank-2 model of CI's ``rank2.json``."""
+    import ising_trinity as it
+
+    return it.ModelSpec(
+        delta=np.array([0.2, -0.1, 0.3, 0.0, -0.25]),
+        sigma=np.array([[0.0, 0.0, 0.3, 0.4, -0.3], [0.0, 0.0, 0.4, -0.3, 0.4],
+                        [0.3, 0.4, 0.0, 0.0, 0.14], [0.4, -0.3, 0.0, 0.0, -0.48],
+                        [-0.3, 0.4, 0.14, -0.48, 0.0]]),
+    )
+
+
 def effect_pairs(cf):
     """A collider form's effects as the oracles take them: ``(lam, q)``, floats and lists."""
     return list(zip(cf.lams.tolist(), cf.dirs.T.tolist()))

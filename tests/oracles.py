@@ -295,6 +295,8 @@ def read_sample_draws(path):
     rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows of unequal length")
+    if len(rows[0]) != len(lines[0].split(",")):
+        raise ValueError("rows do not match the header")
     return rows
 
 

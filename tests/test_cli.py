@@ -199,8 +199,10 @@ class TestPmfBytes:
             assert_json_rows_parse_back(pmf, text)
 
     # n = 0 has no configuration cells, so each row is the probability alone;
-    # n = 16 is the size of the benchmark's tables, split 8 + 8.
-    @pytest.mark.parametrize("n", [0, 16])
+    # n = 10 is one full block of rows; n = 11 is the first table with a second
+    # block, under the other cell of its high variable; n = 16 is the size of
+    # the benchmark's tables, split 10 + 6.
+    @pytest.mark.parametrize("n", [0, 10, 11, 16])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_edge_sizes_match_the_per_cell_reference(self, n, fmt):
         rng = np.random.default_rng(n)
@@ -547,6 +549,20 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "fault injected: branch spectral, eps 1e-06, predicted tv shift 5.000e-07" in out
         assert "[FAIL tv <= 1e-12]" in out and "overall: FAIL" in out
+
+    def test_large_fault_exits_1_with_its_exact_shift(self, tmp_path, capsys):
+        # The first-order shift of this fault read 1.380e-12 and verify exited 2.
+        from conftest import rank2_spec
+
+        path, report_path = tmp_path / "rank2.json", tmp_path / "report.json"
+        it.save_model_spec(rank2_spec(), path)
+        argv = ["verify", str(path), "--inject-fault", "spectral", "--fault-eps", "15"]
+        assert main([*argv, "--json-report", str(report_path)]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        tv = next(row["tv"] for row in report["pairs"] if row["pair"] == ["conventional", "spectral"])
+        assert report["fault_shift"] == pytest.approx(tv, abs=1e-12)
+        assert report["fault_shift"] == pytest.approx(0.3296, abs=1e-4)
 
     def test_fault_no_verdict_can_show_exits_2(self, tmp_path, capsys):
         from conftest import frozen_site_spec

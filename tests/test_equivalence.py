@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ising_trinity as it
-from conftest import frozen_site_spec, low_rank_spec, near_uniform_spec, random_spec
+from conftest import frozen_site_spec, low_rank_spec, near_uniform_spec, random_spec, rank2_spec
 
 ALL_PAIRS = [
     ("conventional", "spectral"),
@@ -212,6 +212,37 @@ class TestFaultInjection:
             tv = next(d.tv for pair, d in report.distances.items() if {branch, other} == set(pair))
             assert report.fault_shift == pytest.approx(tv, rel=1e-3)
             assert f"predicted tv shift {report.fault_shift:.3e}" in report.to_text()
+
+    # A first-order shift read from the faulted table predicted 1.4e-12 at
+    # eps 15, against a TV of 0.33, and refused the fault; the exact shift is
+    # the TV itself.
+    @pytest.mark.parametrize("eps", [1.0, 15.0, -15.0, 40.0])
+    @pytest.mark.parametrize("branch", list(it.equivalence.BRANCHES))
+    def test_shift_is_the_tv_from_an_unfaulted_exact_table(self, branch, eps):
+        spec = rank2_spec()
+        report = it.verify_representations(spec, fault=it.BranchFault(branch=branch, eps=eps))
+        faulted_delta = spec.delta + np.eye(spec.n)[0] * eps
+        faulted = it.equivalence.BRANCHES[branch](replace(spec, delta=faulted_delta),
+                                                  it.QuadratureRule())
+        assert report.fault_shift == pytest.approx(
+            it.pmf_distance(faulted, it.ising_pmf(spec)).tv, abs=1e-14
+        )
+        assert not report.all_pass
+        assert all(row["passed"] == (branch not in row["pair"]) for row in report.pairs)
+
+    # x_1 is +1 but for odds of about 1e-26, far below the rounding of
+    # P(x_1 = +1), so a shift read through 1 - P(x_1 = +1) is rounding noise.
+    @pytest.mark.parametrize("eps", [-20.0, -40.0])
+    @pytest.mark.parametrize("branch", list(it.equivalence.BRANCHES))
+    def test_shift_of_a_site_whose_probability_rounds_to_one(self, branch, eps):
+        spec = random_spec(np.random.default_rng(30), 4)
+        spec = replace(spec, delta=spec.delta + np.eye(4)[0] * 30.0)
+        assert it.ising_pmf(spec).probs[0::2].sum() < 1e-20
+        report = it.verify_representations(spec, fault=it.BranchFault(branch=branch, eps=eps))
+        faulted = it.ising_pmf(replace(spec, delta=spec.delta + np.eye(4)[0] * eps))
+        tv = it.pmf_distance(faulted, it.ising_pmf(spec)).tv
+        assert report.fault_shift == pytest.approx(tv, abs=1e-14) and tv > 1e-9
+        assert not report.all_pass
 
 
 class TestReportSerialization:

@@ -117,6 +117,47 @@ class TestSampleSet:
         it.save_sample_set(sample, tmp_path / "d.csv")
         assert it.load_sample_set(tmp_path / "d.csv").seed == 3
 
+    # Numpy scalars made save_sample_set raise TypeError after writing the
+    # CSV; a tuple saved, but loaded back as a list.
+    @pytest.mark.parametrize(
+        "meta, stored",
+        [({"a": np.float32(1.5)}, {"a": 1.5}), ({"a": (1, 2)}, {"a": [1, 2]}),
+         ({"a": np.int64(7), "b": [np.bool_(True), (np.float64(0.25), None)], "c": {"d": "e"}},
+          {"a": 7, "b": [True, [0.25, None]], "c": {"d": "e"}})],
+    )
+    def test_meta_is_stored_as_its_sidecar_reads_back(self, tmp_path, meta, stored):
+        sample = it.SampleSet(draws=np.ones((2, 2)), seed=0, method="exact", meta=meta)
+        # json.dumps tells 7 from 7.0 and True from 1, which == does not.
+        assert sample.meta == stored and json.dumps(sample.meta) == json.dumps(stored)
+        it.save_sample_set(sample, tmp_path / "d.csv")
+        back = it.load_sample_set(tmp_path / "d.csv")
+        assert back.meta == sample.meta and json.dumps(back.meta) == json.dumps(stored)
+        assert (back.seed, back.method) == (0, "exact")
+        npt.assert_array_equal(back.draws, sample.draws)
+
+    def test_numpy_burn_in_round_trips(self, tmp_path):
+        sample = it.sample_gibbs(random_spec(np.random.default_rng(5), 3), 100, seed=1,
+                                 burn_in=np.int64(5))
+        assert type(sample.meta["burn_in"]) is int and sample.meta["burn_in"] == 5
+        it.save_sample_set(sample, tmp_path / "d.csv")
+        back = it.load_sample_set(tmp_path / "d.csv")
+        assert back.meta == sample.meta
+        npt.assert_array_equal(back.draws, sample.draws)
+
+    def test_meta_json_cannot_write_is_refused_and_nothing_is_written(self, tmp_path):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match="^meta must hold JSON data: Object of type object"):
+            it.save_sample_set(
+                it.SampleSet(draws=np.ones((2, 2)), seed=0, method="exact", meta={"a": object()}),
+                path,
+            )
+        # A meta dict changed after the record was made fails before any file is written.
+        sample = it.SampleSet(draws=np.ones((2, 2)), seed=0, method="exact")
+        sample.meta["a"] = object()
+        with pytest.raises(TypeError):
+            it.save_sample_set(sample, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_frequencies_refuse_more_than_twenty_items(self):
         sample = it.SampleSet(draws=np.ones((2, 21), dtype=np.int8), seed=0, method="exact")
         with pytest.raises(it.EnumerationLimitError, match="too large for exact enumeration"):
@@ -904,7 +945,18 @@ class TestSampleIo:
         path = tmp_path / "draws.csv"
         path.write_text("x_1,x_2\n")
         it.sidecar_path(path).write_text('{"method": "exact", "seed": 0}')
-        with pytest.raises(ValueError, match="no draws"):
+        with pytest.raises(ValueError, match="no rows"):
+            it.load_sample_set(path)
+
+    def test_rows_narrower_than_the_header_are_refused(self, tmp_path):
+        # These two-column rows under a three-column header loaded as 2-column draws.
+        path = tmp_path / "draws.csv"
+        path.write_text(CSV_CASES["header mismatch"])
+        it.sidecar_path(path).write_text('{"method": "exact", "seed": 0}')
+        with pytest.raises(
+            ValueError, match=f"^data file {re.escape(str(path))} rows do not match its header "
+            "of 3 columns$",
+        ):
             it.load_sample_set(path)
 
 
@@ -976,9 +1028,13 @@ def per_line_table(path, dtype):
     try:
         if "" in lines:
             raise ValueError("blank line")
-        return np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=dtype, ndmin=2)
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=dtype, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"data file {path} has a malformed row: {exc}") from exc
+    width = len(lines[0].split(","))
+    if table.shape[1] != width:
+        raise ValueError(f"data file {path} rows do not match its header of {width} columns")
+    return table
 
 
 def fit_reference(path):

@@ -105,6 +105,18 @@ class TestValidation:
         with pytest.raises(it.SpecValidationError, match="positive integer"):
             it.model_spec_from_dict(doc)
 
+    def test_wrong_length_of_delta_or_a_sigma_row(self):
+        doc = valid_doc()
+        doc["delta"] = doc["delta"] + [0.0]
+        with pytest.raises(it.SpecValidationError) as err:
+            it.model_spec_from_dict(doc)
+        assert str(err.value) == "delta must be a list of 2 numbers"
+        doc = valid_doc()
+        doc["sigma"][1] = {"a": 1}
+        with pytest.raises(it.SpecValidationError) as err:
+            it.model_spec_from_dict(doc)
+        assert str(err.value) == "sigma[1] must be a list of 2 numbers"
+
     def test_wrong_number_of_sigma_rows(self):
         doc = valid_doc()
         doc["sigma"] = doc["sigma"][:1]
