@@ -1,8 +1,8 @@
 """Command-line interface: pmf, verify, sample, fit, export-graph.
 
 Exit codes: 0 on success, 1 when verification finds disagreement, 2 on
-invalid input (bad files, bad parameters, runtime aborts), 3 when a size or
-rank limit is exceeded.
+invalid input (bad files, bad parameters, runtime aborts, a request beyond
+memory), 3 when a size or rank limit is exceeded.
 """
 
 from __future__ import annotations
@@ -87,13 +87,16 @@ def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
     above them, so its cells come from two `config_text` tables: one list
     for the low variables and one cell of the high.  Each block is one ``%``
     format over its rows, with the probabilities written by `decimal_text`.
+    The JSON head carries the table's ``error_estimate``: 0 for an
+    enumerated table, the quadrature estimate for a latent one.
     """
     header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
     sep, row, between = ROW_TEMPLATES[fmt]
     if fmt == "csv":
         yield (",".join(header) + "\n").encode()
     else:
-        head = dict(n=pmf.n, representation=representation, log_z=pmf.log_z, columns=header)
+        head = dict(n=pmf.n, representation=representation, log_z=pmf.log_z,
+                    error_estimate=pmf.error_estimate, columns=header)
         yield f'{json.dumps(head, indent=2)[:-2]},\n  "rows": [\n'.encode()
     # Each cell followed by ``sep``; no variables have the one empty cell.
     lo, hi = ([(c + sep).encode() if k else b"" for c in config_text(k, sep)]
@@ -281,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationLimitError, RankLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (IsingTrinityError, ValueError, OSError) as exc:
+    except (IsingTrinityError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -7,13 +7,17 @@ conditioned collider, and the latent marginal.  The verifier runs up to the
 enumeration limit (n = 20), which bounds every branch alike.  A branch that
 refuses the model (the latent marginal above rank 3, or with an error
 estimate above ``ESTIMATE_TOL``) is reported as not evaluated, with its own
-error message as the reason.  Every pair is judged from its two tables
-alone: its total-variation distance against ten times the larger of their
-``error_estimate``s, at least ``EXACT_TOL``.  An enumerated table estimates
-0, so a quadrature-free pair is held to ``EXACT_TOL``.  The latent module
-refuses any estimate above ``ESTIMATE_TOL``, so no bound exceeds
-``10 * ESTIMATE_TOL`` = 1e-7; how an estimate is measured is its builder's
-alone.
+error message as the reason.  A run returns one frozen `EquivalenceReport`
+that holds what it measured once: each branch's `BranchOutcome` (the seconds
+it took to build or to refuse its table, its estimate, its refusal) and each
+evaluated pair's distances.  Every bound and verdict is derived from them.
+
+Every pair is judged from its two tables alone: its total-variation distance
+against ten times the larger of their ``error_estimate``s, at least
+``EXACT_TOL``.  An enumerated table estimates 0, so a quadrature-free pair
+is held to ``EXACT_TOL``.  The latent module refuses any estimate above
+``ESTIMATE_TOL``, so no bound exceeds ``10 * ESTIMATE_TOL`` = 1e-7; how an
+estimate is measured is its builder's alone.
 
 Fault injection perturbs one branch's intercepts by a small epsilon before
 that branch evaluates, which must flip the verdict; this guards against the
@@ -38,7 +42,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -87,27 +91,45 @@ class BranchFault:
             raise ValueError(f"fault epsilon must be finite and nonzero, got {self.eps!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
+class BranchOutcome:
+    """One branch's run in a verifier report.
+
+    ``seconds`` is the time the branch took to build its table or to refuse
+    it; ``error_estimate`` is the table's (``None`` if refused) and
+    ``skipped_reason`` the refusal's message (``None`` if built).
+    """
+
+    seconds: float
+    error_estimate: float | None
+    skipped_reason: str | None
+
+    @property
+    def evaluated(self) -> bool:
+        """Whether the branch built its table."""
+        return self.skipped_reason is None
+
+
+@dataclass(frozen=True)
 class EquivalenceReport:
-    """Distances, verdicts, and timings for every evaluated branch pair."""
+    """What one verifier run measured, each value held once.
+
+    ``branches`` holds one `BranchOutcome` per name, in `BRANCHES` order, and
+    ``distances`` the `PmfDistance` of every pair of evaluated branches.
+    ``fault`` is the injected fault, if any, and ``fault_shift`` its predicted
+    TV shift.  Bounds and verdicts are derived from these on each read.
+    """
 
     n: int
     rank: int
+    branches: dict[str, BranchOutcome]
     distances: dict[tuple[str, str], PmfDistance]
-    timings: dict[str, float]
-    fault: BranchFault | None = None
-    skipped_reason: dict[str, str] = field(default_factory=dict)
-    estimates: dict[str, float] = field(default_factory=dict)
-    fault_shift: float | None = None
+    fault: BranchFault | None
+    fault_shift: float | None
 
     def bound(self, *names: str) -> float:
         """The named tables' TV bound: ten times their largest estimate, at least `EXACT_TOL`."""
-        return max(EXACT_TOL, 10.0 * max(self.estimates[name] for name in names))
-
-    @property
-    def evaluated(self) -> dict[str, bool]:
-        """Whether each branch, in `BRANCHES` order, built its table."""
-        return {name: name not in self.skipped_reason for name in BRANCHES}
+        return max(EXACT_TOL, 10.0 * max(self.branches[name].error_estimate for name in names))
 
     @property
     def pairs(self) -> list[dict]:
@@ -130,16 +152,8 @@ class EquivalenceReport:
             "all_pass": self.all_pass,
             "fault": None if self.fault is None else asdict(self.fault),
             "fault_shift": self.fault_shift,
-            "branches": [
-                {
-                    "name": name,
-                    "evaluated": evaluated,
-                    "seconds": self.timings.get(name),
-                    "error_estimate": self.estimates.get(name),
-                    "skipped_reason": self.skipped_reason.get(name),
-                }
-                for name, evaluated in self.evaluated.items()
-            ],
+            "branches": [{"name": name, "evaluated": b.evaluated, **asdict(b)}
+                         for name, b in self.branches.items()],
             "pairs": self.pairs,
         }
 
@@ -151,10 +165,10 @@ class EquivalenceReport:
             f"n = {self.n}, canonical rank = {self.rank}",
             "branches: "
             + ", ".join(
-                f"{name} ({self.timings[name]:.3f}s, error estimate {self.estimates[name]:.3e})"
-                if evaluated
-                else f"{name} (not evaluated: {self.skipped_reason[name]})"
-                for name, evaluated in self.evaluated.items()
+                f"{name} ({b.seconds:.3f}s, error estimate {b.error_estimate:.3e})"
+                if b.evaluated
+                else f"{name} (not evaluated: {b.skipped_reason})"
+                for name, b in self.branches.items()
             ),
         ]
         if self.fault is not None:
@@ -180,19 +194,20 @@ def verify_representations(
     `RankLimitError` or `QuadratureResolutionError` (the latent marginal above
     rank 3, or with an error estimate above ``ESTIMATE_TOL``) is reported as
     not evaluated with that error's message, and pairs involving it are
-    omitted.  A fault's predicted TV shift, ``fault_shift``, is the exact TV
-    by which it moves the faulted table from the model's (see the module
-    docstring).  Injecting a fault into a branch that is not evaluated, or one
-    whose predicted shift is below twice that branch's bound (as when ``eps``
-    rounds away in the first intercept), raises `ValueError`.
+    omitted; its `BranchOutcome` still holds the seconds the refusal took.
+    A fault's predicted TV shift, ``fault_shift``, is the exact TV by which
+    it moves the faulted table from the model's (see the module docstring);
+    the report is built once, with it.  Injecting a fault into a branch
+    that is not evaluated, or one whose predicted shift is below twice that
+    branch's bound (as when ``eps`` rounds away in the first intercept),
+    raises `ValueError`.
     """
     check_enumerable(spec.n)
     # Raises EigendecompositionError before any branch runs.
     rank = to_spectral(spec).rank
 
     tables: dict[str, Pmf] = {}
-    timings: dict[str, float] = {}
-    skipped: dict[str, str] = {}
+    branches: dict[str, BranchOutcome] = {}
     delta = spec.delta.copy()
     if fault is not None:
         delta[:1] += fault.eps  # a model without items has no intercept to move
@@ -200,26 +215,19 @@ def verify_representations(
         faulted = fault is not None and fault.branch == name
         start = time.perf_counter()
         try:
-            tables[name] = build(replace(spec, delta=delta) if faulted else spec, rule)
+            table = build(replace(spec, delta=delta) if faulted else spec, rule)
         except (RankLimitError, QuadratureResolutionError) as exc:
             if faulted:
                 raise ValueError(
                     f"cannot inject a fault into the {name} branch, which is "
                     f"not evaluated: {exc}"
                 ) from exc
-            skipped[name] = str(exc)
+            branches[name] = BranchOutcome(time.perf_counter() - start, None, str(exc))
             continue
-        timings[name] = time.perf_counter() - start
+        branches[name] = BranchOutcome(time.perf_counter() - start, table.error_estimate, None)
+        tables[name] = table
 
-    report = EquivalenceReport(
-        n=spec.n,
-        rank=rank,
-        distances={(a, b): pmf_distance(tables[a], tables[b]) for a, b in combinations(tables, 2)},
-        timings=timings,
-        fault=fault,
-        skipped_reason=skipped,
-        estimates={name: table.error_estimate for name, table in tables.items()},
-    )
+    shift = None
     if fault is not None:
         # P(x₁ = ±1) from the first other table, exact; the stored step s (0 if
         # eps rounds away) moves mass to the side it favours, `gain`, from `lose`.
@@ -228,12 +236,14 @@ def verify_representations(
         plus, minus = probs[1::2].sum(), probs[0::2].sum()
         gain, lose = (plus, minus) if step >= 0 else (minus, plus)
         drain, keep = -np.expm1(-2.0 * abs(step)), np.exp(-2.0 * abs(step))
-        report.fault_shift = float(gain * lose * drain / (gain + lose * keep)) if gain else 0.0
-        bound = report.bound(fault.branch)
-        if report.fault_shift < 2.0 * bound:
-            raise ValueError(
-                f"a fault of eps {fault.eps:g} in the {fault.branch} branch has a predicted tv "
-                f"shift of {report.fault_shift:.3e}, below twice its bound {bound:g}; no verdict "
-                "could show it"
-            )
+        shift = float(gain * lose * drain / (gain + lose * keep)) if gain else 0.0
+    distances = {(a, b): pmf_distance(tables[a], tables[b]) for a, b in combinations(tables, 2)}
+    report = EquivalenceReport(n=spec.n, rank=rank, branches=branches, distances=distances,
+                               fault=fault, fault_shift=shift)
+    if fault is not None and shift < 2.0 * report.bound(fault.branch):
+        raise ValueError(
+            f"a fault of eps {fault.eps:g} in the {fault.branch} branch has a predicted tv "
+            f"shift of {shift:.3e}, below twice its bound {report.bound(fault.branch):g}; no "
+            "verdict could show it"
+        )
     return report

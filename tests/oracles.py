@@ -180,7 +180,7 @@ def pmf_csv_text(n, probs):
     return "\n".join(lines) + "\n"
 
 
-def pmf_json_text(n, representation, log_z, probs):
+def pmf_json_text(n, representation, log_z, error_estimate, probs):
     """A probability table as the whole document passed through ``json.dumps``.
 
     Each row's probability is dumped as a placeholder string, which is then
@@ -190,6 +190,7 @@ def pmf_json_text(n, representation, log_z, probs):
         "n": n,
         "representation": representation,
         "log_z": log_z,
+        "error_estimate": error_estimate,
         "columns": [f"x_{i + 1}" for i in range(n)] + ["probability"],
         "rows": [list(x) + ["<p>"] for x in all_configs(n)],
     }

@@ -160,4 +160,5 @@ def test_a_model_without_items_runs_in_every_story(story):
     elif isinstance(out, it.SampleSet):
         assert out.draws.shape == (7, 0)
     else:
-        assert out.n == 0 and out.all_pass and all(out.evaluated.values())
+        assert out.n == 0 and out.all_pass
+        assert all(b.evaluated for b in out.branches.values())

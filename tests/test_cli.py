@@ -85,6 +85,22 @@ class TestPmfCommand:
         assert doc["rows"][0][:2] == [-1, -1]
         assert doc["rows"][0][2] == pytest.approx(AGREE, abs=1e-15)
 
+    @pytest.mark.parametrize("representation", tuple(BRANCHES))
+    def test_json_head_carries_the_tables_estimate(self, rng, tmp_path, capsys, representation):
+        from conftest import low_rank_spec
+
+        path = tmp_path / "model.json"
+        it.save_model_spec(low_rank_spec(rng, 6, 2), path)
+        assert main(["pmf", str(path), "-r", representation, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[:4] == ["n", "representation", "log_z", "error_estimate"]
+        if representation != "latent":
+            assert doc["error_estimate"] == 0.0
+            return
+        spec = it.load_model_spec(path)
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        assert doc["error_estimate"] == it.mirt_marginal_pmf(lf).error_estimate > 0.0
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert main(["pmf", paired_spec(tmp_path), "-o", str(out)]) == 0
@@ -162,7 +178,9 @@ def pmf_text(pmf, representation, fmt):
 def expected_pmf_text(pmf, representation, fmt):
     if fmt == "csv":
         return pmf_csv_text(pmf.n, pmf.probs.tolist())
-    return pmf_json_text(pmf.n, representation, pmf.log_z, pmf.probs.tolist())
+    return pmf_json_text(
+        pmf.n, representation, pmf.log_z, pmf.error_estimate, pmf.probs.tolist()
+    )
 
 
 def assert_json_rows_parse_back(pmf, text):
@@ -173,14 +191,16 @@ def assert_json_rows_parse_back(pmf, text):
 
 @st.composite
 def tables(draw):
-    """Tables over 1..10 variables with entries from 1 down to 1e-300, some exactly 0."""
+    """Tables over 1..10 variables with entries from 1 down to 1e-300, some exactly 0,
+    and error estimates from 0 to the latent module's limit."""
     n = draw(st.integers(min_value=1, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     weights = rng.random(1 << n) * 10.0 ** rng.integers(-300, 1, 1 << n)
     weights[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     weights[rng.integers(1 << n)] = 1.0
     log_z = draw(st.floats(allow_nan=False, allow_infinity=False))
-    return it.Pmf(weights / weights.sum(), log_z)
+    error_estimate = draw(st.floats(min_value=0.0, max_value=1e-8))
+    return it.Pmf(weights / weights.sum(), log_z, error_estimate)
 
 
 class TestPmfBytes:
@@ -793,6 +813,22 @@ class TestSampleCommand:
         assert out == ""
         assert err == "error: sample writes a CSV and its sidecar, so --out must be a file, not -\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    # 10**17 draws need at least 4.4e17 bytes, beyond any 57-bit address
+    # space, so no overcommit policy grants them; numpy refuses no count below
+    # 2**63 before it allocates.
+    @pytest.mark.parametrize("method", ["exact", "gibbs", "latent-first"])
+    def test_a_draw_count_beyond_memory_exits_2(self, tmp_path, capsys, method):
+        from conftest import rank2_spec
+
+        path, out = tmp_path / "rank2.json", tmp_path / "huge.csv"
+        it.save_model_spec(rank2_spec(), path)
+        argv = ["sample", str(path), "--method", method, "--m", str(10**17), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", captured.err)
+        assert not out.exists() and not it.sidecar_path(out).exists()
 
     def test_zero_draws(self, tmp_path, capsys):
         code = main(

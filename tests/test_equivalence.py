@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -29,7 +30,7 @@ class TestVerifier:
         report = it.verify_representations(unit_coupling_spec(2))
         assert report.n == 2
         assert report.rank == 1
-        assert all(report.evaluated.values())
+        assert all(b.evaluated for b in report.branches.values())
         assert sorted(report.distances) == sorted(ALL_PAIRS)
         assert report.all_pass
         for pair, dist in report.distances.items():
@@ -43,7 +44,7 @@ class TestVerifier:
         report = it.verify_representations(spec)
         assert report.rank == 0
         assert report.all_pass
-        assert all(report.evaluated.values())
+        assert all(b.evaluated for b in report.branches.values())
 
     @pytest.mark.parametrize("s", [1e-12, 1e-11, 5e-11, 1e-10, 3e-10, 1e-9, 3e-9])
     @pytest.mark.parametrize("n", [2, 12, 20])
@@ -72,16 +73,15 @@ class TestVerifier:
             spec = low_rank_spec(rng, n, rank)
             report = it.verify_representations(spec)
             assert report.rank == rank
-            assert all(report.evaluated.values())
+            assert all(b.evaluated for b in report.branches.values())
             assert report.all_pass, report.to_text()
 
     def test_high_rank_skips_latent_branch(self, rng):
         spec = random_spec(rng, 6)
         report = it.verify_representations(spec)
         assert report.rank > 3
-        assert not report.evaluated["latent"]
-        assert "latent" in report.skipped_reason
-        assert "rank" in report.skipped_reason["latent"]
+        assert not report.branches["latent"].evaluated
+        assert "rank" in report.branches["latent"].skipped_reason
         assert sorted(report.distances) == sorted(
             [p for p in ALL_PAIRS if "latent" not in p]
         )
@@ -89,9 +89,9 @@ class TestVerifier:
 
     def test_timings_present_for_evaluated_branches(self, rng):
         report = it.verify_representations(random_spec(rng, 3))
-        for name, done in report.evaluated.items():
-            if done:
-                assert report.timings[name] >= 0.0
+        for branch in report.branches.values():
+            if branch.evaluated:
+                assert branch.seconds >= 0.0
 
     def test_size_guard_is_the_enumeration_limit(self):
         spec = it.ModelSpec(delta=np.zeros(21), sigma=np.zeros((21, 21)))
@@ -107,10 +107,10 @@ class TestVerifier:
         report = it.verify_representations(spec)
         assert report.all_pass, report.to_text()
         if rank is not None:
-            assert all(report.evaluated.values()) and report.skipped_reason == {}
+            assert all(b.evaluated for b in report.branches.values())
             assert sorted(report.distances) == sorted(ALL_PAIRS)
             return
-        assert report.evaluated == {
+        assert {name: b.evaluated for name, b in report.branches.items()} == {
             "conventional": True, "spectral": True, "collider": True, "latent": False
         }
         assert sorted(report.distances) == sorted(
@@ -120,7 +120,9 @@ class TestVerifier:
         lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
         with pytest.raises(it.RankLimitError) as refused:
             it.mirt_marginal_pmf(lf)
-        assert report.skipped_reason == {"latent": str(refused.value)}
+        reasons = {name: b.skipped_reason for name, b in report.branches.items()}
+        assert reasons == {"conventional": None, "spectral": None, "collider": None,
+                           "latent": str(refused.value)}
         assert f"latent (not evaluated: {refused.value})" in report.to_text()
 
 
@@ -176,7 +178,7 @@ class TestFaultInjection:
         spec = near_uniform_spec()
         clean = it.verify_representations(spec)
         assert clean.all_pass, clean.to_text()
-        assert not clean.evaluated["latent"]
+        assert not clean.branches["latent"].evaluated
         for branch in ("conventional", "spectral", "collider"):
             faulted = it.verify_representations(spec, fault=it.BranchFault(branch=branch))
             assert not faulted.all_pass, faulted.to_text()
@@ -290,7 +292,7 @@ class TestReportSerialization:
         evaluated = it.verify_representations(low_rank_spec(rng, 6, 2))
         d = evaluated.to_dict()
         estimates = {b["name"]: b["error_estimate"] for b in d["branches"]}
-        assert estimates == evaluated.estimates
+        assert estimates == {name: b.error_estimate for name, b in evaluated.branches.items()}
         est = estimates.pop("latent")
         assert 0.0 <= est <= 1e-8
         assert set(estimates.values()) == {0.0}
@@ -298,16 +300,49 @@ class TestReportSerialization:
             latent = "latent" in row["pair"]
             assert row["tolerance"] == (max(1e-12, 10.0 * est) if latent else 1e-12)
         text = evaluated.to_text()
-        assert f"latent ({evaluated.timings['latent']:.3f}s, error estimate {est:.3e})" in text
-        assert f"collider ({evaluated.timings['collider']:.3f}s, error estimate 0.000e+00)" in text
+        seconds = {name: b.seconds for name, b in evaluated.branches.items()}
+        assert f"latent ({seconds['latent']:.3f}s, error estimate {est:.3e})" in text
+        assert f"collider ({seconds['collider']:.3f}s, error estimate 0.000e+00)" in text
         # A branch that is not evaluated has no estimate, and no latent pair
         # has a tolerance to apply.
         skipped = it.verify_representations(random_spec(rng, 6))
-        assert not skipped.evaluated["latent"]
+        assert not skipped.branches["latent"].evaluated
         d = json.loads(skipped.to_json())
         assert [b["error_estimate"] for b in d["branches"]] == [0.0, 0.0, 0.0, None]
-        assert "latent" not in skipped.estimates
+        assert skipped.branches["latent"].error_estimate is None
         assert skipped.to_text().count("error estimate") == 3
+
+    def test_the_report_is_frozen(self, rng):
+        report = it.verify_representations(
+            random_spec(rng, 2), fault=it.BranchFault(branch="collider")
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.fault_shift = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.branches["collider"].seconds = 0.0
+
+    # Clean; the latent branch refused above rank 3; refused for its estimate.
+    # Every branch, refused ones included, reports the seconds it took.
+    @pytest.mark.parametrize("case", ["clean", "rank", "estimate"])
+    def test_each_branch_outcome_is_its_json_entry(self, case):
+        rng = np.random.default_rng(7)
+        spec = random_spec(rng, 6) if case == "rank" else low_rank_spec(rng, 6, 2)
+        rule = it.QuadratureRule(2) if case == "estimate" else it.QuadratureRule()
+        report = it.verify_representations(spec, rule)
+        assert report.branches["latent"].evaluated == (case == "clean")
+        entries = json.loads(report.to_json())["branches"]
+        assert [entry["name"] for entry in entries] == list(report.branches)
+        assert list(report.branches) == list(it.equivalence.BRANCHES)
+        for entry in entries:
+            branch = report.branches[entry["name"]]
+            assert entry == {
+                "name": entry["name"],
+                "evaluated": branch.evaluated,
+                "seconds": branch.seconds,
+                "error_estimate": branch.error_estimate,
+                "skipped_reason": branch.skipped_reason,
+            }
+            assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0.0
 
 
 # Low-rank models as perfbench's verify ladder draws them, six per (n, rank).
@@ -320,7 +355,7 @@ def test_latent_tables_are_within_ten_estimates_and_faults_are_caught(n, rank):
     for _ in range(6):
         spec = low_rank_spec(rng, n, rank)
         clean = it.verify_representations(spec)
-        est = clean.estimates["latent"]
+        est = clean.branches["latent"].error_estimate
         # The conventional branch is the exact table.
         true_tv = clean.distances[("conventional", "latent")].tv
         assert true_tv <= max(1e-13, 10.0 * est), (true_tv, est)
@@ -341,14 +376,14 @@ class TestTolerances:
         assert not all(row["passed"] for row in strict.pairs if "latent" not in row["pair"])
         # Above the floor, ten estimates bound the latent pairs; the report
         # states the bound applied.
-        latent_bound = 10.0 * strict.estimates["latent"]
+        latent_bound = 10.0 * strict.branches["latent"].error_estimate
         assert latent_bound > 1e-18
         assert {row["tolerance"] for row in strict.to_dict()["pairs"]} == {1e-18, latent_bound}
         monkeypatch.setattr(it.equivalence, "EXACT_TOL", 1e-6)
         loose = it.verify_representations(spec)
         assert loose.all_pass
         # Below the floor, the floor bounds the latent pairs too.
-        assert 10.0 * loose.estimates["latent"] < 1e-6
+        assert 10.0 * loose.branches["latent"].error_estimate < 1e-6
         assert loose.bound("conventional") == loose.bound("latent") == 1e-6
         assert {row["tolerance"] for row in loose.to_dict()["pairs"]} == {1e-6}
 
@@ -385,10 +420,10 @@ class TestTolerances:
         # the latent branch is not evaluated, and the reason is its estimate.
         spec = unit_coupling_spec(2)
         report = it.verify_representations(spec, rule=it.QuadratureRule(4))
-        assert report.evaluated["latent"] is False
+        assert report.branches["latent"].evaluated is False
         assert all("latent" not in pair for pair in report.distances)
-        assert "latent" not in report.estimates
+        assert report.branches["latent"].error_estimate is None
         assert re.fullmatch(
             r"latent table error estimate 0\.\d+ \(.*\) exceeds 1e-08; refine the rule \(more nodes\)",
-            report.skipped_reason["latent"],
+            report.branches["latent"].skipped_reason,
         )
