@@ -26,7 +26,8 @@ class ColliderForm:
     """Cause intercepts ``delta`` and effect ``k``'s strength ``lams[k]`` along ``dirs[:, k]``.
 
     ``dirs`` is ``(n, r)`` with unit columns and ``lams`` is ``(r,)``, finite
-    and ``>= 0``: the positive part of a spectral form, as `LatentForm` is.
+    and ``>= 0``; `spectral_to_collider` gives it a spectral form's eigenpairs,
+    all positive, as `LatentForm.from_spectral` does.
     """
 
     delta: np.ndarray
@@ -82,10 +83,9 @@ def simple_collider(delta) -> ColliderForm:
 
 
 def spectral_to_collider(form: SpectralForm, delta) -> ColliderForm:
-    """One effect per positive eigenvalue (`SpectralForm.positive`), along its eigenvector."""
+    """One effect per eigenpair of the form, along its eigenvector."""
     delta = as_delta(delta, form.n)
-    keep = form.positive
-    return ColliderForm(delta=delta, lams=form.lambdas[keep], dirs=form.q[:, keep])
+    return ColliderForm(delta=delta, lams=form.lambdas, dirs=form.q)
 
 
 def cause_marginal_pmf(cf: ColliderForm) -> Pmf:

@@ -19,8 +19,9 @@ VIEWS = ("network", "common-cause", "collider")
 def graph_dot(spec: ModelSpec, view: str) -> str:
     """Render one of the three views as DOT text.
 
-    The latent and effect nodes count the positive eigenvalues of the
-    couplings under the spec's own shift, ``extra_shift`` included.
+    The latent and effect nodes are one per eigenpair of `to_spectral`'s
+    form, its ``rank``: the positive eigenvalues of the couplings under the
+    spec's own shift, ``extra_shift`` included.
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")

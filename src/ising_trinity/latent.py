@@ -418,9 +418,9 @@ class LatentForm:
 
     @classmethod
     def from_spectral(cls, form: SpectralForm, delta) -> "LatentForm":
-        """Keep one latent dimension per positive eigenvalue (`SpectralForm.positive`)."""
+        """One latent dimension per eigenpair of the form, loaded by `SpectralForm.loadings`."""
         delta = as_delta(delta, form.n)
-        return cls(delta=delta, loadings=form.loadings[:, form.positive])
+        return cls(delta=delta, loadings=form.loadings)
 
 
 def mirt_marginal_pmf(form: LatentForm, rule: QuadratureRule = QuadratureRule()) -> Pmf:

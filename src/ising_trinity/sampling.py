@@ -7,6 +7,7 @@ always yields the same draws, independent of machine parallelism.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +31,14 @@ from .latent import LatentForm, QuadratureRule, _item_conditional, latent_first_
 # The `method` that each sampler's draws carry, in the order the CLI lists them.
 METHODS = ("exact", "gibbs", "collider-rejection", "latent-first")
 
+# The budget of the two samplers whose work the draw count does not bound.
 # Most proposals one rejection run may make, plus the rest of its last batch.
 # Spending it all took 4.6-5.6 s at n = 10 and 11-13 s at n = 23 on a 2-CPU
 # machine.  Up to the enumeration limit a run expected to need more is refused
 # before drawing; at any n, a run that has spent it short of its draws stops.
+# Most site updates one Gibbs chain may make, burn-in and thinning included;
+# a run that needs more is refused before its first sweep.  At about 2.6 us
+# per site update of 64 chains (n = 10), a run at the cap takes 6 minutes.
 MAX_PROPOSALS = 1 << 27
 
 # Independent Gibbs chains scanned together as the columns of one array.
@@ -147,6 +152,11 @@ def sample_gibbs(
     where a site is constant within each chain but differs between chains.
     A ``rhat_max`` above 1.01 raises a `UserWarning`: the chains have not
     mixed, and the draws may not follow the model.
+
+    One budget bounds the work: a chain makes
+    ``(burn_in + ceil(m / k) * thin) * max(n, 1)`` site updates, counted in
+    Python integers, and a run that needs more than ``MAX_PROPOSALS`` raises
+    `ValueError` before its first sweep.
     """
     _require_positive_m(m)
     if burn_in < 0:
@@ -163,7 +173,12 @@ def sample_gibbs(
     b = rng.integers(0, 2, (n, k)).astype(np.float64)
     rows, b_rows = list(sigma), list(b)
     recorded = np.empty((per_chain, n, k), dtype=np.int8)
-    total_sweeps = burn_in + per_chain * thin
+    total_sweeps = operator.index(burn_in) + operator.index(per_chain) * operator.index(thin)
+    if total_sweeps * max(n, 1) > MAX_PROPOSALS:
+        raise ValueError(
+            f"a Gibbs chain of {total_sweeps} sweeps over {n} sites needs "
+            f"{total_sweeps * max(n, 1)} site updates, more than the budget of {MAX_PROPOSALS}"
+        )
     # Blocks of whole sweeps draw the same stream as one (total_sweeps, n, k) call.
     block = max(1, _UNIFORM_BLOCK // max(n * k, 1))
     for lo in range(0, total_sweeps, block):

@@ -830,6 +830,20 @@ class TestSampleCommand:
         assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", captured.err)
         assert not out.exists() and not it.sidecar_path(out).exists()
 
+    @pytest.mark.parametrize("option", ["--burn-in", "--thin"])
+    def test_gibbs_beyond_its_budget_exits_2(self, tmp_path, capsys, option):
+        from conftest import rank2_spec
+
+        path, out = tmp_path / "rank2.json", tmp_path / "g.csv"
+        it.save_model_spec(rank2_spec(), path)
+        argv = ["sample", str(path), "--method", "gibbs", "--m", "10", option, str(10**15),
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*, more than the budget of 134217728\n", captured.err)
+        assert not out.exists() and not it.sidecar_path(out).exists()
+
     def test_zero_draws(self, tmp_path, capsys):
         code = main(
             ["sample", paired_spec(tmp_path), "--method", "gibbs", "--m", "0",

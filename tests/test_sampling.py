@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -300,7 +301,9 @@ class TestGibbsSampler:
         k = sampling.GIBBS_CHAINS
         for draws_per_chain in (8, 41):
             for spec in specs:
-                sample = it.sample_gibbs(spec, k * draws_per_chain, seed=3, burn_in=5)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    sample = it.sample_gibbs(spec, k * draws_per_chain, seed=3, burn_in=5)
                 chains = sample.draws.reshape(k, draws_per_chain, spec.n).astype(float)
                 per_site = [chains[:, :, i].tolist() for i in range(spec.n)]
                 rhats = [v for v in map(split_rhat, per_site) if v is not None]
@@ -308,6 +311,10 @@ class TestGibbsSampler:
                 for key, values, pick in (("rhat_max", rhats, max), ("ess_min", esses, min)):
                     want = pytest.approx(pick(values), rel=1e-9) if values else None
                     assert sample.meta[key] == want, key
+                # The "not mixed" warning fires exactly when the reference's
+                # largest split-R-hat exceeds 1.01.
+                warned = [w for w in caught if "not mixed" in str(w.message)]
+                assert len(warned) == (bool(rhats) and max(rhats) > 1.01)
 
     def test_diagnostics_are_null_without_variation(self):
         # Two sites that never flip; chains of seven draws, too short to split.
@@ -364,7 +371,11 @@ class TestGibbsSampler:
         spec = it.ModelSpec(delta=np.zeros(300), sigma=np.zeros((300, 300)))
         tracemalloc.start()
         try:
-            sample = it.sample_gibbs(spec, 2000, seed=4, burn_in=100)
+            # Short chains over 300 sites warn that they have not mixed (see
+            # ROADMAP item 7a); this test measures memory only.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                sample = it.sample_gibbs(spec, 2000, seed=4, burn_in=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -383,6 +394,36 @@ class TestGibbsSampler:
             it.sample_gibbs(spec, 10, seed=0, burn_in=-1)
         with pytest.raises(ValueError, match="thin"):
             it.sample_gibbs(spec, 10, seed=0, thin=0)
+
+    def test_site_updates_beyond_the_budget_are_refused(self, monkeypatch):
+        # 128 draws in 64 chains of 2, at burn-in 10 and thin 3, make 16
+        # sweeps of 5 sites: 80 site updates per chain.
+        spec = random_spec(np.random.default_rng(5), 5)
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 80)
+        assert it.sample_gibbs(spec, 128, seed=1, burn_in=10, thin=3).m == 128
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 79)
+        with pytest.raises(ValueError) as err:
+            it.sample_gibbs(spec, 128, seed=1, burn_in=10, thin=3)
+        assert str(err.value) == (
+            "a Gibbs chain of 16 sweeps over 5 sites needs 80 site updates, "
+            "more than the budget of 79"
+        )
+        # A model without sites counts one update per sweep.
+        empty = it.ModelSpec(delta=np.zeros(0), sigma=np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="budget of 79"):
+            it.sample_gibbs(empty, 1, seed=1, burn_in=79)
+
+    @pytest.mark.parametrize("kwargs", [{"burn_in": 10**15}, {"thin": 10**15}])
+    def test_a_huge_burn_in_or_thin_is_refused_at_once(self, kwargs):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget of 134217728"):
+            it.sample_gibbs(unit_coupling_spec(5), 10, seed=1, **kwargs)
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_int64_thin_does_not_wrap_the_count(self):
+        # 2 draws per chain at thin 2**62 make 2**63 + 1000 sweeps, beyond int64.
+        with pytest.raises(ValueError, match=r"needs 46116860184273884040 site updates"):
+            it.sample_gibbs(unit_coupling_spec(5), 128, 0, thin=np.int64(2**62))
 
 
 class TestRejectionSampler:

@@ -10,6 +10,11 @@ from conftest import low_rank_spec, random_spec
 from oracles import spectral_table
 
 
+def hidden_nodes(spec: it.ModelSpec, view: str) -> int:
+    """The latent or effect nodes of one of `graph_dot`'s digraphs."""
+    return it.graph_dot(spec, view).count("[shape=")
+
+
 def spec_n2(s12: float) -> it.ModelSpec:
     return it.ModelSpec(delta=np.zeros(2), sigma=np.array([[0.0, s12], [s12, 0.0]]))
 
@@ -25,8 +30,9 @@ class TestToSpectral:
     def test_positive_pair_coupling(self):
         form = it.to_spectral(spec_n2(1.0))
         assert shift_of(form) == pytest.approx(1.0, abs=1e-14)
-        npt.assert_allclose(form.lambdas, [2.0, 0.0], atol=1e-14)
+        npt.assert_allclose(form.lambdas, [2.0], atol=1e-14)
         inv = 1.0 / math.sqrt(2.0)
+        assert form.q.shape == (2, 1)
         npt.assert_allclose(form.q[:, 0], [inv, inv], atol=1e-14)
         npt.assert_allclose(form.loadings[:, 0], [1.0, 1.0], atol=1e-14)
         assert form.rank == 1
@@ -36,7 +42,7 @@ class TestToSpectral:
     def test_negative_pair_coupling(self):
         form = it.to_spectral(spec_n2(-1.0))
         assert shift_of(form) == pytest.approx(1.0, abs=1e-14)
-        npt.assert_allclose(form.lambdas, [2.0, 0.0], atol=1e-14)
+        npt.assert_allclose(form.lambdas, [2.0], atol=1e-14)
         inv = 1.0 / math.sqrt(2.0)
         # Sign convention: the entry of largest magnitude (first on ties) is positive.
         npt.assert_allclose(form.q[:, 0], [inv, -inv], atol=1e-14)
@@ -44,13 +50,16 @@ class TestToSpectral:
     def test_zero_couplings(self):
         form = it.to_spectral(it.ModelSpec(delta=np.zeros(3), sigma=np.zeros((3, 3))))
         assert shift_of(form) == 0.0
-        npt.assert_array_equal(form.lambdas, np.zeros(3))
-        npt.assert_array_equal(form.loadings, np.zeros((3, 3)))
-        assert form.rank == 0
+        assert form.lambdas.shape == (0,)
+        assert form.q.shape == form.loadings.shape == (3, 0)
+        assert form.rank == 0 and form.n == 3
 
     def test_near_zero_eigenvalue_clamped_exactly(self):
+        # The shifted eigenvalue that eigh cannot tell from zero is dropped
+        # with its eigenvector, not kept as rounding noise.
         form = it.to_spectral(spec_n2(1.0))
-        assert form.lambdas[1] == 0.0
+        assert form.lambdas.shape == (1,) and form.q.shape == (2, 1)
+        assert form.lambdas[0] > 0.0
 
     def test_single_variable(self):
         form = it.to_spectral(it.ModelSpec(delta=np.array([0.2]), sigma=np.zeros((1, 1))))
@@ -61,7 +70,9 @@ class TestToSpectral:
         for n in (2, 4, 7):
             spec = random_spec(rng, n)
             form = it.to_spectral(spec)
-            npt.assert_allclose(form.q.T @ form.q, np.eye(n), atol=1e-12)
+            # The canonical shift zeroes the smallest eigenvalue, which is dropped.
+            assert form.rank == n - 1
+            npt.assert_allclose(form.q.T @ form.q, np.eye(n - 1), atol=1e-12)
             shifted = spec.sigma + shift_of(form) * np.eye(n)
             npt.assert_allclose(
                 (form.q * form.lambdas) @ form.q.T, shifted, atol=1e-10
@@ -125,8 +136,9 @@ class TestToSpectral:
     @pytest.mark.parametrize(
         "lambdas, message",
         [
-            ([1.0, -0.5], "eigenvalues must be non-negative after the shift"),
+            ([1.0, -0.5], "eigenvalues must be positive after the shift"),
             ([0.5, 1.0], "eigenvalues must be sorted in descending order"),
+            ([1.0, 0.0], "eigenvalues must be positive after the shift"),
         ],
     )
     def test_form_rejects_bad_eigenvalues(self, lambdas, message):
@@ -134,6 +146,14 @@ class TestToSpectral:
             it.SpectralForm(lambdas=np.array(lambdas), q=np.eye(2))
         assert type(err.value) is ValueError
         assert str(err.value) == message
+
+    def test_form_refuses_a_zero_eigenvalue(self):
+        # A zero eigenvalue is no latent dimension and no effect; a form of
+        # rank 0 holds no eigenpair at all.
+        with pytest.raises(ValueError, match="must be positive"):
+            it.SpectralForm(lambdas=np.zeros(1), q=np.ones((3, 1)) / np.sqrt(3.0))
+        empty = it.SpectralForm(lambdas=np.zeros(0), q=np.zeros((3, 0)))
+        assert empty.rank == 0 and empty.n == 3
 
 
 class TestSpectralWeight:
@@ -178,8 +198,11 @@ class TestSpectralPmf:
         a = it.to_spectral(spec)
         b = it.to_spectral(replace(spec, extra_shift=0.5))
         assert shift_of(b) == pytest.approx(shift_of(a) + 0.5, abs=1e-12)
-        npt.assert_allclose(b.lambdas, a.lambdas + 0.5, atol=1e-10)
-        assert not np.allclose(a.loadings, b.loadings)
+        # The shift lifts the pair the canonical shift zeroes, so b keeps it.
+        assert (a.rank, b.rank) == (3, 4)
+        npt.assert_allclose(b.lambdas[:3], a.lambdas + 0.5, atol=1e-10)
+        assert b.lambdas[3] == pytest.approx(0.5, abs=1e-10)
+        assert not np.allclose(a.loadings, b.loadings[:, :3])
 
 
 class TestRankAndTruncation:
@@ -202,11 +225,11 @@ class TestRankAndTruncation:
             assert it.spectral_to_collider(form, spec.delta).r == rank
 
     def test_every_story_keeps_the_same_eigenvalues(self):
-        # Every story reads the form's non-zero eigenvalues (`positive`), so a
-        # 5e-11 eigenvalue beside 1.0 counts in each, and the spectral and
-        # collider tables still agree.
-        q = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
-        form = it.SpectralForm(lambdas=np.array([1.0, 0.5, 5e-11, 0.0]), q=q)
+        # Every story reads all of the form's eigenpairs, so a 5e-11
+        # eigenvalue beside 1.0 counts in each, and the spectral and collider
+        # tables still agree.
+        q = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0][:, :3]
+        form = it.SpectralForm(lambdas=np.array([1.0, 0.5, 5e-11]), q=q)
         delta = np.array([0.1, -0.2, 0.3, 0.0])
         assert form.rank == 3
         assert it.LatentForm.from_spectral(form, delta).r == 3
@@ -217,11 +240,11 @@ class TestRankAndTruncation:
 
     def test_a_coupling_of_5e_11_keeps_its_eigenvalue(self):
         # Couplings of 5e-11 shift to the eigenvalues 1e-10 and 0. The cut is
-        # relative to the largest, so the first is kept, and the eigen-based
-        # tables agree with the network table.
+        # relative to the largest, so the first is kept and the second
+        # dropped, and the eigen-based tables agree with the network table.
         spec = it.ModelSpec(delta=np.zeros(2), sigma=5e-11 * (1 - np.eye(2)))
         form = it.to_spectral(spec)
-        npt.assert_allclose(form.lambdas, [1e-10, 0.0], rtol=1e-12, atol=0)
+        npt.assert_allclose(form.lambdas, [1e-10], rtol=1e-12, atol=0)
         assert form.rank == 1
         net = it.ising_pmf(spec)
         spe = it.spectral_pmf(form, spec.delta)
@@ -229,13 +252,57 @@ class TestRankAndTruncation:
         assert it.pmf_distance(net, spe).max_abs <= 1e-16
         assert it.pmf_distance(spe, col).max_abs <= 1e-16
 
-    def test_truncation_zeroes_trailing_eigenvalues(self, rng):
+    def test_truncation_keeps_the_leading_pairs(self, rng):
         form = it.to_spectral(random_spec(rng, 6))
         cut = it.truncate_spectral(form, 2)
-        assert cut.rank <= 2
-        npt.assert_array_equal(cut.lambdas[2:], np.zeros(4))
-        npt.assert_array_equal(cut.lambdas[:2], form.lambdas[:2])
-        npt.assert_array_equal(cut.q, form.q)
+        assert cut.rank == 2 and cut.n == 6
+        npt.assert_array_equal(cut.lambdas, form.lambdas[:2])
+        npt.assert_array_equal(cut.q, form.q[:, :2])
+
+    def test_every_truncation_is_the_leading_pairs_bit_for_bit(self, rng):
+        # From rank 0 to past the rank: the leading min(k, rank) pairs, and
+        # the table of the model they define.
+        for spec in (random_spec(rng, 5), low_rank_spec(rng, 6, 2)):
+            form = it.to_spectral(spec)
+            for k in range(form.rank + 3):
+                cut = it.truncate_spectral(form, k)
+                kept = min(k, form.rank)
+                assert cut.rank == kept and cut.q.shape == (spec.n, kept)
+                assert cut.lambdas.tobytes() == form.lambdas[:kept].tobytes()
+                assert np.ascontiguousarray(cut.q).tobytes() == form.q[:, :kept].tobytes()
+                oracle = spectral_table(
+                    spec.delta.tolist(), cut.lambdas.tolist(), cut.q.T.tolist()
+                )
+                npt.assert_allclose(it.spectral_pmf(cut, spec.delta).probs, oracle, atol=1e-12)
+
+    def test_every_story_reads_the_positive_pairs_to_spectral_keeps(self, rng):
+        specs = [random_spec(rng, n) for n in (1, 2, 5, 9)]
+        specs += [low_rank_spec(rng, n, rank) for n, rank in ((4, 1), (7, 2), (10, 3))]
+        specs += [
+            it.ModelSpec(delta=rng.uniform(-1.0, 1.0, n), sigma=c * (1 - np.eye(n)))
+            for n, c in ((3, 0.4), (6, -0.3), (8, 1.0))
+        ]
+        for base in specs:
+            for extra in (0.0, 0.75):
+                spec = replace(base, extra_shift=extra)
+                form = it.to_spectral(spec)
+                rank = form.rank
+                assert np.all(form.lambdas > 0.0)
+                assert np.all(np.diff(form.lambdas) <= 0.0)
+                assert form.q.shape == (spec.n, rank)
+                npt.assert_allclose(form.q.T @ form.q, np.eye(rank), atol=1e-12)
+                evals = np.linalg.eigvalsh(spec.sigma)
+                shift = max(0.0, -evals.min()) + extra
+                npt.assert_allclose(
+                    form.loadings @ form.loadings.T,
+                    spec.sigma + shift * np.eye(spec.n),
+                    rtol=0,
+                    atol=1e-10,
+                )
+                assert it.LatentForm.from_spectral(form, spec.delta).r == rank
+                assert it.spectral_to_collider(form, spec.delta).r == rank
+                assert hidden_nodes(spec, "common-cause") == rank
+                assert hidden_nodes(spec, "collider") == rank
 
     def test_truncated_form_is_its_own_model(self, rng):
         spec = random_spec(rng, 5)
