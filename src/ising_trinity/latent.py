@@ -293,13 +293,12 @@ def _item_conditional(eta: np.ndarray, sign: float) -> np.ndarray:
     return np.reciprocal(p, out=p)
 
 
-def _item_products(p_plus: np.ndarray, p_minus: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _item_products(p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
     """``prod_i p(x_i | theta_k)`` over items of these conditionals, ``(2**items, K)``, by doubling.
 
-    ``p_plus`` and ``p_minus`` hold ``p(x_i = +-1 | theta_k)``.  The table is
-    written to the start of the flat buffer ``buf``.
+    ``p_plus`` and ``p_minus`` hold ``p(x_i = +-1 | theta_k)``.
     """
-    out = buf[: p_plus.shape[1] << p_plus.shape[0]].reshape(1 << p_plus.shape[0], -1)
+    out = np.empty((1 << p_plus.shape[0], p_plus.shape[1]))
     out[0] = 1.0
     for i in range(p_plus.shape[0]):
         half = 1 << i
@@ -323,12 +322,13 @@ def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
     products run as stacked products of node blocks, each of at most
     ``_BLOCK_MADDS`` multiply-adds and so on the calling thread (see
     `_enum`), so the table does not depend on the BLAS thread count.  A
-    batch runs in parts of ``_STACK`` blocks, the last part also holding the
-    nodes that fill no block.  Each part's conditionals and item tables are
-    built just before its products, so they stay in cache, and every slab
-    adds the products in node order.  Besides the table, only the weights ``t`` grow with ``n``:
-    ``2**(n - s)`` per node of a part.  ``log_z`` is the log of the rule's
-    own total.
+    batch's kept nodes run in parts of at most ``_STACK`` blocks, counted
+    from its first kept node; the nodes after the last whole block make one
+    product of their own.  Each part's conditionals and item tables are
+    built fresh just before its products, so they stay in cache, and every
+    slab adds the products in node order.  Besides the table, only the
+    weights ``t`` grow with ``n``: ``2**(n - s)`` per node of a part.
+    ``log_z`` is the log of the rule's own total.
     """
     n = delta.shape[0]
     sub = min(n, _SUB_ITEMS)
@@ -337,38 +337,28 @@ def _quadrature_pmf(delta, loadings, nodes, log_weights) -> Pmf:
     floor = _SKIP_SHARE / nodes.size ** loadings.shape[1]
     width = _BLOCK_MADDS >> sub
     span = _STACK * width
-    stack = np.empty((_STACK, *raw.shape[1:]))
     log_shift = None
     for _, log_c, eta in _node_batches(delta, loadings, nodes, log_weights):
         if log_shift is None:
             log_shift = _log_sum_exp(log_c)
-            # The tables of every part, of at most span + width nodes, reuse
-            # these buffers: fresh ones each part would cost page faults.
-            size = min(span + width, log_c.size)
-            lo_buf, hi_buf, top_buf = (np.empty(size << i) for i in (h, sub - h, n - sub))
-            part_buf = np.empty((1 << h, size))
         c = np.exp(log_c - log_shift)
         keep = np.flatnonzero(c >= floor)
-        # Parts of _STACK blocks of `width` nodes, the last one also holding
-        # the rest; each part's low-half table is weighted by c t_j as used.
-        full = keep.size - keep.size % width
-        starts = range(0, max(full, 1), span)
-        for start, stop in zip(starts, [*starts[1:], keep.size]):
-            part = keep[start:stop]
+        # Each part's low-half table is weighted by c t_j as used.
+        for start in range(0, keep.size, span):
+            part = keep[start : start + span]
             fields, weight = eta[:, part], c[part]
             p_plus, p_minus = _item_conditional(fields, 1.0), _item_conditional(fields, -1.0)
-            g_lo = _item_products(p_plus[:h], p_minus[:h], lo_buf)
-            g_hi = _item_products(p_plus[h:sub], p_minus[h:sub], hi_buf)
-            top = _item_products(p_plus[sub:], p_minus[sub:], top_buf)
+            g_lo = _item_products(p_plus[:h], p_minus[:h])
+            g_hi = _item_products(p_plus[h:sub], p_minus[h:sub])
+            top = _item_products(p_plus[sub:], p_minus[sub:])
             # The nodes before `cut` fill whole blocks.
-            cut = min(stop, full) - start
+            cut = part.size - part.size % width
             for slab, t in zip(raw, top):
-                lo = np.multiply(g_lo, weight * t, out=part_buf[:, : part.size])
+                lo = g_lo * (weight * t)
                 if cut:
                     slab += np.matmul(
                         g_hi[:, :cut].reshape(g_hi.shape[0], -1, width).transpose(1, 0, 2),
                         lo[:, :cut].reshape(lo.shape[0], -1, width).transpose(1, 2, 0),
-                        out=stack[: cut // width],
                     ).sum(axis=0)
                 if cut < part.size:
                     slab += g_hi[:, cut:] @ lo[:, cut:].T
@@ -459,8 +449,9 @@ def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarr
     normalized over the kept nodes.  With no table to measure, the sampler
     checks normalizers: it raises `QuadratureResolutionError` when the node
     total under that rule is off the one under the ``(3m + 1) // 2``-node
-    reference of `_rule_pair` by more than ``MASS_TOL``.  It raises
-    `RankLimitError` above rank 3.
+    reference of `_rule_pair` by more than ``MASS_TOL``, and `ValueError`
+    when either normalizer is not finite, since the node weights overflow
+    the float range.  It raises `RankLimitError` above rank 3.
     """
     _check_tensor_rank(form.r)
     (nodes, log_weights), fine = _rule_pair(rule)
@@ -471,6 +462,9 @@ def latent_first_nodes(form: LatentForm, rule: QuadratureRule) -> tuple[np.ndarr
     log_norm = _log_sum_exp(log_c)
     batches = _node_batches(form.delta, form.loadings, *fine)
     log_fine = np.logaddexp.reduce([_log_sum_exp(log_c) for _, log_c, _ in batches])
+    # A NaN fails every comparison, so test finiteness itself.
+    if not np.isfinite([log_norm, log_fine]).all():
+        raise ValueError("quadrature node weights are not finite: they overflow the float range")
     mass = np.exp(log_norm - log_fine)
     if abs(mass - 1.0) > MASS_TOL:
         raise QuadratureResolutionError(

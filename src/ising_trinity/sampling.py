@@ -389,8 +389,9 @@ def sample_latent_first(lf: LatentForm, rule: QuadratureRule, m: int, seed: int)
     as independent coins ``p(x_i = +1) = logistic(2 (delta_i + a_i . theta_k))``.
     The draws thus follow the node mixture that `mirt_marginal_pmf`
     tabulates.  The shares and their check come from `latent_first_nodes`,
-    which raises `RankLimitError` above rank 3 and
-    `QuadratureResolutionError` when the rule does not resolve the model.
+    which raises `RankLimitError` above rank 3,
+    `QuadratureResolutionError` when the rule does not resolve the model and
+    `ValueError` when its node weights overflow the float range.
     All ``m`` node uniforms come first, then the item uniforms in row order,
     drawn and used in blocks of ``_UNIFORM_BLOCK // n`` rows; so the draws do
     not depend on the block size.

@@ -803,6 +803,24 @@ class TestSampleCommand:
             "error: tensor quadrature supports a latent rank of at most 3, got rank 4\n"
         )
 
+    def test_latent_first_refuses_node_weights_beyond_the_float_range(self, tmp_path, capsys):
+        # The model's E[x_3] is tanh(1), but draws from the overflowed mixture
+        # have mean 1.0.  Numpy's overflow warnings, ignored here, print first.
+        path, out = tmp_path / "over.json", tmp_path / "over.csv"
+        path.write_text(json.dumps({
+            "n": 3, "delta": [1e308, 1e308, 0.0],
+            "sigma": [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]],
+        }))
+        argv = ["sample", str(path), "--method", "latent-first", "--m", "2000", "--seed", "1",
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: quadrature node weights are not finite: they overflow the float range\n"
+        )
+        assert not out.exists() and not it.sidecar_path(out).exists()
+
     def test_out_dash_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
         # A sample is a CSV plus its sidecar, which stdout cannot hold.
         spec = paired_spec(tmp_path)

@@ -428,6 +428,42 @@ class TestQuadratureKernel:
                     delta, loadings, latent._gauss_hermite(nodes), chunk
                 )
 
+    # Blocks of `width` nodes and parts of `stack` blocks, so that a small
+    # rule's kept nodes fill several parts: 9 nodes in blocks of 2, two per
+    # part, give 9 = 2 * 4 + 1, so the last whole block ends a part and one
+    # node follows.  A sub-table of `sub` < n items splits the table into slabs.
+    @pytest.mark.parametrize(
+        "n, r, nodes, width, stack, chunk, sub",
+        [
+            # Whole blocks only: 8 = 4 + 4 and 36 = 9 * 4 nodes.
+            (3, 1, 8, 2, 2, 4096, 12),
+            (4, 2, 6, 3, 3, 4096, 12),
+            # Whole blocks to a part boundary, then the rest: 49 = 16 * 3 + 1.
+            (3, 1, 9, 2, 2, 4096, 12),
+            (5, 2, 7, 8, 2, 4096, 12),
+            # The last part holds blocks and the rest: 9 = 6 + 3 and 125 = 9 * 13 + 8.
+            (4, 1, 9, 2, 3, 4096, 12),
+            (5, 3, 5, 3, 3, 4096, 12),
+            # Fewer nodes than a block; blocks of one node.
+            (2, 1, 3, 8, 1, 4096, 12),
+            (6, 3, 4, 1, 3, 4096, 12),
+            # One ragged box per batch, of 9 to 16 nodes, in one slab and in 8.
+            (5, 2, 7, 3, 2, 16, 12),
+            (6, 2, 7, 3, 2, 16, 3),
+            # Eight slabs at rank 3: 27 = 6 * 4 + 3.
+            (7, 3, 3, 2, 3, 4096, 4),
+        ],
+    )
+    def test_stacked_blocks_match_node_by_node_oracle(
+        self, rng, n, r, nodes, width, stack, chunk, sub
+    ):
+        delta = rng.uniform(-1.0, 1.0, n)
+        loadings = rng.uniform(-1.0, 1.0, (n, r))
+        with mock.patch.object(latent, "_SUB_ITEMS", sub), \
+                mock.patch.object(latent, "_BLOCK_MADDS", width << min(n, sub)), \
+                mock.patch.object(latent, "_STACK", stack):
+            assert_kernel_matches_oracle(delta, loadings, latent._gauss_hermite(nodes), chunk)
+
     def test_marginals_are_the_renormalized_oracle_table(self, rng):
         rule = it.QuadratureRule(40)
         # The marginals integrate with the rule stretched to nodes 2 t.

@@ -876,6 +876,17 @@ class TestLatentFirstSampler:
             it.mirt_marginal_pmf(lf, rule)
         assert "deviates from 1 by more than 1e-06" in str(sampler.value)
 
+    def test_node_weights_beyond_the_float_range_are_refused(self):
+        # Intercepts of 1e308 push each node's log weight to inf, so both
+        # normalizers are NaN, which no comparison of the mass refuses.
+        spec = it.ModelSpec(delta=np.array([1e308, 1e308, 0.0]), sigma=0.5 * (1 - np.eye(3)))
+        lf = it.LatentForm.from_spectral(it.to_spectral(spec), spec.delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflow the float range") as refusal:
+                it.sample_latent_first(lf, it.QuadratureRule(), 2000, seed=1)
+        assert "more nodes" not in str(refusal.value)
+
 
 class TestSampleIo:
     def test_round_trip(self, tmp_path):
