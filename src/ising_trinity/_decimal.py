@@ -13,8 +13,10 @@ and no rounding boundary lies within `_MARGIN` of ``y``.  Every other value
 is formatted by Python itself.
 
 The text is laid out as one NUL-padded 32-byte row per value, built from
-small tables of digit groups, heads and exponent tails; dropping every NUL
-and splitting at the newline that ends each row gives the strings.
+small tables of heads, exponent tails and 4-digit groups.  One table holds
+every group twice, its trailing zeros trimmed and then in full, so each group
+is one lookup.  ``bytes.translate`` drops every NUL, and splitting at the
+newline that ends each row gives the strings.
 """
 
 from __future__ import annotations
@@ -38,24 +40,28 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _tables() -> tuple:
     """``10**p = (hi + lo) * 2**k`` with ``hi`` in ``[1, 2)``, and ``hi`` split in halves;
-    then the NUL-padded text pieces of a row (see `decimal_text`)."""
+    then the NUL-padded text pieces of a row (see `decimal_text`): the 10**4
+    trimmed groups followed by the 10**4 full ones, the heads, the tails."""
     k = np.array([(10**p).bit_length() - 1 for p in range(_POWERS)])
     sig = [(10**p << 105) >> int(kp) for p, kp in enumerate(k)]
     hi = np.ldexp([float(s >> 53) for s in sig], -52)
     lo = np.ldexp([float(s & ((1 << 53) - 1)) for s in sig], -105)
     quads = [b"%04d" % g for g in range(10**4)]
-    trimmed = [q.rstrip(b"0") for q in quads]
+    groups = [q.rstrip(b"0") for q in quads] + quads  # trimmed, then full
     heads = [b"%d." % d for d in range(10)] + [b"%d" % d for d in range(10)]
     heads += [b"0." + b"0" * z + b"%d" % d for z in range(4) for d in range(10)]
     tails = [b"\n"] + [b"e-%02d\n" % e for e in range(1, _POWERS)]
-    words = [np.array(t, "S4").view(np.uint32) for t in (quads, trimmed)]
-    words += [np.array(t, "S8").view(np.uint64) for t in (heads, tails)]
+    words = [np.array(t, f"S{w}").view(f"u{w}") for t, w in ((groups, 4), (heads, 8), (tails, 8))]
     return (hi, *_split(hi), lo, k, *words)
 
 
 def decimal_text(x: np.ndarray) -> list[bytes]:
-    """Each value of ``x`` as ``"%.17g"`` writes it."""
-    th, th_h, th_l, tl, k, quads, trimmed, heads, tails = _tables()
+    """Each value of ``x`` as ``"%.17g"`` writes it.
+
+    A group is written in full once a nonzero group follows it, else trimmed,
+    from the one group table; the rows' NUL padding is dropped by ``translate``.
+    """
+    th, th_h, th_l, tl, k, groups, heads, tails = _tables()
     good = (x >= np.finfo(np.float64).tiny) & (x < 1.0)
     xs = np.where(good, x, 0.5)
     m, e = np.frexp(xs)
@@ -81,14 +87,13 @@ def decimal_text(x: np.ndarray) -> list[bytes]:
     # ending in a newline. Trailing zero digits are NUL, and so is all padding.
     rows = np.empty((x.size, 4), np.uint64)
     words = rows.view(np.uint32)
-    later = np.zeros(x.size, bool)  # a nonzero digit follows
+    later = np.zeros(x.size, np.int64)  # 10**4 (full groups) once a nonzero digit follows
     for col in (5, 4, 3, 2):
         D, group = np.divmod(D, 10**4)
-        words[:, col] = np.where(later, quads[group], trimmed[group])
-        later |= group != 0
-    kind = np.where(X < -4, ~later, 1 - X)  # "d." / "d" / "0." + (-X - 1) zeros + "d"
+        words[:, col] = groups.take(group + later)
+        later[group != 0] = 10**4
+    kind = np.where(X < -4, later == 0, 1 - X)  # "d." / "d" / "0." + (-X - 1) zeros + "d"
     rows[:, 0] = heads.take(10 * kind + D, mode="clip")  # D is the first digit
     rows[:, 3] = tails[np.where(X < -4, -X, 0)]
     rows.view("S32")[~good, 0] = [b"%.17g\n" % v for v in x[~good].tolist()]
-    flat = rows.view(np.uint8).ravel()
-    return flat[flat != 0].tobytes().split(b"\n")[:-1]
+    return rows.tobytes().translate(None, b"\0").split(b"\n")[:-1]

@@ -48,16 +48,6 @@ ROW_TEMPLATES = {
     "json": (",\n      ", b"    [\n      %s%s%s\n    ]", b",\n"),
 }
 
-# Rows per written block: one full cycle of the low `BLOCK_WIDTH` variables,
-# whose cells each block takes from one text table.  In-process time barely
-# depends on the block size (n = 16 CSV / JSON text in 23 / 36 ms at 2**10
-# rows, 24 / 34 ms at 2**12).  The perfbench `tables` workload's peak RSS did
-# move, between 133.9 and 157.2 MB across block sizes at identical output, but
-# that is glibc's heap layout (whether a phase happens to free more than the
-# trim threshold at the heap top), not a property of the block size.
-_BLOCK_ROWS = 1 << BLOCK_WIDTH
-
-
 def _write_out(chunks: Iterable[bytes], path: str) -> None:
     """Write UTF-8 chunks to stdout for ``-``, else to the file at ``path``, opened only here.
 
@@ -80,15 +70,19 @@ def _write_out(chunks: Iterable[bytes], path: str) -> None:
 
 
 def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
-    """The table as CSV, or as JSON rows after a dumped head, in blocks of `_BLOCK_ROWS` rows.
+    """The table as CSV, or as JSON rows after a dumped head, in blocks of ``2**min(n, 10)`` rows.
 
     Block ``b`` holds every configuration of the low ``min(n, 10)``
     variables, in index order, under configuration ``b`` of the variables
     above them, so its cells come from two `config_text` tables: one list
-    for the low variables and one cell of the high.  Each block is one ``%``
-    format over its rows, with the probabilities written by `decimal_text`.
-    The JSON head carries the table's ``error_estimate``: 0 for an
-    enumerated table, the quadrature estimate for a latent one.
+    for the low variables and one cell of the high.  The row template is
+    built once per table: each row's low cells in place, a NUL where the
+    block's high cell goes, and ``%s`` for its probability.  Each block is
+    that template with its high cell put in, then one ``%`` format over the
+    probabilities that `decimal_text` writes; the separator between blocks
+    is yielded on its own.  The JSON head carries the table's
+    ``error_estimate``: 0 for an enumerated table, the quadrature estimate
+    for a latent one.
     """
     header = [f"x_{i + 1}" for i in range(pmf.n)] + ["probability"]
     sep, row, between = ROW_TEMPLATES[fmt]
@@ -101,11 +95,11 @@ def _pmf_blocks(pmf: Pmf, representation: str, fmt: str) -> Iterator[bytes]:
     # Each cell followed by ``sep``; no variables have the one empty cell.
     lo, hi = ([(c + sep).encode() if k else b"" for c in config_text(k, sep)]
               for k in (min(pmf.n, BLOCK_WIDTH), max(pmf.n - BLOCK_WIDTH, 0)))
-    for start, high in zip(range(0, pmf.probs.size, _BLOCK_ROWS), hi):
-        text = decimal_text(pmf.probs[start : start + _BLOCK_ROWS])
-        cells = [None] * 3 * len(text)
-        cells[0::3], cells[1::3], cells[2::3] = lo, [high] * len(text), text
-        yield (between if start else b"") + between.join([row] * len(text)) % tuple(cells)
+    template = between.join([row % (cell, b"\0", b"%s") for cell in lo])
+    for b, (high, probs) in enumerate(zip(hi, pmf.probs.reshape(len(hi), -1))):
+        if b:
+            yield between
+        yield template.replace(b"\0", high) % tuple(decimal_text(probs))
     if fmt == "json":
         yield b"\n  ]\n}\n"
 

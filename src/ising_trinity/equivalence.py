@@ -31,10 +31,11 @@ with p read from the first other evaluated table in `BRANCHES` order, which
 is exact (conventional, or spectral when conventional is faulted).  Its first
 order term is |s|·(1 − m₁²)/2 with m₁ = E x₁.  It is evaluated as
 p·q·(1 − e^{−2|s|}) / (a + b·e^{−2|s|}), with q = P(x₁ = −1) read from the
-same table, a the side that s favours and b the other: nothing overflows,
-and a site whose p rounds to 1 keeps the shift of a fault that moves it.  A
-fault whose predicted shift is below twice the faulted table's bound is
-refused, since no verdict could show it.
+same table, a the side that s favours and b the other.  Only 2|s| can
+overflow, near the float limit, and there e^{−2|s|} = 0 is exact, so it is
+taken without a warning.  A site whose p rounds to 1 keeps the shift of a
+fault that moves it.  A fault whose predicted shift is below twice the
+faulted table's bound is refused, since no verdict could show it.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def verify_representations(
         step = (delta - spec.delta).sum()
         plus, minus = probs[1::2].sum(), probs[0::2].sum()
         gain, lose = (plus, minus) if step >= 0 else (minus, plus)
-        drain, keep = -np.expm1(-2.0 * abs(step)), np.exp(-2.0 * abs(step))
+        with np.errstate(over="ignore"):  # 2|s| = inf: drain 1 and keep 0, exact
+            drain, keep = -np.expm1(-2.0 * abs(step)), np.exp(-2.0 * abs(step))
         shift = float(gain * lose * drain / (gain + lose * keep)) if gain else 0.0
     distances = {(a, b): pmf_distance(tables[a], tables[b]) for a, b in combinations(tables, 2)}
     report = EquivalenceReport(n=spec.n, rank=rank, branches=branches, distances=distances,

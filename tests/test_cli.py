@@ -219,10 +219,12 @@ class TestPmfBytes:
             assert_json_rows_parse_back(pmf, text)
 
     # n = 0 has no configuration cells, so each row is the probability alone;
-    # n = 10 is one full block of rows; n = 11 is the first table with a second
-    # block, under the other cell of its high variable; n = 16 is the size of
-    # the benchmark's tables, split 10 + 6.
-    @pytest.mark.parametrize("n", [0, 10, 11, 16])
+    # n = 1 and 3 have one block shorter than 2**10 rows; n = 10 is one full
+    # block of rows; n = 11 is the first table with a second block, under the
+    # other cell of its high variable; n = 12 has four blocks, so separators
+    # between blocks follow blocks that are neither first nor last; n = 16 is
+    # the size of the benchmark's tables, split 10 + 6.
+    @pytest.mark.parametrize("n", [0, 1, 3, 10, 11, 12, 16])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_edge_sizes_match_the_per_cell_reference(self, n, fmt):
         rng = np.random.default_rng(n)
@@ -583,6 +585,25 @@ class TestVerifyCommand:
         tv = next(row["tv"] for row in report["pairs"] if row["pair"] == ["conventional", "spectral"])
         assert report["fault_shift"] == pytest.approx(tv, abs=1e-12)
         assert report["fault_shift"] == pytest.approx(0.3296, abs=1e-4)
+
+    # 2|s| overflows at these steps; its limits are exact, so the shift is
+    # the whole mass of the losing side and numpy prints no overflow warning.
+    @pytest.mark.parametrize("eps", ["1e308", "-1e308"])
+    def test_fault_near_the_float_limit_exits_1_without_a_warning(self, tmp_path, eps):
+        from conftest import rank2_spec
+
+        it.save_model_spec(rank2_spec(), tmp_path / "rank2.json")
+        src = str(Path(it.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-m", "ising_trinity.cli", "verify", str(tmp_path / "rank2.json"),
+             "--inject-fault", "spectral", f"--fault-eps={eps}"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert (run.returncode, run.stderr) == (1, "")
+        assert "overall: FAIL" in run.stdout
 
     def test_fault_no_verdict_can_show_exits_2(self, tmp_path, capsys):
         from conftest import frozen_site_spec

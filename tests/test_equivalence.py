@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -231,6 +232,19 @@ class TestFaultInjection:
         )
         assert not report.all_pass
         assert all(row["passed"] == (branch not in row["pair"]) for row in report.pairs)
+
+    # At these steps 2|s| overflows, but e^{-2|s|} = 0 is exact: the fault
+    # moves the whole mass of the side it disfavours, with no numpy warning.
+    @pytest.mark.parametrize("eps", [1e308, -1e308])
+    def test_shift_near_the_float_limit_warns_nothing(self, eps):
+        spec = rank2_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = it.verify_representations(spec, fault=it.BranchFault("spectral", eps))
+        probs = it.ising_pmf(spec).probs
+        lose = probs[0::2].sum() if eps > 0 else probs[1::2].sum()
+        assert report.fault_shift == pytest.approx(lose, abs=1e-15)
+        assert not report.all_pass
 
     # x_1 is +1 but for odds of about 1e-26, far below the rounding of
     # P(x_1 = +1), so a shift read through 1 - P(x_1 = +1) is rounding noise.
